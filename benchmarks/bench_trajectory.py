@@ -73,6 +73,7 @@ from repro.exec import (
     failure_report,
     grid_specs,
     merge_run_entries,
+    parse_fleet,
     run_spec,
     text_progress,
 )
@@ -162,55 +163,16 @@ def parse_jobs(text: str) -> int:
     return value
 
 
-def build_nodes(args: argparse.Namespace):
-    """Node list from --nodes/--nodes-file, or None for local-only."""
-    if not (args.nodes or args.nodes_file):
-        return None
-    from repro.exec import parse_nodes, read_nodes_file
-
-    nodes = []
-    try:
-        if args.nodes:
-            nodes.extend(parse_nodes(args.nodes))
-        if args.nodes_file:
-            nodes.extend(read_nodes_file(Path(args.nodes_file)))
-    except (ValueError, OSError) as exc:
-        raise SystemExit(f"bench_trajectory: {exc}")
-    names = [n.name for n in nodes]
-    if len(set(names)) != len(names):
-        raise SystemExit("bench_trajectory: duplicate node name across "
-                         "--nodes/--nodes-file")
-    return nodes
-
-
-def build_queues(args: argparse.Namespace):
-    """Queue list from --queue, or None for no batch acquisition."""
-    if not args.queue:
-        return None
-    from repro.exec import parse_queues, resolve_queue_template
-
-    try:
-        queues = parse_queues(args.queue)
-        for q in queues:
-            resolve_queue_template(q.name, args.queue_template)
-    except ValueError as exc:
-        raise SystemExit(f"bench_trajectory: {exc}")
-    return queues
-
-
 def build_doc(args: argparse.Namespace) -> tuple:
     """Run the matrix and merge the snapshot; returns (doc, outcomes)."""
     from repro.exec import RuntimeEstimator
 
     specs = build_specs(args)
-    nodes = build_nodes(args)
-    queues = build_queues(args)
-    if nodes and queues:
-        overlap = ({n.name for n in nodes} & {q.name for q in queues})
-        if overlap:
-            raise SystemExit(
-                f"bench_trajectory: {', '.join(sorted(overlap))} "
-                "listed in both --nodes and --queue")
+    try:
+        nodes, queues = parse_fleet(args.nodes, args.nodes_file,
+                                    args.queue, args.queue_template)
+    except ValueError as exc:
+        raise SystemExit(f"bench_trajectory: {exc}")
     telemetry_dir = Path(args.telemetry) if args.telemetry else None
     prior_logs = []
     if telemetry_dir is not None:

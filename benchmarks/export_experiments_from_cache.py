@@ -4,10 +4,9 @@ anything.
 
 Unlike generate_experiments_md.py (which completes missing cells by
 simulating them), this exporter reads only the cached runs — the
-per-key atomic entry directory ``benchmarks/.sweep_cache/`` (plus a
-legacy whole-file ``.sweep_cache.json``, if one survives from before
-the per-key layout) — and renders cells that have not been swept yet as
-`-`.  Useful to snapshot partial progress of a long sweep.
+per-key atomic entry directory ``benchmarks/.sweep_cache/`` — and
+renders cells that have not been swept yet as `-`.  Useful to snapshot
+partial progress of a long sweep.
 
 Usage:  python benchmarks/export_experiments_from_cache.py [output.md]
 """

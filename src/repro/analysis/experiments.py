@@ -14,8 +14,6 @@ The disk cache is a **directory of per-key JSON files** written
 atomically (tmp file + ``os.replace``) under an advisory lock, so
 concurrent sweep workers (``repro sweep --jobs N``) can share it safely
 and an interrupted benchmark session can never leave a corrupt cache.
-A legacy whole-file ``.sweep_cache.json`` (the pre-executor layout) is
-still read for migration.
 """
 
 from __future__ import annotations
@@ -46,14 +44,10 @@ from repro.analysis.scenarios import (
 #: Bump when a code change invalidates previously cached sweep results.
 CACHE_VERSION = 2  # v2: span-based timer charging (last-ulp float shifts)
 
-#: Default on-disk cache locations (override with REPRO_CACHE_DIR; set
+#: Default per-key cache directory (override with REPRO_CACHE_DIR; set
 #: the environment variable to an empty string to disable disk caching).
-#: ``_DEFAULT_CACHE_DIR`` is the per-key cache directory; the sibling
-#: ``.sweep_cache.json`` file is the legacy whole-file layout, read once
-#: for migration but never written.
 _BENCH_ROOT = Path(__file__).resolve().parents[3] / "benchmarks"
 _DEFAULT_CACHE_DIR = _BENCH_ROOT / ".sweep_cache"
-_DEFAULT_LEGACY_CACHE = _BENCH_ROOT / ".sweep_cache.json"
 
 
 @dataclass(frozen=True)
@@ -113,15 +107,6 @@ def _cache_dir() -> Optional[Path]:
     return _DEFAULT_CACHE_DIR
 
 
-def _legacy_cache_path() -> Optional[Path]:
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env is not None:
-        if env == "":
-            return None
-        return Path(env) / "sweep_cache.json"
-    return _DEFAULT_LEGACY_CACHE
-
-
 def _entry_path(key: ExperimentKey) -> Optional[Path]:
     root = _cache_dir()
     if root is None:
@@ -169,25 +154,12 @@ def _decode_entry(blob: Dict) -> Optional[Tuple[ExperimentKey, RunSummary]]:
 
 
 def _load_disk_cache() -> None:
-    """Populate the in-memory cache from disk once per process.
-
-    Reads the legacy whole-file cache first (if present), then every
-    per-key entry file — per-key entries win, they are newer."""
+    """Populate the in-memory cache from the per-key entry files, once
+    per process."""
     global _DISK_LOADED
     if _DISK_LOADED:
         return
     _DISK_LOADED = True
-    legacy = _legacy_cache_path()
-    if legacy is not None and legacy.is_file():
-        try:
-            blob = json.loads(legacy.read_text())
-        except (OSError, json.JSONDecodeError):
-            blob = {}
-        if blob.get("version") == CACHE_VERSION:
-            for entry in blob.get("runs", []):
-                decoded = _decode_entry({"version": CACHE_VERSION, **entry})
-                if decoded is not None:
-                    _CACHE.setdefault(*decoded)
     root = _cache_dir()
     if root is None or not root.is_dir():
         return
@@ -318,7 +290,7 @@ def prune_cache(older_than: Optional[float] = None,
 
 def clear_cache(disk: bool = False) -> None:
     """Drop all memoized runs (tests).  ``disk=True`` also removes the
-    on-disk cache entries (and the legacy cache file)."""
+    on-disk cache entries."""
     _CACHE.clear()
     if disk:
         root = _cache_dir()
@@ -327,10 +299,6 @@ def clear_cache(disk: bool = False) -> None:
                 for path in root.glob("*.json*"):
                     with contextlib.suppress(OSError):
                         path.unlink()
-        legacy = _legacy_cache_path()
-        if legacy is not None and legacy.is_file():
-            with contextlib.suppress(OSError):
-                legacy.unlink()
 
 
 def summarize(key: ExperimentKey, result: RunResult) -> RunSummary:
@@ -384,8 +352,8 @@ def cached_summaries() -> Dict[ExperimentKey, RunSummary]:
 
     The supported read API for exporters and offline tooling (e.g.
     ``benchmarks/export_experiments_from_cache.py``): it loads the
-    per-key cache directory — plus the legacy whole-file cache, if one
-    still exists — and returns a snapshot dict the caller owns.
+    per-key cache directory and returns a snapshot dict the caller
+    owns.
     """
     _load_disk_cache()
     return dict(_CACHE)

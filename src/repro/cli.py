@@ -241,47 +241,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     rank_counts = args.ranks or list(RANK_COUNTS)
 
-    # Multi-node dispatch: --nodes / --nodes-file describe remote slot
-    # counts; duplicates across the two sources are configuration
-    # errors, not merge candidates.
-    nodes = None
-    if args.nodes or args.nodes_file:
-        from repro.exec import parse_nodes, read_nodes_file
+    # Distributed capacity: --nodes / --nodes-file describe remote slot
+    # counts, --queue name:slots batch-scheduler acquisition.  Duplicate
+    # names and unknown queue presets are configuration errors.
+    from repro.exec import parse_fleet
 
-        try:
-            nodes = []
-            if args.nodes:
-                nodes.extend(parse_nodes(args.nodes))
-            if args.nodes_file:
-                nodes.extend(read_nodes_file(Path(args.nodes_file)))
-            names = [n.name for n in nodes]
-            if len(set(names)) != len(names):
-                raise ValueError(
-                    "duplicate node name across --nodes/--nodes-file")
-        except (ValueError, OSError) as exc:
-            print(f"repro sweep: {exc}", file=sys.stderr)
-            return 2
-
-    # Batch-scheduler acquisition: --queue name:slots selects a submit
-    # preset per queue name (--queue-template overrides).  Unknown
-    # presets and node/queue name collisions are configuration errors.
-    queues = None
-    if args.queue:
-        from repro.exec import parse_queues, resolve_queue_template
-
-        try:
-            queues = parse_queues(args.queue)
-            for q in queues:
-                resolve_queue_template(q.name, args.queue_template)
-            overlap = ({n.name for n in nodes or []}
-                       & {q.name for q in queues})
-            if overlap:
-                raise ValueError(
-                    f"{', '.join(sorted(overlap))} listed in both "
-                    "--nodes and --queue")
-        except ValueError as exc:
-            print(f"repro sweep: {exc}", file=sys.stderr)
-            return 2
+    try:
+        nodes, queues = parse_fleet(args.nodes, args.nodes_file,
+                                    args.queue, args.queue_template)
+    except ValueError as exc:
+        print(f"repro sweep: {exc}", file=sys.stderr)
+        return 2
 
     specs = grid_specs(datasets, seedings, algorithms, rank_counts,
                        scale=args.scale)
@@ -418,28 +388,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.exec import (
         fleet_ok,
         fleet_report,
-        parse_nodes,
-        parse_queues,
+        parse_fleet,
         probe_fleet,
-        read_nodes_file,
-        resolve_queue_template,
     )
 
-    nodes, queues = [], []
     try:
-        if args.nodes:
-            nodes.extend(parse_nodes(args.nodes))
-        if args.nodes_file:
-            nodes.extend(read_nodes_file(Path(args.nodes_file)))
-        if args.queue:
-            queues.extend(parse_queues(args.queue))
-        names = [n.name for n in nodes] + [q.name for q in queues]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate target name across "
-                             "--nodes/--nodes-file/--queue")
-        for q in queues:
-            resolve_queue_template(q.name, args.queue_template)
-    except (ValueError, OSError) as exc:
+        nodes, queues = parse_fleet(args.nodes, args.nodes_file,
+                                    args.queue, args.queue_template)
+    except ValueError as exc:
         print(f"repro fleet check: {exc}", file=sys.stderr)
         return 2
     if not nodes and not queues:

@@ -15,9 +15,8 @@ Layers
     :class:`RunSpec` / :class:`RunOutcome` — picklable run identities
     and their results; :func:`grid_specs` for the canonical sweep order.
 :mod:`repro.exec.worker`
-    The child-side task implementations (one per spec ``mode``), the
-    persistent-pool worker loop (:func:`pool_main`), and the
-    real-``MemoryError`` -> ``oom`` containment.
+    The worker-side task implementations (one per spec ``mode``) and
+    the real-``MemoryError`` -> ``oom`` containment.
 :mod:`repro.exec.estimate`
     :class:`RuntimeEstimator` — per-spec runtime predictions from the
     sweep cache's measured ``elapsed`` history and prior telemetry
@@ -27,21 +26,21 @@ Layers
     ``lpt`` / ``auto``) over the estimator's predictions; ordering
     never changes merged artifacts.
 :mod:`repro.exec.transport`
-    Worker transports behind the :class:`WorkerTransport` seam: the
-    local pipe-based pool, the framed-stdio remote transport
-    (:class:`RemoteTransport` + ``python -m repro.exec.remote_worker``)
-    for ``--nodes host1:4,host2:8`` dispatch, and the batch-scheduler
-    :class:`QueueTransport` (``--queue slurm:16``) whose detached jobs
-    dial back over TCP — all with the same calibration handshake and
-    node-aware LPT.
+    The one worker client (:class:`StreamWorker`, length-prefixed
+    JSON frames over a byte stream) and its three acquisitions: a
+    forked child (``--jobs N``), a command template's stdio
+    (``--nodes host1:4,host2:8``; ``python -m
+    repro.exec.remote_worker``), and a batch job dialling back over TCP
+    (``--queue slurm:16``) — all ending in the same calibration
+    handshake that feeds node-aware LPT.
 :mod:`repro.exec.fleet`
     Fleet validation (``repro fleet check``): probe every configured
     node/queue, run the handshake, and report readiness.
 :mod:`repro.exec.executor`
-    :class:`SweepExecutor` — the scheduled dispatcher over persistent
-    worker slots (local and/or remote), with per-run timeout, crash
-    containment, OOM-probe isolation, and remote failover (requeue +
-    bounded retries + local fallback).
+    :class:`SweepExecutor` and its :class:`Dispatcher` state machine
+    over persistent worker slots (local and/or remote), with per-run
+    timeout, crash containment, OOM-probe isolation, and remote
+    failover (requeue + bounded retries + local fallback).
 :mod:`repro.exec.telemetry`
     Host-side executor telemetry: the JSONL event log
     (:class:`JsonlTelemetry`), its schema validator, and the
@@ -70,14 +69,15 @@ from repro.exec.transport import (
     LOCAL_NODE,
     PROTOCOL_VERSION,
     QUEUE_PRESETS,
-    LocalTransport,
     NodeSpec,
+    QueueSource,
     QueueSpec,
-    QueueTransport,
-    RemoteTransport,
+    StreamWorker,
     TransportError,
-    WorkerTransport,
     calibration_probe,
+    command_worker,
+    fork_worker,
+    parse_fleet,
     parse_nodes,
     parse_queues,
     read_nodes_file,
@@ -124,14 +124,13 @@ from repro.exec.spec import (
     failure_report,
     grid_specs,
 )
-from repro.exec.worker import pool_main, run_spec, run_spec_with_host
+from repro.exec.worker import run_spec, run_spec_with_host
 
 __all__ = [
     "DEFAULT_REMOTE_TEMPLATE",
     "Estimate",
     "JsonlTelemetry",
     "LOCAL_NODE",
-    "LocalTransport",
     "MIN_SAMPLE_SECONDS",
     "MODE_BENCH",
     "MODE_SUMMARY",
@@ -144,9 +143,8 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProbeResult",
     "QUEUE_PRESETS",
+    "QueueSource",
     "QueueSpec",
-    "QueueTransport",
-    "RemoteTransport",
     "RunOutcome",
     "RunSpec",
     "RuntimeEstimator",
@@ -155,25 +153,27 @@ __all__ = [
     "SCHEDULE_LPT",
     "SCHEDULE_POLICIES",
     "SchedulePlan",
+    "StreamWorker",
     "SweepExecutor",
     "TransportError",
-    "WorkerTransport",
     "calibration_probe",
+    "command_worker",
     "default_jobs",
     "dry_run_table",
     "failure_report",
     "fleet_ok",
     "fleet_report",
+    "fork_worker",
     "grid_specs",
     "load_events",
     "makespan",
     "merge_run_entries",
     "model_estimate",
     "node_table",
+    "parse_fleet",
     "parse_nodes",
     "parse_queues",
     "plan_schedule",
-    "pool_main",
     "probe_fleet",
     "queue_table",
     "read_nodes_file",

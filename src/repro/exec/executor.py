@@ -14,54 +14,54 @@ Three layers sit between the spec list and the workers:
   :class:`~repro.exec.schedule.SchedulePlan` — FIFO (spec order) or
   LPT (longest expected first, from the
   :class:`~repro.exec.estimate.RuntimeEstimator`).
-* **Transports** (:mod:`repro.exec.transport`): each slot is backed by
-  a :class:`~repro.exec.transport.LocalTransport` pool worker (a
-  long-lived ``pool_main`` child on this machine), a
-  :class:`~repro.exec.transport.RemoteTransport` worker launched on
-  another node from a command template and spoken to over a framed
-  stdio protocol, or a :class:`~repro.exec.transport.QueueTransport`
-  worker acquired through a batch scheduler that dials back over TCP.
-  ``nodes=[NodeSpec(...)]`` activates distributed dispatch
+* **Workers** (:mod:`repro.exec.transport`): every slot is backed by
+  one :class:`~repro.exec.transport.StreamWorker` speaking the frame
+  protocol; only its acquisition varies — forked on this machine,
+  launched on another node from a command template and spoken to over
+  its stdio, or submitted to a batch scheduler and dialling back over
+  TCP.  ``nodes=[NodeSpec(...)]`` activates distributed dispatch
   (``repro sweep --nodes host1:4,host2:8``);
   ``queues=[QueueSpec(...)]`` activates batch acquisition
   (``repro sweep --queue slurm:16``); both can be mixed.
-* **Node-aware dispatch**: free slots live in a heap keyed by
-  ``(-speed, slot)``, where a remote node's speed factor comes from its
-  handshake calibration probe (or retire-event history).  Combined with
-  LPT's longest-first pending order, the longest expected runs land on
-  the fastest free slots.
+* **Node-aware dispatch** (:class:`Dispatcher`): free slots live in a
+  heap keyed by ``(-speed, slot)``, where a remote node's speed factor
+  comes from its handshake calibration probe (or retire-event
+  history).  Combined with LPT's longest-first pending order, the
+  longest expected runs land on the fastest free slots.
 
 Robustness guards, per run:
 
 * **timeout** — a run exceeding ``timeout`` real seconds has its
   worker terminated and is reported as a ``timeout`` outcome; the slot
   respawns for the next spec;
-* **isolation** — ``spec.isolate`` forces one-shot *local* child
-  execution even from the pool (the thermal OOM probe uses it);
+* **isolation** — a ``spec.isolate`` run gets a fresh dedicated
+  *local* worker, discarded after its one result (the thermal OOM
+  probe uses it);
 * **crash containment** — a local worker that dies without reporting
   yields a ``crashed`` outcome (``oom`` for probe specs) and the slot
   respawns;
 * **failover** — a *remote* worker that dies mid-run gets its
   in-flight spec **requeued** (a ``requeue`` telemetry event) at the
   front of the pending queue; after ``_MAX_REMOTE_ATTEMPTS`` remote
-  deaths the spec falls back to a one-shot local child.  An
+  deaths the spec falls back to a dedicated local worker.  An
   unreachable node at startup — or a node whose workers stop spawning
   mid-sweep — degrades the sweep to the remaining slots with a warning
   (``node_lost`` event); if every node is lost, an emergency local
   pool finishes the sweep.  ``validate_events`` still proves
   retire-count == runs.
 
-``jobs=1`` with no timeout and no nodes runs non-isolated specs inline
-in this process — the historical serial behavior, byte-for-byte.
+``jobs=1`` with no timeout, no nodes, and no isolated spec runs the
+sweep inline in this process — the historical serial behavior,
+byte-for-byte.
 
 Telemetry: pass a sink (:class:`repro.exec.telemetry.JsonlTelemetry`)
 and the executor logs a ``schedule`` event (the plan with per-run
 predictions and the resolved job count) plus ``dispatch`` / ``start``
 / ``finish`` / ``retire`` (and ``requeue``) events per run — worker
-slot ids, node identity, real timestamps, and the child's host-metric
-dict piped back with the result (``RunOutcome.host``).  Telemetry is
-host-side only: payloads, merge order, and every deterministic
-artifact are byte-identical with it on or off.
+slot ids, node identity, real timestamps, and the worker's
+host-metric dict framed back with the result (``RunOutcome.host``).
+Telemetry is host-side only: payloads, merge order, and every
+deterministic artifact are byte-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ import os
 import sys
 import time
 import traceback
-import multiprocessing
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
@@ -92,37 +91,20 @@ from repro.exec.spec import (
     RunSpec,
 )
 from repro.exec.transport import (
-    DEFAULT_REMOTE_TEMPLATE,
     LOCAL_NODE,
-    LocalTransport,
     NodeSpec,
     QueueSpec,
-    QueueTransport,
-    RemoteTransport,
     TransportError,
+    WorkerSource,
+    worker_sources,
 )
-from repro.exec.worker import (
-    child_main,
-    oom_payload,
-    run_spec,
-    run_spec_with_host,
-)
-
-#: Environment override for the multiprocessing start method
-#: (``fork``/``spawn``/``forkserver``).  Defaults to ``fork`` where the
-#: platform offers it (cheap, inherits loaded modules) and ``spawn``
-#: elsewhere; results are identical either way.
-START_METHOD_ENV = "REPRO_MP_START"
+from repro.exec.worker import oom_payload, run_spec, run_spec_with_host
 
 #: Scheduler poll interval [real seconds].
 _POLL = 0.05
 
-#: How long to wait for a pool worker to exit after the shutdown
-#: sentinel before terminating it.
-_SHUTDOWN_GRACE = 5.0
-
-#: Remote deaths tolerated per spec before it falls back to a one-shot
-#: local child (a spec that kills every remote worker it touches must
+#: Remote deaths tolerated per spec before it falls back to a dedicated
+#: local worker (a spec that kills every remote worker it touches must
 #: not starve the sweep).
 _MAX_REMOTE_ATTEMPTS = 2
 
@@ -134,22 +116,13 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _start_method() -> str:
-    method = os.environ.get(START_METHOD_ENV)
-    if method:
-        return method
-    return ("fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-
-
 @dataclass
 class _Slot:
-    """One dispatchable worker slot and the transport that backs it."""
+    """One dispatchable worker slot and the source that fills it."""
 
-    slot: int
     node: str
     speed: float
-    transport: Any
+    source: Any
 
 
 @dataclass
@@ -162,17 +135,246 @@ class _Assigned:
     node: str
     started: float
     deadline: Optional[float]
-    oneshot: bool            # dedicated child (isolate/fallback)
-    remote: bool             # backed by a RemoteTransport worker
-    worker: Any = None       # transport worker handle (pool/remote)
-    conn: Any = None         # oneshot receive pipe
-    proc: Any = None         # oneshot child process
-    msg: Optional[Tuple[Any, ...]] = None
+    worker: Any              # the worker handle running it
+    dedicated: bool          # isolate/fallback worker: discard after
+
+
+def _retire_fields(outcome: RunOutcome, idx: int, slot: int,
+                   node: str) -> Dict[str, Any]:
+    fields: Dict[str, Any] = {
+        "run": outcome.spec.name, "idx": idx, "worker": slot,
+        "node": node, "status": outcome.status,
+        "elapsed": round(outcome.elapsed, 6),
+    }
+    if outcome.host is not None:
+        fields["host"] = outcome.host
+    return fields
+
+
+class Dispatcher:
+    """The sweep's dispatch state machine: which spec goes to which
+    slot next, and what each worker event means.
+
+    It owns the pending queue, the free-slot heap, the slot table, and
+    the retry book-keeping, and maps events — a result, a worker death,
+    a timeout, a spawn failure — to actions on the worker and source
+    objects it was handed (``send`` / ``spawn`` / ``discard``) plus
+    ``emit`` / ``progress`` / ``warn`` reports.  It never touches a
+    process or a clock itself — the caller supplies *now* and the
+    ready waitables — so tests drive it with fakes.
+
+    Free slots are keyed ``(-speed, slot)``: fastest node first, then
+    lowest slot — with LPT's longest-first pending order this is
+    exactly "longest run to fastest free slot".
+    """
+
+    def __init__(self, items: Sequence[Tuple[int, RunSpec]],
+                 table: Dict[int, _Slot], workers: Dict[int, Any],
+                 local: Any, emit: Callable[..., None],
+                 progress: Callable[[str, Any], None],
+                 warn: Callable[[str], None], jobs: int = 1,
+                 timeout: Optional[float] = None):
+        self.pending = deque(items)              # schedule order
+        self.table = table                       # slot -> _Slot
+        self.workers = workers                   # slot -> held worker
+        self.local = local    # source of dedicated/emergency workers
+        self.jobs = jobs
+        self.timeout = timeout
+        self.emit, self.progress, self.warn = emit, progress, warn
+        self.running: Dict[Any, _Assigned] = {}  # waitable -> run
+        self.attempts: Dict[int, int] = {}       # idx -> remote deaths
+        self.local_only: Set[int] = set()        # retry-exhausted specs
+        self.results: Dict[int, RunOutcome] = {}
+        self.free = [(-info.speed, s) for s, info in table.items()]
+        heapq.heapify(self.free)
+        self._next_slot = max(table, default=-1) + 1
 
     @property
-    def key(self) -> Any:
-        """The waitable this assignment is registered under."""
-        return self.conn if self.oneshot else self.worker.waitable
+    def done(self) -> bool:
+        return not (self.pending or self.running)
+
+    def _event(self, kind: str, a: _Assigned, **fields: Any) -> None:
+        self.emit(kind, run=a.spec.name, idx=a.idx, worker=a.slot,
+                  node=a.node, **fields)
+
+    def _discard(self, slot: int) -> None:
+        """Drop a slot's held worker (died, timed out, or memory-
+        suspect); the slot spawns a fresh one on next use."""
+        worker = self.workers.pop(slot, None)
+        if worker is not None:
+            worker.discard()
+
+    def _ensure_capacity(self) -> None:
+        # Every slot gone (all nodes lost) with work left and no
+        # in-flight runs that could still succeed: conjure emergency
+        # local slots so the sweep always completes.
+        if self.pending and not self.table and not self.running:
+            self.warn("all nodes lost; finishing the sweep on an "
+                      f"emergency local pool ({self.jobs} slot(s))")
+            self.emit("node_lost", node=LOCAL_NODE, slots=self.jobs,
+                      reason="emergency local fallback")
+            for _ in range(self.jobs):
+                s, self._next_slot = self._next_slot, self._next_slot + 1
+                self.table[s] = _Slot(LOCAL_NODE, 1.0, self.local)
+                heapq.heappush(self.free, (-1.0, s))
+
+    def _drop_node(self, source: Any, reason: Any) -> None:
+        busy = {a.slot for a in self.running.values()}
+        lost = sorted(s for s, info in self.table.items()
+                      if info.source is source)
+        for s in lost:
+            del self.table[s]
+            if s not in busy:  # in-flight runs may still report
+                self._discard(s)
+        name = source.node.name
+        self.warn(f"node {name} lost ({reason}); dropping "
+                  f"{len(lost)} slot(s)")
+        self.emit("node_lost", node=name, slots=len(lost),
+                  reason=str(reason))
+
+    def dispatch(self, now: float) -> None:
+        """Hand pending specs to free slots, spawning workers as
+        needed.  An isolated or retry-exhausted spec gets a fresh
+        dedicated local worker instead of the slot's own."""
+        self._ensure_capacity()
+        while self.pending and self.free:
+            neg_speed, slot = heapq.heappop(self.free)
+            info = self.table.get(slot)
+            if info is None:
+                continue  # stale heap entry from a dropped node
+            idx, spec = self.pending.popleft()
+            dedicated = spec.isolate or idx in self.local_only
+            local = dedicated or info.node == LOCAL_NODE
+            worker = None if dedicated else self.workers.get(slot)
+            if worker is None or not worker.alive:
+                if not dedicated:
+                    self._discard(slot)
+                try:
+                    worker = (self.local if dedicated
+                              else info.source).spawn()
+                except TransportError as exc:
+                    if local:
+                        raise  # no further fallback: fail the sweep
+                    self._drop_node(info.source, exc)
+                    self.pending.appendleft((idx, spec))
+                    self._ensure_capacity()
+                    continue
+                if not dedicated:
+                    self.workers[slot] = worker
+            try:
+                worker.send(spec)
+            except EOFError:
+                # Died between spawn and send; retry the spec on a
+                # fresh worker.
+                if dedicated:
+                    worker.discard()
+                else:
+                    self._discard(slot)
+                heapq.heappush(self.free, (neg_speed, slot))
+                self.pending.appendleft((idx, spec))
+                continue
+            a = _Assigned(
+                idx=idx, spec=spec, slot=slot,
+                node=LOCAL_NODE if local else info.node, started=now,
+                deadline=now + self.timeout if self.timeout else None,
+                worker=worker, dedicated=dedicated)
+            self.running[worker.waitable] = a
+            self._event("dispatch", a)
+            self._event("start", a)
+            self.progress("start", (spec, slot, a.node))
+
+    def _release(self, a: _Assigned, discard: bool) -> None:
+        """End an assignment: off the running table, its worker
+        discarded if dedicated or no longer trustworthy, its slot free
+        again (dropped nodes release nothing)."""
+        del self.running[a.worker.waitable]
+        if a.dedicated:
+            a.worker.discard()
+        elif discard:
+            self._discard(a.slot)
+        if a.slot in self.table:
+            heapq.heappush(self.free,
+                           (-self.table[a.slot].speed, a.slot))
+
+    def _retire(self, a: _Assigned, outcome: RunOutcome,
+                discard: bool) -> None:
+        self._event("finish", a)
+        self._release(a, discard)
+        self.results[a.idx] = outcome
+        self.emit("retire",
+                  **_retire_fields(outcome, a.idx, a.slot, a.node))
+        self.progress("done", outcome)
+
+    def on_ready(self, key: Any, now: float) -> None:
+        """A running worker's stream became readable: a result, or —
+        ``EOFError`` from ``recv`` — its death.  A remote death
+        requeues the spec at the front of the queue; a local one is the
+        outcome (local deaths are deterministic, retrying would loop):
+        ``crashed``, or ``oom`` for the OOM probe, whose measured
+        outcome that *is*."""
+        a = self.running[key]
+        elapsed = now - a.started
+        try:
+            status, payload, host = a.worker.recv()
+        except EOFError:
+            if a.node != LOCAL_NODE:
+                self._requeue(a)
+                return
+            # Reap first — the stream hits EOF before the exit status
+            # is collectable.
+            code = a.worker.reap()
+            if a.spec.oom_probe:
+                outcome = RunOutcome(
+                    spec=a.spec, status=OUTCOME_OOM,
+                    payload=oom_payload(a.spec), elapsed=elapsed,
+                    error=f"child died (exit code {code})")
+            else:
+                outcome = RunOutcome(
+                    spec=a.spec, status=OUTCOME_CRASHED, elapsed=elapsed,
+                    error=f"child died without result (exit code {code})")
+            self._retire(a, outcome, discard=True)
+            return
+        if status in (OUTCOME_OK, OUTCOME_OOM):
+            outcome = RunOutcome(spec=a.spec, status=status,
+                                 payload=payload, elapsed=elapsed,
+                                 host=host)
+        else:
+            outcome = RunOutcome(spec=a.spec, status=OUTCOME_ERROR,
+                                 error=str(payload), elapsed=elapsed,
+                                 host=host)
+        # A worker that survived a MemoryError has a suspect allocator
+        # state — recycle it.
+        self._retire(a, outcome, discard=status == OUTCOME_OOM)
+
+    def _requeue(self, a: _Assigned) -> None:
+        n = self.attempts[a.idx] = self.attempts.get(a.idx, 0) + 1
+        to_local = n >= _MAX_REMOTE_ATTEMPTS
+        if to_local:
+            self.local_only.add(a.idx)
+        self._event("requeue", a, attempt=n,
+                    target=LOCAL_NODE if to_local else "remote")
+        self._release(a, discard=True)
+        self.pending.appendleft((a.idx, a.spec))
+        self.progress("requeue", (a.spec, a.slot, a.node))
+
+    def expire(self, now: float) -> None:
+        """Time out every run past its deadline: the worker is
+        discarded, the slot respawns for the next spec."""
+        for a in [a for a in self.running.values()
+                  if a.deadline and now > a.deadline]:
+            self._retire(a, RunOutcome(
+                spec=a.spec, status=OUTCOME_TIMEOUT,
+                error=f"exceeded {self.timeout:g}s limit",
+                elapsed=now - a.started), discard=True)
+
+    def close(self) -> None:
+        """Stop whatever still runs (interrupt / error cleanup) and
+        shut every held worker down politely."""
+        for a in list(self.running.values()):
+            self._release(a, discard=True)
+        for worker in self.workers.values():
+            worker.discard(terminate=False)
+        self.workers.clear()
 
 
 class SweepExecutor:
@@ -249,11 +451,10 @@ class SweepExecutor:
         self.schedule = schedule
         self.estimator = estimator
         self.nodes = list(nodes) if nodes else None
-        self.remote_template = remote_template or DEFAULT_REMOTE_TEMPLATE
+        self.remote_template = remote_template
         self.queues = list(queues) if queues else None
         self.queue_template = queue_template
         self.last_plan: Optional[SchedulePlan] = None
-        self._transports: List[Any] = []
         self._t0 = 0.0
 
     def _emit_event(self, kind: str, **fields: Any) -> None:
@@ -288,78 +489,53 @@ class SweepExecutor:
         plan = self.plan(specs)
         self.last_plan = plan
         self._t0 = time.monotonic()
-        self._transports = []
-        use_pool = (self.nodes is not None or self.queues is not None
-                    or self.jobs > 1 or self.timeout is not None)
-        ctx = table = workers = None
-        if use_pool and total:
-            ctx = multiprocessing.get_context(_start_method())
-            table, workers = self._build_slots(ctx)
-        slots_n = len(table) if table is not None else self.jobs
-        begin: Dict[str, Any] = {"jobs": slots_n, "runs": total,
-                                 "schedule": plan.effective}
-        if ((self.nodes is not None or self.queues is not None)
-                and table is not None):
-            begin["nodes"] = self._node_summary(table)
-        self._emit_event("sweep_begin", **begin)
-        if total:
-            self._emit_event("schedule", jobs=slots_n,
-                             **plan.event_fields())
-
-        def emit(event: str, payload: Any) -> None:
-            if event == "done":
-                done["n"] += 1
-            if self.progress is not None:
-                self.progress(event, payload, done["n"], total)
-
-        ordered = plan.ordered
+        distributed = self.nodes is not None or self.queues is not None
+        use_pool = bool(total) and (
+            distributed or self.jobs > 1 or self.timeout is not None
+            or any(spec.isolate for spec in specs))
+        sources: List[WorkerSource] = []  # closed when the sweep ends
+        table: Dict[int, _Slot] = {}
+        workers: Dict[int, Any] = {}
         try:
-            if use_pool and total:
-                self._run_pool(ordered, ctx, table, workers, results,
+            if use_pool:
+                table, workers = self._build_slots(sources)
+            slots_n = len(table) if use_pool else self.jobs
+            begin: Dict[str, Any] = {"jobs": slots_n, "runs": total,
+                                     "schedule": plan.effective}
+            if distributed and use_pool:
+                begin["nodes"] = self._node_summary(table)
+            self._emit_event("sweep_begin", **begin)
+            if total:
+                self._emit_event("schedule", jobs=slots_n,
+                                 **plan.event_fields())
+
+            def emit(event: str, payload: Any) -> None:
+                if event == "done":
+                    done["n"] += 1
+                if self.progress is not None:
+                    self.progress(event, payload, done["n"], total)
+
+            if use_pool:
+                self._run_pool(plan.ordered, table, workers, results,
                                emit)
             else:
-                for i, spec in ordered:
-                    if spec.isolate:
-                        ctx = multiprocessing.get_context(
-                            _start_method())
-                        iso_table = {0: _Slot(
-                            slot=0, node=LOCAL_NODE, speed=1.0,
-                            transport=self._local_transport(ctx))}
-                        self._run_pool([(i, spec)], ctx, iso_table, {},
-                                       results, emit)
-                    else:
-                        self._emit_event("dispatch", run=spec.name,
-                                         idx=i, worker=0,
-                                         node=LOCAL_NODE)
-                        self._emit_event("start", run=spec.name, idx=i,
-                                         worker=0, node=LOCAL_NODE)
-                        emit("start", (spec, 0, LOCAL_NODE))
-                        outcome = self._run_inline(spec)
-                        self._emit_event("finish", run=spec.name, idx=i,
-                                         worker=0, node=LOCAL_NODE)
-                        results[i] = outcome
-                        self._emit_retire(outcome, i, 0, LOCAL_NODE)
-                        emit("done", outcome)
+                for i, spec in plan.ordered:
+                    where = {"run": spec.name, "idx": i, "worker": 0,
+                             "node": LOCAL_NODE}
+                    self._emit_event("dispatch", **where)
+                    self._emit_event("start", **where)
+                    emit("start", (spec, 0, LOCAL_NODE))
+                    outcome = self._run_inline(spec)
+                    self._emit_event("finish", **where)
+                    results[i] = outcome
+                    self._emit_event("retire", **_retire_fields(
+                        outcome, i, 0, LOCAL_NODE))
+                    emit("done", outcome)
         finally:
-            transports, self._transports = self._transports, []
-            for transport in transports:
-                try:
-                    transport.close()
-                except OSError:  # pragma: no cover
-                    pass
+            for source in sources:
+                source.close()
         self._emit_event("sweep_end", runs=done["n"])
         return [r for r in results if r is not None]
-
-    def _emit_retire(self, outcome: RunOutcome, idx: int, slot: int,
-                     node: str) -> None:
-        fields: Dict[str, Any] = {
-            "run": outcome.spec.name, "idx": idx, "worker": slot,
-            "node": node, "status": outcome.status,
-            "elapsed": round(outcome.elapsed, 6),
-        }
-        if outcome.host is not None:
-            fields["host"] = outcome.host
-        self._emit_event("retire", **fields)
 
     # ------------------------------------------------------------------ #
     # Inline (serial) execution
@@ -385,115 +561,86 @@ class SweepExecutor:
                           elapsed=time.monotonic() - t0, host=host)
 
     # ------------------------------------------------------------------ #
-    # Slot-table construction (transports)
+    # Slot-table construction (acquisition)
     # ------------------------------------------------------------------ #
 
-    def _local_transport(self, ctx) -> LocalTransport:
-        return LocalTransport(ctx, collect_host=self.telemetry is not None)
+    def _local_source(self) -> WorkerSource:
+        """``jobs`` in-machine slots: the plain pool, the fallback when
+        no node is reachable, and the dispatcher's dedicated/emergency
+        workers."""
+        return worker_sources([NodeSpec(LOCAL_NODE, self.jobs)],
+                              collect_host=self.telemetry is not None)[0]
 
-    def _build_slots(self, ctx) -> Tuple[Dict[int, _Slot],
-                                         Dict[int, Any]]:
-        """Materialize the slot table for this sweep.
+    def _build_slots(self, sources: List[WorkerSource]
+                     ) -> Tuple[Dict[int, _Slot], Dict[int, Any]]:
+        """Materialize the slot table (and the workers already held)
+        for this sweep: one loop over the acquisition targets, which
+        are appended to *sources*.
 
-        Without ``nodes``/``queues``: ``jobs`` local pool slots.  With
-        ``nodes``: each node's slots backed by its transport, with one
-        **probe worker** spawned eagerly per remote node — that both
-        detects an unreachable node before any spec is dispatched (the
-        sweep degrades to the remaining slots with a warning) and
-        yields the node's calibration speed factor for node-aware LPT.
-        With ``queues``: every slot's worker is acquired eagerly
-        through the batch scheduler (bounded by the acquisition
-        timeout); slots that never connect degrade like an unreachable
-        node's, and a queue whose submit command fails is dropped
-        whole.
+        Without ``nodes``/``queues``: ``jobs`` local slots.  Otherwise
+        each target contributes the slots its ``acquire()`` delivers: a
+        remote node all of its declared slots, one of them already
+        holding the **probe worker** that proved the node reachable
+        and measured its calibration speed for node-aware LPT; a queue
+        one slot per worker that dialled back within the acquisition
+        timeout.  A target that cannot be acquired at all is dropped
+        with a warning and the sweep degrades to the remaining slots;
+        with none left it runs on a local fallback pool.
         """
         table: Dict[int, _Slot] = {}
         workers: Dict[int, Any] = {}
         if self.nodes is None and self.queues is None:
-            local = self._local_transport(ctx)
-            for s in range(self.jobs):
-                table[s] = _Slot(slot=s, node=LOCAL_NODE, speed=1.0,
-                                 transport=local)
-            return table, workers
-        slot = 0
-        local: Optional[LocalTransport] = None
-        for node in self.nodes or []:
-            if node.is_local:
-                if local is None:
-                    local = self._local_transport(ctx)
-                for _ in range(node.slots):
-                    table[slot] = _Slot(slot=slot, node=LOCAL_NODE,
-                                        speed=1.0, transport=local)
-                    slot += 1
-                continue
-            transport = RemoteTransport(
-                node, template=self.remote_template,
-                collect_host=self.telemetry is not None)
-            try:
-                probe = transport.spawn(slot)
-            except TransportError as exc:
-                self._warn(f"node {node.name} unreachable "
-                           f"({exc}); degrading to remaining slots")
-                self._emit_event("node_lost", node=node.name,
-                                 slots=node.slots, reason=str(exc),
-                                 phase="startup")
-                continue
-            speed = probe.speed
-            calib = probe.hello.get("calib")
-            if not isinstance(calib, (int, float)) or calib <= 0:
-                # No calibration in the handshake (older worker):
-                # fall back to speed inferred from retire history.
-                historic = getattr(self.estimator, "node_speed",
-                                   lambda _n: None)(node.name)
-                if historic:
-                    speed = historic
-            workers[slot] = probe
-            for _ in range(node.slots):
-                table[slot] = _Slot(slot=slot, node=node.name,
-                                    speed=speed, transport=transport)
-                slot += 1
-        for queue in self.queues or []:
-            transport = QueueTransport(
-                queue, template=self.queue_template,
-                collect_host=self.telemetry is not None,
-                emit=self._emit_event)
-            self._transports.append(transport)
-            try:
-                clients = transport.acquire()
-            except TransportError as exc:
-                self._warn(f"queue {queue.name} unavailable ({exc}); "
-                           f"degrading to remaining slots")
-                self._emit_event("node_lost", node=queue.name,
-                                 slots=queue.slots, reason=str(exc),
-                                 phase="startup")
-                continue
-            missing = queue.slots - len(clients)
-            if missing:
-                for problem in transport.problems:
-                    self._warn(problem)
-                self._warn(
-                    f"queue {queue.name}: {len(clients)}/{queue.slots} "
-                    f"worker(s) connected before the acquisition "
-                    f"timeout; degrading to the connected slots")
-                self._emit_event("node_lost", node=queue.name,
-                                 slots=missing,
-                                 reason="acquisition timeout",
-                                 phase="startup")
-            for client in clients:
-                client.slot = slot
-                workers[slot] = client
-                table[slot] = _Slot(slot=slot, node=queue.name,
-                                    speed=client.speed,
-                                    transport=transport)
-                slot += 1
+            sources.append(self._local_source())
+        else:
+            sources.extend(worker_sources(
+                self.nodes or [], self.queues or [], self.remote_template,
+                self.queue_template, self.telemetry is not None,
+                emit=self._emit_event))
+        for source in sources:
+            self._fill_slots(source, table, workers)
         if not table:
             self._warn(f"no nodes reachable; running on a local "
                        f"fallback pool ({self.jobs} slot(s))")
-            local = self._local_transport(ctx)
-            for s in range(self.jobs):
-                table[s] = _Slot(slot=s, node=LOCAL_NODE, speed=1.0,
-                                 transport=local)
+            sources.append(self._local_source())
+            self._fill_slots(sources[-1], table, workers)
         return table, workers
+
+    def _fill_slots(self, source: WorkerSource, table: Dict[int, _Slot],
+                    workers: Dict[int, Any]) -> None:
+        node = source.node
+        try:
+            held = source.acquire()
+        except TransportError as exc:
+            self._warn(f"{source.lost_as.format(node.name)} ({exc}); "
+                       "degrading to remaining slots")
+            self._emit_event("node_lost", node=node.name,
+                             slots=node.slots, reason=str(exc),
+                             phase="startup")
+            return
+        missing = node.slots - len(held)
+        if missing:
+            for problem in source.problems:
+                self._warn(problem)
+            self._warn(
+                f"queue {node.name}: {len(held)}/{node.slots} "
+                f"worker(s) connected before the acquisition "
+                f"timeout; degrading to the connected slots")
+            self._emit_event("node_lost", node=node.name, slots=missing,
+                             reason="acquisition timeout",
+                             phase="startup")
+        speed = 1.0
+        for worker in held:
+            slot = len(table)
+            if worker is not None:
+                workers[slot] = worker
+                speed = worker.speed
+                calib = worker.hello.get("calib")
+                if not isinstance(calib, (int, float)) or calib <= 0:
+                    # No calibration in the handshake (older worker):
+                    # fall back to speed inferred from retire history.
+                    speed = getattr(self.estimator, "node_speed",
+                                    lambda _n: None)(node.name) or speed
+            table[slot] = _Slot(node.name, speed, source)
 
     @staticmethod
     def _node_summary(table: Dict[int, _Slot]) -> List[Dict[str, Any]]:
@@ -506,283 +653,33 @@ class SweepExecutor:
         return sorted(summary.values(), key=lambda e: e["node"])
 
     # ------------------------------------------------------------------ #
-    # Persistent pool execution
+    # Pool execution
     # ------------------------------------------------------------------ #
 
-    def _spawn_oneshot(self, ctx, spec: RunSpec) -> Tuple[Any, Any]:
-        """Dedicated child for an isolated spec; returns (proc, recv)."""
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=child_main,
-                           args=(spec, send_conn,
-                                 self.telemetry is not None),
-                           daemon=True)
-        proc.start()
-        send_conn.close()
-        return proc, recv_conn
-
-    def _discard_worker(self, workers: Dict[int, Any], slot: int,
-                        terminate: bool = True) -> None:
-        """Drop a slot's persistent worker (died, timed out, or
-        memory-suspect); the slot respawns a fresh one on next use."""
-        worker = workers.pop(slot, None)
-        if worker is None:
-            return
-        if terminate and worker.alive:
-            worker.terminate()
-        worker.reap(_SHUTDOWN_GRACE)
-        if worker.alive:  # pragma: no cover - stuck after terminate
-            worker.kill()
-            worker.reap(None)
-        worker.close()
-
-    def _outcome_from_msg(self, a: _Assigned) -> RunOutcome:
-        """Build the outcome for an assignment whose message arrived
-        (or whose pipe closed: ``msg is None`` means a hard death)."""
-        elapsed = time.monotonic() - a.started
-        if a.msg is not None:
-            # Workers send (status, payload, host); tolerate the
-            # historical 2-tuple for any out-of-tree callers.
-            if len(a.msg) == 3:
-                status, payload, host = a.msg
-            else:
-                (status, payload), host = a.msg, None
-            if status == OUTCOME_OK:
-                return RunOutcome(spec=a.spec, status=OUTCOME_OK,
-                                  payload=payload, elapsed=elapsed,
-                                  host=host)
-            if status == OUTCOME_OOM:
-                return RunOutcome(spec=a.spec, status=OUTCOME_OOM,
-                                  payload=payload, elapsed=elapsed,
-                                  host=host)
-            return RunOutcome(spec=a.spec, status=OUTCOME_ERROR,
-                              error=str(payload), elapsed=elapsed,
-                              host=host)
-        # Died without reporting: hard crash, or the kernel's OOM
-        # killer.  For the OOM probe that *is* the measured outcome.
-        # Reap it first — the pipe hits EOF before the exit status is
-        # collectable, and an unreaped process reports no exit code.
-        if a.oneshot:
-            a.proc.join(timeout=_SHUTDOWN_GRACE)
-            code = a.proc.exitcode
-        else:
-            code = a.worker.reap(_SHUTDOWN_GRACE)
-        if a.spec.oom_probe:
-            return RunOutcome(spec=a.spec, status=OUTCOME_OOM,
-                              payload=oom_payload(a.spec),
-                              error=f"child died (exit code {code})",
-                              elapsed=elapsed)
-        return RunOutcome(spec=a.spec, status=OUTCOME_CRASHED,
-                          error=f"child died without result "
-                                f"(exit code {code})",
-                          elapsed=elapsed)
-
-    def _run_pool(self, items: Sequence[Tuple[int, RunSpec]], ctx,
+    def _run_pool(self, items: Sequence[Tuple[int, RunSpec]],
                   table: Dict[int, _Slot], workers: Dict[int, Any],
                   results: List[Optional[RunOutcome]],
                   emit: Callable[[str, Any], None]) -> None:
-        """Dispatch ``items`` (already in schedule order) over the slot
-        table, multiplexing local pipe connections and remote stdio
-        streams through one ``connection.wait`` loop."""
-        pending = deque(items)
-        running: Dict[Any, _Assigned] = {}       # waitable -> assignment
-        attempts: Dict[int, int] = {}            # idx -> remote deaths
-        local_only: Set[int] = set()             # retry-exhausted specs
-        # Free slots keyed (-speed, slot): fastest node first, then
-        # lowest slot — with LPT's longest-first pending order this is
-        # exactly "longest run to fastest free slot".
-        free: List[Tuple[float, int]] = [
-            (-info.speed, s) for s, info in table.items()]
-        heapq.heapify(free)
-        counters = {"next_slot": (max(table) + 1) if table else 0}
-
-        def ensure_capacity() -> None:
-            # Every slot gone (all nodes lost) with work left and no
-            # in-flight runs that could still succeed: conjure an
-            # emergency local pool so the sweep always completes.
-            if pending and not table and not running:
-                self._warn("all nodes lost; finishing the sweep on an "
-                           f"emergency local pool ({self.jobs} slot(s))")
-                self._emit_event("node_lost", node=LOCAL_NODE,
-                                 slots=self.jobs,
-                                 reason="emergency local fallback")
-                local = self._local_transport(ctx)
-                for _ in range(self.jobs):
-                    s = counters["next_slot"]
-                    counters["next_slot"] += 1
-                    table[s] = _Slot(slot=s, node=LOCAL_NODE, speed=1.0,
-                                     transport=local)
-                    heapq.heappush(free, (-1.0, s))
-
-        def drop_node(transport: Any, reason: Any) -> None:
-            name = transport.node.name
-            busy = {a.slot for a in running.values()}
-            lost = sorted(s for s, info in table.items()
-                          if info.transport is transport)
-            for s in lost:
-                del table[s]
-                if s not in busy:  # in-flight runs may still report
-                    self._discard_worker(workers, s)
-            self._warn(f"node {name} lost ({reason}); dropping "
-                       f"{len(lost)} slot(s)")
-            self._emit_event("node_lost", node=name, slots=len(lost),
-                             reason=str(reason))
-
-        def dispatch() -> None:
-            ensure_capacity()
-            while pending and free:
-                neg_speed, slot = heapq.heappop(free)
-                info = table.get(slot)
-                if info is None:
-                    continue  # stale heap entry from a dropped node
-                idx, spec = pending.popleft()
-                now = time.monotonic()
-                deadline = now + self.timeout if self.timeout else None
-                if spec.isolate or idx in local_only:
-                    proc, conn = self._spawn_oneshot(ctx, spec)
-                    a = _Assigned(idx=idx, spec=spec, slot=slot,
-                                  node=LOCAL_NODE, started=now,
-                                  deadline=deadline, oneshot=True,
-                                  remote=False, conn=conn, proc=proc)
-                else:
-                    worker = workers.get(slot)
-                    if worker is None or not worker.alive:
-                        self._discard_worker(workers, slot)
-                        try:
-                            worker = info.transport.spawn(slot)
-                        except TransportError as exc:
-                            drop_node(info.transport, exc)
-                            pending.appendleft((idx, spec))
-                            ensure_capacity()
-                            continue
-                        workers[slot] = worker
-                    try:
-                        worker.send(spec)
-                    except (EOFError, OSError):
-                        # Died between spawn and send; retry the spec
-                        # on a fresh worker.
-                        self._discard_worker(workers, slot)
-                        heapq.heappush(free, (neg_speed, slot))
-                        pending.appendleft((idx, spec))
-                        continue
-                    a = _Assigned(idx=idx, spec=spec, slot=slot,
-                                  node=info.node, started=now,
-                                  deadline=deadline, oneshot=False,
-                                  remote=info.node != LOCAL_NODE,
-                                  worker=worker)
-                running[a.key] = a
-                self._emit_event("dispatch", run=spec.name, idx=idx,
-                                 worker=slot, node=a.node)
-                self._emit_event("start", run=spec.name, idx=idx,
-                                 worker=slot, node=a.node)
-                emit("start", (spec, slot, a.node))
-
-        def release_slot(slot: int) -> None:
-            if slot in table:  # dropped nodes release nothing
-                heapq.heappush(free, (-table[slot].speed, slot))
-
-        def retire(a: _Assigned, outcome: RunOutcome) -> None:
-            del running[a.key]
-            results[a.idx] = outcome
-            self._emit_retire(outcome, a.idx, a.slot, a.node)
-            release_slot(a.slot)
-            emit("done", outcome)
-
-        def requeue(a: _Assigned) -> None:
-            """A remote worker died mid-run: put the spec back at the
-            front of the queue instead of failing it."""
-            del running[a.key]
-            self._discard_worker(workers, a.slot)
-            n = attempts.get(a.idx, 0) + 1
-            attempts[a.idx] = n
-            to_local = n >= _MAX_REMOTE_ATTEMPTS
-            if to_local:
-                local_only.add(a.idx)
-            self._emit_event("requeue", run=a.spec.name, idx=a.idx,
-                             worker=a.slot, node=a.node, attempt=n,
-                             target=LOCAL_NODE if to_local else "remote")
-            release_slot(a.slot)
-            pending.appendleft((a.idx, a.spec))
-            emit("requeue", (a.spec, a.slot, a.node))
-
-        def stop_assigned(a: _Assigned) -> None:
-            if a.oneshot:
-                a.proc.terminate()
-                a.proc.join()
-                try:
-                    a.conn.close()
-                except OSError:
-                    pass
-            else:
-                self._discard_worker(workers, a.slot)
-
+        """Drive the :class:`Dispatcher` over ``items`` (already in
+        schedule order), multiplexing every worker stream through one
+        ``connection.wait`` loop."""
+        dispatcher = Dispatcher(
+            items, table, workers, self._local_source(), jobs=self.jobs,
+            timeout=self.timeout, emit=self._emit_event, progress=emit,
+            warn=self._warn)
         try:
-            while pending or running:
-                dispatch()
-                if not running:
+            while not dispatcher.done:
+                dispatcher.dispatch(time.monotonic())
+                if not dispatcher.running:
                     continue
-                ready = mp_connection.wait(list(running), timeout=_POLL)
-                finished: List[_Assigned] = []
-                for key in ready:
-                    a = running[key]
-                    try:
-                        a.msg = (a.conn.recv() if a.oneshot
-                                 else a.worker.recv())
-                    except (EOFError, OSError):
-                        a.msg = None  # the process died mid-run
-                    finished.append(a)
-                now = time.monotonic()
-                for a in list(running.values()):
-                    if (a not in finished and a.deadline
-                            and now > a.deadline):
-                        stop_assigned(a)
-                        self._emit_event("finish", run=a.spec.name,
-                                         idx=a.idx, worker=a.slot,
-                                         node=a.node)
-                        outcome = RunOutcome(
-                            spec=a.spec, status=OUTCOME_TIMEOUT,
-                            error=f"exceeded {self.timeout:g}s limit",
-                            elapsed=now - a.started)
-                        retire(a, outcome)
-                for a in finished:
-                    if a.msg is None and a.remote:
-                        requeue(a)
-                        continue
-                    self._emit_event("finish", run=a.spec.name,
-                                     idx=a.idx, worker=a.slot,
-                                     node=a.node)
-                    outcome = self._outcome_from_msg(a)
-                    if a.oneshot:
-                        a.proc.join(timeout=_SHUTDOWN_GRACE)
-                        if a.proc.is_alive():  # reported but won't exit
-                            a.proc.terminate()
-                            a.proc.join()
-                        try:
-                            a.conn.close()
-                        except OSError:
-                            pass
-                    elif a.msg is None:
-                        # Local pool worker died mid-run; the slot
-                        # respawns (the outcome stays ``crashed`` —
-                        # local deaths are deterministic, retrying
-                        # would loop).
-                        self._discard_worker(workers, a.slot)
-                    elif outcome.status == OUTCOME_OOM:
-                        # The worker survived a MemoryError, but its
-                        # allocator state is suspect — recycle it.
-                        self._discard_worker(workers, a.slot)
-                    retire(a, outcome)
+                for key in mp_connection.wait(list(dispatcher.running),
+                                              timeout=_POLL):
+                    dispatcher.on_ready(key, time.monotonic())
+                dispatcher.expire(time.monotonic())
         finally:
-            for a in list(running.values()):  # interrupt / error cleanup
-                stop_assigned(a)
-            for slot in list(workers):
-                worker = workers.get(slot)
-                if worker is not None:
-                    try:
-                        worker.shutdown()  # polite sentinel / frame
-                    except (BrokenPipeError, OSError, EOFError):
-                        pass
-                self._discard_worker(workers, slot, terminate=False)
-
+            dispatcher.close()
+            for idx, outcome in dispatcher.results.items():
+                results[idx] = outcome
 
 # ---------------------------------------------------------------------- #
 # Merging and progress rendering

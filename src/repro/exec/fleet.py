@@ -6,7 +6,8 @@ wrong time to discover a dead ssh key or a rejected ``sbatch`` is
 twenty minutes into a measurement run.  :func:`probe_fleet` performs
 the same acquisition the executor would — launch (or submit) one
 worker per target, run the full version/calibration handshake, then
-shut the worker down politely — and reports per-target readiness:
+shut the worker down politely — through the very acquisition functions
+the executor uses, and reports per-target readiness:
 acquisition latency, the handshake's protocol/feature announcement,
 the worker's hostname, and its calibration speed factor.
 
@@ -27,17 +28,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.exec.transport import (
-    DEFAULT_REMOTE_TEMPLATE,
     NodeSpec,
     QueueSpec,
-    QueueTransport,
-    RemoteTransport,
     TransportError,
-    queue_acquire_timeout,
+    WorkerSource,
+    worker_sources,
 )
-
-#: Grace period for a probed worker to exit after shutdown [seconds].
-_PROBE_REAP = 5.0
 
 
 @dataclass
@@ -54,84 +50,30 @@ class ProbeResult:
     detail: str = ""                  # features / external id / error
 
 
-def _hello_detail(hello) -> str:
-    features = hello.get("features")
-    text = f"protocol {hello.get('protocol')}"
-    if isinstance(features, (list, tuple)) and features:
-        text += f", features {','.join(str(f) for f in features)}"
-    return text
-
-
-def probe_node(node: NodeSpec,
-               template: Optional[str] = None) -> ProbeResult:
-    """Launch one worker on *node* through the remote template, run the
-    handshake, and shut it down."""
-    if node.is_local:
-        return ProbeResult(target=node.name, kind="local",
-                           slots=node.slots, ok=True, latency=0.0,
-                           speed=1.0, host="(in-process)",
-                           detail="in-machine pool")
-    transport = RemoteTransport(
-        node, template=template or DEFAULT_REMOTE_TEMPLATE)
+def _probe(source: WorkerSource) -> ProbeResult:
+    """Acquire one worker from *source* — fork, launch, or submit and
+    await the dial-back — which runs the handshake; then shut it down.
+    A queue reports its declared slot count but only one job's worth of
+    queue time is consumed."""
+    target = dict(target=source.node.name, kind=source.kind,
+                  slots=source.node.slots)
     t0 = time.monotonic()
     try:
-        worker = transport.spawn(0)
+        worker = source.spawn()
     except TransportError as exc:
-        return ProbeResult(target=node.name, kind="ssh",
-                           slots=node.slots, ok=False, detail=str(exc))
+        return ProbeResult(ok=False, detail=str(exc), **target)
     latency = time.monotonic() - t0
+    worker.discard(terminate=False)
     hello = worker.hello
-    try:
-        worker.shutdown()
-    except (BrokenPipeError, OSError, EOFError):
-        pass
-    worker.reap(_PROBE_REAP)
-    if worker.alive:  # pragma: no cover - worker ignoring shutdown
-        worker.kill()
-        worker.reap(None)
-    worker.close()
-    return ProbeResult(target=node.name, kind="ssh", slots=node.slots,
-                       ok=True, latency=latency, speed=worker.speed,
-                       host=str(hello.get("host") or ""),
-                       detail=_hello_detail(hello))
-
-
-def probe_queue(queue: QueueSpec, template: Optional[str] = None,
-                acquire_timeout: Optional[float] = None) -> ProbeResult:
-    """Submit one probe job to *queue*, wait for its dial-back, run the
-    handshake, and shut it down.  Reports the declared slot count but
-    only consumes one job's worth of queue time."""
-    transport = QueueTransport(QueueSpec(name=queue.name, slots=1),
-                               template=template,
-                               acquire_timeout=acquire_timeout)
-    try:
-        try:
-            clients = transport.acquire()
-        except TransportError as exc:
-            return ProbeResult(target=queue.name, kind="queue",
-                               slots=queue.slots, ok=False,
-                               detail=str(exc))
-        if not clients:
-            timeout = (acquire_timeout if acquire_timeout
-                       else queue_acquire_timeout())
-            detail = (transport.problems[-1] if transport.problems else
-                      f"no worker dialed back within {timeout:g}s")
-            return ProbeResult(target=queue.name, kind="queue",
-                               slots=queue.slots, ok=False,
-                               detail=detail)
-        client = clients[0]
-        detail = _hello_detail(client.hello)
-        if client.external_id:
-            detail += f", job id {client.external_id}"
-        client.shutdown()
-        client.close()
-        return ProbeResult(target=queue.name, kind="queue",
-                           slots=queue.slots, ok=True,
-                           latency=client.latency, speed=client.speed,
-                           host=str(client.hello.get("host") or ""),
-                           detail=detail)
-    finally:
-        transport.close()
+    features = hello.get("features")
+    detail = f"protocol {hello.get('protocol')}"
+    if isinstance(features, (list, tuple)) and features:
+        detail += f", features {','.join(str(f) for f in features)}"
+    if worker.external_id:
+        detail += f", job id {worker.external_id}"
+    return ProbeResult(ok=True, latency=latency, speed=worker.speed,
+                       host=str(hello.get("host") or ""), detail=detail,
+                       **target)
 
 
 def probe_fleet(nodes: Sequence[NodeSpec] = (),
@@ -142,11 +84,13 @@ def probe_fleet(nodes: Sequence[NodeSpec] = (),
                 ) -> List[ProbeResult]:
     """Probe every configured node and queue, in listed order."""
     results: List[ProbeResult] = []
-    for node in nodes:
-        results.append(probe_node(node, template=remote_template))
-    for queue in queues:
-        results.append(probe_queue(queue, template=queue_template,
-                                   acquire_timeout=acquire_timeout))
+    for source in worker_sources(nodes, queues, remote_template,
+                                 queue_template,
+                                 acquire_timeout=acquire_timeout):
+        try:
+            results.append(_probe(source))
+        finally:
+            source.close()
     return results
 
 

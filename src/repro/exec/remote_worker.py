@@ -1,13 +1,14 @@
-"""Remote-machine worker: ``python -m repro.exec.remote_worker``.
+"""The sweep worker: ``python -m repro.exec.remote_worker``.
 
-The worker side of :class:`repro.exec.transport.RemoteTransport` and
-:class:`repro.exec.transport.QueueTransport`.  The parent either
-launches this module on another machine (``ssh`` in production, any
-command template — tests use a local ``sh -c`` loopback) and speaks
-over the process's stdin and stdout, or a batch scheduler starts it
-detached with ``--connect host:port`` and it **dials back** into the
-executor's rendezvous listener over TCP.  Either way the conversation
-is the same length-prefixed JSON frame protocol:
+The worker side of every :class:`repro.exec.transport.StreamWorker`.
+The parent launches this module on another machine (``ssh`` in
+production, any command template — tests use a local ``sh -c``
+loopback) and speaks over the process's stdin and stdout; or a batch
+scheduler starts it detached with ``--connect host:port`` and it
+**dials back** into the executor's rendezvous listener over TCP; or
+the parent forks :func:`serve_socket` on a ``socketpair`` for an
+in-machine worker.  Every way the conversation is the same
+length-prefixed JSON frame protocol:
 
 1. worker → parent: a ``hello`` frame — protocol version, feature
    list, hostname, pid, and a calibration-probe timing the parent turns
@@ -30,19 +31,19 @@ so the rendezvous listener can match the dial-back to its submission
 record.  A refused or timed-out connection exits 2 — the batch job has
 nothing to serve without a parent.
 
-Execution is :func:`repro.exec.worker._execute` — the exact function
-the local pool runs — so a spec's payload is byte-identical no matter
-which machine computed it.
+Execution is :func:`repro.exec.worker._execute` for every worker, so
+a spec's payload is byte-identical no matter which machine computed
+it.
 
 Fault injection (tests/CI only)
 -------------------------------
-``REPRO_REMOTE_FAULT=die:<substring>[:<tokenfile>]`` makes the worker
-hard-exit when it *receives* a spec whose name contains ``<substring>``
-— simulating a node dying mid-run.  With a token file the death is
-claimed atomically (``O_CREAT | O_EXCL``) so exactly one worker dies
-across the whole sweep and the requeued attempt then succeeds; without
-one, every matching dispatch dies (exercises retry exhaustion and the
-local fallback).
+``REPRO_REMOTE_FAULT=die:<substring>[:<tokenfile>]`` makes a remote
+(not forked) worker hard-exit when it *receives* a spec whose name
+contains ``<substring>`` — simulating a node dying mid-run.  With a
+token file the death is claimed atomically (``O_CREAT | O_EXCL``) so
+exactly one worker dies across the whole sweep and the requeued
+attempt then succeeds; without one, every matching dispatch dies
+(exercises retry exhaustion and the local fallback).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import os
 import socket
 import sys
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.exec.transport import (
     PROTOCOL_FEATURES,
@@ -109,16 +110,21 @@ def _maybe_die(spec_name: str) -> None:
 _CONNECT_TIMEOUT = 30.0
 
 
-def _serve(inp: Any, out: Any, hello_extra: Dict[str, Any]) -> int:
-    """Announce hello (plus *hello_extra*) and serve the frame loop."""
+def _serve(inp: Any, out: Any, hello_extra: Dict[str, Any],
+           local: bool = False) -> int:
+    """Announce hello (plus *hello_extra*) and serve the frame loop.
+
+    A *local* (forked) worker announces no calibration timing — local
+    speed is 1.0 by definition — and ignores the node-death fault."""
     hello: Dict[str, Any] = {
         "type": "hello",
         "protocol": PROTOCOL_VERSION,
         "features": list(PROTOCOL_FEATURES),
         "host": socket.gethostname(),
         "pid": os.getpid(),
-        "calib": calibration_probe(),
     }
+    if not local:
+        hello["calib"] = calibration_probe()
     hello.update(hello_extra)
     write_frame(out, hello)
     collect_host = False
@@ -140,9 +146,6 @@ def _serve(inp: Any, out: Any, hello_extra: Dict[str, Any]) -> int:
                 if value:
                     os.environ[env] = str(value)
             continue
-        if kind == "ping":
-            write_frame(out, {"type": "pong"})
-            continue
         if kind != "run":
             write_frame(out, {"type": "result", "status": "error",
                               "payload": payload_to_wire(
@@ -150,13 +153,34 @@ def _serve(inp: Any, out: Any, hello_extra: Dict[str, Any]) -> int:
                               "host": None})
             continue
         spec = spec_from_wire(msg["spec"])
-        _maybe_die(spec.name)
+        if not local:
+            _maybe_die(spec.name)
         status, payload, host = _execute(spec, collect_host)
         write_frame(out, {"type": "result", "run": spec.name,
                           "status": status,
                           "payload": payload_to_wire(payload),
                           "host": host})
     return 0
+
+
+def serve_socket(sock: socket.socket, hello_extra: Dict[str, Any],
+                 peer: Optional[socket.socket] = None) -> int:
+    """Serve the frame loop over *sock*: a dialled-back connection, or
+    — given *peer*, the parent's end of a ``socketpair`` — a forked
+    local worker.  The child drops its inherited copy of *peer* so the
+    parent's death reaches it as EOF."""
+    if peer is not None:
+        peer.close()
+    inp = sock.makefile("rb", buffering=0)
+    out = sock.makefile("wb", buffering=0)
+    try:
+        return _serve(inp, out, hello_extra, local=peer is not None)
+    finally:
+        for fh in (inp, out, sock):
+            try:
+                fh.close()
+            except OSError:
+                pass
 
 
 def main(argv=None) -> int:
@@ -187,20 +211,7 @@ def main(argv=None) -> int:
               f"{args.connect}: {exc}", file=sys.stderr)
         return 2
     sock.settimeout(None)
-    inp = sock.makefile("rb", buffering=0)
-    out = sock.makefile("wb", buffering=0)
-    try:
-        return _serve(inp, out, {"queue": args.queue, "job": args.job})
-    finally:
-        for fh in (inp, out):
-            try:
-                fh.close()
-            except OSError:
-                pass
-        try:
-            sock.close()
-        except OSError:
-            pass
+    return serve_socket(sock, {"queue": args.queue, "job": args.job})
 
 
 if __name__ == "__main__":

@@ -1,65 +1,67 @@
-"""Worker transports: where a sweep's worker processes live.
+"""Worker transport: where a sweep's worker processes live.
 
 The executor (:mod:`repro.exec.executor`) schedules :class:`RunSpec`
-dispatch onto *slots*; a transport owns the worker process behind a
-slot.  Three backends implement the same small worker interface (the
-:class:`WorkerTransport` seam):
+dispatch onto *slots*; behind every slot sits one :class:`StreamWorker`
+— the single parent-side worker client.  It speaks a length-prefixed
+JSON frame protocol over a ``(reader, writer, waitable, process)``
+stream and exposes what the executor multiplexes on: ``send(spec)`` /
+``recv()`` (one ``(status, payload, host)`` message per spec), a
+``waitable`` for :func:`multiprocessing.connection.wait`, and the
+``alive`` / ``terminate`` / ``reap`` / ``kill`` / ``shutdown`` /
+``close`` lifecycle.  The worker side of every stream is the same serve
+loop (:mod:`repro.exec.remote_worker`).
 
-:class:`LocalTransport`
-    The historical in-machine pool: a ``multiprocessing`` child running
-    :func:`repro.exec.worker.pool_main`, specs and outcomes travelling
-    over a duplex pipe.
+Only **acquisition** — how the stream is obtained — varies:
 
-:class:`RemoteTransport`
-    A long-lived worker on another machine, launched from a pluggable
-    **command template** (``ssh {host} ... python -m
-    repro.exec.remote_worker`` in production; a plain ``sh -c``
-    loopback template in tests and CI, so no real ssh is ever needed)
-    and spoken to over its stdio with a length-prefixed JSON frame
-    protocol.  The first frame is a version/feature **handshake**: the
-    worker announces its protocol version, feature list, hostname, and
-    a calibration-probe timing; the parent rejects incompatible
-    protocols and derives a per-node **speed factor** (parent probe
-    seconds / worker probe seconds) that node-aware LPT uses to steer
-    the longest runs onto the fastest slots.
-
-:class:`QueueTransport`
-    Long-lived workers acquired through a **batch scheduler** (SLURM,
-    PBS, or any submit command) instead of direct ssh.  The transport
-    submits one detached job per slot from a pluggable **submit
-    template** (``sbatch`` / ``qsub`` presets plus an ssh-free
-    ``sh -c ... &`` loopback preset for tests and CI) and opens a TCP
-    **rendezvous listener**; each batch job runs ``python -m
-    repro.exec.remote_worker --connect host:port`` and dials back into
-    the executor, after which the connection speaks the exact same
-    frame protocol and version/calibration handshake as the ssh
-    transport.  Submissions are tracked through ``queued → launching →
-    connected`` (or ``lost``), acquisition is bounded by a timeout,
+:func:`fork_worker`
+    The in-machine pool (``--jobs N``): a ``multiprocessing`` child on a
+    ``socket.socketpair()``.
+:func:`command_worker`
+    A worker on another machine (``--nodes host:slots``), launched from
+    a pluggable **command template** (``ssh {host} ... python -m
+    repro.exec.remote_worker`` in production; a plain ``sh -c`` loopback
+    template in tests and CI, so no real ssh is ever needed) and spoken
+    to over its stdio.
+:class:`QueueSource`
+    Workers acquired through a **batch scheduler** (``--queue
+    slurm:16``): one detached job per slot is submitted from a
+    **submit template** (``sbatch`` / ``qsub`` presets plus an ssh-free
+    ``sh -c ... &`` loopback preset), and each job runs ``python -m
+    repro.exec.remote_worker --connect host:port`` to dial back into a
+    TCP **rendezvous listener**.  Acquisition is bounded by a timeout
     and unacquired slots degrade exactly like an unreachable node.
 
-All worker flavors expose the interface the executor multiplexes on:
-``send(spec)`` / ``recv()`` (one ``(status, payload, host)`` message
-per spec), a ``waitable`` for :func:`multiprocessing.connection.wait`,
-``alive`` / ``terminate`` / ``reap`` / ``kill`` lifecycle, and a polite
-``shutdown``.
+Every acquisition ends in the one :func:`handshake`: the worker
+announces its protocol version, feature list, hostname, and a
+calibration-probe timing; the parent rejects incompatible protocols,
+answers with a ``config`` frame, and derives a per-node **speed
+factor** (parent probe seconds / worker probe seconds; forked workers
+skip the probe, local speed is 1.0 by definition) that node-aware LPT
+uses to steer the longest runs onto the fastest slots.  A
+:class:`WorkerSource` names one acquisition target (a node or queue
+and its slot count); the executor respawns slots through it and
+``repro fleet check`` probes it.
 
-Determinism: transports move *where* a run executes, never what it
-produces.  Remote payloads cross the wire as JSON — Python's ``json``
+Determinism: acquisition moves *where* a run executes, never what it
+produces.  Payloads cross the wire as JSON — Python's ``json``
 round-trips floats exactly (shortest-repr), so a merged artifact built
-from remote outcomes is byte-identical to a serial one (test- and
-CI-``cmp``-gated).
+from worker outcomes is byte-identical to a serial in-process one
+(test- and CI-``cmp``-gated).
 
-Failure semantics (the executor enforces these, the transport reports
-them): a node whose workers cannot be launched or fail the handshake
+Failure semantics (the executor enforces these, this module reports
+them): a target whose workers cannot be launched or fail the handshake
 is **unreachable** — the sweep degrades to the remaining slots with a
-warning; a remote worker that dies mid-run surfaces as ``EOFError``
-from ``recv`` and the executor requeues the in-flight spec (bounded
-retries, then a one-shot local fallback child).
+warning; a worker that dies mid-run surfaces as ``EOFError`` from
+``recv`` — a remote death requeues the in-flight spec (bounded
+retries, then a dedicated local worker), a local one is ``crashed``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -105,7 +107,7 @@ DEFAULT_HANDSHAKE_TIMEOUT = 30.0
 #: dying mid-sweep without killing anything by hand.
 REMOTE_FAULT_ENV = "REPRO_REMOTE_FAULT"
 
-#: Bound on how long :meth:`QueueTransport.acquire` waits for submitted
+#: Bound on how long :meth:`QueueSource.acquire` waits for submitted
 #: batch jobs to dial back in [real seconds].  Batch queues can sit in
 #: ``PENDING`` for a while; raise this for busy clusters.
 QUEUE_ACQUIRE_TIMEOUT_ENV = "REPRO_QUEUE_ACQUIRE_TIMEOUT"
@@ -237,12 +239,9 @@ def read_nodes_file(path) -> List[NodeSpec]:
     return parse_nodes(",".join(entries))
 
 
-@dataclass(frozen=True)
-class QueueSpec:
-    """One batch queue's worth of worker slots (``--queue slurm:16``)."""
-
-    name: str
-    slots: int
+#: One batch queue's worth of worker slots (``--queue slurm:16``): the
+#: same name-and-count shape as a node.
+QueueSpec = NodeSpec
 
 
 def parse_queues(text: str) -> List[QueueSpec]:
@@ -253,13 +252,10 @@ def parse_queues(text: str) -> List[QueueSpec]:
     unless ``--queue-template`` overrides it; ``local`` is reserved for
     the in-machine pool and rejected here.
     """
-    queues: List[QueueSpec] = []
-    for node in parse_nodes(text):
-        if node.is_local:
-            raise ValueError(
-                "'local' is not a queue — use --nodes local:N for "
-                "in-machine slots")
-        queues.append(QueueSpec(name=node.name, slots=node.slots))
+    queues = parse_nodes(text)
+    if any(q.is_local for q in queues):
+        raise ValueError("'local' is not a queue — use --nodes local:N "
+                         "for in-machine slots")
     return queues
 
 
@@ -276,6 +272,34 @@ def resolve_queue_template(name: str,
             f"no submit-template preset for queue {name!r} "
             f"(presets: {', '.join(sorted(QUEUE_PRESETS))}); pass "
             "--queue-template")
+
+
+def parse_fleet(nodes: Optional[str] = None, nodes_file: Any = None,
+                queue: Optional[str] = None,
+                queue_template: Optional[str] = None
+                ) -> Tuple[List[NodeSpec], List[QueueSpec]]:
+    """The fleet a command line describes: ``--nodes`` plus
+    ``--nodes-file`` entries, and ``--queue`` entries whose submit
+    template resolves.  Raises ``ValueError`` for every configuration
+    error — unparsable or unreadable specs, a name listed twice, an
+    unknown queue preset — so callers share one rejection path."""
+    node_specs = parse_nodes(nodes) if nodes else []
+    if nodes_file:
+        try:
+            node_specs += read_nodes_file(nodes_file)
+        except OSError as exc:
+            raise ValueError(str(exc))
+    names = [n.name for n in node_specs]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate node name across --nodes/--nodes-file")
+    queue_specs = parse_queues(queue) if queue else []
+    for q in queue_specs:
+        resolve_queue_template(q.name, queue_template)
+    overlap = sorted(set(names) & {q.name for q in queue_specs})
+    if overlap:
+        raise ValueError(f"duplicate target name: {', '.join(overlap)} "
+                         "listed in both --nodes and --queue")
+    return node_specs, queue_specs
 
 
 # --------------------------------------------------------------------- #
@@ -299,10 +323,12 @@ def write_frame(fh, obj: Any) -> None:
         flush()
 
 
-def _read_exact(fh, n: int) -> bytes:
+def _read_exact(fh, n: int, ready: Optional[Callable[[], None]]) -> bytes:
     chunks: List[bytes] = []
     got = 0
     while got < n:
+        if ready is not None:
+            ready()
         chunk = fh.read(n - got)
         if not chunk:
             raise EOFError("connection closed"
@@ -312,13 +338,18 @@ def _read_exact(fh, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(fh) -> Any:
-    """Read one frame; raises ``EOFError`` on closed/garbled streams."""
-    (length,) = _HEADER.unpack(_read_exact(fh, _HEADER.size))
+def read_frame(fh, ready: Optional[Callable[[], None]] = None) -> Any:
+    """Read one frame; raises ``EOFError`` on closed/garbled streams.
+
+    *ready*, when given, is called before every read of an unbuffered
+    stream and may raise to abandon a stalled peer — that is how the
+    handshake bounds the *whole* hello frame, not just its first byte.
+    """
+    (length,) = _HEADER.unpack(_read_exact(fh, _HEADER.size, ready))
     if length > MAX_FRAME_BYTES:
         raise EOFError(f"frame length {length} exceeds the protocol "
                        "limit (corrupt stream?)")
-    data = _read_exact(fh, length)
+    data = _read_exact(fh, length, ready)
     try:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -330,7 +361,6 @@ def read_frame(fh) -> Any:
 # --------------------------------------------------------------------- #
 
 def spec_to_wire(spec: RunSpec) -> Dict[str, Any]:
-    import dataclasses
     return dataclasses.asdict(spec)
 
 
@@ -347,8 +377,6 @@ def payload_to_wire(payload: Any) -> Dict[str, Any]:
     :func:`repro.obs.export.jsonable`.  JSON round-trips floats exactly,
     which is what keeps remote merges byte-identical to serial ones.
     """
-    import dataclasses
-
     from repro.analysis.experiments import RunSummary
 
     if isinstance(payload, RunSummary):
@@ -377,9 +405,6 @@ def payload_from_wire(obj: Any) -> Any:
 #: same work).
 _CALIB_ITERS = 120_000
 
-_REF_CALIB: Optional[float] = None
-
-
 def calibration_probe(repeats: int = 3) -> float:
     """Time a tiny fixed pure-Python workload [best-of-N seconds].
 
@@ -398,12 +423,10 @@ def calibration_probe(repeats: int = 3) -> float:
     return max(best, 1e-9) + (0.0 * acc)
 
 
+@functools.lru_cache(maxsize=None)
 def reference_calibration() -> float:
     """The parent-side probe timing (measured once per process)."""
-    global _REF_CALIB
-    if _REF_CALIB is None:
-        _REF_CALIB = calibration_probe()
-    return _REF_CALIB
+    return calibration_probe()
 
 
 def _env_timeout(env: str, default: float) -> float:
@@ -415,20 +438,6 @@ def _env_timeout(env: str, default: float) -> float:
     return value if value > 0 else default
 
 
-def _handshake_timeout() -> float:
-    return _env_timeout(HANDSHAKE_TIMEOUT_ENV, DEFAULT_HANDSHAKE_TIMEOUT)
-
-
-def queue_acquire_timeout() -> float:
-    return _env_timeout(QUEUE_ACQUIRE_TIMEOUT_ENV,
-                        DEFAULT_QUEUE_ACQUIRE_TIMEOUT)
-
-
-def _queue_submit_timeout() -> float:
-    return _env_timeout(QUEUE_SUBMIT_TIMEOUT_ENV,
-                        DEFAULT_QUEUE_SUBMIT_TIMEOUT)
-
-
 def hello_speed(hello: Dict[str, Any]) -> float:
     """Relative speed factor from a handshake's calibration timing."""
     calib = hello.get("calib")
@@ -437,319 +446,263 @@ def hello_speed(hello: Dict[str, Any]) -> float:
     return 1.0
 
 
+
 # --------------------------------------------------------------------- #
-# Worker handles
+# The worker client
 # --------------------------------------------------------------------- #
 
-class LocalPoolWorker:
-    """One persistent in-machine pool worker (``pool_main`` child)."""
+#: How long a dead or discarded worker gets to exit — so that its exit
+#: code is collectable, and before it is killed [real seconds].
+_REAP_GRACE = 5.0
 
-    node = LOCAL_NODE
-    speed = 1.0
 
-    def __init__(self, proc: Any, conn: Any, slot: int) -> None:
+class StreamWorker:
+    """Parent-side handle for one frame-protocol worker.
+
+    The stream is ``(reader, writer, waitable, proc)``: two unbuffered
+    binary files, the object :func:`multiprocessing.connection.wait`
+    selects on, and the local process handle (``subprocess.Popen`` or a
+    ``multiprocessing`` process).  ``proc`` is ``None`` for a dial-back
+    worker — the batch scheduler owns that process, the socket is its
+    lifeline, and closing it is the termination signal (the worker's
+    ``read_frame`` hits EOF and it exits).
+    """
+
+    def __init__(self, node: str, reader: Any, writer: Any,
+                 waitable: Any, proc: Any = None) -> None:
+        self.node = node
+        self.reader = reader
+        self.writer = writer
+        self.waitable = waitable
         self.proc = proc
-        self.conn = conn
-        self.slot = slot
-
-    @property
-    def waitable(self) -> Any:
-        return self.conn
+        self.hello: Dict[str, Any] = {}   # set by the handshake
+        self.speed = 1.0
+        self.external_id = ""             # the scheduler's job id, if any
+        self._open = True
 
     @property
     def alive(self) -> bool:
-        return self.proc.is_alive()
+        return self._open if self.proc is None else self.reap(0) is None
 
     def send(self, spec: RunSpec) -> None:
-        self.conn.send(spec)
+        try:
+            write_frame(self.writer,
+                        {"type": "run", "spec": spec_to_wire(spec)})
+        except OSError as exc:
+            raise EOFError(f"worker on {self.node} is gone ({exc})")
 
-    def recv(self) -> Tuple[Any, ...]:
-        msg = self.conn.recv()
-        # Workers send (status, payload, host); tolerate the historical
-        # 2-tuple for any out-of-tree pool_main callers.
-        if isinstance(msg, tuple) and len(msg) == 2:
-            return (msg[0], msg[1], None)
-        return msg
+    def recv(self) -> Tuple[str, Any, Any]:
+        """The next ``(status, payload, host)`` message.  Every way the
+        stream can fail — EOF, a reset socket, a garbled or unexpected
+        frame — is the one ``EOFError``: the worker is dead to us."""
+        try:
+            msg = read_frame(self.reader)
+        except OSError as exc:
+            raise EOFError(f"worker on {self.node} disconnected ({exc})")
+        if not isinstance(msg, dict) or msg.get("type") != "result":
+            raise EOFError(f"worker on {self.node} sent an unexpected "
+                           f"frame: {msg!r}")
+        return (str(msg.get("status")),
+                payload_from_wire(msg.get("payload")), msg.get("host"))
 
     def terminate(self) -> None:
-        if self.proc.is_alive():
+        if self.proc is None:
+            self.close()
+        elif self.alive:
             self.proc.terminate()
 
-    def reap(self, timeout: Optional[float] = None) -> Optional[int]:
+    def kill(self) -> None:
+        if self.proc is None:
+            self.close()
+        else:
+            self.proc.kill()
+
+    def reap(self, timeout: Optional[float] = _REAP_GRACE
+             ) -> Optional[int]:
+        """Wait up to *timeout* (``None``: forever) for the process;
+        its exit code, or ``None`` while it runs (and always for a
+        dial-back worker)."""
+        if self.proc is None:
+            return None
+        if isinstance(self.proc, subprocess.Popen):
+            try:
+                return self.proc.wait(timeout)
+            except subprocess.TimeoutExpired:
+                return None
         self.proc.join(timeout)
         return self.proc.exitcode
 
-    def kill(self) -> None:
-        self.proc.kill()
-
     def shutdown(self) -> None:
-        self.conn.send(None)  # the pool loop's polite sentinel
-
-    def close(self) -> None:
+        """Ask the worker to exit (it may already be gone)."""
         try:
-            self.conn.close()
+            write_frame(self.writer, {"type": "shutdown"})
         except OSError:
             pass
 
+    def close(self) -> None:
+        self._open = False
+        for fh in (self.reader, self.writer, self.waitable):
+            try:
+                fh.close()
+            except OSError:
+                pass
 
-class RemoteWorkerClient:
-    """Parent-side handle for one framed-protocol remote worker."""
-
-    def __init__(self, node: str, slot: int, proc: subprocess.Popen,
-                 hello: Dict[str, Any]) -> None:
-        self.node = node
-        self.slot = slot
-        self.proc = proc
-        self.hello = hello
-        self.speed = hello_speed(hello)
-
-    @property
-    def waitable(self) -> Any:
-        return self.proc.stdout
-
-    @property
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    def send(self, spec: RunSpec) -> None:
-        try:
-            write_frame(self.proc.stdin,
-                        {"type": "run", "spec": spec_to_wire(spec)})
-        except (BrokenPipeError, OSError) as exc:
-            raise EOFError(f"remote worker on {self.node} is gone "
-                           f"({exc})")
-
-    def recv(self) -> Tuple[str, Any, Any]:
-        msg = read_frame(self.proc.stdout)
-        if not isinstance(msg, dict) or msg.get("type") != "result":
-            raise EOFError(f"remote worker on {self.node} sent an "
-                           f"unexpected frame: {msg!r}")
-        return (str(msg.get("status")),
-                payload_from_wire(msg.get("payload")),
-                msg.get("host"))
-
-    def terminate(self) -> None:
+    def discard(self, terminate: bool = True) -> None:
+        """Stop, reap, and close a worker: one that died, timed out, or
+        is memory-suspect is terminated; a healthy one
+        (``terminate=False``) is asked to shut down and given the grace
+        period to exit by itself first."""
+        if terminate:
+            self.terminate()
+        else:
+            self.shutdown()
+        self.reap()
         if self.alive:
-            self.proc.terminate()
-
-    def reap(self, timeout: Optional[float] = None) -> Optional[int]:
-        try:
-            return self.proc.wait(timeout)
-        except subprocess.TimeoutExpired:
-            return None
-
-    def kill(self) -> None:
-        self.proc.kill()
-
-    def shutdown(self) -> None:
-        write_frame(self.proc.stdin, {"type": "shutdown"})
-
-    def close(self) -> None:
-        for fh in (self.proc.stdin, self.proc.stdout):
-            if fh is not None:
-                try:
-                    fh.close()
-                except OSError:
-                    pass
+            self.kill()
+            self.reap(None)
+        self.close()
 
 
-# --------------------------------------------------------------------- #
-# Transports
-# --------------------------------------------------------------------- #
-
-class WorkerTransport:
-    """The seam every worker backend implements.
-
-    A transport owns the worker processes behind one node's (or
-    queue's) slots.  Subclasses provide:
-
-    ``node``
-        A :class:`NodeSpec` naming the capacity (``local`` for the
-        in-machine pool; the queue name for batch-acquired workers).
-    ``failed``
-        Set once the backend is known-unusable; later ``spawn`` calls
-        fail fast so the executor can drop the remaining slots.
-    ``spawn(slot)``
-        Launch (or acquire) one worker and complete its handshake,
-        returning a worker handle (``send``/``recv``/``waitable``/
-        ``alive``/``terminate``/``reap``/``kill``/``shutdown``/
-        ``close``).  Raises :class:`TransportError` when the backend
-        cannot deliver a worker.
+def handshake(worker: StreamWorker, collect_host: bool) -> StreamWorker:
+    """hello → protocol check → ``config`` frame: the one handshake
+    every acquisition ends in.  The whole hello read is bounded by
+    :data:`HANDSHAKE_TIMEOUT_ENV`.  Returns the worker, ready for
+    specs; any failure discards it and raises :class:`TransportError`.
     """
+    limit = _env_timeout(HANDSHAKE_TIMEOUT_ENV, DEFAULT_HANDSHAKE_TIMEOUT)
+    deadline = time.monotonic() + limit
 
-    node: NodeSpec
-    failed: bool = False
+    def ready() -> None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not mp_connection.wait(
+                [worker.waitable], timeout=remaining):
+            raise TimeoutError
 
-    def spawn(self, slot: int) -> Any:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release transport-owned resources (listeners etc.)."""
-
-
-class LocalTransport(WorkerTransport):
-    """Slot provider for the in-machine persistent pool."""
-
-    def __init__(self, ctx: Any, collect_host: bool = False) -> None:
-        self.ctx = ctx
-        self.collect_host = collect_host
-        self.node = NodeSpec(name=LOCAL_NODE, slots=0)
-        self.failed = False
-
-    def spawn(self, slot: int) -> LocalPoolWorker:
-        from repro.exec.worker import pool_main
-
-        parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-        proc = self.ctx.Process(target=pool_main,
-                                args=(child_conn, self.collect_host),
-                                daemon=True)
-        proc.start()
-        child_conn.close()  # the child holds its end now
-        return LocalPoolWorker(proc=proc, conn=parent_conn, slot=slot)
-
-
-class RemoteTransport(WorkerTransport):
-    """Slot provider launching framed-protocol workers on one node.
-
-    ``spawn`` raises :class:`TransportError` when the node cannot be
-    reached (template launch failure, handshake timeout/EOF, protocol
-    mismatch); after a spawn failure the node is marked ``failed`` and
-    every later spawn fails fast, which is how the executor decides to
-    drop the node's remaining slots.
-    """
-
-    def __init__(self, node: NodeSpec,
-                 template: str = DEFAULT_REMOTE_TEMPLATE,
-                 collect_host: bool = False) -> None:
-        self.node = node
-        self.template = template
-        self.collect_host = collect_host
-        self.failed = False
-
-    def command(self) -> List[str]:
-        text = (self.template
-                .replace("{host}", self.node.name)
-                .replace("{cwd}", os.getcwd()))
-        argv = shlex.split(text)
-        if not argv:
-            raise TransportError(
-                f"remote template for {self.node.name} is empty")
-        return argv
-
-    def spawn(self, slot: int) -> RemoteWorkerClient:
-        if self.failed:
-            raise TransportError(
-                f"node {self.node.name} was marked unreachable")
-        try:
-            proc = subprocess.Popen(
-                self.command(), stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, stderr=None, bufsize=0)
-        except OSError as exc:
-            self.failed = True
-            raise TransportError(
-                f"cannot launch worker on {self.node.name}: {exc}")
-        try:
-            hello = self._handshake(proc)
-        except TransportError:
-            self.failed = True
-            self._reap(proc)
-            raise
-        return RemoteWorkerClient(node=self.node.name, slot=slot,
-                                  proc=proc, hello=hello)
-
-    def _handshake(self, proc: subprocess.Popen) -> Dict[str, Any]:
-        deadline = time.monotonic() + _handshake_timeout()
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportError(
-                    f"node {self.node.name}: handshake timed out after "
-                    f"{_handshake_timeout():g}s")
-            if mp_connection.wait([proc.stdout], timeout=remaining):
-                break
-        try:
-            hello = read_frame(proc.stdout)
-        except EOFError as exc:
-            raise TransportError(
-                f"node {self.node.name}: worker exited before the "
-                f"handshake ({exc})")
-        if (not isinstance(hello, dict)
-                or hello.get("type") != "hello"):
-            raise TransportError(
-                f"node {self.node.name}: expected a hello frame, got "
-                f"{hello!r}")
+    try:
+        hello = read_frame(worker.reader, ready)
+        if not isinstance(hello, dict) or hello.get("type") != "hello":
+            raise TransportError(f"expected a hello frame, got {hello!r}")
         if hello.get("protocol") != PROTOCOL_VERSION:
             raise TransportError(
-                f"node {self.node.name}: protocol "
-                f"{hello.get('protocol')!r} != {PROTOCOL_VERSION} "
-                "(mismatched repro versions?)")
-        try:
-            write_frame(proc.stdin, {
-                "type": "config",
-                "collect_host": self.collect_host,
-                "fault": os.environ.get(FAULT_ENV, ""),
-                "remote_fault": os.environ.get(REMOTE_FAULT_ENV, ""),
-            })
-        except (BrokenPipeError, OSError) as exc:
-            raise TransportError(
-                f"node {self.node.name}: worker died during config "
-                f"({exc})")
-        return hello
-
-    @staticmethod
-    def _reap(proc: subprocess.Popen) -> None:
-        if proc.poll() is None:
-            proc.terminate()
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
-                proc.wait()
-        for fh in (proc.stdin, proc.stdout):
-            if fh is not None:
-                try:
-                    fh.close()
-                except OSError:
-                    pass
+                f"protocol {hello.get('protocol')!r} != "
+                f"{PROTOCOL_VERSION} (mismatched repro versions?)")
+        write_frame(worker.writer, {
+            "type": "config",
+            "collect_host": collect_host,
+            "fault": os.environ.get(FAULT_ENV, ""),
+            "remote_fault": os.environ.get(REMOTE_FAULT_ENV, ""),
+        })
+    except TimeoutError:
+        failure = f"handshake timed out after {limit:g}s"
+    except (EOFError, OSError) as exc:
+        failure = f"worker exited during the handshake ({exc})"
+    except TransportError as exc:
+        failure = str(exc)
+    else:
+        worker.hello, worker.speed = hello, hello_speed(hello)
+        return worker
+    worker.discard()
+    raise TransportError(failure)
 
 
 # --------------------------------------------------------------------- #
-# Queue transport (batch-scheduler worker acquisition)
+# Acquisition: fork, command, dial-back
 # --------------------------------------------------------------------- #
 
-#: Submission lifecycle states (see :class:`QueueSubmission`).
-SUBMISSION_QUEUED = "queued"        # submit command accepted the job
-SUBMISSION_LAUNCHING = "launching"  # job dialed back, handshake running
-SUBMISSION_CONNECTED = "connected"  # handshake complete, worker usable
-SUBMISSION_LOST = "lost"            # never connected / failed handshake
+def fork_worker(collect_host: bool = False) -> StreamWorker:
+    """Fork a ``multiprocessing`` child serving a ``socketpair``.
+
+    ``fork`` where the platform offers it (cheap, inherits loaded
+    modules), ``spawn`` elsewhere — socket ends survive both, and
+    results are identical either way."""
+    from repro.exec.remote_worker import serve_socket
+
+    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+              else "spawn")
+    parent, child = socket.socketpair()
+    proc = multiprocessing.get_context(method).Process(
+        target=serve_socket, args=(child, {}, parent), daemon=True)
+    proc.start()
+    child.close()  # the child holds its end now
+    return handshake(StreamWorker(
+        LOCAL_NODE, parent.makefile("rb", buffering=0),
+        parent.makefile("wb", buffering=0), parent, proc), collect_host)
 
 
-@dataclass
-class QueueSubmission:
-    """State of one batch-job submission, ``queued → launching →
-    connected`` (or ``lost``)."""
+def command_worker(host: str, template: str = DEFAULT_REMOTE_TEMPLATE,
+                   collect_host: bool = False) -> StreamWorker:
+    """Launch *template* (``{host}``/``{cwd}`` substituted, ``shlex``-
+    split, no local shell) and speak to the worker over its stdio."""
+    argv = shlex.split(template.replace("{host}", host)
+                       .replace("{cwd}", os.getcwd()))
+    if not argv:
+        raise TransportError(f"remote template for {host} is empty")
+    try:
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=None,
+                                bufsize=0)
+    except OSError as exc:
+        raise TransportError(f"cannot launch worker on {host}: {exc}")
+    return handshake(StreamWorker(host, proc.stdout, proc.stdin,
+                                  proc.stdout, proc), collect_host)
 
-    job: int
-    state: str = SUBMISSION_QUEUED
-    submitted_at: float = 0.0
-    connected_at: Optional[float] = None
-    external_id: str = ""
-    detail: str = ""
 
-    @property
-    def latency(self) -> Optional[float]:
-        """Submit-to-handshake acquisition latency [real seconds]."""
-        if self.connected_at is None:
-            return None
-        return self.connected_at - self.submitted_at
+class WorkerSource:
+    """One acquisition target: a node name and its slot count; forked
+    workers for ``local``, the command template's for any other node.
 
+    The executor fills the target's slots from it and, when ``spawn``
+    fails, drops them; ``repro fleet check`` probes it.
+    """
+
+    kind = "ssh"
+    #: How a startup failure is worded in the sweep's warning.
+    lost_as = "node {} unreachable"
+
+    def __init__(self, node: NodeSpec, template: Optional[str] = None,
+                 collect_host: bool = False) -> None:
+        self.node = node
+        if node.is_local:
+            self.kind = "local"
+        self.template = template
+        self.collect_host = collect_host
+        #: Handshake failures seen while acquiring, for warnings.
+        self.problems: List[str] = []
+
+    def spawn(self) -> StreamWorker:
+        """Open one worker here; launch failure, handshake timeout or
+        EOF, and protocol mismatch raise :class:`TransportError`."""
+        if self.node.is_local:
+            return fork_worker(self.collect_host)
+        return command_worker(self.node.name,
+                              self.template or DEFAULT_REMOTE_TEMPLATE,
+                              self.collect_host)
+
+    def acquire(self) -> List[Optional[StreamWorker]]:
+        """One entry per usable slot, before dispatch begins: a held
+        worker, or ``None`` for a slot that spawns on first use.  A
+        remote node holds one **probe worker** — it detects an
+        unreachable node before any spec is dispatched and yields the
+        node's calibration speed; forking needs neither."""
+        lazy: List[Optional[StreamWorker]] = [None] * self.node.slots
+        if not self.node.is_local:
+            lazy[0] = self.spawn()
+        return lazy
+
+    def close(self) -> None:
+        """Release source-owned resources (listeners etc.)."""
+
+
+# --------------------------------------------------------------------- #
+# Dial-back acquisition (batch-scheduler workers)
+# --------------------------------------------------------------------- #
 
 def worker_launch_command(queue: str, job: int, connect: str,
                           cwd: Optional[str] = None) -> str:
     """The shell command a batch job runs to become a sweep worker.
 
     It changes into the repo checkout (assumed shared between submit
-    and compute nodes, like the ssh transport assumes), prepends
+    and compute nodes, like the ssh template assumes), prepends
     ``src`` to ``PYTHONPATH``, and starts the remote worker in
     connect-back mode.  ``$PYTHONPATH`` expands on the compute node.
     """
@@ -790,320 +743,163 @@ def queue_submit_command(template: str, queue: str, job: int,
     return argv
 
 
-class QueueWorkerClient:
-    """Parent-side handle for one batch-acquired (dial-back) worker.
+class QueueSource(WorkerSource):
+    """Acquisition through a batch scheduler: submit a job, accept its
+    TCP dial-back.
 
-    Speaks the same frame protocol as :class:`RemoteWorkerClient`, but
-    over a TCP socket instead of a child's stdio — there is no local
-    process to poll or reap; the batch scheduler owns the process, and
-    the socket is the worker's lifeline (EOF ⇒ the job died or was
-    preempted, surfaced exactly like a remote worker death).
-    """
-
-    def __init__(self, queue: str, job: int, sock: socket.socket,
-                 rfile: Any, wfile: Any, hello: Dict[str, Any],
-                 external_id: str = "", latency: Optional[float] = None,
-                 slot: int = -1) -> None:
-        self.node = queue
-        self.job = job
-        self.slot = slot
-        self.hello = hello
-        self.external_id = external_id
-        self.latency = latency
-        self.speed = hello_speed(hello)
-        self._sock = sock
-        self._rfile = rfile
-        self._wfile = wfile
-        self._alive = True
-
-    @property
-    def waitable(self) -> Any:
-        return self._sock
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    def send(self, spec: RunSpec) -> None:
-        try:
-            write_frame(self._wfile,
-                        {"type": "run", "spec": spec_to_wire(spec)})
-        except (BrokenPipeError, OSError) as exc:
-            self._alive = False
-            raise EOFError(f"queue worker {self.node}#{self.job} is "
-                           f"gone ({exc})")
-
-    def recv(self) -> Tuple[str, Any, Any]:
-        try:
-            msg = read_frame(self._rfile)
-        except (EOFError, OSError) as exc:
-            self._alive = False
-            raise EOFError(f"queue worker {self.node}#{self.job} "
-                           f"disconnected ({exc})")
-        if not isinstance(msg, dict) or msg.get("type") != "result":
-            self._alive = False
-            raise EOFError(f"queue worker {self.node}#{self.job} sent "
-                           f"an unexpected frame: {msg!r}")
-        return (str(msg.get("status")),
-                payload_from_wire(msg.get("payload")),
-                msg.get("host"))
-
-    def terminate(self) -> None:
-        # Closing the socket is the termination signal: the worker's
-        # read_frame raises EOFError and it exits.  The batch scheduler
-        # reaps the job.
-        self._alive = False
-        self.close()
-
-    def reap(self, timeout: Optional[float] = None) -> Optional[int]:
-        return None  # no local process; the scheduler owns it
-
-    def kill(self) -> None:
-        self.terminate()
-
-    def shutdown(self) -> None:
-        try:
-            write_frame(self._wfile, {"type": "shutdown"})
-        except (BrokenPipeError, OSError):
-            pass
-
-    def close(self) -> None:
-        self._alive = False
-        for fh in (self._rfile, self._wfile):
-            try:
-                fh.close()
-            except OSError:
-                pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-class QueueTransport(WorkerTransport):
-    """Slot provider acquiring workers through a batch scheduler.
-
-    ``acquire()`` submits one job per slot and collects dial-backs on a
-    TCP rendezvous listener until every submission connected or the
+    ``acquire()`` submits one job per slot and collects dial-backs on
+    the rendezvous listener until every submission connected or the
     acquisition timeout (:data:`QUEUE_ACQUIRE_TIMEOUT_ENV`) expires —
     partial acquisition is not an error; the executor folds the missing
     slots back into the remaining capacity exactly like an unreachable
-    node.  ``spawn(slot)`` (used for mid-sweep respawn after a worker
-    death) first drains any late dial-back, then submits a replacement
-    job and waits for it, bounded by the same timeout.
+    node.  ``spawn()`` (mid-sweep respawn after a worker death)
+    first drains any late dial-back, then submits a replacement job and
+    waits for it, bounded by the same timeout.
 
     A submit command that fails (non-zero exit, missing binary,
-    timeout) marks the whole queue ``failed`` — a broken ``sbatch`` is
-    not going to start working mid-sweep.
+    timeout) is a :class:`TransportError`, which drops the whole queue
+    — a broken ``sbatch`` is not going to start working mid-sweep.
     """
+
+    kind = "queue"
+    lost_as = "queue {} unavailable"
 
     def __init__(self, queue: QueueSpec, template: Optional[str] = None,
                  collect_host: bool = False,
                  acquire_timeout: Optional[float] = None,
                  emit: Optional[Callable[..., None]] = None) -> None:
-        self.queue = queue
-        self.node = NodeSpec(name=queue.name, slots=queue.slots)
-        self.template_override = template
-        self.collect_host = collect_host
-        self.acquire_timeout = acquire_timeout
-        self.failed = False
-        #: Handshake failures seen while accepting dial-backs, for
-        #: warnings and ``repro fleet check`` detail lines.
-        self.problems: List[str] = []
-        self.submissions: Dict[int, QueueSubmission] = {}
+        super().__init__(queue, template, collect_host)
+        self.acquire_timeout = (
+            acquire_timeout if acquire_timeout and acquire_timeout > 0
+            else _env_timeout(QUEUE_ACQUIRE_TIMEOUT_ENV,
+                              DEFAULT_QUEUE_ACQUIRE_TIMEOUT))
+        #: Submitted jobs yet to dial back: job -> (submit time, the
+        #: scheduler's job id).  A dial-back for anything else is stale.
+        self._pending: Dict[int, Tuple[float, str]] = {}
+        self._jobs = 0
         self._emit = emit if emit is not None else (lambda *a, **k: None)
-        self._listener: Optional[socket.socket] = None
-        self._next_job = 0
-
-    # -- rendezvous ---------------------------------------------------- #
-
-    def _ensure_listener(self) -> socket.socket:
-        if self._listener is None:
-            self._listener = socket.create_server(("", 0))
-        return self._listener
+        self._listener = socket.create_server(("", 0))  # the rendezvous
 
     def connect_address(self) -> str:
         """``host:port`` batch jobs dial back to."""
-        host = os.environ.get(QUEUE_CONNECT_HOST_ENV, "")
-        if not host:
-            host = ("127.0.0.1" if self.queue.name == "loopback"
-                    else socket.gethostname())
-        port = self._ensure_listener().getsockname()[1]
-        return f"{host}:{port}"
+        host = os.environ.get(QUEUE_CONNECT_HOST_ENV) or (
+            "127.0.0.1" if self.node.name == "loopback"
+            else socket.gethostname())
+        return f"{host}:{self._listener.getsockname()[1]}"
 
-    # -- submission ---------------------------------------------------- #
-
-    def _acquire_timeout(self) -> float:
-        if self.acquire_timeout is not None and self.acquire_timeout > 0:
-            return self.acquire_timeout
-        return queue_acquire_timeout()
-
-    def submit(self) -> QueueSubmission:
-        """Submit one batch job; raises :class:`TransportError` (and
-        marks the queue failed) when the submit command itself fails."""
-        name = self.queue.name
+    def submit(self) -> None:
+        """Submit one batch job; raises :class:`TransportError` when
+        the submit command itself fails."""
+        name = self.node.name
+        job = self._jobs
         try:
-            template = resolve_queue_template(name, self.template_override)
-        except ValueError as exc:
-            self.failed = True
-            raise TransportError(str(exc))
-        self._ensure_listener()
-        job = self._next_job
-        self._next_job += 1
-        argv = queue_submit_command(template, name, job,
-                                    self.connect_address())
-        try:
+            argv = queue_submit_command(
+                resolve_queue_template(name, self.template),
+                name, job, self.connect_address())
             res = subprocess.run(
                 argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                timeout=_queue_submit_timeout())
+                timeout=_env_timeout(QUEUE_SUBMIT_TIMEOUT_ENV,
+                                     DEFAULT_QUEUE_SUBMIT_TIMEOUT))
+        except ValueError as exc:
+            raise TransportError(str(exc))
         except (OSError, subprocess.SubprocessError) as exc:
-            self.failed = True
             raise TransportError(
                 f"queue {name}: submit command failed ({exc})")
         if res.returncode != 0:
-            self.failed = True
             err = res.stderr.decode("utf-8", "replace").strip()
             tail = err.splitlines()[-1] if err else ""
             raise TransportError(
                 f"queue {name}: submit command exited "
                 f"{res.returncode}" + (f" ({tail})" if tail else ""))
         out = res.stdout.decode("utf-8", "replace").strip()
-        sub = QueueSubmission(job=job, submitted_at=time.monotonic(),
-                              external_id=(out.splitlines()[0].strip()
-                                           if out else ""))
-        self.submissions[job] = sub
+        external_id = out.splitlines()[0].strip() if out else ""
+        self._jobs += 1
+        self._pending[job] = (time.monotonic(), external_id)
         self._emit("queue_submit", queue=name, job=job,
-                   external_id=sub.external_id)
-        return sub
+                   external_id=external_id)
 
-    # -- dial-back handshake ------------------------------------------- #
-
-    def _poll_accept(self, timeout: float) -> Optional[QueueWorkerClient]:
+    def _accept(self, timeout: float) -> Optional[StreamWorker]:
         """Accept and handshake one dial-back, or return ``None`` if no
         connection arrives within *timeout* (handshake failures are
         recorded in ``problems``, not raised)."""
-        listener = self._ensure_listener()
-        listener.settimeout(max(0.0, timeout))
+        self._listener.settimeout(max(0.0, timeout))
         try:
-            conn, addr = listener.accept()
-        except (socket.timeout, BlockingIOError, OSError):
+            conn, addr = self._listener.accept()
+        except OSError:  # includes the timeout
             return None
+        name = self.node.name
         try:
-            return self._handshake(conn, addr)
+            worker = handshake(StreamWorker(
+                name, conn.makefile("rb", buffering=0),
+                conn.makefile("wb", buffering=0), conn), self.collect_host)
         except TransportError as exc:
-            self.problems.append(str(exc))
-            try:
-                conn.close()
-            except OSError:
-                pass
+            self.problems.append(
+                f"queue {name}: dial-back from {addr[0]}: {exc}")
             return None
-
-    def _handshake(self, conn: socket.socket,
-                   addr: Any) -> QueueWorkerClient:
-        name = self.queue.name
-        conn.settimeout(_handshake_timeout())
-        rfile = conn.makefile("rb", buffering=0)
-        wfile = conn.makefile("wb", buffering=0)
-        try:
-            hello = read_frame(rfile)
-        except (EOFError, OSError) as exc:
-            raise TransportError(
-                f"queue {name}: dial-back from {addr[0]} dropped before "
-                f"the handshake ({exc})")
-        if not isinstance(hello, dict) or hello.get("type") != "hello":
-            raise TransportError(
-                f"queue {name}: expected a hello frame from {addr[0]}, "
-                f"got {hello!r}")
-        job = hello.get("job")
-        sub = (self.submissions.get(job)
-               if isinstance(job, int) else None)
-        if sub is None or sub.state == SUBMISSION_CONNECTED:
-            raise TransportError(
+        job = worker.hello.get("job")
+        if not isinstance(job, int) or job not in self._pending:
+            self.problems.append(
                 f"queue {name}: unexpected dial-back for job {job!r} "
                 f"from {addr[0]} (stale or foreign worker)")
-        sub.state = SUBMISSION_LAUNCHING
-        if hello.get("protocol") != PROTOCOL_VERSION:
-            sub.state = SUBMISSION_LOST
-            sub.detail = f"protocol {hello.get('protocol')!r}"
-            raise TransportError(
-                f"queue {name}: job {job} speaks protocol "
-                f"{hello.get('protocol')!r} != {PROTOCOL_VERSION} "
-                "(mismatched repro versions?)")
-        try:
-            write_frame(wfile, {
-                "type": "config",
-                "collect_host": self.collect_host,
-                "fault": os.environ.get(FAULT_ENV, ""),
-                "remote_fault": os.environ.get(REMOTE_FAULT_ENV, ""),
-            })
-        except (BrokenPipeError, OSError) as exc:
-            sub.state = SUBMISSION_LOST
-            sub.detail = "died during config"
-            raise TransportError(
-                f"queue {name}: job {job} died during config ({exc})")
-        sub.state = SUBMISSION_CONNECTED
-        sub.connected_at = time.monotonic()
-        conn.settimeout(None)
+            worker.discard()
+            return None
+        submitted_at, worker.external_id = self._pending.pop(job)
         self._emit("queue_connect", queue=name, job=job,
-                   latency=round(sub.latency or 0.0, 6),
-                   host=hello.get("host"),
-                   external_id=sub.external_id)
-        return QueueWorkerClient(queue=name, job=job, sock=conn,
-                                 rfile=rfile, wfile=wfile, hello=hello,
-                                 external_id=sub.external_id,
-                                 latency=sub.latency)
+                   latency=round(time.monotonic() - submitted_at, 6),
+                   host=worker.hello.get("host"),
+                   external_id=worker.external_id)
+        return worker
 
-    # -- acquisition --------------------------------------------------- #
-
-    def acquire(self) -> List[QueueWorkerClient]:
-        """Submit one job per slot and collect connected workers until
-        all arrived or the acquisition timeout expires.  Returns the
-        connected workers (possibly fewer than ``slots``); submissions
-        still pending at the deadline are marked ``lost``."""
-        if self.failed:
-            raise TransportError(
-                f"queue {self.queue.name} was marked unavailable")
-        for _ in range(self.queue.slots):
+    def _collect(self, n: int) -> List[StreamWorker]:
+        """Submit *n* jobs, then accept dial-backs until all *n*
+        connected or the acquisition timeout expires."""
+        for _ in range(n):
             self.submit()
-        deadline = time.monotonic() + self._acquire_timeout()
-        clients: List[QueueWorkerClient] = []
-        while len(clients) < self.queue.slots:
+        deadline = time.monotonic() + self.acquire_timeout
+        workers: List[StreamWorker] = []
+        while len(workers) < n:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            client = self._poll_accept(min(0.25, remaining))
-            if client is not None:
-                clients.append(client)
-        for sub in self.submissions.values():
-            if sub.state in (SUBMISSION_QUEUED, SUBMISSION_LAUNCHING):
-                sub.state = SUBMISSION_LOST
-                sub.detail = "not connected before the acquisition timeout"
-        return clients
+            worker = self._accept(min(0.25, remaining))
+            if worker is not None:
+                workers.append(worker)
+        return workers
 
-    def spawn(self, slot: int) -> QueueWorkerClient:
-        if self.failed:
-            raise TransportError(
-                f"queue {self.queue.name} was marked unavailable")
+    def acquire(self) -> List[Optional[StreamWorker]]:
+        """Every slot's worker, acquired before dispatch; possibly
+        fewer than ``slots`` (the rest never connected in time)."""
+        return list(self._collect(self.node.slots))
+
+    def spawn(self) -> StreamWorker:
         # A replacement may already be dialing in (late original job).
-        client = self._poll_accept(0.0)
-        if client is None:
-            self.submit()
-            deadline = time.monotonic() + self._acquire_timeout()
-            while client is None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self.failed = True
-                    raise TransportError(
-                        f"queue {self.queue.name}: no worker dialed "
-                        f"back within {self._acquire_timeout():g}s")
-                client = self._poll_accept(min(0.25, remaining))
-        client.slot = slot
-        return client
+        worker = self._accept(0.0)
+        if worker is None:
+            got = self._collect(1)
+            if not got:
+                raise TransportError(
+                    self.problems[-1] if self.problems else
+                    f"queue {self.node.name}: no worker dialed back "
+                    f"within {self.acquire_timeout:g}s")
+            worker = got[0]
+        return worker
 
     def close(self) -> None:
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
+        self._listener.close()
+
+
+def worker_sources(nodes: Sequence[NodeSpec] = (),
+                   queues: Sequence[QueueSpec] = (),
+                   remote_template: Optional[str] = None,
+                   queue_template: Optional[str] = None,
+                   collect_host: bool = False,
+                   acquire_timeout: Optional[float] = None,
+                   emit: Optional[Callable[..., None]] = None
+                   ) -> List[WorkerSource]:
+    """The acquisition targets of a fleet — nodes, then queues, in
+    listed order — for the executor to fill slots from and ``repro
+    fleet check`` to probe."""
+    return ([WorkerSource(node, remote_template, collect_host)
+             for node in nodes]
+            + [QueueSource(queue, queue_template, collect_host,
+                           acquire_timeout, emit) for queue in queues])

@@ -1,40 +1,35 @@
-"""Child-process side of the sweep executor.
+"""Worker-process side of the sweep executor: what runs one spec.
 
 :func:`run_spec` executes one :class:`~repro.exec.spec.RunSpec` and
-returns its picklable payload; it is the single implementation both the
-serial in-process path and the pooled child processes call, which is
-what makes ``--jobs N`` byte-identical to ``--jobs 1``: the simulation
-is deterministic and pure, so *where* it runs cannot change the result.
+returns its payload; it is the single implementation both the serial
+in-process path and every worker process call, which is what makes
+``--jobs N`` byte-identical to ``--jobs 1``: the simulation is
+deterministic and pure, so *where* it runs cannot change the result.
 
-Two process entry points wrap it:
-
-:func:`pool_main`
-    The persistent-pool worker loop: receive a spec over the duplex
-    pipe, run it, ship the outcome back, wait for the next spec (or the
-    ``None`` shutdown sentinel).  A long-lived worker amortizes
-    interpreter/NumPy start-up across every run it executes and keeps
-    process-level caches warm — the memoized dataset fields
-    (:mod:`repro.analysis.scenarios`), the shared immutable block
-    store (:mod:`repro.core.driver`), and the in-memory sweep cache —
-    none of which can change results (all are deterministic and
-    read-only).
-
-:func:`child_main`
-    One-shot execution for *isolated* specs (the thermal OOM probe):
-    run exactly one spec in a dedicated child so a real
-    :class:`MemoryError` — or a hard kernel OOM kill — takes down a
-    process that owns nothing else, and surfaces as the gated ``oom``
-    outcome instead of poisoning a warm worker.
+:func:`_execute` wraps it into the ``(status, payload, host)`` message
+the worker serve loop (:mod:`repro.exec.remote_worker`) frames back to
+the parent.  A task exception (including :class:`MemoryError`) is
+reported as an outcome message and the loop continues; only a *hard*
+death (crash, ``os._exit``, the kernel OOM killer) ends the worker,
+which the executor observes as EOF.  A long-lived worker amortizes
+interpreter/NumPy start-up across every run it executes and keeps
+process-level caches warm — the memoized dataset fields
+(:mod:`repro.analysis.scenarios`), the shared immutable block store
+(:mod:`repro.core.driver`), and the in-memory sweep cache — none of
+which can change results (all are deterministic and read-only).
+*Isolated* specs (the thermal OOM probe) get a dedicated worker that
+is discarded after its one result, so a real :class:`MemoryError` — or
+a hard kernel OOM kill — takes down a process that owns nothing else.
 
 Fault injection (tests only)
 ----------------------------
 ``REPRO_EXEC_FAULT=<kind>:<substring>`` arms a fault for every spec
 whose name contains ``<substring>``: ``hang`` sleeps forever (exercises
-the per-run timeout), ``crash`` hard-exits the child (``os._exit``),
+the per-run timeout), ``crash`` hard-exits the worker (``os._exit``),
 ``raise`` raises ``RuntimeError``, and ``memerr`` raises
-``MemoryError``.  Children inherit the environment, so the hook works
-under every multiprocessing start method; it is inert unless the
-variable is set.
+``MemoryError``.  Forked workers inherit the environment and the
+handshake's ``config`` frame carries it to remote ones; it is inert
+unless the variable is set.
 """
 
 from __future__ import annotations
@@ -153,7 +148,7 @@ def oom_payload(spec: RunSpec) -> dict:
 
 def _execute(spec: RunSpec, collect_host: bool) -> Tuple[str, Any, Any]:
     """Run one spec and package the ``(status, payload, host)`` message
-    both process entry points ship back over their pipe."""
+    the serve loop frames back to the parent."""
     host = None
     try:
         if collect_host:
@@ -165,48 +160,3 @@ def _execute(spec: RunSpec, collect_host: bool) -> Tuple[str, Any, Any]:
         return (OUTCOME_OOM, oom_payload(spec), host)
     except BaseException:
         return (OUTCOME_ERROR, traceback.format_exc(limit=20), host)
-
-
-def child_main(spec: RunSpec, conn, collect_host: bool = False) -> None:
-    """One-shot process entry point: run the spec, ship the outcome
-    back, exit.  Used for ``isolate`` specs (the OOM probe), which must
-    never share a process with other work.
-
-    With ``collect_host`` the run is wrapped in a :class:`HostProbe`
-    and the resulting host-metric dict travels back with the payload
-    (third tuple element) for the executor's telemetry event log.
-    """
-    payload = _execute(spec, collect_host)
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-def pool_main(conn, collect_host: bool = False) -> None:
-    """Persistent-pool worker loop: pull specs off the duplex pipe until
-    the ``None`` shutdown sentinel (or pipe closure) arrives.
-
-    Failure containment mirrors :func:`child_main` per run — a task
-    exception (including :class:`MemoryError`) is reported as an
-    outcome message and the loop continues; only a *hard* death (crash,
-    ``os._exit``, the kernel OOM killer) ends the worker, which the
-    executor observes as pipe closure and answers by marking the run
-    ``crashed`` and respawning the slot.
-    """
-    while True:
-        try:
-            spec = conn.recv()
-        except (EOFError, OSError):
-            break
-        if spec is None:
-            break
-        payload = _execute(spec, collect_host)
-        try:
-            conn.send(payload)
-        except (BrokenPipeError, OSError):
-            break  # parent went away; nothing left to report to
-    try:
-        conn.close()
-    except OSError:
-        pass

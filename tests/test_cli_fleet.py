@@ -13,7 +13,6 @@ from repro.exec import (
     fleet_report,
     probe_fleet,
 )
-from repro.exec.fleet import probe_node, probe_queue
 from tests.test_exec_transport import (  # shared loopback idioms
     LOOPBACK,
     isolated_cache,  # noqa: F401  (autouse fixture, re-exported)
@@ -32,13 +31,13 @@ BLACKHOLE = "sh -c true"
 # --------------------------------------------------------------------- #
 
 def test_probe_node_local_is_trivially_ready():
-    result = probe_node(NodeSpec("local", 4))
+    result, = probe_fleet([NodeSpec("local", 4)])
     assert result.ok and result.kind == "local" and result.slots == 4
     assert result.speed == 1.0
 
 
 def test_probe_node_loopback_runs_handshake():
-    result = probe_node(NodeSpec("n1", 2), template=LOOPBACK)
+    result, = probe_fleet([NodeSpec("n1", 2)], remote_template=LOOPBACK)
     assert result.ok and result.kind == "ssh"
     assert result.latency is not None and result.latency >= 0.0
     assert result.speed is not None and result.speed > 0.0
@@ -46,20 +45,20 @@ def test_probe_node_loopback_runs_handshake():
 
 
 def test_probe_node_unreachable_reports_failure():
-    result = probe_node(NodeSpec("ghost", 1),
-                        template="sh -c 'exit 7'")
+    result, = probe_fleet([NodeSpec("ghost", 1)],
+                          remote_template="sh -c 'exit 7'")
     assert not result.ok
     assert result.detail  # the TransportError text survives
 
 
 def test_probe_queue_loopback_and_timeout(monkeypatch):
-    good = probe_queue(QueueSpec("loopback", 3))
+    good, = probe_fleet(queues=[QueueSpec("loopback", 3)])
     assert good.ok and good.kind == "queue"
     assert good.slots == 3  # declared capacity, one probe job
     assert "protocol 1" in good.detail
 
-    bad = probe_queue(QueueSpec("loopback", 2), template=BLACKHOLE,
-                      acquire_timeout=1.0)
+    bad, = probe_fleet(queues=[QueueSpec("loopback", 2)],
+                       queue_template=BLACKHOLE, acquire_timeout=1.0)
     assert not bad.ok
     assert "dialed back" in bad.detail or bad.detail
 

@@ -14,8 +14,8 @@ from repro.exec import (
     OUTCOME_OK,
     JsonlTelemetry,
     QUEUE_PRESETS,
+    QueueSource,
     QueueSpec,
-    QueueTransport,
     SweepExecutor,
     grid_specs,
     load_events,
@@ -28,7 +28,6 @@ from repro.exec.transport import (
     QUEUE_ACQUIRE_TIMEOUT_ENV,
     QUEUE_PYTHON_ENV,
     REMOTE_FAULT_ENV,
-    SUBMISSION_CONNECTED,
     TransportError,
     queue_submit_command,
     worker_launch_command,
@@ -120,28 +119,25 @@ def test_queue_submit_command_substitution():
 # Loopback acquisition
 # --------------------------------------------------------------------- #
 
-def test_queue_transport_acquires_and_runs(tmp_path):
+def test_queue_source_acquires_every_slot_and_reports_it():
+    """Bulk acquisition: one submit per slot, every job dials back and
+    handshakes, and each step is reported (the worker client itself is
+    covered by test_exec_transport's contract test)."""
     events = []
-    transport = QueueTransport(
+    source = QueueSource(
         QueueSpec("loopback", 2),
         emit=lambda kind, **kw: events.append((kind, kw)))
+    workers = []
     try:
-        clients = transport.acquire()
-        assert len(clients) == 2
-        assert all(c.hello["protocol"] == 1 for c in clients)
-        assert all(c.speed > 0.0 for c in clients)
-        assert {s.state for s in transport.submissions.values()} \
-            == {SUBMISSION_CONNECTED}
-        client = clients[0]
-        client.send(_spec())
-        status, payload, _host = client.recv()
-        assert status == OUTCOME_OK
-        assert payload is not None
-        for c in clients:
-            c.shutdown()
-            c.close()
+        workers = source.acquire()
+        assert len(workers) == 2
+        assert all(w.hello["queue"] == "loopback" for w in workers)
+        assert sorted(w.hello["job"] for w in workers) == [0, 1]
+        assert source.problems == []
     finally:
-        transport.close()
+        for w in workers:
+            w.discard(terminate=False)
+        source.close()
     kinds = [k for k, _ in events]
     assert kinds.count("queue_submit") == 2
     assert kinds.count("queue_connect") == 2

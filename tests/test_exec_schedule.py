@@ -3,7 +3,6 @@
 import dataclasses
 import importlib.util
 import json
-import multiprocessing
 import sys
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from repro.exec import (
     load_events,
     model_estimate,
     plan_schedule,
-    pool_main,
     schedule_table,
     validate_events,
 )
@@ -361,26 +359,6 @@ def test_schedule_table_without_schedule_event():
 # --------------------------------------------------------------------- #
 # Persistent warm pool
 # --------------------------------------------------------------------- #
-
-def test_pool_worker_executes_many_specs_in_one_process():
-    """The pool protocol: one long-lived child handles several specs
-    and exits cleanly on the None sentinel."""
-    ctx = multiprocessing.get_context()
-    parent, child = ctx.Pipe(duplex=True)
-    proc = ctx.Process(target=pool_main, args=(child, False), daemon=True)
-    proc.start()
-    child.close()
-    for algorithm in ("ondemand", "static"):
-        parent.send(_spec(algorithm=algorithm))
-        status, payload, host = parent.recv()
-        assert status == OUTCOME_OK
-        assert payload.status == "ok"
-        assert host is None
-    parent.send(None)
-    proc.join(timeout=30)
-    assert proc.exitcode == 0
-    parent.close()
-
 
 def test_pool_reuses_one_worker_across_runs(tmp_path):
     """jobs=1 with a timeout runs every spec through a single

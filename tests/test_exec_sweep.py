@@ -265,23 +265,3 @@ def test_corrupt_cache_entry_is_ignored():
     exp._DISK_LOADED = False
     exp._load_disk_cache()
     assert exp._CACHE[key].wall_clock == 2.0
-
-
-def test_legacy_whole_file_cache_still_read(tmp_path, monkeypatch):
-    import repro.analysis.experiments as exp
-
-    root = tmp_path / "legacy"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-    root.mkdir()
-    key = ExperimentKey(dataset="astro", seeding="dense",
-                        algorithm="static", n_ranks=16, scale=1.0)
-    d = dataclasses.asdict(RunSummary(key=key, status="ok",
-                                      wall_clock=7.5))
-    d.pop("key")
-    (root / "sweep_cache.json").write_text(json.dumps(
-        {"version": exp.CACHE_VERSION,
-         "runs": [{"key": dataclasses.asdict(key), "summary": d}]}))
-    exp._CACHE.clear()
-    exp._DISK_LOADED = False
-    exp._load_disk_cache()
-    assert exp._CACHE[key].wall_clock == 7.5

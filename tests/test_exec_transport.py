@@ -5,8 +5,10 @@ import dataclasses
 import io
 import json
 import os
+import signal
 import struct
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,12 +24,14 @@ from repro.exec import (
     OUTCOME_OK,
     JsonlTelemetry,
     NodeSpec,
-    RemoteTransport,
+    QueueSource,
     RunSpec,
     RuntimeEstimator,
     SweepExecutor,
     TransportError,
     calibration_probe,
+    command_worker,
+    fork_worker,
     grid_specs,
     load_events,
     parse_nodes,
@@ -44,7 +48,7 @@ from repro.exec.transport import (
     write_frame,
 )
 from repro.exec.worker import FAULT_ENV
-from repro.exec.transport import REMOTE_FAULT_ENV
+from repro.exec.transport import HANDSHAKE_TIMEOUT_ENV, REMOTE_FAULT_ENV
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -203,33 +207,92 @@ def test_estimator_rejects_near_zero_samples():
 
 
 # --------------------------------------------------------------------- #
-# Loopback remote transport
+# The worker client, over each acquisition
 # --------------------------------------------------------------------- #
 
-def test_remote_transport_handshake_and_single_run():
-    transport = RemoteTransport(NodeSpec("loop", 1), template=LOOPBACK)
-    worker = transport.spawn(0)
+def _open_fork():
+    return fork_worker(), lambda: None
+
+
+def _open_command():
+    return command_worker("loop", LOOPBACK), lambda: None
+
+
+def _open_dial_back():
+    source = QueueSource(NodeSpec("loopback", 1))
+    return source.spawn(), source.close
+
+
+@pytest.mark.parametrize("acquire", [_open_fork, _open_command,
+                                     _open_dial_back])
+def test_worker_client_contract(acquire):
+    """One client, three acquisitions: several specs round-trip through
+    one long-lived worker; ``shutdown`` makes it exit; killing it
+    surfaces as ``EOFError`` from ``recv``."""
+    worker, release = acquire()
+    victim, release_victim = acquire()
     try:
         assert worker.hello["protocol"] == 1
         assert worker.speed > 0.0
-        worker.send(_spec())
-        status, payload, _host = worker.recv()
-        assert status == OUTCOME_OK
-        assert isinstance(payload, RunSummary)
-    finally:
+        for algorithm in ("ondemand", "static"):
+            worker.send(_spec(algorithm=algorithm))
+            status, payload, host = worker.recv()
+            assert status == OUTCOME_OK
+            assert isinstance(payload, RunSummary)
+            assert payload.key.algorithm == algorithm
+            assert host is None  # collect_host was off
         worker.shutdown()
-        assert worker.reap(10.0) == 0
-        worker.close()
+        if worker.proc is not None:
+            assert worker.reap(10.0) == 0
+            assert not worker.alive
+        else:  # dial-back: the scheduler owns the process; it hangs up
+            with pytest.raises(EOFError):
+                worker.recv()
+
+        assert victim.alive
+        os.kill(victim.hello["pid"], signal.SIGKILL)
+        with pytest.raises(EOFError):
+            victim.recv()
+    finally:
+        worker.discard()
+        victim.discard()
+        release()
+        release_victim()
+    assert not worker.alive and not victim.alive
 
 
-def test_unreachable_node_spawn_raises_and_marks_failed():
-    transport = RemoteTransport(NodeSpec("ghost", 1),
-                                template="sh -c 'exit 7'")
-    with pytest.raises(TransportError):
-        transport.spawn(0)
-    assert transport.failed
-    with pytest.raises(TransportError, match="unreachable"):
-        transport.spawn(1)  # fails fast, no second launch attempt
+def test_fork_worker_reports_no_calibration():
+    """Local speed is 1.0 by definition: a forked worker skips the
+    calibration probe."""
+    worker = fork_worker()
+    try:
+        assert "calib" not in worker.hello
+        assert worker.speed == 1.0
+    finally:
+        worker.discard()
+
+
+def test_unreachable_node_raises_transport_error():
+    with pytest.raises(TransportError, match="during the handshake"):
+        command_worker("ghost", "sh -c 'exit 7'")
+    with pytest.raises(TransportError, match="cannot launch"):
+        command_worker("ghost", "/nonexistent/launcher {host}")
+
+
+def test_handshake_deadline_covers_the_whole_hello(tmp_path,
+                                                   monkeypatch):
+    """A launcher that writes half a frame header and stalls must not
+    hang the sweep: the deadline bounds the whole hello read, and the
+    child is terminated and reaped."""
+    pidfile = tmp_path / "launcher.pid"
+    monkeypatch.setenv(HANDSHAKE_TIMEOUT_ENV, "0.5")
+    t0 = time.monotonic()
+    with pytest.raises(TransportError, match="timed out after 0.5s"):
+        command_worker(
+            "stall", f"sh -c 'echo $$ > {pidfile}; printf ab; sleep 60'")
+    assert time.monotonic() - t0 < 10.0
+    with pytest.raises(ProcessLookupError):  # not even a zombie is left
+        os.kill(int(pidfile.read_text()), 0)
 
 
 def test_nodes_sweep_byte_identical_to_serial(tmp_path):

@@ -16,22 +16,22 @@ def test_cache_export_renders_partial_tables(tmp_path, monkeypatch):
     """The cache-only exporter renders whatever is cached and marks
     missing datasets, without running any simulation."""
     cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    # Minimal synthetic cache: one astro run.
-    cache = {
+    entries = cache_dir / "sweep_cache"
+    entries.mkdir(parents=True)
+    # Minimal synthetic cache: one astro run, in the per-key layout.
+    entry = {
         "version": CACHE_VERSION,
-        "runs": [{
-            "key": {"dataset": "astro", "seeding": "sparse",
-                    "algorithm": "static", "n_ranks": 16, "scale": 1.0},
-            "summary": {"status": "ok", "wall_clock": 12.5,
-                        "io_time": 3.25, "comm_time": 0.75,
-                        "compute_time": 8.0, "block_efficiency": 1.0,
-                        "blocks_loaded": 10, "blocks_purged": 0,
-                        "messages": 5, "bytes_sent": 100, "steps": 1000,
-                        "parallel_efficiency": 0.9},
-        }],
+        "key": {"dataset": "astro", "seeding": "sparse",
+                "algorithm": "static", "n_ranks": 16, "scale": 1.0},
+        "summary": {"status": "ok", "wall_clock": 12.5,
+                    "io_time": 3.25, "comm_time": 0.75,
+                    "compute_time": 8.0, "block_efficiency": 1.0,
+                    "blocks_loaded": 10, "blocks_purged": 0,
+                    "messages": 5, "bytes_sent": 100, "steps": 1000,
+                    "parallel_efficiency": 0.9},
     }
-    (cache_dir / "sweep_cache.json").write_text(json.dumps(cache))
+    (entries / "astro-sparse-static-r16-s1.0.json").write_text(
+        json.dumps(entry))
     out = tmp_path / "EXP.md"
     env = {"REPRO_CACHE_DIR": str(cache_dir), "PATH": "/usr/bin:/bin"}
     import os
@@ -51,8 +51,8 @@ def test_cache_export_renders_partial_tables(tmp_path, monkeypatch):
 
 
 def test_cache_export_reads_per_key_entries(tmp_path, monkeypatch):
-    """The exporter reads the current per-key atomic cache directory,
-    not just the legacy whole-file layout."""
+    """The exporter reads entries ``_save_entry`` wrote to the per-key
+    atomic cache directory."""
     import os
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
