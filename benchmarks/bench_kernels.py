@@ -9,13 +9,16 @@ is made of:
   :class:`~repro.integrate.pooled.PoolSampler`;
 * ``step`` — one DOPRI5 trial step (7 fused sampler stages + error
   estimate) through :meth:`Dopri5.attempt_steps_prepared`;
-* ``pool_build`` — constructing a :class:`BlockPool` from loaded blocks
-  (the cost the worker-side pool cache avoids);
 * ``advance`` — the full :func:`advance_pool` round loop, including the
-  small-batch scalar fast path.
+  small-batch scalar fast path;
+* ``trace`` — the same curves taken to termination two ways: ``wide``,
+  one lockstep batch over a growing pool (what a run's trajectory bank
+  does, once), and ``per_call``, one line and 32 rounds per call over a
+  fresh pool of its block (the small-batch schedule simulated ranks
+  imposed on the kernel before the bank).
 
-Each kernel runs at batch sizes k in {1, 4, 32, 256} (``pool_build``
-scales over block counts instead).  Wall-clock numbers are deliberately
+Each per-particle kernel runs at batch sizes k in {1, 4, 32, 256}
+(``trace`` uses one fixed set of curves).  Wall-clock numbers are deliberately
 kept *out* of the BENCH snapshot documents — they vary by machine — and
 written to their own JSON artifact for CI to upload::
 
@@ -63,8 +66,8 @@ from repro.mesh.decomposition import Decomposition
 #: exercise the scalar small-batch regime; 32 and 256 the vectorized one.
 BATCH_SIZES = (1, 4, 32, 256)
 
-#: Pool sizes (block counts) for the pool-build benchmark.
-POOL_SIZES = (1, 8, 27)
+#: Curves the wide-trace-vs-per-call comparison integrates.
+TRACE_CURVES = 64
 
 
 def _bench(fn, inner: int, repeats: int) -> dict:
@@ -117,15 +120,12 @@ def bench_step(pool, dec, rng, inner, repeats) -> dict:
     return out
 
 
-def bench_pool_build(dec, inner, repeats) -> dict:
-    field = RigidRotationField(domain=Bounds.cube(-1.0, 1.0))
-    blocks = list(sample_field(field, dec).values())
-    out = {}
-    for n in POOL_SIZES:
-        subset = blocks[:n]
-        out[f"blocks{n}"] = _bench(lambda: BlockPool(subset),
-                                   inner, repeats)
-    return out
+def _lines_at(seeds, bids):
+    """Fresh streamlines at ``seeds``, each placed in its block."""
+    lines = make_streamlines(seeds)
+    for line, bid in zip(lines, bids):
+        line.block_id = int(bid)
+    return lines
 
 
 def bench_advance(field, dec, pool, rng, inner, repeats) -> dict:
@@ -137,14 +137,38 @@ def bench_advance(field, dec, pool, rng, inner, repeats) -> dict:
         bids = dec.locate_many(seeds)
 
         def run():
-            lines = make_streamlines(seeds)
-            for line, bid in zip(lines, bids):
-                line.block_id = int(bid)
-            return advance_pool(lines, pool, field.domain, dec, integ,
-                                cfg, round_limit=32)
+            return advance_pool(_lines_at(seeds, bids), pool, field.domain,
+                                dec, integ, cfg, round_limit=32)
 
         out[f"k{k}"] = _bench(run, max(1, inner // 8), repeats)
     return out
+
+
+def bench_trace(field, dec, rng, inner, repeats) -> dict:
+    blocks = sample_field(field, dec)
+    cfg = IntegratorConfig(max_steps=64, h_max=0.02)
+    integ = Dopri5(cfg.rtol, cfg.atol)
+    seeds = rng.uniform(-0.6, 0.6, size=(TRACE_CURVES, 3))
+    bids = [int(b) for b in dec.locate_many(seeds)]
+
+    def wide():
+        pool = BlockPool([blocks[b] for b in sorted(set(bids))],
+                         loader=blocks.__getitem__)
+        return advance_pool(_lines_at(seeds, bids), pool, field.domain, dec,
+                            integ, cfg)
+
+    def per_call():
+        active = _lines_at(seeds, bids)
+        while active:
+            line = active.pop()
+            res = advance_pool([line], BlockPool([blocks[line.block_id]]),
+                               field.domain, dec, integ, cfg,
+                               round_limit=32)
+            active.extend(res.in_pool + res.exited)
+
+    inner = max(1, inner // 50)
+    return {"wide": _bench(wide, inner, repeats),
+            "per_call": _bench(per_call, inner, repeats)}
 
 
 def main(argv=None) -> int:
@@ -181,9 +205,9 @@ def main(argv=None) -> int:
     benches = (
         ("sampler", lambda: bench_sampler(pool, dec, rng, inner, repeats)),
         ("step", lambda: bench_step(pool, dec, rng, inner, repeats)),
-        ("pool_build", lambda: bench_pool_build(dec, inner, repeats)),
         ("advance", lambda: bench_advance(field, dec, pool, rng, inner,
                                           repeats)),
+        ("trace", lambda: bench_trace(field, dec, rng, inner, repeats)),
     )
     for name, bench in benches:
         with phase(name):

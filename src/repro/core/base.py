@@ -10,16 +10,16 @@ subclass it with their protocols.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import (Any, Dict, FrozenSet, Generator, List, Optional,
                     Sequence)
 
 import numpy as np
 
 from repro.core.problem import ProblemSpec
-from repro.integrate.base import Integrator
-from repro.integrate.fixed import make_integrator
-from repro.integrate.pooled import BlockPool, PoolResult, advance_pool
+# benchmarks/host/seams.py times ``advance_pool`` and ``BlockPool`` under
+# these names in this module; a worker's pooled advance is a bank replay.
+from repro.integrate.bank import TrajectoryBank, replay_pool as advance_pool
+from repro.integrate.pooled import BlockPool, PoolResult  # noqa: F401
 from repro.integrate.streamline import Status, Streamline
 from repro.mesh.block import Block
 from repro.sim.cluster import RankContext
@@ -31,11 +31,6 @@ from repro.storage.store import BlockStore
 #: mailbox.  Bounds how long (in simulated *and* real time) a rank computes
 #: without reacting to messages.
 POOL_ROUND_LIMIT = 96
-
-#: Cached BlockPools kept per rank (LRU).  A pool concatenates its blocks'
-#: arrays, so this bounds the real (not simulated) memory duplicated by
-#: pool caching to a handful of working sets.
-POOL_CACHE_ENTRIES = 8
 
 
 def partition_contiguous(n_items: int, n_parts: int, part: int) -> range:
@@ -79,21 +74,14 @@ class Worker:
         self.problem = problem
         self.store = store
         self.cost = problem.cost_model
-        self.integrator: Integrator = make_integrator(
-            problem.integrator, rtol=problem.integ.rtol,
-            atol=problem.integ.atol)
         cap = ctx.spec.cache_blocks
         if cap is None:
             cap = max(1, int(0.25 * ctx.spec.memory_bytes
                              / self.cost.block_nbytes))
         self.cache = LRUBlockCache(capacity=cap)
-        #: Cached stacked pools keyed by the loaded-block-id set.  Valid
-        #: while every member block is still the resident object in
-        #: ``self.cache``; invalidated on eviction (see ``ensure_block``)
-        #: and double-checked by identity at lookup, so any other eviction
-        #: path degrades to a rebuild rather than stale data.
-        self._pool_cache: "OrderedDict[FrozenSet[int], BlockPool]" = \
-            OrderedDict()
+        #: Where this rank's curves are integrated: ``run_streamlines`` shares
+        #: one bank per run; a worker built on its own keeps this private one.
+        self.bank = TrajectoryBank(problem, store)
         #: Modelled bytes currently allocated per buffered streamline.
         self._line_mem: Dict[int, int] = {}
         #: Curves that finished on this rank (kept resident, as real
@@ -131,8 +119,6 @@ class Worker:
             yield from ctx.read_block_bytes(self.cost.block_nbytes)
             block = self.store.load(block_id)
         evicted = self.cache.put(block)
-        if evicted:
-            self._invalidate_pools({b.block_id for b in evicted})
         for _ in evicted:
             ctx.memory.free(self.cost.block_nbytes, "block")
         ctx.memory.allocate(self.cost.block_nbytes, "block")
@@ -146,32 +132,9 @@ class Worker:
     def has_block(self, block_id: int) -> bool:
         return block_id in self.cache
 
-    def _invalidate_pools(self, gone: "set[int]") -> None:
-        """Drop cached pools referencing any of the evicted block ids."""
-        stale = [key for key in self._pool_cache if key & gone]
-        for key in stale:
-            del self._pool_cache[key]
-
-    def _pool_for(self, blocks: List[Block]) -> BlockPool:
-        """Cached stacked pool for this exact (bid-sorted) block list.
-
-        The cache key is the loaded-block-id set; a hit additionally
-        verifies that each member is still the identical resident object
-        (a reloaded block is a different object, so eviction paths that
-        bypass ``ensure_block`` can never serve stale pool data).
-        """
-        key = frozenset(b.block_id for b in blocks)
-        pool = self._pool_cache.get(key)
-        if pool is not None and all(
-                self.cache.peek(b.block_id) is b for b in pool.blocks):
-            self._pool_cache.move_to_end(key)
-            return pool
-        pool = BlockPool(blocks)
-        self._pool_cache[key] = pool
-        self._pool_cache.move_to_end(key)
-        while len(self._pool_cache) > POOL_CACHE_ENTRIES:
-            self._pool_cache.popitem(last=False)
-        return pool
+    def _pool_for(self, blocks: List[Block]) -> FrozenSet[int]:
+        """The resident block set one pooled advance may move within."""
+        return frozenset(b.block_id for b in blocks)
 
     # ------------------------------------------------------------------ #
     # Streamline memory bookkeeping
@@ -236,11 +199,14 @@ class Worker:
                                    "tuple[PoolResult, List[Streamline]]"]:
         """Advance ``lines`` across *all* their (resident) blocks at once.
 
-        This is the production path: one pooled kernel call advances every
-        line on this rank in lockstep, switching blocks freely within the
-        loaded set ("integrates all streamlines to the edge of the loaded
-        blocks").  Lines whose block turns out not to be resident are
-        returned as the second element (demoted) without being advanced.
+        This is the production path: every line on this rank advances in
+        lockstep, switching blocks freely within the loaded set
+        ("integrates all streamlines to the edge of the loaded blocks").
+        The numbers come from the run's trajectory bank, which integrated
+        each curve once; the simulated cost is still charged here, per
+        call, from ``attempted_steps``.  Lines whose block turns out not
+        to be resident are returned as the second element (demoted)
+        without being advanced.
         """
         by_bid: Dict[int, List[Streamline]] = {}
         for line in lines:
@@ -258,10 +224,8 @@ class Worker:
             pool_lines.extend(by_bid[bid])
         if not blocks:
             return PoolResult(), demoted
-        pool = self._pool_for(blocks)
-        result = advance_pool(pool_lines, pool, self.problem.field.domain,
-                              self.problem.decomposition, self.integrator,
-                              self.problem.integ, round_limit=round_limit)
+        result = advance_pool(pool_lines, self._pool_for(blocks), self.bank,
+                              round_limit)
         obs = self.ctx.obs
         yield from self.ctx.compute(
             result.attempted_steps,

@@ -27,6 +27,7 @@ from repro.core.problem import ProblemSpec
 from repro.core.reseed import ReseedPolicy
 from repro.core.results import STATUS_OK, STATUS_OOM, RunResult
 from repro.core.static import StaticWorker
+from repro.integrate.bank import TrajectoryBank
 from repro.obs.recorder import Recorder
 from repro.sim.cluster import Cluster
 from repro.sim.engine import ProcessFailure, Request
@@ -210,7 +211,11 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
         workers, masters = _build_hybrid(cluster, problem, store, hybrid,
                                          reseed=reseed)
 
+    # One bank per run: each curve is integrated once, on the first
+    # advect demand, however many ranks then advance pieces of it.
+    bank = TrajectoryBank(problem, store)
     for w in workers:
+        w.bank = bank
         cluster.engine.spawn(f"{algorithm}-rank{w.ctx.rank}",
                              _finishing(w.ctx, w.run()), rank=w.ctx.rank)
     for m in masters:
@@ -231,6 +236,13 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
                 streamlines=[], oom_rank=oom.rank, oom_reason=str(oom),
                 master_ranks=[m.ctx.rank for m in masters])
         raise
+    finally:
+        # Workers sit in reference cycles with their coroutine frames;
+        # dropping every reference here frees the bank's tapes and
+        # stacked blocks now instead of at some later cyclic collection.
+        for w in workers:
+            w.bank = None
+        del bank
 
     lines = []
     for w in workers:

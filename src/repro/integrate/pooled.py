@@ -24,9 +24,9 @@ overhead, not per-element arithmetic (batches are tiny — the regime
 "A Guide to Particle Advection Performance" identifies as the advection
 bottleneck).  Three mechanisms keep it down:
 
-* :class:`BlockPool` instances are immutable once built and are cached by
-  the per-rank worker keyed on the loaded-block set, so the stacked flat
-  buffer is built once per working set instead of once per advect call;
+* a run advances every curve in one wide call (the trajectory bank,
+  :mod:`repro.integrate.bank`) over one :class:`BlockPool` that stacks
+  each block once, the first time a curve enters it;
 * :class:`PoolSampler` is a fused trilinear kernel: one index gather, one
   ``einsum`` weight reduction, and every intermediate written into
   preallocated workspaces (reused across the 7 DOPRI5 stages of a step
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -71,10 +71,6 @@ _CODE_TO_STATUS = {
 #: Python floats (every op on a k<=4 batch is dominated by fixed call
 #: overhead); above it, the vectorized path wins.
 _SCALAR_MAX_K = 4
-
-#: Pools larger than this (stacked node count) never build the Python
-#: float list the scalar path gathers from (bounds its real memory cost).
-_SCALAR_CTX_MAX_NODES = 1 << 20
 
 # DOPRI5 tableau rows as (stage index, coefficient) pairs, for the scalar
 # path's accumulation loops.  Zero coefficients are omitted, exactly like
@@ -124,7 +120,6 @@ class PoolSampler:
         nx, ny, nz = pool.dims
         self._cell_max = np.array([nx - 2, ny - 2, nz - 2], dtype=np.int64)
         self._axis_strides = np.array([ny * nz, nz, 1], dtype=np.int64)
-        self._flat = pool.flat
         self._node_max = pool.node_max
         self._offsets_row = pool.offsets[None, :]
         self._cap = 0
@@ -229,7 +224,7 @@ class PoolSampler:
         np.matmul(icell, self._axis_strides, out=base)
         np.add(base, base0, out=base)
         np.add(base_col, self._offsets_row, out=idx)
-        self._flat.take(idx, axis=0, out=corners, mode="clip")
+        self.pool.flat.take(idx, axis=0, out=corners, mode="clip")
 
         # Single weighted reduction (bit-identical to multiply + sum).
         return fast_einsum("ke,kec->kc", w, corners, out=out)
@@ -239,90 +234,95 @@ class BlockPool:
     """A set of same-shaped loaded blocks stacked for single-gather
     interpolation.
 
-    Pools are immutable once constructed (block data is never mutated in
-    place), which is what makes them safe to cache and reuse across
-    advect calls — see ``Worker.advect_pool``.
+    Built with a ``loader`` (``block_id -> Block``) the pool grows: a
+    curve crossing into a block it has not stacked yet makes it load that
+    block and append a slot (:meth:`slot_for`), so no curve ever exits it.
+    Without one the block set is fixed.  The stacked arrays may carry
+    spare rows past ``len(pool)``; a slot's rows never move or change.
     """
 
-    def __init__(self, blocks: Sequence[Block]) -> None:
+    def __init__(self, blocks: Sequence[Block],
+                 loader: Optional[Callable[[int], Block]] = None) -> None:
         blocks = list(blocks)
         if not blocks:
             raise ValueError("BlockPool needs at least one block")
-        dims = blocks[0].data.shape[:3]
-        for b in blocks:
-            if b.data.shape[:3] != dims:
-                raise ValueError(
-                    "all pool blocks must share node dims; got "
-                    f"{b.data.shape[:3]} vs {dims}")
-        self.blocks = blocks
-        self.dims = (int(dims[0]), int(dims[1]), int(dims[2]))
-        self.slot_of: Dict[int, int] = {
-            b.block_id: i for i, b in enumerate(blocks)}
-        n_nodes = dims[0] * dims[1] * dims[2]
-        self.flat = np.concatenate([b._flat for b in blocks], axis=0)
-        self.slot_base = (np.arange(len(blocks), dtype=np.int64) * n_nodes)
-        self.lo = np.stack([b._lo for b in blocks])
-        self.scale = np.stack([b._node_scale for b in blocks])
+        nx, ny, nz = (int(n) for n in blocks[0].data.shape[:3])
+        self.dims = (nx, ny, nz)
         self.node_max = blocks[0]._node_max
-        self.block_lo = np.stack([b.info.bounds.lo_array for b in blocks])
-        self.block_hi = np.stack([b.info.bounds.hi_array for b in blocks])
-        self.offsets = corner_offsets(self.dims[1], self.dims[2])
-        self._sampler: Optional[PoolSampler] = None
-        self._scalar_ctx: object = None
+        self.offsets = corner_offsets(ny, nz)
+        self.loader = loader
+        self.blocks: List[Block] = []
+        self.slot_of: Dict[int, int] = {}
+        self._reserve(len(blocks))
+        for b in blocks:
+            self.add(b)
 
     def __len__(self) -> int:
         return len(self.blocks)
 
+    def _reserve(self, cap: int) -> None:
+        """(Re)allocate the stacked arrays for ``cap`` slots, keeping the
+        filled rows."""
+        n_nodes = self.dims[0] * self.dims[1] * self.dims[2]
+        for name, shape, dtype in (
+                ("flat", (cap * n_nodes, 3), np.float64),
+                ("lo", (cap, 3), np.float64),
+                ("scale", (cap, 3), np.float64),
+                ("block_lo", (cap, 3), np.float64),
+                ("block_hi", (cap, 3), np.float64),
+                ("block_ids", (cap,), np.int64)):
+            new = np.empty(shape, dtype=dtype)
+            old = getattr(self, name, None)
+            if old is not None:
+                new[:len(old)] = old
+            setattr(self, name, new)
+        self.slot_base = np.arange(cap, dtype=np.int64) * n_nodes
+
+    def add(self, block: Block) -> int:
+        """Stack one more block; returns its slot."""
+        if block.data.shape[:3] != self.dims:
+            raise ValueError(
+                "all pool blocks must share node dims; got "
+                f"{block.data.shape[:3]} vs {self.dims}")
+        s = len(self.blocks)
+        if s == len(self.block_ids):
+            self._reserve(2 * s)
+        base = int(self.slot_base[s])
+        self.flat[base:base + len(block._flat)] = block._flat
+        self.lo[s] = block._lo
+        self.scale[s] = block._node_scale
+        self.block_lo[s] = block.info.bounds.lo_array
+        self.block_hi[s] = block.info.bounds.hi_array
+        self.block_ids[s] = block.block_id
+        self.blocks.append(block)
+        self.slot_of[block.block_id] = s
+        return s
+
+    def slot_for(self, block_id: int) -> int:
+        """Slot of ``block_id``; a growing pool stacks a missing block
+        first, a fixed one answers ``-1``."""
+        s = self.slot_of.get(block_id, -1)
+        if s < 0 and self.loader is not None:
+            s = self.add(self.loader(block_id))
+        return s
+
     def sampler(self) -> PoolSampler:
-        """The pool's persistent fused sampler (workspaces survive across
-        advect calls; rebind per round with :meth:`PoolSampler.bind`)."""
-        if self._sampler is None:
-            self._sampler = PoolSampler(self)
-        return self._sampler
+        """A fused sampler over this pool (rebind per round with
+        :meth:`PoolSampler.bind`); not kept, so no pool-sampler cycle."""
+        return PoolSampler(self)
 
-    def sampler_for(self, slots: np.ndarray) -> PoolSampler:
-        """Velocity function for a fixed per-particle slot assignment.
-
-        Returns a dedicated bound :class:`PoolSampler` (a fresh instance,
-        so callers can hold several simultaneously).
+    def scalar_slot(self, s: int) -> tuple:
+        """Python-float context of slot ``s`` for the scalar rounds:
+        ``((lox, loy, loz, scx, scy, scz, flat), (block_lo, block_hi))``,
+        ``flat`` being the block's own node data as a float list, cached
+        on the block — there is no pool-wide mirror to rebuild on growth.
         """
-        return PoolSampler(self).bind(np.asarray(slots, dtype=np.int64))
-
-    def scalar_ctx(self) -> Optional[tuple]:
-        """Python-float mirrors of the pool geometry for the scalar path.
-
-        Built lazily on first small-batch use (``None`` for pools too
-        large to mirror); immutable, like the pool itself.
-        """
-        if self._scalar_ctx is None:
-            if self.flat.shape[0] > _SCALAR_CTX_MAX_NODES:
-                self._scalar_ctx = False
-            else:
-                nx, ny, nz = self.dims
-                # The flat mirror is assembled from per-*block* cached
-                # lists: pools are rebuilt far more often than blocks are
-                # reloaded, so each block's data is converted once for its
-                # lifetime, not once per pool.
-                flat: List[float] = []
-                for b in self.blocks:
-                    part = getattr(b, "_scalar_flat", None)
-                    if part is None:
-                        part = b._flat.ravel().tolist()
-                        b._scalar_flat = part
-                    flat += part
-                self._scalar_ctx = (
-                    flat,
-                    self.lo.tolist(),
-                    self.scale.tolist(),
-                    self.slot_base.tolist(),
-                    self.block_lo.tolist(),
-                    self.block_hi.tolist(),
-                    tuple(float(v) for v in self.node_max),
-                    (nx - 2, ny - 2, nz - 2),
-                    (ny * nz, nz),
-                    tuple(int(o) * 3 for o in self.offsets),
-                )
-        return self._scalar_ctx or None
+        b = self.blocks[s]
+        flat = getattr(b, "_scalar_flat", None)
+        if flat is None:
+            flat = b._scalar_flat = b._flat.ravel().tolist()
+        return ((*b._lo.tolist(), *b._node_scale.tolist(), flat),
+                (self.block_lo[s].tolist(), self.block_hi[s].tolist()))
 
 
 def _d5_step_scalar(sctx: tuple, pctx: tuple, x: float, y: float, z: float,
@@ -347,9 +347,9 @@ def _d5_step_scalar(sctx: tuple, pctx: tuple, x: float, y: float, z: float,
     ``(newx, newy, newz, err, k1, k7)`` with the stage tuples for the
     caller to carry forward.
     """
-    (flat, o0, o1, o2, o3, o4, o5, o6, o7,
+    (o0, o1, o2, o3, o4, o5, o6, o7,
      nmx, nmy, nmz, cmx, cmy, cmz, nyz, nz) = sctx
-    lox, loy, loz, scx, scy, scz, b0 = pctx
+    lox, loy, loz, scx, scy, scz, flat = pctx
     kx = [0.0] * 7
     ky = [0.0] * 7
     kz = [0.0] * 7
@@ -377,7 +377,8 @@ def _d5_step_scalar(sctx: tuple, pctx: tuple, x: float, y: float, z: float,
         # the cell, tensor-product weights in ((a*b)*c) grouping, corners
         # accumulated in z-fastest order — the array kernel's exact ops.
         # Consecutive stages usually land in the same cell, so the 24
-        # gathered corner values are memoized on the flat cell index.
+        # gathered corner values are memoized on the cell's index into
+        # its block's own flat list.
         gx = (qx - lox) * scx
         if gx > nmx:
             gx = nmx
@@ -412,7 +413,7 @@ def _d5_step_scalar(sctx: tuple, pctx: tuple, x: float, y: float, z: float,
         sxty = sx * ty
         txsy = tx * sy
         txty = tx * ty
-        j = (ix * nyz + iy * nz + iz + b0) * 3
+        j = (ix * nyz + iy * nz + iz) * 3
         if j != jprev:
             jprev = j
             m = j + o0
@@ -539,7 +540,7 @@ def _d5_step_scalar(sctx: tuple, pctx: tuple, x: float, y: float, z: float,
             (kx[0], ky[0], kz[0]), (kx[6], ky[6], kz[6]))
 
 
-def _scalar_rounds(pool: "BlockPool", ctx: tuple,
+def _scalar_rounds(pool: "BlockPool",
                    decomposition: Decomposition, integrator: Integrator,
                    cfg: IntegratorConfig, alive: np.ndarray,
                    pos: np.ndarray, h: np.ndarray, time: np.ndarray,
@@ -548,7 +549,8 @@ def _scalar_rounds(pool: "BlockPool", ctx: tuple,
                    geom_pos: List[np.ndarray], dlo: np.ndarray,
                    dhi: np.ndarray, h_min_edge: float, rounds: int,
                    round_limit: Optional[int], max_rounds: int,
-                   result: "PoolResult") -> "tuple[int, np.ndarray]":
+                   result: "PoolResult", tape: Optional[list],
+                   ) -> "tuple[int, np.ndarray]":
     """Small-batch rounds of :func:`advance_pool` in Python floats.
 
     Runs the same lockstep rounds as the array path — one trial step per
@@ -559,9 +561,10 @@ def _scalar_rounds(pool: "BlockPool", ctx: tuple,
     accumulators are updated in place, exactly as the array path would
     have.
     """
-    (flat, lo_l, sc_l, base_l, blo_l, bhi_l,
-     node_max, cell_max, strides, off3) = ctx
-    sctx = (flat,) + off3 + node_max + cell_max + strides
+    nx, ny, nz = pool.dims
+    sctx = (tuple(int(o) * 3 for o in pool.offsets)
+            + tuple(float(v) for v in pool.node_max)
+            + (nx - 2, ny - 2, nz - 2, ny * nz, nz))
     dlo0, dlo1, dlo2 = float(dlo[0]), float(dlo[1]), float(dlo[2])
     dhi0, dhi1, dhi2 = float(dhi[0]), float(dhi[1]), float(dhi[2])
     rtol = integrator.rtol
@@ -574,7 +577,7 @@ def _scalar_rounds(pool: "BlockPool", ctx: tuple,
     h_max_ = cfg.h_max
     min_speed = cfg.min_speed
     max_steps_ = cfg.max_steps
-    slot_of = pool.slot_of
+    scalar_slot = pool.scalar_slot
     # Crossing relocation, scalarized (same divide/floor/clamp as
     # Decomposition.locate_many; a crossing particle is always inside the
     # domain — out-of-domain takes classification precedence — so the
@@ -584,24 +587,20 @@ def _scalar_rounds(pool: "BlockPool", ctx: tuple,
     bx, by, _bz = decomposition.blocks_per_axis
     bxm, bym, bzm = bx - 1, by - 1, _bz - 1
 
-    def pctx_for(s_: int) -> tuple:
-        lo = lo_l[s_]
-        sc = sc_l[s_]
-        return (lo[0], lo[1], lo[2], sc[0], sc[1], sc[2], base_l[s_])
-
-    # rec = [i, x, y, z, h, t, steps, slot, pctx, (blo, bhi), buf, k1]
+    # rec = [i, x, y, z, h, t, steps, slot, pctx, (blo, bhi), buf, k1, log]
     # k1 is the FSAL stage cache: an accepted step's 7th stage is the
     # next step's first stage (same point, same block context), and a
     # rejected step retries from the unchanged position, so its own
     # first stage carries over.  Invalidated on block crossing.
+    # log: (accept, slot, h, t) after each trial, when taping.
     parts = []
     done = []
     for i, (x, y, z), hv, tv, sv, s_ in zip(
             alive.tolist(), pos[alive].tolist(), h[alive].tolist(),
             time[alive].tolist(), steps[alive].tolist(),
             slot[alive].tolist()):
-        parts.append([i, x, y, z, hv, tv, sv, s_, pctx_for(s_),
-                      (blo_l[s_], bhi_l[s_]), [], None])
+        parts.append([i, x, y, z, hv, tv, sv, s_, *scalar_slot(s_), [],
+                      None, []])
 
     while parts:
         if round_limit is not None and rounds >= round_limit:
@@ -691,15 +690,16 @@ def _scalar_rounds(pool: "BlockPool", ctx: tuple,
                 if bk < 0:
                     bk = 0
                 bid = bi + bx * (bj + by * bk)
-                new_slot = slot_of.get(bid, -1)
+                new_slot = pool.slot_for(bid)
                 if new_slot >= 0:
                     rec[7] = new_slot
-                    rec[8] = pctx_for(new_slot)
-                    rec[9] = (blo_l[new_slot], bhi_l[new_slot])
+                    rec[8], rec[9] = scalar_slot(new_slot)
                     rec[11] = None  # new block context: FSAL invalid
                     code = 0
                 else:
                     exit_bid[rec[0]] = bid
+            if tape is not None:
+                rec[12].append((accept, rec[7], rec[4], rec[5]))
             if code == _CODE_ACTIVE:
                 survivors.append(rec)
             else:
@@ -719,6 +719,11 @@ def _scalar_rounds(pool: "BlockPool", ctx: tuple,
         if buf:
             geom_idx.append(np.full(len(buf), rec[0], dtype=np.int64))
             geom_pos.append(np.array(buf, dtype=np.float64))
+        if rec[12]:
+            accepts, slots, hs, ts = zip(*rec[12])
+            tape.append((np.full(len(hs), rec[0], dtype=np.int64),
+                         np.array(accepts), pool.block_ids[list(slots)],
+                         np.array(hs), np.array(ts)))
     return rounds, np.array([rec[0] for rec in parts], dtype=np.int64)
 
 
@@ -741,7 +746,8 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
                  domain: Bounds, decomposition: Decomposition,
                  integrator: Integrator, cfg: IntegratorConfig,
                  max_rounds: Optional[int] = None,
-                 round_limit: Optional[int] = None) -> PoolResult:
+                 round_limit: Optional[int] = None,
+                 tape: Optional[list] = None) -> PoolResult:
     """Advance streamlines until each terminates or leaves the pool.
 
     Every streamline's ``block_id`` must name a block in the pool and its
@@ -751,7 +757,14 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
     leftover active particles come back in ``result.in_pool`` so callers
     can interleave message handling (the simulated-time analogue of the
     paper's per-streamline loop iteration checking for messages).
+
+    ``tape``, when given, receives ``(line index, accepted, block id, h,
+    time)`` array tuples — every trial step, state *after* the trial,
+    chronological per line.  Only a growing pool can be taped: a trial
+    leaving a fixed pool would be logged in the block it left.
     """
+    if tape is not None and pool.loader is None:
+        raise ValueError("taping needs a growing pool (loader=)")
     lines = list(streamlines)
     result = PoolResult()
     if not lines:
@@ -767,11 +780,10 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
         if s.status is not Status.ACTIVE:
             raise ValueError(f"streamline {s.sid} is not active "
                              f"({s.status.value})")
-        try:
-            slot[i] = pool.slot_of[s.block_id]
-        except KeyError:
+        slot[i] = pool.slot_for(s.block_id)
+        if slot[i] < 0:
             raise ValueError(f"streamline {s.sid}: block {s.block_id} "
-                             "is not in the pool") from None
+                             "is not in the pool")
         pos[i] = s.position
         h[i] = s.h if s.h > 0 else cfg.h_init
         steps[i] = s.steps
@@ -812,14 +824,11 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
         if round_limit is not None and rounds >= round_limit:
             break
         if scalar_ok and len(alive) <= _SCALAR_MAX_K:
-            ctx = pool.scalar_ctx()
-            if ctx is not None:
-                rounds, alive = _scalar_rounds(
-                    pool, ctx, decomposition, integrator, cfg, alive, pos,
-                    h, time, steps, slot, codes, exit_bid, geom_idx,
-                    geom_pos, dlo, dhi, h_min_edge, rounds, round_limit,
-                    max_rounds, result)
-                continue
+            rounds, alive = _scalar_rounds(
+                pool, decomposition, integrator, cfg, alive, pos, h, time,
+                steps, slot, codes, exit_bid, geom_idx, geom_pos, dlo, dhi,
+                h_min_edge, rounds, round_limit, max_rounds, result, tape)
+            continue
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError(
@@ -875,14 +884,16 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
             cross_global = alive[local]
             bids = decomposition.locate_many(pos[cross_global])
             new_slots = np.array(
-                [pool.slot_of.get(int(b), -1) for b in bids],
-                dtype=np.int64)
+                [pool.slot_for(int(b)) for b in bids], dtype=np.int64)
             stay = new_slots >= 0
             slot[cross_global[stay]] = new_slots[stay]
             code[local[stay]] = _CODE_ACTIVE
             leave = ~stay
             exit_bid[cross_global[leave]] = bids[leave]
 
+        if tape is not None:
+            tape.append((alive, accept, pool.block_ids[slot[alive]],
+                         h[alive], time[alive]))
         stopped = code != _CODE_ACTIVE
         if stopped.any():
             codes[alive[stopped]] = code[stopped]

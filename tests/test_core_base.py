@@ -157,76 +157,6 @@ def test_own_line_can_oom():
         worker.own_line(line)
 
 
-# --------------------------------------------------------------------- #
-# Worker pool cache
-# --------------------------------------------------------------------- #
-def load_blocks(worker, cluster, bids):
-    def prog():
-        for bid in bids:
-            yield from worker.ensure_block(bid)
-    cluster.engine.spawn("load", prog())
-    cluster.run()
-
-
-def test_pool_cache_reuses_pool_for_same_block_set():
-    worker, cluster = make_worker()
-    load_blocks(worker, cluster, [0, 1])
-    blocks = [worker.cache.get(0), worker.cache.get(1)]
-    pool_a = worker._pool_for(blocks)
-    pool_b = worker._pool_for(blocks)
-    assert pool_a is pool_b
-    # A different subset is a different pool.
-    pool_c = worker._pool_for(blocks[:1])
-    assert pool_c is not pool_a
-
-
-def test_pool_cache_invalidated_on_eviction():
-    worker, cluster = make_worker(cache_blocks=2)
-    load_blocks(worker, cluster, [0, 1])
-    blocks = [worker.cache.get(0), worker.cache.get(1)]
-    pool = worker._pool_for(blocks)
-    # Loading two more blocks evicts 0 and 1 -> cached pool dropped.
-    load_blocks(worker, cluster, [2, 3])
-    assert not worker._pool_cache
-    # Reloading block 0 yields a new object; a rebuilt pool must not
-    # serve the stale stacked data.
-    load_blocks(worker, cluster, [0, 1])
-    fresh = [worker.cache.get(0), worker.cache.get(1)]
-    pool2 = worker._pool_for(fresh)
-    assert pool2 is not pool
-    assert all(p is b for p, b in zip(pool2.blocks, fresh))
-
-
-def test_pool_cache_identity_check_rejects_stale_members():
-    worker, cluster = make_worker()
-    load_blocks(worker, cluster, [0, 1])
-    blocks = [worker.cache.get(0), worker.cache.get(1)]
-    pool = worker._pool_for(blocks)
-    # Simulate an eviction path that bypassed ensure_block: same id,
-    # different resident object (BlockStore memoizes, so build a true
-    # clone directly from the field).
-    from repro.fields import sample_block
-
-    clone = sample_block(worker.problem.field,
-                         worker.problem.decomposition.info(0))
-    worker.cache.evict(0)
-    worker.cache.put(clone)
-    pool2 = worker._pool_for([clone, blocks[1]])
-    assert pool2 is not pool
-    assert pool2.blocks[0] is clone
-
-
-def test_pool_cache_is_bounded():
-    from repro.core.base import POOL_CACHE_ENTRIES
-
-    worker, cluster = make_worker(cache_blocks=8)
-    load_blocks(worker, cluster, list(range(8)))
-    loaded = [worker.cache.get(b) for b in range(8)]
-    for n in range(1, 9):
-        worker._pool_for(loaded[:n])
-    assert len(worker._pool_cache) <= POOL_CACHE_ENTRIES
-
-
 def test_cache_capacity_derived_from_memory_when_unset():
     field = UniformField(domain=Bounds.cube(0.0, 1.0))
     problem = ProblemSpec(

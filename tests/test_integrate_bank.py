@@ -1,0 +1,285 @@
+"""The trajectory bank: replay must equal the lockstep kernel per call,
+trace lazily and once per run, and die with its run."""
+
+import copy
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro
+import repro.core.base as core_base
+import repro.core.driver as driver_mod
+import repro.integrate.bank as bank_mod
+from repro.core.driver import run_streamlines
+from repro.core.reseed import ContinueThroughBudget
+from repro.core.results import STATUS_OOM
+from repro.fields import (RigidRotationField, SupernovaField,
+                          ThermalHydraulicsField, TokamakField)
+from repro.integrate.bank import TrajectoryBank, replay_pool
+from repro.integrate.config import IntegratorConfig
+from repro.integrate.pooled import BlockPool, advance_pool
+from repro.integrate.streamline import Status, Streamline
+from repro.mesh.bounds import Bounds
+from repro.seeding import circle_seeds, dense_cluster_seeds
+from repro.sim.machine import MachineSpec
+from repro.storage.store import BlockStore
+
+
+def direct_advance(lines, resident, bank, round_limit=None):
+    """What every ``advect_pool`` call did before the bank: the lockstep
+    kernel over a fresh pool of exactly the resident blocks."""
+    p = bank.problem
+    pool = BlockPool([bank.store.load(b) for b in sorted(resident)])
+    return advance_pool(lines, pool, p.field.domain, p.decomposition,
+                        bank.integrator, p.integ, round_limit=round_limit)
+
+
+def line_state(line):
+    return (line.sid, line.status, line.steps, line.block_id, line.h,
+            line.time, line.n_vertices, len(line.segments),
+            line.position.tobytes(), line.vertices().tobytes())
+
+
+def result_state(result):
+    return (result.attempted_steps, result.accepted_steps,
+            [ln.sid for ln in result.exited],
+            [ln.sid for ln in result.terminated],
+            [ln.sid for ln in result.in_pool])
+
+
+def run_totals(result):
+    ms = result.rank_metrics
+    return (repr(result.wall_clock), [line_state(ln)
+                                      for ln in result.streamlines],
+            [(m.steps, m.msgs_sent, m.bytes_sent, m.blocks_loaded,
+              m.blocks_purged, repr(m.compute_time)) for m in ms])
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+
+    def counted(lines, *args, **kwargs):
+        calls.append(len(lines))
+        return advance_pool(lines, *args, **kwargs)
+
+    monkeypatch.setattr(bank_mod, "advance_pool", counted)
+    return calls
+
+
+@pytest.fixture
+def tokamak_problem():
+    field = TokamakField()
+    seeds = dense_cluster_seeds((field.major_radius, 0.0, 0.0), 0.05, 4,
+                                seed=3, clip_bounds=field.domain)
+    return repro.ProblemSpec(
+        field=field, seeds=seeds,
+        blocks_per_axis=(4, 4, 4), cells_per_block=(5, 5, 5),
+        integ=IntegratorConfig(max_steps=40, h_max=0.04,
+                               rtol=1e-4, atol=1e-6))
+
+
+# --------------------------------------------------------------------- #
+# Replay == kernel, per advect_pool call
+# --------------------------------------------------------------------- #
+@given(data=st.data())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_replay_equals_direct_kernel_at_every_call(monkeypatch, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    field = data.draw(st.sampled_from([
+        SupernovaField(),
+        RigidRotationField(domain=Bounds.cube(-1.0, 1.0))]))
+    size = field.domain.hi_array - field.domain.lo_array
+    lo = field.domain.lo_array + 0.15 * size
+    hi = field.domain.lo_array + 0.85 * size
+    seeds = rng.uniform(lo, hi, size=(data.draw(st.integers(1, 10)), 3))
+    problem = repro.ProblemSpec(
+        field=field, seeds=seeds,
+        blocks_per_axis=(data.draw(st.integers(2, 3)),) * 3,
+        cells_per_block=(4, 4, 4),
+        integ=IntegratorConfig(max_steps=data.draw(st.integers(5, 50)),
+                               h_max=0.05, rtol=1e-4, atol=1e-6))
+    algorithm = data.draw(st.sampled_from(["static", "ondemand", "hybrid"]))
+    machine = MachineSpec(n_ranks=data.draw(st.integers(2, 5)),
+                          cache_blocks=data.draw(st.integers(1, 6)))
+    limit = data.draw(st.one_of(st.none(), st.integers(1, 40)))
+    monkeypatch.setattr(bank_mod, "TRACE_WIDTH",
+                        data.draw(st.sampled_from([2, 64])))
+    calls = []
+
+    def checked(lines, resident, bank, round_limit):
+        twins = copy.deepcopy(lines)
+        got = replay_pool(lines, resident, bank, limit)
+        want = direct_advance(twins, resident, bank, limit)
+        assert result_state(got) == result_state(want)
+        assert [line_state(ln) for ln in lines] \
+            == [line_state(ln) for ln in twins]
+        calls.append(len(lines))
+        return got
+
+    monkeypatch.setattr(core_base, "advance_pool", checked)
+    result = run_streamlines(problem, algorithm=algorithm, machine=machine)
+    assert result.ok
+    assert calls
+
+
+# --------------------------------------------------------------------- #
+# Laziness, unknown lines, one trace per run
+# --------------------------------------------------------------------- #
+def test_oom_while_seeding_never_integrates(monkeypatch):
+    """Static / thermal dense with every owner over budget at t = 0: the
+    run dies placing seeds, the bank is never asked, no kernel runs."""
+    calls = count_kernel_calls(monkeypatch)
+    field = ThermalHydraulicsField()
+    cy, cz = field.inlet_centers[0]
+    problem = repro.ProblemSpec(
+        field=field, seeds=circle_seeds((0.06, cy, cz), 0.02, 600),
+        blocks_per_axis=(4, 4, 4), cells_per_block=(6, 6, 6),
+        integ=IntegratorConfig(max_steps=40, rtol=1e-4, atol=1e-6))
+    # ~300 curves x 512 KiB on each of two owners, 64 MiB per rank.
+    machine = MachineSpec(n_ranks=8, memory_bytes=64 << 20, cache_blocks=3)
+    result = run_streamlines(problem, algorithm="static", machine=machine)
+    assert result.status == STATUS_OOM
+    assert result.wall_clock == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("width", [3, 64])
+def test_each_run_traces_once(small_problem, monkeypatch, width):
+    """Every in-domain seed is traced once per run, in lockstep batches
+    of at most ``TRACE_WIDTH`` curves."""
+    monkeypatch.setattr(bank_mod, "TRACE_WIDTH", width)
+    calls = count_kernel_calls(monkeypatch)
+    in_domain = int((small_problem.seed_blocks >= 0).sum())
+    batches = [min(width, in_domain - i) for i in range(0, in_domain, width)]
+    for n_runs in (1, 2):
+        assert run_streamlines(small_problem, algorithm="hybrid",
+                               machine=MachineSpec(n_ranks=6)).ok
+        assert calls == batches * n_runs
+
+
+def test_reseeded_lines_match_the_per_call_kernel(tokamak_problem,
+                                                  monkeypatch):
+    """Dynamically created seeds (sid >= n_seeds) have no tape: they are
+    traced on sight, and the run is what per-call kernels produce."""
+    def run():
+        return run_streamlines(tokamak_problem, algorithm="hybrid",
+                               machine=MachineSpec(n_ranks=4),
+                               reseed=ContinueThroughBudget(budget=8))
+
+    calls = count_kernel_calls(monkeypatch)
+    banked = run()
+    assert len(calls) > 1 and calls[0] == tokamak_problem.n_seeds
+    monkeypatch.setattr(core_base, "advance_pool", direct_advance)
+    direct = run()
+    assert len(banked.streamlines) == 4 + 8
+    assert run_totals(banked) == run_totals(direct)
+
+
+def test_hand_built_line_is_traced_from_its_state(small_problem):
+    store = BlockStore(small_problem.field, small_problem.decomposition)
+    bank = TrajectoryBank(small_problem, store)
+    everywhere = frozenset(range(small_problem.n_blocks))
+    # Same sid as a banked seed, different state: not at the cursor.
+    start = small_problem.seeds[0] + 0.01
+    line = Streamline(sid=0, seed=start, h=0.002, time=1.5, steps=7,
+                      block_id=int(small_problem.decomposition.locate(start)))
+    twin = copy.deepcopy(line)
+    got = replay_pool([line], everywhere, bank, 9)
+    want = direct_advance([twin], everywhere, bank, 9)
+    assert result_state(got) == result_state(want)
+    assert line_state(line) == line_state(twin)
+    # ... and it keeps replaying from there, across calls, to the end.
+    while line.status is Status.ACTIVE:
+        got = replay_pool([line], everywhere, bank, 9)
+        want = direct_advance([twin], everywhere, bank, 9)
+        assert result_state(got) == result_state(want)
+    assert line_state(line) == line_state(twin)
+
+
+def test_replay_rejects_what_the_kernel_rejects(small_problem):
+    store = BlockStore(small_problem.field, small_problem.decomposition)
+    bank = TrajectoryBank(small_problem, store)
+    line = Streamline(sid=0, seed=small_problem.seeds[0],
+                      block_id=int(small_problem.seed_blocks[0]))
+    with pytest.raises(ValueError, match="round_limit"):
+        replay_pool([line], frozenset([line.block_id]), bank, 0)
+    line.terminate(Status.MAX_STEPS)
+    with pytest.raises(ValueError, match="not active"):
+        replay_pool([line], frozenset([line.block_id]), bank, 5)
+
+
+def test_segments_are_views_into_the_tape(small_problem):
+    result = run_streamlines(small_problem, algorithm="ondemand",
+                             machine=MachineSpec(n_ranks=3))
+    line = max(result.streamlines, key=lambda ln: len(ln.segments))
+    assert len(line.segments) > 1
+    assert all(np.shares_memory(seg, line.segments[0].base)
+               for seg in line.segments)
+
+
+# --------------------------------------------------------------------- #
+# Growing pool and taping
+# --------------------------------------------------------------------- #
+def test_growing_pool_stacks_blocks_on_crossing(small_problem):
+    store = BlockStore(small_problem.field, small_problem.decomposition)
+    first = store.load(0)
+    pool = BlockPool([first], loader=store.load)
+    assert pool.slot_for(0) == 0 and len(pool) == 1
+    for bid in (5, 9, 2):
+        slot = pool.slot_for(bid)
+        assert pool.blocks[slot] is store.load(bid)
+        assert pool.block_ids[slot] == bid
+    assert len(pool) == 4 and pool.slot_for(5) == 1
+    fixed = BlockPool([first, store.load(5)])
+    assert fixed.slot_for(9) == -1
+    # A slot's rows survive growth untouched.
+    n = first._flat.shape[0]
+    assert np.array_equal(pool.flat[:n], first._flat)
+    assert np.array_equal(pool.flat[n:2 * n], store.load(5)._flat)
+
+
+def test_taping_needs_a_growing_pool(small_problem):
+    store = BlockStore(small_problem.field, small_problem.decomposition)
+    p = small_problem
+    line = Streamline(sid=0, seed=p.seeds[0],
+                      block_id=int(p.seed_blocks[0]))
+    pool = BlockPool([store.load(line.block_id)])
+    with pytest.raises(ValueError, match="growing"):
+        advance_pool([line], pool, p.field.domain, p.decomposition,
+                     TrajectoryBank(p, store).integrator, p.integ, tape=[])
+
+
+# --------------------------------------------------------------------- #
+# Lifetime
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("outcome", ["ok", "oom"])
+def test_bank_dies_with_its_run_without_the_cyclic_gc(small_problem,
+                                                      monkeypatch, outcome):
+    banks = []
+
+    class Spy(TrajectoryBank):
+        def __init__(self, *args):
+            super().__init__(*args)
+            banks.append(weakref.ref(self))
+
+    monkeypatch.setattr(driver_mod, "TrajectoryBank", Spy)
+    # 20 MiB holds the seeds and one block, not two: the simulated OOM
+    # strikes at the second load, after the bank has traced.
+    memory = (1 << 30) if outcome == "ok" else (20 << 20)
+    calls = count_kernel_calls(monkeypatch)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_streamlines(
+            small_problem, algorithm="ondemand",
+            machine=MachineSpec(n_ranks=2, memory_bytes=memory,
+                                cache_blocks=2))
+        assert result.status == outcome
+        assert len(calls) == 1
+        assert [ref() for ref in banks] == [None]
+    finally:
+        gc.enable()

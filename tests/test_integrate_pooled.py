@@ -165,5 +165,5 @@ def test_sampler_matches_block_velocity(rotation_setup):
     rng = np.random.default_rng(0)
     for slot, block in enumerate(pool.blocks):
         pts = block.bounds.denormalized(rng.uniform(0.1, 0.9, (5, 3)))
-        f = pool.sampler_for(np.full(5, slot, dtype=np.int64))
+        f = pool.sampler().bind(np.full(5, slot, dtype=np.int64))
         assert np.allclose(f(pts), block.velocity(pts), atol=1e-14)

@@ -1,7 +1,7 @@
 """Consistency between the three interpolation paths.
 
 ``trilinear`` (generic), ``Block.velocity`` (per-block fast path), and
-``BlockPool.sampler_for`` (pooled flat-gather) must agree bit-for-bit —
+``BlockPool.sampler().bind`` (pooled flat-gather) must agree bit-for-bit —
 the algorithms' geometry-identity guarantee depends on it.
 """
 
@@ -35,7 +35,7 @@ def test_three_paths_agree(setup):
         unit = block.bounds.normalized(pts)
         via_trilinear = trilinear(block.data, unit)
         slot = pool.slot_of[bid]
-        f = pool.sampler_for(np.full(20, slot, dtype=np.int64))
+        f = pool.sampler().bind(np.full(20, slot, dtype=np.int64))
         via_pool = f(pts)
 
         assert np.array_equal(via_block, via_pool)
@@ -49,7 +49,7 @@ def test_pool_mixed_slots_agree_with_per_block(setup):
     pts = np.stack([blocks[b].bounds.denormalized(rng.uniform(0.2, 0.8, 3))
                     for b in range(8)])
     slots = np.array([pool.slot_of[b] for b in range(8)], dtype=np.int64)
-    mixed = pool.sampler_for(slots)(pts)
+    mixed = pool.sampler().bind(slots)(pts)
     for i in range(8):
         solo = blocks[i].velocity(pts[i])
         assert np.array_equal(mixed[i], solo)
@@ -61,6 +61,6 @@ def test_clamping_identical_at_faces(setup):
     block = blocks[0]
     p = block.bounds.hi_array + 1e-9  # just outside the +corner
     via_block = block.velocity(p)
-    f = pool.sampler_for(np.array([pool.slot_of[0]], dtype=np.int64))
+    f = pool.sampler().bind(np.array([pool.slot_of[0]], dtype=np.int64))
     via_pool = f(p[None, :])[0]
     assert np.array_equal(via_block, via_pool)

@@ -1,16 +1,14 @@
 """Bit-exactness guards for the fused hot-path kernels.
 
-The advection compute stack (cached :class:`BlockPool`, fused
+The advection compute stack (stacked :class:`BlockPool`, fused
 :class:`PoolSampler`, workspace DOPRI5, the small-batch scalar rounds)
 is pure optimization: every simulated result must be bit-for-bit what
 the straightforward NumPy implementation produces.  These tests pin that
-contract from four angles:
+contract from three angles:
 
 * a **golden-trajectory** fixture recorded before the overhaul,
 * the fused sampler against a **naive reference** implementation,
-* the **scalar** small-batch path against the array path,
-* **fresh-pool-per-call** against cached-pool reuse (what the worker's
-  pool cache changes).
+* the **scalar** small-batch path against the array path.
 
 Regenerating ``tests/data/golden_pool_trajectories.npz`` (only needed if
 the *simulated* semantics intentionally change) re-runs the three cases
@@ -61,7 +59,7 @@ def _make_field(name):
     return SupernovaField()
 
 
-def _replay(case, seeds, fresh_pool_per_call=False):
+def _replay(case, seeds):
     """Advance ``seeds`` to completion; returns lines + final state."""
     field = _make_field(case["field"])
     dec = Decomposition(field.domain, case["counts"], case["dims"])
@@ -75,8 +73,6 @@ def _replay(case, seeds, fresh_pool_per_call=False):
     for _ in range(400):
         if not active:
             break
-        if fresh_pool_per_call:
-            pool = BlockPool(blocks)
         res = advance_pool(active, pool, field.domain, dec, integ,
                            case["cfg"], round_limit=24)
         active = res.in_pool + list(res.exited)
@@ -107,19 +103,6 @@ def test_golden_trajectories_bit_identical(name):
         assert ref.shape == val.shape, (name, key)
         assert np.array_equal(ref, val), \
             f"{name}:{key} diverged from pre-overhaul kernels"
-
-
-# --------------------------------------------------------------------- #
-# Cached pool reuse vs a fresh BlockPool every call
-# --------------------------------------------------------------------- #
-def test_cached_pool_equals_fresh_pool_per_call():
-    rng = np.random.default_rng(7)
-    seeds = rng.uniform(-0.85, 0.85, size=(19, 3))
-    case = CASES["rot_dopri5"]
-    cached = _state(_replay(case, seeds))
-    fresh = _state(_replay(case, seeds, fresh_pool_per_call=True))
-    for key in cached:
-        assert np.array_equal(cached[key], fresh[key]), key
 
 
 # --------------------------------------------------------------------- #
@@ -221,19 +204,6 @@ def test_scalar_rounds_match_array_path(monkeypatch, k):
     without_scalar = _state(_replay(case, seeds))
     for key in with_scalar:
         assert np.array_equal(with_scalar[key], without_scalar[key]), key
-
-
-def test_scalar_ctx_gated_by_pool_size(monkeypatch):
-    field = RigidRotationField(domain=Bounds.cube(-1.0, 1.0))
-    dec = Decomposition(field.domain, (2, 2, 2), (5, 5, 5))
-    pool = BlockPool(list(sample_field(field, dec).values()))
-    monkeypatch.setattr(pooled_mod, "_SCALAR_CTX_MAX_NODES", 1)
-    assert pool.scalar_ctx() is None  # too large: no Python mirror
-    pool2 = BlockPool(pool.blocks)
-    monkeypatch.undo()
-    ctx = pool2.scalar_ctx()
-    assert ctx is not None
-    assert ctx is pool2.scalar_ctx()  # cached
 
 
 # --------------------------------------------------------------------- #
