@@ -15,7 +15,9 @@ is made of:
   one lockstep batch over a growing pool (what a run's trajectory bank
   does, once), and ``per_call``, one line and 32 rounds per call over a
   fresh pool of its block (the small-batch schedule simulated ranks
-  imposed on the kernel before the bank).
+  imposed on the kernel before the bank); and ``full_width``, the
+  trajectory bank's one trace of the host benchmark's ``dense_batch``
+  problem (880 thermal circle seeds), with its ``tracemalloc`` peak.
 
 Each per-particle kernel runs at batch sizes k in {1, 4, 32, 256}
 (``trace`` uses one fixed set of curves).  Wall-clock numbers are deliberately
@@ -43,6 +45,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -53,14 +56,18 @@ if __package__ in (None, ""):  # running as a script
 
 import numpy as np
 
-from repro.fields import sample_field
+from repro.core.problem import ProblemSpec
+from repro.fields import ThermalHydraulicsField, sample_field
 from repro.fields.library import RigidRotationField
+from repro.integrate.bank import TrajectoryBank
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
 from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import make_streamlines
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
+from repro.seeding import circle_seeds
+from repro.storage import BlockStore
 
 #: Batch sizes every per-particle kernel is measured at.  k=1 and k=4
 #: exercise the scalar small-batch regime; 32 and 256 the vectorized one.
@@ -168,7 +175,34 @@ def bench_trace(field, dec, rng, inner, repeats) -> dict:
 
     inner = max(1, inner // 50)
     return {"wide": _bench(wide, inner, repeats),
-            "per_call": _bench(per_call, inner, repeats)}
+            "per_call": _bench(per_call, inner, repeats),
+            "full_width": bench_full_width_trace(repeats)}
+
+
+def bench_full_width_trace(repeats) -> dict:
+    """One bank trace of ``dense_batch`` (benchmarks/host/workloads.py):
+    all 880 curves in one lockstep batch, and what it allocates."""
+    field = ThermalHydraulicsField()
+    cy, cz = field.inlet_centers[0]
+    problem = ProblemSpec(
+        field=field, seeds=circle_seeds((0.06, cy, cz), 0.03, 880),
+        blocks_per_axis=(8, 8, 8), cells_per_block=(8, 8, 8),
+        integ=IntegratorConfig(max_steps=180, h_max=0.02,
+                               rtol=1e-5, atol=1e-7))
+    store = BlockStore(field, problem.decomposition)
+
+    def trace():
+        TrajectoryBank(problem, store).tapes_for([])
+
+    rec = _bench(trace, 1, repeats)
+    tracemalloc.start()
+    bank = TrajectoryBank(problem, store)
+    bank.tapes_for([])
+    live, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    rec["tracemalloc_live_mib"] = live / 2 ** 20
+    rec["tracemalloc_peak_mib"] = peak / 2 ** 20
+    return rec
 
 
 def main(argv=None) -> int:
@@ -228,8 +262,11 @@ def main(argv=None) -> int:
     else:
         for kernel, entries in doc["kernels"].items():
             for label, rec in entries.items():
-                print(f"{kernel:>10s} {label:>8s} "
-                      f"{rec['ns_per_call'] / 1e3:10.2f} us/call")
+                print(f"{kernel:>10s} {label:>10s} "
+                      f"{rec['ns_per_call'] / 1e3:10.2f} us/call"
+                      + (f"  tracemalloc peak "
+                         f"{rec['tracemalloc_peak_mib']:.1f} MiB"
+                         if "tracemalloc_peak_mib" in rec else ""))
     print(f"total: {doc['total_seconds']:.1f}s ({doc['profile']})")
 
     if args.out:

@@ -42,24 +42,54 @@ from repro.sim.engine import Request
 @dataclass
 class SlaveRecord:
     """The master's model of one slave (refreshed by status messages,
-    updated optimistically when the master issues instructions)."""
+    updated optimistically when the master issues instructions).
+    ``queued`` is the running ``sum(lines_by_block.values())`` and the
+    waiting list is cached: change a record through :meth:`refresh`,
+    :meth:`mark_loaded` and :meth:`take` (only ``advanceable`` may be
+    assigned directly)."""
 
     rank: int
     lines_by_block: Dict[int, int] = field(default_factory=dict)
     loaded: Set[int] = field(default_factory=set)
     advanceable: int = 0
 
+    def __post_init__(self) -> None:
+        self.refresh(self.lines_by_block, self.loaded, self.advanceable)
+
+    def refresh(self, lines_by_block: Dict[int, int], loaded: Set[int],
+                advanceable: int) -> None:
+        """Replace the whole model (a status message arrived)."""
+        self.lines_by_block = lines_by_block
+        self.loaded = loaded
+        self.advanceable = advanceable
+        self.queued = sum(lines_by_block.values())
+        self._waiting: Optional[List[Tuple[int, int]]] = None
+
+    def mark_loaded(self, bid: int) -> None:
+        self.loaded.add(bid)
+        self._waiting = None
+
+    def take(self, bid: int) -> int:
+        """Remove and return the count of lines queued in ``bid``."""
+        moved = self.lines_by_block.pop(bid, 0)
+        self.queued -= moved
+        self._waiting = None
+        return moved
+
     @property
     def total_lines(self) -> int:
-        return sum(self.lines_by_block.values()) + self.advanceable
+        return self.queued + self.advanceable
 
     def waiting_blocks(self) -> List[Tuple[int, int]]:
-        """(count, block) pairs for blocks with waiting lines, sorted by
-        descending count then ascending block id (deterministic)."""
-        pairs = [(c, b) for b, c in self.lines_by_block.items()
-                 if c > 0 and b not in self.loaded]
-        pairs.sort(key=lambda cb: (-cb[0], cb[1]))
-        return pairs
+        """(count, block) pairs for blocks with waiting lines, by descending
+        count then ascending block id; cached until the record changes."""
+        if self._waiting is None:
+            loaded = self.loaded
+            self._waiting = sorted(
+                ((c, b) for b, c in self.lines_by_block.items()
+                 if c > 0 and b not in loaded),
+                key=lambda cb: (-cb[0], cb[1]))
+        return self._waiting
 
 
 class HybridMaster:
@@ -80,6 +110,8 @@ class HybridMaster:
         self.is_root = ctx.rank == self.root
         #: Seed pool: block id -> [(sid, seed point), ...]
         self.pool = pool
+        #: Seeds in the pool (kept in step wherever ``pool`` changes).
+        self._pool_count = sum(len(v) for v in pool.values())
         self.records: Dict[int, SlaveRecord] = {
             s: SlaveRecord(rank=s) for s in self.slaves}
         self.needs_work: Set[int] = set()
@@ -113,7 +145,7 @@ class HybridMaster:
     # Pool helpers
     # ------------------------------------------------------------------ #
     def pool_size(self) -> int:
-        return sum(len(v) for v in self.pool.values())
+        return self._pool_count
 
     def _pool_block_with_most_seeds(self) -> Optional[int]:
         best = None
@@ -128,6 +160,7 @@ class HybridMaster:
     def _take_seeds(self, bid: int, n: int) -> msg.AssignSeeds:
         entries = self.pool[bid]
         take, self.pool[bid] = entries[:n], entries[n:]
+        self._pool_count -= len(take)
         if not self.pool[bid]:
             del self.pool[bid]
         sids = tuple(sid for sid, _ in take)
@@ -146,7 +179,7 @@ class HybridMaster:
                      bid: int) -> Generator[Request, Any, None]:
         assign = self._take_seeds(bid, self.config.assignment_quantum)
         yield from self._send(s.rank, msg.KIND_ASSIGN, assign)
-        s.loaded.add(bid)  # Assign_unloaded makes the slave load it.
+        s.mark_loaded(bid)  # Assign_unloaded makes the slave load it.
         s.advanceable += len(assign.sids)
         if self.ctx.trace.enabled:
             self.ctx.trace.emit(self.ctx.rank, "assign", slave=s.rank,
@@ -155,8 +188,8 @@ class HybridMaster:
     def _emit_load(self, s: SlaveRecord,
                    bid: int) -> Generator[Request, Any, None]:
         yield from self._send(s.rank, msg.KIND_LOAD, msg.LoadBlock(bid))
-        s.loaded.add(bid)
-        s.advanceable += s.lines_by_block.pop(bid, 0)
+        s.mark_loaded(bid)
+        s.advanceable += s.take(bid)
         if self.ctx.trace.enabled:
             self.ctx.trace.emit(self.ctx.rank, "load_rule", slave=s.rank,
                                 block=bid)
@@ -165,7 +198,7 @@ class HybridMaster:
                          bid: int) -> Generator[Request, Any, None]:
         yield from self._send(src.rank, msg.KIND_SEND_FORCE,
                               msg.SendForce(block_id=bid, dest=dst.rank))
-        moved = src.lines_by_block.pop(bid, 0)
+        moved = src.take(bid)
         dst.advanceable += moved  # dst has bid loaded, so they can run.
         if self.ctx.trace.enabled:
             self.ctx.trace.emit(self.ctx.rank, "send_force", src=src.rank,
@@ -175,7 +208,8 @@ class HybridMaster:
         # lines), in which case dst receives nothing and — being blocked
         # on its mailbox — would never produce another status to re-add
         # itself.  Liveness requires keeping dst eligible until work is
-        # sent *to dst directly* or its next status proves it busy.
+        # sent *to dst directly*.  (A busy status does not remove it
+        # either: ``_process`` only ever adds to ``needs_work``.)
 
     # ------------------------------------------------------------------ #
     # The assignment sequence
@@ -184,16 +218,15 @@ class HybridMaster:
                            incoming: int) -> Optional[SlaveRecord]:
         """A slave with ``bid`` loaded and headroom for ``incoming`` more
         streamlines under N_O (deterministic: least-loaded, lowest rank)."""
-        best = None
+        limit = self.config.overload_limit - incoming
+        best, best_total = None, 0
         for rank in self.slaves:
-            if rank == exclude:
-                continue
             r = self.records[rank]
-            if bid in r.loaded \
-                    and r.total_lines + incoming <= self.config.overload_limit:
-                if best is None or (r.total_lines, rank) \
-                        < (best.total_lines, best.rank):
-                    best = r
+            if bid in r.loaded and rank != exclude:
+                total = r.queued + r.advanceable
+                if total <= limit and (best is None or (total, rank)
+                                       < (best_total, best.rank)):
+                    best, best_total = r, total
         return best
 
     def _cache_capacity(self) -> int:
@@ -207,37 +240,39 @@ class HybridMaster:
         """Apply the 7-step sequence to one starving slave."""
         s = self.records[slave_rank]
         cfg = self.config
+        records = self.records
+        # One waiting list serves the locality rule and steps 1-2: step 1
+        # only takes blocks at or below N_L, step 2 only looks above it.
+        waiting = s.waiting_blocks()
+        if not waiting and not self._pool_count and s.rank in self._hinted:
+            return  # No rule can fire: nothing to move, load, assign or hint.
 
         # Locality bias (see HybridConfig): while S is under its
         # duplication budget, loading the block it needs is cheaper over
         # the curve's lifetime than migrating geometry on every crossing.
         budget = min(cfg.duplication_budget, self._cache_capacity() - 1)
-        if cfg.locality_bias and len(s.loaded) < budget:
-            waiting = s.waiting_blocks()
-            if waiting:
-                yield from self._emit_load(s, waiting[0][1])
-                self.needs_work.discard(s.rank)
-                self._hinted.discard(s.rank)
-                return
+        if cfg.locality_bias and len(s.loaded) < budget and waiting:
+            yield from self._emit_load(s, waiting[0][1])
+            self.needs_work.discard(s.rank)
+            self._hinted.discard(s.rank)
+            return
 
         # Step 1: Send_force S's waiting lines to slaves holding the block.
         # Per the paper's N_L semantics, "streamlines are not migrated
         # from a slave that has a significant number N_L of outstanding
         # streamlines in the same block" — those blocks are kept for the
         # Load rule (step 2) instead.
-        for count, bid in s.waiting_blocks():
+        for count, bid in waiting:
             if count > cfg.load_threshold:
                 continue
             t = self._find_loaded_slave(bid, exclude=s.rank, incoming=count)
             if t is not None:
                 yield from self._emit_send_force(s, t, bid)
 
-        # Step 2: Load a block S has > N_L waiting lines in.
+        # Step 2: Load the block S has most (> N_L) waiting lines in.
         assigned = False
-        heavy = [(c, b) for c, b in s.waiting_blocks()
-                 if c > cfg.load_threshold]
-        if heavy:
-            _, bid = heavy[0]
+        if waiting and waiting[0][0] > cfg.load_threshold:
+            bid = waiting[0][1]
             yield from self._emit_load(s, bid)
             assigned = True
             # Step 3: the loaded-block set changed; other slaves may now
@@ -245,19 +280,21 @@ class HybridMaster:
             for rank in self.slaves:
                 if rank == s.rank:
                     continue
-                t = self.records[rank]
+                t = records[rank]
                 moved = t.lines_by_block.get(bid, 0)
                 if moved > 0 and bid not in t.loaded \
                         and s.total_lines + moved <= cfg.overload_limit:
                     yield from self._emit_send_force(t, s, bid)
 
-        # Step 4: Assign_loaded — pool seeds in a block S already has.
-        if not assigned:
-            for bid in sorted(s.loaded):
-                if self.pool.get(bid):
-                    yield from self._emit_assign(s, bid)
-                    assigned = True
-                    break
+        # Step 4: Assign_loaded — pool seeds in the lowest block S already
+        # has, found by walking whichever of the two sets is smaller.
+        if not assigned and self._pool_count:
+            few, many = sorted((self.pool, s.loaded), key=len)
+            bid = min((b for b in few if b in many and self.pool[b]),
+                      default=None)
+            if bid is not None:
+                yield from self._emit_assign(s, bid)
+                assigned = True
 
         # Step 5: Assign_unloaded — pool seeds from any block.
         if not assigned:
@@ -276,13 +313,17 @@ class HybridMaster:
         # Step 7: Send_hint — ask a busy slave to feed S (at most once
         # per idle episode of S, see _hinted).
         if not assigned and s.rank not in self._hinted:
-            candidates = [(self.records[r].total_lines, r)
-                          for r in self.slaves if r != s.rank
-                          and self.records[r].total_lines > 0]
-            if candidates:
-                most = max(c for c, _ in candidates)
-                busiest = [r for c, r in candidates if c == most]
-                target = self.records[
+            most, busiest = 1, []
+            for r in self.slaves:
+                n = records[r].queued + records[r].advanceable
+                if n >= most and r != s.rank:
+                    if n > most:
+                        most, busiest = n, []
+                    busiest.append(r)
+            if busiest:
+                # Drawn whether or not a hint follows: the stream of
+                # draws is part of the schedule.
+                target = records[
                     busiest[int(self._rng.integers(len(busiest)))]]
                 # Hint blocks the target can ship (its waiting blocks),
                 # preferring ones S already has loaded.
@@ -394,6 +435,7 @@ class HybridMaster:
         (block id -1) so the global count can still reach n_seeds.  Every
         master handles its own share; the deltas flow to the root."""
         entries = self.pool.pop(-1, [])
+        self._pool_count -= len(entries)
         obs = self.ctx.obs
         for sid, pt in entries:
             line = Streamline(sid=sid, seed=pt)
@@ -411,9 +453,8 @@ class HybridMaster:
             payload = m.payload
             if isinstance(payload, msg.SlaveStatus):
                 r = self.records[payload.slave]
-                r.lines_by_block = dict(payload.lines_by_block)
-                r.loaded = set(payload.loaded_blocks)
-                r.advanceable = payload.advanceable
+                r.refresh(dict(payload.lines_by_block),
+                          set(payload.loaded_blocks), payload.advanceable)
                 self._group_term_delta += payload.terminated_delta
                 self._hinted.discard(payload.slave)
                 # Any status signals the slave is (about to be) starving.
@@ -436,6 +477,7 @@ class HybridMaster:
                 if payload.n_seeds() == 0:
                     self._dry_masters.add(m.src)
                 else:
+                    self._pool_count += payload.n_seeds()
                     for bid, (sids, seeds) in payload.by_block.items():
                         self.pool.setdefault(bid, []).extend(
                             (sid, seeds[i]) for i, sid in enumerate(sids))
@@ -470,6 +512,7 @@ class HybridMaster:
             admitted += 1
         self._reseed_remaining -= take
         if admitted:
+            self._pool_count += admitted
             self._target_delta += admitted
             if self.ctx.trace.enabled:
                 self.ctx.trace.emit(self.ctx.rank, "reseed_admitted",

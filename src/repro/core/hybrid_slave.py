@@ -20,9 +20,9 @@ Instructions a slave executes:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator, List, Optional
 
-from typing import Optional
+import numpy as np
 
 from repro.core import messages as msg
 from repro.core.base import Worker
@@ -171,8 +171,6 @@ class HybridSlave(Worker):
             self.waiting.setdefault(bid, []).extend(self.ready.pop(bid))
 
     def _emit_new_seeds(self, terminated) -> Generator[Request, Any, None]:
-        import numpy as np
-
         spawned = []
         for line in terminated:
             pts = self.reseed.new_seeds(line)

@@ -20,27 +20,23 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 import numpy as np
 
 from repro.integrate.fixed import make_integrator
-from repro.integrate.pooled import BlockPool, PoolResult, advance_pool
+from repro.integrate.pooled import (BlockPool, PoolResult, TrialTape,
+                                     advance_pool)
 from repro.integrate.streamline import Status, Streamline
-
-#: Most curves one lockstep trace batch advances.  Wider is faster, but the
-#: host benchmark cannot resolve a steps/s gain much beyond 3x; widen once
-#: its baseline is re-based (docs/performance.md, "Trajectory bank").
-TRACE_WIDTH = 64
 
 
 class _Tape:
     """One curve's recorded trials and how far replay has consumed them.
 
-    ``acc``/``blk``/``h``/``t`` are the trace's shared trial arrays (this
-    curve owns ``lo .. lo + n``; ``acc`` is its accepted-step count, the
-    index into ``verts``).  ``cross`` lists the trials that changed block,
-    ``dest`` the blocks entered.  ``cursor``/``a``/``ci`` count trials,
-    vertices and crossings consumed; ``state``/``pos`` are what replay
-    last wrote to the line.
+    ``acc``/``blk``/``h``/``t`` are this curve's rows of the trace's
+    :class:`TrialTape`, ``n`` trials long (``acc`` is its accepted-step
+    count, the index into ``verts``).  ``cross`` lists the trials that
+    changed block, ``dest`` the blocks entered.  ``cursor``/``a``/``ci``
+    count trials, vertices and crossings consumed; ``state``/``pos`` are
+    what replay last wrote to the line.
     """
 
-    __slots__ = ("acc", "blk", "h", "t", "lo", "n", "cross", "dest",
+    __slots__ = ("acc", "blk", "h", "t", "n", "cross", "dest",
                  "verts", "status", "cursor", "a", "ci", "state", "pos")
 
     def holds(self, line: Streamline) -> bool:
@@ -66,34 +62,35 @@ class TrajectoryBank:
     def _trace(self, lines: List[Streamline]) -> None:
         """Advance fresh tracer ``lines`` to termination in one lockstep
         batch and file one tape per line under its ``sid``."""
+        if not lines:
+            return
         p = self.problem
         if self._pool is None:
             self._pool = BlockPool(
                 [self.store.load(b)
                  for b in sorted({ln.block_id for ln in lines})],
-                loader=self.store.load)
+                loader=self.store.load, n_blocks=p.n_blocks)
         states = [(ln.h, ln.time, ln.steps, ln.block_id) for ln in lines]
-        chunks: List[tuple] = []
+        # Room for one rejected trial in 16 before the columns grow.
+        log = TrialTape(len(lines), p.integ.max_steps * 17 // 16 + 2)
         advance_pool(lines, self._pool, p.field.domain, p.decomposition,
-                     self.integrator, p.integ, tape=chunks)
-        idx, acc, blk, h, t = (np.concatenate(col) for col in zip(*chunks))
-        order = np.argsort(idx, kind="stable")
-        acc, blk, h, t = np.cumsum(acc[order]), blk[order], h[order], t[order]
-        # Line i's trials are lo[i]:lo[i+1]; make acc count per line.
-        lo = np.searchsorted(idx[order], np.arange(len(lines) + 1))
-        acc -= np.repeat(np.concatenate(([0], acc))[lo[:-1]], np.diff(lo))
-        before = np.empty_like(blk)
-        before[1:] = blk[:-1]
-        before[lo[:-1]] = [state[3] for state in states]
-        crossed = np.flatnonzero(blk != before)
-        cut = np.searchsorted(crossed, lo).tolist()
-        dest = blk[crossed].tolist()
-        lo, crossed = lo.tolist(), crossed.tolist()
+                     self.integrator, p.integ, tape=log)
+        acc, blk, n = log.steps, log.blk, log.n
+        acc -= np.array([state[2] for state in states],
+                        dtype=acc.dtype)[:, None]
+        # A trial crossed when it ends in another block than the one before.
+        crossed = np.empty(blk.shape, dtype=bool)
+        crossed[:, 0] = blk[:, 0] != [state[3] for state in states]
+        np.not_equal(blk[:, 1:], blk[:, :-1], out=crossed[:, 1:])
+        crossed &= np.arange(blk.shape[1]) < n[:, None]
+        rows, cols = np.nonzero(crossed)
+        cut = np.searchsorted(rows, np.arange(len(lines) + 1)).tolist()
+        dest, cols, n = blk[rows, cols].tolist(), cols.tolist(), n.tolist()
         for i, line in enumerate(lines):
             tape = self._tapes[line.sid] = _Tape()
-            tape.acc, tape.blk, tape.h, tape.t = acc, blk, h, t
-            tape.lo, tape.n = lo[i], lo[i + 1] - lo[i]
-            tape.cross = [c - lo[i] for c in crossed[cut[i]:cut[i + 1]]]
+            tape.acc, tape.blk, tape.h, tape.t = (
+                acc[i], blk[i], log.h[i], log.t[i])
+            tape.n, tape.cross = n[i], cols[cut[i]:cut[i + 1]]
             tape.dest = dest[cut[i]:cut[i + 1]]
             tape.verts, tape.status = line.segments[0], line.status
             tape.cursor = tape.a = tape.ci = 0
@@ -109,8 +106,7 @@ class TrajectoryBank:
             p = self.problem
             seeds = [Streamline(sid=sid, seed=p.seeds[sid], block_id=int(bid))
                      for sid, bid in enumerate(p.seed_blocks) if bid >= 0]
-            for i in range(0, len(seeds), TRACE_WIDTH):
-                self._trace(seeds[i:i + TRACE_WIDTH])
+            self._trace(seeds)
         tapes = self._tapes
         stray = []
         for line in lines:
@@ -123,8 +119,7 @@ class TrajectoryBank:
                     sid=line.sid, seed=line.seed, position=line.position,
                     h=line.h, time=line.time, steps=line.steps,
                     block_id=line.block_id))
-        for i in range(0, len(stray), TRACE_WIDTH):
-            self._trace(stray[i:i + TRACE_WIDTH])
+        self._trace(stray)
         return [tapes[line.sid] for line in lines]
 
 
@@ -149,7 +144,7 @@ def replay_pool(lines: Sequence[Streamline], resident: FrozenSet[int],
             if tape.dest[ci - 1] not in resident:
                 c1, leaves = cross[ci - 1] + 1, True
                 break
-        last = tape.lo + c1 - 1
+        last = c1 - 1
         a0, a1 = tape.a, int(tape.acc[last])
         # Vertices are views into the tape; a line with no geometry yet
         # also gets the vertex it starts from, as in the kernel.

@@ -238,11 +238,13 @@ class BlockPool:
     curve crossing into a block it has not stacked yet makes it load that
     block and append a slot (:meth:`slot_for`), so no curve ever exits it.
     Without one the block set is fixed.  The stacked arrays may carry
-    spare rows past ``len(pool)``; a slot's rows never move or change.
+    spare rows past ``len(pool)`` (at most ``n_blocks`` slots in all when
+    the loader's block count is given); a slot's rows never move or change.
     """
 
     def __init__(self, blocks: Sequence[Block],
-                 loader: Optional[Callable[[int], Block]] = None) -> None:
+                 loader: Optional[Callable[[int], Block]] = None,
+                 n_blocks: Optional[int] = None) -> None:
         blocks = list(blocks)
         if not blocks:
             raise ValueError("BlockPool needs at least one block")
@@ -251,6 +253,7 @@ class BlockPool:
         self.node_max = blocks[0]._node_max
         self.offsets = corner_offsets(ny, nz)
         self.loader = loader
+        self.n_blocks = n_blocks
         self.blocks: List[Block] = []
         self.slot_of: Dict[int, int] = {}
         self._reserve(len(blocks))
@@ -286,7 +289,9 @@ class BlockPool:
                 f"{block.data.shape[:3]} vs {self.dims}")
         s = len(self.blocks)
         if s == len(self.block_ids):
-            self._reserve(2 * s)
+            # Outgrown arrays tend to stay resident while spare rows are
+            # untouched pages: grow in few, large steps, up to the store.
+            self._reserve(min(4 * s, self.n_blocks or 4 * s))
         base = int(self.slot_base[s])
         self.flat[base:base + len(block._flat)] = block._flat
         self.lo[s] = block._lo
@@ -545,11 +550,11 @@ def _scalar_rounds(pool: "BlockPool",
                    cfg: IntegratorConfig, alive: np.ndarray,
                    pos: np.ndarray, h: np.ndarray, time: np.ndarray,
                    steps: np.ndarray, slot: np.ndarray, codes: np.ndarray,
-                   exit_bid: np.ndarray, geom_idx: List[np.ndarray],
-                   geom_pos: List[np.ndarray], dlo: np.ndarray,
+                   exit_bid: np.ndarray, verts: np.ndarray,
+                   nv: np.ndarray, dlo: np.ndarray,
                    dhi: np.ndarray, h_min_edge: float, rounds: int,
                    round_limit: Optional[int], max_rounds: int,
-                   result: "PoolResult", tape: Optional[list],
+                   result: "PoolResult", tape: "Optional[TrialTape]",
                    ) -> "tuple[int, np.ndarray]":
     """Small-batch rounds of :func:`advance_pool` in Python floats.
 
@@ -592,9 +597,10 @@ def _scalar_rounds(pool: "BlockPool",
     # next step's first stage (same point, same block context), and a
     # rejected step retries from the unchanged position, so its own
     # first stage carries over.  Invalidated on block crossing.
-    # log: (accept, slot, h, t) after each trial, when taping.
+    # log: (steps, slot, h, t) after each trial, when taping.
     parts = []
     done = []
+    first = rounds
     for i, (x, y, z), hv, tv, sv, s_ in zip(
             alive.tolist(), pos[alive].tolist(), h[alive].tolist(),
             time[alive].tolist(), steps[alive].tolist(),
@@ -699,7 +705,7 @@ def _scalar_rounds(pool: "BlockPool",
                 else:
                     exit_bid[rec[0]] = bid
             if tape is not None:
-                rec[12].append((accept, rec[7], rec[4], rec[5]))
+                rec[12].append((rec[6], rec[7], rec[4], rec[5]))
             if code == _CODE_ACTIVE:
                 survivors.append(rec)
             else:
@@ -715,16 +721,49 @@ def _scalar_rounds(pool: "BlockPool",
     steps[idx] = [rec[6] for rec in recs]
     slot[idx] = [rec[7] for rec in recs]
     for rec in recs:
-        buf = rec[10]
+        i, buf = rec[0], rec[10]
         if buf:
-            geom_idx.append(np.full(len(buf), rec[0], dtype=np.int64))
-            geom_pos.append(np.array(buf, dtype=np.float64))
+            verts[i, nv[i]:nv[i] + len(buf)] = buf
+            nv[i] += len(buf)
         if rec[12]:
-            accepts, slots, hs, ts = zip(*rec[12])
-            tape.append((np.full(len(hs), rec[0], dtype=np.int64),
-                         np.array(accepts), pool.block_ids[list(slots)],
-                         np.array(hs), np.array(ts)))
+            end = first + len(rec[12])
+            nsteps, slots, hs, ts = zip(*rec[12])
+            tape.write(i, slice(first, end), end, nsteps,
+                       pool.block_ids[list(slots)], hs, ts)
     return rounds, np.array([rec[0] for rec in parts], dtype=np.int64)
+
+
+class TrialTape:
+    """Every trial step of one :func:`advance_pool` call, line-major.
+
+    Row ``i``, column ``r`` of ``steps``/``blk``/``h``/``t`` hold line
+    ``i``'s accepted-step count, block id, step size and time *after* its
+    ``r``-th trial of the call (lockstep: the call's ``r``-th round);
+    ``n[i]`` columns of row ``i`` are filled.  Columns grow on demand.
+    """
+
+    def __init__(self, k: int, cap: int) -> None:
+        self.n = np.zeros(k, dtype=np.int64)
+        self.steps = np.empty((k, cap), dtype=np.int32)
+        self.blk = np.empty((k, cap), dtype=np.int32)
+        self.h = np.empty((k, cap), dtype=np.float64)
+        self.t = np.empty((k, cap), dtype=np.float64)
+
+    def write(self, rows, cols, end: int, steps, blk, h, t) -> None:
+        """File trials at ``[rows, cols]``, last column ``end - 1``."""
+        cap = self.h.shape[1]
+        if end > cap:
+            cap = max(end, cap + cap // 4)
+            for name in ("steps", "blk", "h", "t"):
+                old = getattr(self, name)
+                new = np.empty((len(old), cap), dtype=old.dtype)
+                new[:, :old.shape[1]] = old
+                setattr(self, name, new)
+        self.steps[rows, cols] = steps
+        self.blk[rows, cols] = blk
+        self.h[rows, cols] = h
+        self.t[rows, cols] = t
+        self.n[rows] = end
 
 
 @dataclass
@@ -747,7 +786,7 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
                  integrator: Integrator, cfg: IntegratorConfig,
                  max_rounds: Optional[int] = None,
                  round_limit: Optional[int] = None,
-                 tape: Optional[list] = None) -> PoolResult:
+                 tape: Optional[TrialTape] = None) -> PoolResult:
     """Advance streamlines until each terminates or leaves the pool.
 
     Every streamline's ``block_id`` must name a block in the pool and its
@@ -758,9 +797,8 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
     can interleave message handling (the simulated-time analogue of the
     paper's per-streamline loop iteration checking for messages).
 
-    ``tape``, when given, receives ``(line index, accepted, block id, h,
-    time)`` array tuples — every trial step, state *after* the trial,
-    chronological per line.  Only a growing pool can be taped: a trial
+    ``tape``, when given, receives every trial step (row ``i`` is
+    ``streamlines[i]``).  Only a growing pool can be taped: a trial
     leaving a fixed pool would be logged in the block it left.
     """
     if tape is not None and pool.loader is None:
@@ -793,13 +831,15 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
     codes = np.zeros(k, dtype=np.int64)
     exit_bid = np.full(k, -3, dtype=np.int64)
 
-    geom_idx: List[np.ndarray] = []
-    geom_pos: List[np.ndarray] = []
-    fresh = np.array([i for i, s in enumerate(lines) if not s.segments],
-                     dtype=np.int64)
-    if len(fresh):
-        geom_idx.append(fresh)
-        geom_pos.append(pos[fresh].copy())
+    # Line i's vertices of this call are verts[i, :nv[i]], written as they
+    # are accepted: at most max_steps - steps (and one per round) more,
+    # after the start vertex of a line with no geometry yet.
+    room = max(1, cfg.max_steps - int(steps.min()))
+    if round_limit is not None:
+        room = min(room, round_limit)
+    verts = np.empty((k, room + 1, 3), dtype=np.float64)
+    nv = np.array([not s.segments for s in lines], dtype=np.int64)
+    verts[:, 0] = pos
 
     dlo = domain.lo_array
     dhi = domain.hi_array
@@ -826,7 +866,7 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
         if scalar_ok and len(alive) <= _SCALAR_MAX_K:
             rounds, alive = _scalar_rounds(
                 pool, decomposition, integrator, cfg, alive, pos, h, time,
-                steps, slot, codes, exit_bid, geom_idx, geom_pos, dlo, dhi,
+                steps, slot, codes, exit_bid, verts, nv, dlo, dhi,
                 h_min_edge, rounds, round_limit, max_rounds, result, tape)
             continue
         rounds += 1
@@ -858,8 +898,8 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
             time[acc_idx] += hh[accept]
             steps[acc_idx] += 1
             result.accepted_steps += len(acc_idx)
-            geom_idx.append(acc_idx)
-            geom_pos.append(accepted_pos)
+            verts[acc_idx, nv[acc_idx]] = accepted_pos
+            nv[acc_idx] += 1
 
         h[alive] = Integrator.adapt_h(hh, err, integrator.order, cfg)
 
@@ -892,29 +932,16 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
             exit_bid[cross_global[leave]] = bids[leave]
 
         if tape is not None:
-            tape.append((alive, accept, pool.block_ids[slot[alive]],
-                         h[alive], time[alive]))
+            tape.write(alive, rounds - 1, rounds, steps[alive],
+                       pool.block_ids[slot[alive]], h[alive], time[alive])
         stopped = code != _CODE_ACTIVE
         if stopped.any():
             codes[alive[stopped]] = code[stopped]
             alive = alive[~stopped]
 
-    # Geometry assembly (one stable sort; chronological within particle).
-    if geom_idx:
-        all_idx = np.concatenate(geom_idx)
-        all_pos = np.concatenate(geom_pos)
-        order = np.argsort(all_idx, kind="stable")
-        sorted_idx = all_idx[order]
-        sorted_pos = all_pos[order]
-        cuts = list(np.flatnonzero(np.diff(sorted_idx)) + 1)
-        start = 0
-        for end in cuts + [len(sorted_idx)]:
-            lines[int(sorted_idx[start])].append_segment(
-                sorted_pos[start:end])
-            start = end
-
     still_alive = set(int(i) for i in alive)
-    for i, s in enumerate(lines):
+    for i, (s, n_new) in enumerate(zip(lines, nv.tolist())):
+        s.append_segment(verts[i, :n_new])
         s.position = pos[i].copy()
         s.h = float(h[i])
         s.time = float(time[i])

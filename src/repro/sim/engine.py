@@ -26,7 +26,7 @@ addresses.  Running the same program twice produces bit-identical traces.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -112,13 +112,6 @@ class Wait(Request):
     reason: str = "wait"
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
-
-
 class Process:
     """A simulated rank: a generator driven by the engine.
 
@@ -177,7 +170,7 @@ class Process:
         self.blocked_since = engine.now
         if isinstance(request, Sleep):
             engine._schedule(engine.now + request.duration,
-                             lambda: self._step(None))
+                             self._step, (None,))
         elif isinstance(request, Wait):
             self._wait_reason = request.reason
             request.signal._waiters.append(self)
@@ -206,7 +199,9 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[_Event] = []
+        #: Heap of ``(time, seq, fn, args)`` tuples, compared in C; ``seq``
+        #: is unique, so the comparison never reaches ``fn``.
+        self._queue: list[tuple] = []
         self._seq = 0
         self._live_processes = 0
         self._processes: list[Process] = []
@@ -225,15 +220,16 @@ class Engine:
     # ------------------------------------------------------------------ #
     # Scheduling primitives
     # ------------------------------------------------------------------ #
-    def _schedule(self, time: float, fn: Callable[[], None]) -> None:
+    def _schedule(self, time: float, fn: Callable[..., None],
+                  args: tuple = ()) -> None:
         if time < self.now:
             raise ValueError(
                 f"cannot schedule event in the past: {time} < {self.now}")
         self._seq += 1
-        heapq.heappush(self._queue, _Event(time, self._seq, fn))
+        heapq.heappush(self._queue, (time, self._seq, fn, args))
 
     def _schedule_resume(self, proc: Process, value: Any) -> None:
-        self._schedule(self.now, lambda: proc._step(value))
+        self._schedule(self.now, proc._step, (value,))
 
     def call_at(self, time: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute simulated time ``time``."""
@@ -259,7 +255,7 @@ class Engine:
         proc = Process(self, name, program, rank=rank)
         self._processes.append(proc)
         self._live_processes += 1
-        self._schedule(self.now, lambda: proc._step(None))
+        self._schedule(self.now, proc._step, (None,))
         return proc
 
     @property
@@ -307,15 +303,16 @@ class Engine:
                 if self._failure is not None:
                     raise self._failure
                 event = heapq.heappop(self._queue)
-                if until is not None and event.time > until:
+                time, _, fn, args = event
+                if until is not None and time > until:
                     heapq.heappush(self._queue, event)
                     break
-                if event.time < self.now:
+                if time < self.now:
                     raise AssertionError("event queue time went backwards")
-                self.now = event.time
+                self.now = time
                 if self.observer is not None:
-                    self.observer.on_time_advance(self.now)
-                event.fn()
+                    self.observer.on_time_advance(time)
+                fn(*args)
                 processed += 1
                 self.event_count += 1
                 if max_events is not None and processed > max_events:

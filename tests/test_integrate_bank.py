@@ -3,6 +3,7 @@ trace lazily and once per run, and die with its run."""
 
 import copy
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.fields import (RigidRotationField, SupernovaField,
                           ThermalHydraulicsField, TokamakField)
 from repro.integrate.bank import TrajectoryBank, replay_pool
 from repro.integrate.config import IntegratorConfig
-from repro.integrate.pooled import BlockPool, advance_pool
+from repro.integrate.pooled import BlockPool, TrialTape, advance_pool
 from repro.integrate.streamline import Status, Streamline
 from repro.mesh.bounds import Bounds
 from repro.seeding import circle_seeds, dense_cluster_seeds
@@ -106,11 +107,17 @@ def test_replay_equals_direct_kernel_at_every_call(monkeypatch, data):
     machine = MachineSpec(n_ranks=data.draw(st.integers(2, 5)),
                           cache_blocks=data.draw(st.integers(1, 6)))
     limit = data.draw(st.one_of(st.none(), st.integers(1, 40)))
-    monkeypatch.setattr(bank_mod, "TRACE_WIDTH",
-                        data.draw(st.sampled_from([2, 64])))
+    # Some calls find some of their lines' tapes gone: those lines are
+    # strays, re-traced mid-flight in a batch of their own.
+    stray_rate = data.draw(st.sampled_from([0.0, 0.4]))
     calls = []
+    batches = count_kernel_calls(monkeypatch)
 
     def checked(lines, resident, bank, round_limit):
+        if bank._tapes and rng.random() < stray_rate:
+            for ln in lines:
+                if rng.random() < 0.5:
+                    del bank._tapes[ln.sid]
         twins = copy.deepcopy(lines)
         got = replay_pool(lines, resident, bank, limit)
         want = direct_advance(twins, resident, bank, limit)
@@ -124,6 +131,7 @@ def test_replay_equals_direct_kernel_at_every_call(monkeypatch, data):
     result = run_streamlines(problem, algorithm=algorithm, machine=machine)
     assert result.ok
     assert calls
+    assert batches[0] == len(seeds) and (stray_rate or len(batches) == 1)
 
 
 # --------------------------------------------------------------------- #
@@ -147,18 +155,15 @@ def test_oom_while_seeding_never_integrates(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("width", [3, 64])
-def test_each_run_traces_once(small_problem, monkeypatch, width):
-    """Every in-domain seed is traced once per run, in lockstep batches
-    of at most ``TRACE_WIDTH`` curves."""
-    monkeypatch.setattr(bank_mod, "TRACE_WIDTH", width)
+def test_each_run_traces_once(small_problem, monkeypatch):
+    """Every in-domain seed is traced once per run, all in one lockstep
+    batch (strays batch separately: see the reseed test below)."""
     calls = count_kernel_calls(monkeypatch)
     in_domain = int((small_problem.seed_blocks >= 0).sum())
-    batches = [min(width, in_domain - i) for i in range(0, in_domain, width)]
     for n_runs in (1, 2):
         assert run_streamlines(small_problem, algorithm="hybrid",
                                machine=MachineSpec(n_ranks=6)).ok
-        assert calls == batches * n_runs
+        assert calls == [in_domain] * n_runs
 
 
 def test_reseeded_lines_match_the_per_call_kernel(tokamak_problem,
@@ -221,6 +226,77 @@ def test_segments_are_views_into_the_tape(small_problem):
                for seg in line.segments)
 
 
+def test_kernel_segments_are_rows_of_one_buffer(small_problem):
+    """One advance call writes every line's vertices into its own row of
+    a single ``(k, cap, 3)`` buffer; nothing is sorted or copied after."""
+    p = small_problem
+    store = BlockStore(p.field, p.decomposition)
+    lines = [Streamline(sid=i, seed=p.seeds[i],
+                        block_id=int(p.seed_blocks[i])) for i in range(6)]
+    pool = BlockPool([store.load(ln.block_id) for ln in lines],
+                     loader=store.load)
+    advance_pool(lines, pool, p.field.domain, p.decomposition,
+                 TrajectoryBank(p, store).integrator, p.integ,
+                 round_limit=20)
+    buffer = lines[0].segments[0].base
+    assert buffer.shape == (6, 21, 3)
+    for i, ln in enumerate(lines):
+        (seg,) = ln.segments
+        assert seg.base is buffer and len(seg) == ln.steps + 1
+        assert np.shares_memory(seg, buffer[i])
+        assert np.array_equal(seg[0], p.seeds[i])
+        assert np.array_equal(seg[-1], ln.position)
+
+
+def test_tape_rows_grow_when_the_controller_rejects_often(small_problem):
+    """About two trials in three rejected: every curve needs two to three
+    times the columns the tape starts with, in the array rounds and in
+    the scalar tail alike; replay still equals the kernel call by call."""
+    integ = IntegratorConfig(max_steps=60, rtol=1e-6, atol=1e-8, safety=0.97)
+    problem = repro.ProblemSpec(
+        field=small_problem.field, seeds=small_problem.seeds[:6],
+        blocks_per_axis=(4, 4, 4), cells_per_block=(6, 6, 6), integ=integ)
+    bank = TrajectoryBank(problem, BlockStore(problem.field,
+                                              problem.decomposition))
+    everywhere = frozenset(range(problem.n_blocks))
+    lines = [Streamline(sid=i, seed=problem.seeds[i],
+                        block_id=int(problem.seed_blocks[i]))
+             for i in range(6)]
+    twins = copy.deepcopy(lines)
+    tapes = bank.tapes_for(lines)
+    start = integ.max_steps * 17 // 16 + 2
+    assert all(tape.n > 1.9 * start for tape in tapes)
+    assert all(len(tape.h) >= tape.n for tape in tapes)
+    while lines:
+        got = replay_pool(lines, everywhere, bank, 25)
+        want = direct_advance(twins, everywhere, bank, 25)
+        assert result_state(got) == result_state(want)
+        assert [line_state(ln) for ln in lines] \
+            == [line_state(ln) for ln in twins]
+        lines, twins = got.in_pool, want.in_pool
+
+
+def test_full_width_trace_allocates_little_beyond_what_it_keeps():
+    """880 thermal circle seeds in one batch: no round-major lists to
+    concatenate, sort and copy, so the peak stays near the live size."""
+    field = ThermalHydraulicsField()
+    cy, cz = field.inlet_centers[0]
+    problem = repro.ProblemSpec(
+        field=field, seeds=circle_seeds((0.06, cy, cz), 0.03, 880),
+        blocks_per_axis=(8, 8, 8), cells_per_block=(8, 8, 8),
+        integ=IntegratorConfig(max_steps=180, h_max=0.02,
+                               rtol=1e-5, atol=1e-7))
+    bank = TrajectoryBank(problem, BlockStore(field, problem.decomposition))
+    tracemalloc.start()
+    try:
+        bank.tapes_for([])
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bank._tapes) == 880
+    assert peak <= 1.25 * live
+
+
 # --------------------------------------------------------------------- #
 # Growing pool and taping
 # --------------------------------------------------------------------- #
@@ -242,6 +318,22 @@ def test_growing_pool_stacks_blocks_on_crossing(small_problem):
     assert np.array_equal(pool.flat[n:2 * n], store.load(5)._flat)
 
 
+def test_growing_pool_never_reserves_past_the_store(small_problem):
+    store = BlockStore(small_problem.field, small_problem.decomposition)
+    n_blocks, n = small_problem.n_blocks, store.load(0)._flat.shape[0]
+    pool = BlockPool([store.load(b) for b in range(5)], loader=store.load,
+                     n_blocks=n_blocks)
+    reserved = {len(pool.block_ids)}
+    for bid in range(n_blocks - 1, 4, -1):
+        slot = pool.slot_for(bid)
+        reserved.add(len(pool.block_ids))
+        for s, b in ((0, 0), (4, 4), (slot, bid)):
+            assert pool.block_ids[s] == b
+            assert np.array_equal(pool.flat[s * n:(s + 1) * n],
+                                  store.load(b)._flat)
+    assert len(pool) == n_blocks == max(reserved) and len(reserved) > 2
+
+
 def test_taping_needs_a_growing_pool(small_problem):
     store = BlockStore(small_problem.field, small_problem.decomposition)
     p = small_problem
@@ -250,7 +342,8 @@ def test_taping_needs_a_growing_pool(small_problem):
     pool = BlockPool([store.load(line.block_id)])
     with pytest.raises(ValueError, match="growing"):
         advance_pool([line], pool, p.field.domain, p.decomposition,
-                     TrajectoryBank(p, store).integrator, p.integ, tape=[])
+                     TrajectoryBank(p, store).integrator, p.integ,
+                     tape=TrialTape(1, 8))
 
 
 # --------------------------------------------------------------------- #

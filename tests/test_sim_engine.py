@@ -281,3 +281,82 @@ def test_determinism_same_program_same_schedule():
         return log
 
     assert build() == build()
+
+
+# --------------------------------------------------------------------- #
+# The event heap: (time, seq, fn, args) tuples compared in C
+# --------------------------------------------------------------------- #
+def test_ten_thousand_equal_time_events_keep_spawn_order():
+    engine = Engine()
+    log = []
+
+    def prog(i):
+        log.append(i)
+        yield Sleep(2.0)
+        log.append(-i)
+
+    for i in range(1, 10_001):
+        engine.spawn(f"p{i}", prog(i))
+    engine.run()
+    assert log == list(range(1, 10_001)) + [-i for i in range(1, 10_001)]
+    assert engine.event_count == 20_000
+
+
+def test_run_until_pushes_the_popped_event_back_in_order():
+    engine = Engine()
+    log = []
+    # Three events share the time just past the horizon: the one popped
+    # and pushed back must still run first, then the other two.
+    for name in ("a", "b", "c"):
+        engine.call_at(2.0, lambda name=name: log.append(name))
+    engine.call_at(1.0, lambda: log.append("early"))
+    assert engine.run(until=1.5) == 1.0
+    assert log == ["early"] and engine.pending_events == 3
+    assert engine.run(until=1.75) == 1.0 and engine.pending_events == 3
+    engine.call_at(2.0, lambda: log.append("d"))
+    assert engine.run() == 2.0
+    assert log == ["early", "a", "b", "c", "d"]
+    assert engine.event_count == 5
+
+
+def test_callbacks_need_not_be_orderable():
+    """Equal times fall through to the unique sequence number; the
+    comparison never reaches the callbacks or their arguments."""
+
+    class Opaque:
+        __slots__ = ("log",)
+
+        def __init__(self, log):
+            self.log = log
+
+        def __call__(self):
+            self.log.append(self)
+
+        def __lt__(self, other):
+            raise AssertionError("callbacks were compared")
+
+        __gt__ = __le__ = __ge__ = __lt__
+        __eq__ = None  # type: ignore[assignment]
+        __hash__ = None  # type: ignore[assignment]
+
+    engine = Engine()
+    log = []
+    callbacks = [Opaque(log) for _ in range(50)]
+    for cb in callbacks:
+        engine.call_at(1.0, cb)
+    sig = Signal("s")
+
+    def waiter():
+        log.append((yield Wait(sig)))
+
+    def firer():
+        yield Sleep(1.0)
+        sig.fire({"unorderable": object()})
+
+    engine.spawn("w1", waiter())
+    engine.spawn("w2", waiter())
+    engine.spawn("f", firer())
+    engine.run()
+    assert len(log) == 52
+    assert all(ran is cb for ran, cb in zip(log, callbacks))
+    assert log[50] is log[51] and "unorderable" in log[50]
