@@ -33,13 +33,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.config import HybridConfig
-from repro.core.driver import run_streamlines
 from repro.core.results import STATUS_OK, STATUS_OOM, RunResult
-from repro.analysis.scenarios import (
-    RANK_COUNTS,
-    make_problem,
-    scenario_machine,
-)
+from repro.analysis.scenarios import RANK_COUNTS, run_scenario
 
 #: Bump when a code change invalidates previously cached sweep results.
 CACHE_VERSION = 2  # v2: span-based timer charging (last-ulp float shifts)
@@ -336,10 +331,8 @@ def run_experiment(dataset: str, seeding: str, algorithm: str,
         if cached is not None:
             return cached
     t0 = time.monotonic()
-    problem = make_problem(dataset, seeding, scale=scale)
-    result = run_streamlines(problem, algorithm=algorithm,
-                             machine=scenario_machine(n_ranks),
-                             hybrid=hybrid)
+    result = run_scenario(dataset, seeding, scale, algorithm, n_ranks,
+                          hybrid=hybrid)
     summary = summarize(key, result)
     if hybrid is None:
         _CACHE[key] = summary

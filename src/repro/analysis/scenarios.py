@@ -14,16 +14,19 @@ memory, and messages at full scale via :class:`DataCostModel`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
+from repro.core import driver
 from repro.core.problem import ProblemSpec
+from repro.core.results import RunResult
 from repro.fields import (
     SupernovaField,
     ThermalHydraulicsField,
     TokamakField,
 )
+from repro.integrate.bank import TrajectoryBank
 from repro.integrate.config import IntegratorConfig
 from repro.seeding import (
     circle_seeds,
@@ -170,3 +173,30 @@ def make_problem(dataset: str, seeding: str,
                        blocks_per_axis=_BLOCKS, cells_per_block=_CELLS,
                        integ=integ,
                        name=f"{dataset}-{seeding}")
+
+
+#: The one ``(dataset, seeding, scale) -> (problem, bank)`` entry a process
+#: keeps between scenario runs: one problem's bank bounds the memory.
+_HELD: Dict[Tuple[str, str, float], Tuple[ProblemSpec, TrajectoryBank]] = {}
+
+
+def release_problem() -> None:
+    """Drop the held problem and its bank (the end of a sweep)."""
+    _HELD.clear()
+
+
+def run_scenario(dataset: str, seeding: str, scale: float, algorithm: str,
+                 n_ranks: int, **run_kwargs: Any) -> RunResult:
+    """One evaluation run on :func:`scenario_machine`.  Consecutive runs
+    of one problem share its ``ProblemSpec`` and trajectory bank, so only
+    the first integrates the seeds; another problem replaces the held one."""
+    key = (dataset, seeding, scale)
+    if key not in _HELD:
+        _HELD.clear()  # the old bank goes before the new one is built
+        problem = make_problem(dataset, seeding, scale=scale)
+        _HELD[key] = (problem, TrajectoryBank(
+            problem, driver.default_store(problem)))
+    problem, bank = _HELD[key]
+    return driver.run_streamlines(problem, algorithm=algorithm,
+                                  machine=scenario_machine(n_ranks),
+                                  bank=bank, **run_kwargs)

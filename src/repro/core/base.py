@@ -79,8 +79,8 @@ class Worker:
             cap = max(1, int(0.25 * ctx.spec.memory_bytes
                              / self.cost.block_nbytes))
         self.cache = LRUBlockCache(capacity=cap)
-        #: Where this rank's curves are integrated: ``run_streamlines`` shares
-        #: one bank per run; a worker built on its own keeps this private one.
+        #: Where this rank's curves are integrated: ``run_streamlines`` points
+        #: a run's workers at one bank; one built on its own keeps this one.
         self.bank = TrajectoryBank(problem, store)
         #: Modelled bytes currently allocated per buffered streamline.
         self._line_mem: Dict[int, int] = {}

@@ -48,7 +48,7 @@ _STORE_MEMO: Dict[Tuple[int, Tuple[int, int, int], Tuple[int, int, int]],
                   Tuple[Any, BlockStore]] = {}
 
 
-def _default_store(problem: ProblemSpec) -> BlockStore:
+def default_store(problem: ProblemSpec) -> BlockStore:
     key = (id(problem.field), tuple(problem.blocks_per_axis),
            tuple(problem.cells_per_block))
     hit = _STORE_MEMO.get(key)
@@ -150,7 +150,8 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
                     obs: Optional[Recorder] = None,
                     reseed: Optional[ReseedPolicy] = None,
                     store: Optional[object] = None,
-                    max_events: Optional[int] = None) -> RunResult:
+                    max_events: Optional[int] = None,
+                    bank: Optional[TrajectoryBank] = None) -> RunResult:
     """Compute the problem's streamlines with one parallel strategy.
 
     Parameters
@@ -181,6 +182,11 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
         simulated schedule or the resulting metrics.
     max_events:
         Safety bound on simulator events (tests); raises if exceeded.
+    bank:
+        A :class:`~repro.integrate.bank.TrajectoryBank` of this problem
+        and store, kept by the caller across runs so that only the first
+        integrates the seeds (the result is the same either way).  By
+        default each run builds and drops its own.
 
     Returns
     -------
@@ -194,7 +200,11 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
     hybrid = hybrid or HybridConfig()
     cluster = Cluster(machine, trace=trace, obs=obs)
     if store is None:
-        store = _default_store(problem)
+        store = default_store(problem)
+    if bank is None:
+        bank = TrajectoryBank(problem, store)
+    elif bank.problem is not problem or bank.store is not store:
+        raise ValueError("bank= was built for another problem or store")
 
     masters: List[HybridMaster] = []
     if reseed is not None and algorithm != "hybrid":
@@ -211,9 +221,8 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
         workers, masters = _build_hybrid(cluster, problem, store, hybrid,
                                          reseed=reseed)
 
-    # One bank per run: each curve is integrated once, on the first
-    # advect demand, however many ranks then advance pieces of it.
-    bank = TrajectoryBank(problem, store)
+    # Each curve is integrated once, on the bank's first advect demand,
+    # however many ranks (and runs, for a caller's bank) replay it.
     for w in workers:
         w.bank = bank
         cluster.engine.spawn(f"{algorithm}-rank{w.ctx.rank}",
@@ -242,6 +251,7 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
         # stacked blocks now instead of at some later cyclic collection.
         for w in workers:
             w.bank = None
+        bank.end_run()
         del bank
 
     lines = []

@@ -534,6 +534,9 @@ class SweepExecutor:
         finally:
             for source in sources:
                 source.close()
+            # The problem the inline path held; workers took theirs along.
+            from repro.analysis.scenarios import release_problem
+            release_problem()
         self._emit_event("sweep_end", runs=done["n"])
         return [r for r in results if r is not None]
 

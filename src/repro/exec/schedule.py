@@ -22,6 +22,12 @@ RuntimeEstimator` predictions (history when available, static model
     still usually fine, but auto stays conservative so a cold cache
     never reorders on guesses alone).
 
+Under every policy the specs of one problem (``RunSpec.problem_key``)
+are dispatched back to back, because a worker holds one problem's traced
+curves at a time and the first spec of a problem pays for the trace:
+``fifo`` orders the problems by first appearance, ``lpt`` by descending
+total prediction with the longest run of each problem first.
+
 Scheduling changes only *when* runs execute.  The executor merges
 outcomes in spec order regardless of dispatch order, so every
 deterministic artifact is byte-identical for any policy — the property
@@ -33,10 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.estimate import (
-    SOURCE_HISTORY,
-    RuntimeEstimator,
-)
+from repro.exec.estimate import RuntimeEstimator
 from repro.exec.spec import RunSpec
 
 #: Recognized scheduling policies.
@@ -98,9 +101,10 @@ def plan_schedule(specs: Sequence[RunSpec], policy: str = SCHEDULE_FIFO,
                   ) -> SchedulePlan:
     """Resolve a dispatch order for ``specs`` under ``policy``.
 
-    Deterministic: LPT sorts by (descending predicted seconds,
-    ascending original index), so equal estimates keep spec order and
-    the same inputs always produce the same plan.
+    Deterministic: LPT sorts problems by descending total prediction
+    and a problem's runs by (descending predicted seconds, ascending
+    original index), so equal estimates keep spec order and the same
+    inputs always produce the same plan.
     """
     if policy not in SCHEDULE_POLICIES:
         raise ValueError(f"unknown schedule policy {policy!r}; "
@@ -116,10 +120,17 @@ def plan_schedule(specs: Sequence[RunSpec], policy: str = SCHEDULE_FIFO,
     if policy == SCHEDULE_AUTO:
         effective = (SCHEDULE_LPT if coverage >= AUTO_HISTORY_THRESHOLD
                      else SCHEDULE_FIFO)
+    groups: Dict[Any, List[PlannedRun]] = {}  # in first-appearance order
+    for p in planned:
+        groups.setdefault(p.spec.problem_key, []).append(p)
+    batches = list(groups.values())
     if effective == SCHEDULE_LPT:
-        planned.sort(key=lambda p: (-p.seconds, p.idx))
+        for batch in batches:
+            batch.sort(key=lambda p: (-p.seconds, p.idx))
+        batches.sort(key=lambda batch: -sum(p.seconds for p in batch))
     return SchedulePlan(policy=policy, effective=effective,
-                        coverage=coverage, runs=tuple(planned))
+                        coverage=coverage,
+                        runs=tuple(p for batch in batches for p in batch))
 
 
 def dry_run_table(plan: SchedulePlan, jobs: int = 1) -> str:

@@ -68,6 +68,12 @@ class RunSpec:
                 f"{self.n_ranks}")
         return f"{base}-{self.tag}" if self.tag else base
 
+    @property
+    def problem_key(self) -> Tuple[str, str, float]:
+        """``make_problem``'s arguments: specs with equal keys trace the
+        same curves, so the plan keeps them together (one trace each)."""
+        return (self.dataset, self.seeding, self.scale)
+
     def __str__(self) -> str:  # progress lines
         return self.name
 

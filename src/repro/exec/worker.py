@@ -13,10 +13,12 @@ reported as an outcome message and the loop continues; only a *hard*
 death (crash, ``os._exit``, the kernel OOM killer) ends the worker,
 which the executor observes as EOF.  A long-lived worker amortizes
 interpreter/NumPy start-up across every run it executes and keeps
-process-level caches warm — the memoized dataset fields
-(:mod:`repro.analysis.scenarios`), the shared immutable block store
-(:mod:`repro.core.driver`), and the in-memory sweep cache — none of
-which can change results (all are deterministic and read-only).
+process-level caches warm — the memoized dataset fields and the one
+held problem with its traced curves (:mod:`repro.analysis.scenarios`;
+one problem at a time, about 80 MiB for thermal-dense at scale 1.0,
+replaced when a spec of another problem arrives), the shared immutable
+block store (:mod:`repro.core.driver`), and the in-memory sweep cache —
+none of which can change results (all are deterministic and read-only).
 *Isolated* specs (the thermal OOM probe) get a dedicated worker that
 is discarded after its one result, so a real :class:`MemoryError` — or
 a hard kernel OOM kill — takes down a process that owns nothing else.
@@ -86,17 +88,13 @@ def _task_bench(spec: RunSpec) -> Any:
     """Trajectory-harness task: one observed run, analyzed into the
     ``BENCH_*.json`` entry dict."""
     with host_phase("setup"):
-        from repro.analysis.scenarios import make_problem, scenario_machine
-        from repro.core.driver import run_streamlines
+        from repro.analysis.scenarios import run_scenario
         from repro.obs import Recorder, analyze_run
 
-        problem = make_problem(spec.dataset, spec.seeding,
-                               scale=spec.scale)
         obs = Recorder(enabled=True, sample_interval=spec.sample_interval)
-        machine = scenario_machine(spec.n_ranks)
     with host_phase("advect"):
-        result = run_streamlines(problem, algorithm=spec.algorithm,
-                                 machine=machine, obs=obs)
+        result = run_scenario(*spec.problem_key, spec.algorithm,
+                              spec.n_ranks, obs=obs)
     with host_phase("merge"):
         entry = analyze_run(result, obs).to_dict()
         # The analyzer reports trajectory-level metrics; the scalar

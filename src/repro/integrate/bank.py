@@ -1,4 +1,4 @@
-"""Run-scoped trajectory bank: integrate each curve once, replay per rank.
+"""Trajectory bank: integrate each curve once, replay per rank and per run.
 
 The parallel algorithms differ only in *where and when* a curve is
 advanced, never in the curve itself.  So on the first demand the bank
@@ -10,11 +10,19 @@ rank's pooled advect call is then *replayed* from the tapes
 (:func:`replay_pool`): host numerics run at wide-batch cost while every
 per-call outcome — hence every simulated clock, metric and artifact — is
 what the lockstep kernel would have produced for that rank's resident
-blocks and round budget.  A bank lives for one ``run_streamlines`` call.
+blocks and round budget.
+
+Problem-scoped, and shared by every run handed the bank
+(``run_streamlines(..., bank=)``; by default a run builds and drops its
+own): the seed curves' trial rows, crossings, read-only vertices and final
+status, and the growing pool.  Run-scoped, dropped by
+:meth:`TrajectoryBank.end_run`: each curve's replay cursor and the tapes
+of strays (dynamically created seeds, hand-built lines).
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
@@ -33,7 +41,8 @@ class _Tape:
     count, the index into ``verts``).  ``cross`` lists the trials that
     changed block, ``dest`` the blocks entered.  ``cursor``/``a``/``ci``
     count trials, vertices and crossings consumed; ``state``/``pos`` are
-    what replay last wrote to the line.
+    what replay last wrote to the line — the run-scoped part: each run
+    replays its own shallow copy of a seed's never-replayed tape.
     """
 
     __slots__ = ("acc", "blk", "h", "t", "n", "cross", "dest",
@@ -47,7 +56,7 @@ class _Tape:
 
 
 class TrajectoryBank:
-    """Every curve of one run, traced once and replayed on demand."""
+    """Every curve of one problem, traced once and replayed on demand."""
 
     def __init__(self, problem, store) -> None:
         self.problem = problem
@@ -56,12 +65,21 @@ class TrajectoryBank:
             problem.integrator, rtol=problem.integ.rtol,
             atol=problem.integ.atol)
         self._pool: Optional[BlockPool] = None
-        #: sid -> tape; ``None`` until the first demand traces the seeds.
+        #: Problem-scoped: sid -> the seed's tape, never replayed itself;
+        #: ``None`` until the first demand traces the seeds.
+        self._seeds: Optional[Dict[int, _Tape]] = None
+        #: Run-scoped: sid -> the run's copy of a seed tape, or a stray's
+        #: tape; ``None`` until the run's first demand.
         self._tapes: Optional[Dict[int, _Tape]] = None
 
-    def _trace(self, lines: List[Streamline]) -> None:
+    def end_run(self) -> None:
+        """Forget the run: its cursors and its strays' tapes."""
+        self._tapes = None
+
+    def _trace(self, lines: List[Streamline],
+               tapes: Dict[int, _Tape]) -> None:
         """Advance fresh tracer ``lines`` to termination in one lockstep
-        batch and file one tape per line under its ``sid``."""
+        batch and file one tape per line in ``tapes`` under its ``sid``."""
         if not lines:
             return
         p = self.problem
@@ -87,26 +105,31 @@ class TrajectoryBank:
         cut = np.searchsorted(rows, np.arange(len(lines) + 1)).tolist()
         dest, cols, n = blk[rows, cols].tolist(), cols.tolist(), n.tolist()
         for i, line in enumerate(lines):
-            tape = self._tapes[line.sid] = _Tape()
+            tape = tapes[line.sid] = _Tape()
             tape.acc, tape.blk, tape.h, tape.t = (
                 acc[i], blk[i], log.h[i], log.t[i])
             tape.n, tape.cross = n[i], cols[cut[i]:cut[i + 1]]
             tape.dest = dest[cut[i]:cut[i + 1]]
             tape.verts, tape.status = line.segments[0], line.status
+            tape.verts.flags.writeable = False  # runs share these vertices
             tape.cursor = tape.a = tape.ci = 0
             tape.state, tape.pos = states[i], tape.verts[0]
 
     def tapes_for(self, lines: Sequence[Streamline]) -> List[_Tape]:
         """The tape of each line, positioned at the line's state.  The
-        first demand traces all in-domain seeds; a line with no tape, or
-        not where its cursor left it (a dynamically created seed, a
-        hand-built line), is traced from its state on sight."""
-        if self._tapes is None:
-            self._tapes = {}
+        bank's first demand traces all in-domain seeds and a run's first
+        demand rewinds them; a line with no tape, or not where its cursor
+        left it (a dynamically created seed, a hand-built line), is
+        traced from its state on sight."""
+        if self._seeds is None:
+            self._seeds = {}
             p = self.problem
             seeds = [Streamline(sid=sid, seed=p.seeds[sid], block_id=int(bid))
                      for sid, bid in enumerate(p.seed_blocks) if bid >= 0]
-            self._trace(seeds)
+            self._trace(seeds, self._seeds)
+        if self._tapes is None:
+            self._tapes = {sid: copy.copy(tape)
+                           for sid, tape in self._seeds.items()}
         tapes = self._tapes
         stray = []
         for line in lines:
@@ -119,7 +142,7 @@ class TrajectoryBank:
                     sid=line.sid, seed=line.seed, position=line.position,
                     h=line.h, time=line.time, steps=line.steps,
                     block_id=line.block_id))
-        self._trace(stray)
+        self._trace(stray, tapes)
         return [tapes[line.sid] for line in lines]
 
 

@@ -45,7 +45,9 @@ duck-typed, nothing from ``repro.sim``/``repro.core`` is imported.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Per-seed segment kinds, in reporting order.
@@ -120,12 +122,12 @@ def has_seed_provenance(spans: Sequence[Any]) -> bool:
 
 def _collect(spans: Sequence[Any]) -> Tuple[
         Dict[int, List[Tuple[float, int, str, int]]],
-        Dict[int, List[Tuple[float, float, int, str]]],
+        Dict[int, Dict[int, List[Tuple[float, float, str]]]],
         Dict[int, List[Tuple[float, float, int]]]]:
     """One pass over the spans: per-sid lifecycle events, per-sid tagged
-    activity intervals, and per-sid tagged sends."""
+    activity intervals by rank, and per-sid tagged sends."""
     events: Dict[int, List[Tuple[float, int, str, int]]] = {}
-    activity: Dict[int, List[Tuple[float, float, int, str]]] = {}
+    activity: Dict[int, Dict[int, List[Tuple[float, float, str]]]] = {}
     sends: Dict[int, List[Tuple[float, float, int]]] = {}
     for idx, s in enumerate(spans):
         name = s.name
@@ -139,8 +141,8 @@ def _collect(spans: Sequence[Any]) -> Tuple[
         kind = _TAGGED_KINDS.get(name)
         if kind is not None:
             for sid in (s.get("sids") or ()):
-                activity.setdefault(int(sid), []).append(
-                    (s.start, s.end, s.rank, kind))
+                activity.setdefault(int(sid), {}).setdefault(
+                    s.rank, []).append((s.start, s.end, kind))
         elif name == "comm.send":
             for sid in (s.get("sids") or ()):
                 sends.setdefault(int(sid), []).append(
@@ -149,14 +151,16 @@ def _collect(spans: Sequence[Any]) -> Tuple[
 
 
 def _episode_segments(a: float, b: float, rank: int,
-                      intervals: List[Tuple[float, float, int, str]]
-                      ) -> List[SeedSegment]:
+                      intervals: List[Tuple[float, float, str]],
+                      latest: List[float]) -> List[SeedSegment]:
     """Tile one ownership episode ``[a, b]`` on ``rank``: tagged advect/
-    load intervals clipped to the episode, gaps emitted as ``queued``."""
+    load intervals clipped to the episode, gaps emitted as ``queued``.
+    ``intervals`` are the seed's on this rank, sorted; ``latest[i]`` is
+    the latest end among the first ``i + 1``, so only the window that
+    can overlap the episode is looked at."""
     clipped: List[Tuple[float, float, str]] = []
-    for (s, e, r, kind) in intervals:
-        if r != rank:
-            continue
+    for (s, e, kind) in intervals[bisect_right(latest, a):
+                                  bisect_left(intervals, (b,))]:
         s, e = max(s, a), min(e, b)
         if e > s:
             clipped.append((s, e, kind))
@@ -206,6 +210,7 @@ def seed_lineages(spans: Sequence[Any]) -> List[SeedLineage]:
     lineages: List[SeedLineage] = []
     for sid in sorted(events):
         evs = sorted(events[sid])  # (time, appearance idx) order
+        by_rank = activity.get(sid, {})
         episodes: List[Tuple[float, Optional[float], int]] = []
         open_ep: Optional[Tuple[float, int]] = None
         death: Optional[float] = None
@@ -242,15 +247,15 @@ def seed_lineages(spans: Sequence[Any]) -> List[SeedLineage]:
             # Truncated run (OOM): close the dangling episode at the last
             # tagged activity so the partial lifecycle still renders.
             start, rank = open_ep
-            end = start
-            for (s, e, r, _kind) in activity.get(sid, ()):
-                if r == rank and e >= start:
-                    end = max(end, e)
+            end = max([start] + [e for _s, e, _k in by_rank.get(rank, ())])
             episodes.append((start, end, rank))
         if not episodes:
             continue
 
-        acts = activity.get(sid, [])
+        acts = {}  # rank -> (sorted intervals, running latest end)
+        for r, ivs in by_rank.items():
+            ivs.sort()
+            acts[r] = (ivs, list(accumulate((iv[1] for iv in ivs), max)))
         sid_sends = sends.get(sid, [])
         segments: List[SeedSegment] = []
         ranks: List[int] = []
@@ -265,7 +270,8 @@ def seed_lineages(spans: Sequence[Any]) -> List[SeedLineage]:
                     segments.extend(_gap_segments(prev_end, a, prev_rank,
                                                   sid_sends))
             if b is not None and b > a:
-                segments.extend(_episode_segments(a, b, rank, acts))
+                segments.extend(_episode_segments(
+                    a, b, rank, *acts.get(rank, ((), ()))))
 
         lineages.append(SeedLineage(
             sid=sid, birth=episodes[0][0], death=death, complete=complete,

@@ -2,10 +2,12 @@
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
@@ -41,6 +43,7 @@ from repro.exec.schedule import (
     dry_run_table,
 )
 from repro.exec.worker import FAULT_ENV
+from tests.test_exec_sweep import hostbench_specs
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -193,6 +196,52 @@ def test_lpt_plan_sorts_longest_first_deterministically():
         est2.record(s.name, 2.0)
     plan2 = plan_schedule(specs, policy=SCHEDULE_LPT, estimator=est2)
     assert [i for i, _ in plan2.ordered] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("policy", [SCHEDULE_FIFO, SCHEDULE_LPT,
+                                    SCHEDULE_AUTO])
+def test_plan_keeps_the_specs_of_a_problem_together(policy):
+    """A worker holds one problem's traced curves at a time, so however
+    the input interleaves problems, the plan dispatches each problem's
+    specs back to back — and ``--dry-run`` prints that order."""
+    specs = hostbench_specs()  # 24 specs, 4 problems
+    specs = [specs[i] for i in np.random.default_rng(3).permutation(24)]
+    est = RuntimeEstimator()
+    for i, spec in enumerate(specs):  # full history: auto resolves to lpt
+        est.record(spec.name, 0.5 + (7 * i) % 11)
+    plan = plan_schedule(specs, policy=policy, estimator=est)
+    assert sorted(p.idx for p in plan.runs) == list(range(len(specs)))
+    assert all(p.spec is specs[p.idx] for p in plan.runs)
+    batches = [list(batch) for _key, batch in itertools.groupby(
+        plan.runs, key=lambda p: p.spec.problem_key)]
+    assert len(batches) == len({s.problem_key for s in specs}) == 4
+    if plan.effective == SCHEDULE_FIFO:
+        # Problems by first appearance, spec order inside each.
+        assert [b[0].idx for b in batches] \
+            == sorted(b[0].idx for b in batches)
+        assert batches[0][0].idx == 0
+        assert all([p.idx for p in b] == sorted(p.idx for p in b)
+                   for b in batches)
+    else:
+        # Heaviest problem first, longest run first inside each.
+        totals = [sum(p.seconds for p in b) for b in batches]
+        assert totals == sorted(totals, reverse=True)
+        assert all([p.seconds for p in b]
+                   == sorted((p.seconds for p in b), reverse=True)
+                   for b in batches)
+    rows = dry_run_table(plan).splitlines()[3:3 + len(specs)]
+    assert [row.split()[:2] for row in rows] \
+        == [[str(pos), p.spec.name] for pos, p in enumerate(plan.runs)]
+
+
+def test_lpt_ties_between_problems_keep_first_appearance():
+    specs = [_spec(dataset=d, algorithm=a) for a in ("static", "hybrid")
+             for d in ("fusion", "astro")]
+    est = RuntimeEstimator()
+    for spec in specs:
+        est.record(spec.name, 2.0)
+    plan = plan_schedule(specs, policy=SCHEDULE_LPT, estimator=est)
+    assert [i for i, _ in plan.ordered] == [0, 2, 1, 3]
 
 
 def test_auto_resolves_on_history_coverage():

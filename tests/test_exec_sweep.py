@@ -1,12 +1,17 @@
 """Parallel sweep executor: determinism, robustness guards, merging."""
 
 import dataclasses
+import gc
 import importlib.util
 import json
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from repro.analysis import scenarios
 
 from repro.analysis.experiments import (
     ExperimentKey,
@@ -28,6 +33,7 @@ from repro.exec import (
     merge_run_entries,
 )
 from repro.exec.worker import FAULT_ENV
+from tests.test_integrate_bank import count_kernel_calls
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -135,6 +141,103 @@ def test_bench_trajectory_jobs_byte_identical(bench_mod, tmp_path):
     a = (tmp_path / "serial" / "BENCH_par.json").read_bytes()
     b = (tmp_path / "pool" / "BENCH_par.json").read_bytes()
     assert a == b
+
+
+# --------------------------------------------------------------------- #
+# One trace per problem: the holder, the plan's grouping, their lifetime
+# --------------------------------------------------------------------- #
+
+def hostbench_specs():
+    """The 24 specs of the host benchmark's sweep workloads: 4 problems,
+    each under 3 algorithms x 2 rank counts."""
+    return grid_specs(["astro", "fusion"], ["sparse", "dense"],
+                      ["static", "ondemand", "hybrid"], [4, 8],
+                      scale=0.005, mode="bench", sample_interval=2.0)
+
+
+def _merged_json(outcomes):
+    from repro.obs import jsonable
+    assert all(o.ok for o in outcomes)
+    return json.dumps(jsonable(merge_run_entries(outcomes)),
+                      sort_keys=True, indent=2)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Batch widths of every lockstep kernel call the banks make, from
+    an empty holder."""
+    scenarios.release_problem()
+    return count_kernel_calls(monkeypatch)
+
+
+def test_serial_sweep_traces_each_problem_once(kernel_calls):
+    """24 specs over 4 problems integrate 4 seed sets, not 24 — in grid
+    order, in a shuffled order that interleaves the problems, and under
+    lpt — and merge to the same bytes every time."""
+    specs = hostbench_specs()
+    order = np.random.default_rng(3).permutation(len(specs))
+    shuffled = [specs[i] for i in order]
+    keys = [s.problem_key for s in shuffled]
+    assert sum(a != b for a, b in zip(keys, keys[1:])) > 10
+    blobs = []
+    for variant, schedule in ((specs, "fifo"), (shuffled, "fifo"),
+                              (shuffled, "lpt")):
+        del kernel_calls[:]
+        executor = SweepExecutor(jobs=1, schedule=schedule)
+        blobs.append(_merged_json(executor.run(variant)))
+        assert len(kernel_calls) == 4, schedule
+        assert scenarios._HELD == {}
+        planned = [s.problem_key for _, s in executor.last_plan.ordered]
+        assert sum(a != b for a, b in zip(planned, planned[1:])) == 3
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_sharing_never_changes_a_bench_entry(kernel_calls):
+    """Each entry of a sweep that shared banks equals the entry of the
+    same spec run alone on a bank of its own."""
+    specs = hostbench_specs()[:12:5] + hostbench_specs()[1:12:5]
+    shared = SweepExecutor(jobs=1).run(specs)
+    assert len(kernel_calls) == 2
+    for outcome in shared:
+        scenarios.release_problem()
+        [alone] = SweepExecutor(jobs=1).run([outcome.spec])
+        assert _merged_json([alone]) == _merged_json([outcome])
+
+
+def test_holder_keeps_one_problem_and_frees_the_last_without_gc():
+    scenarios.release_problem()
+    gc.collect()
+    gc.disable()
+    try:
+        scenarios.run_scenario("astro", "sparse", 0.005, "ondemand", 4)
+        [(problem_a, bank_a)] = scenarios._HELD.values()
+        assert bank_a.problem is problem_a and bank_a._seeds
+        scenarios.run_scenario("astro", "sparse", 0.005, "static", 8)
+        assert [bank for _p, bank in scenarios._HELD.values()] == [bank_a]
+        refs = [weakref.ref(problem_a), weakref.ref(bank_a)]
+        del problem_a, bank_a
+        scenarios.run_scenario("fusion", "sparse", 0.005, "ondemand", 4)
+        assert [ref() for ref in refs] == [None, None]
+        assert list(scenarios._HELD) == [("fusion", "sparse", 0.005)]
+    finally:
+        gc.enable()
+        scenarios.release_problem()
+
+
+def test_holder_is_empty_after_the_sweep_returns_or_raises():
+    specs = hostbench_specs()[:2]
+    scenarios.release_problem()
+    assert all(o.ok for o in SweepExecutor(jobs=1).run(specs))
+    assert scenarios._HELD == {}
+
+    def interrupted(event, payload, done, total):
+        if event == "done":
+            assert len(scenarios._HELD) == 1
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        SweepExecutor(jobs=1, progress=interrupted).run(specs)
+    assert scenarios._HELD == {}
 
 
 # --------------------------------------------------------------------- #

@@ -3,8 +3,11 @@ trace lazily and once per run, and die with its run."""
 
 import copy
 import gc
+import hashlib
+import tempfile
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ import repro
 import repro.core.base as core_base
 import repro.core.driver as driver_mod
 import repro.integrate.bank as bank_mod
+from repro.core.config import HybridConfig
 from repro.core.driver import run_streamlines
 from repro.core.reseed import ContinueThroughBudget
 from repro.core.results import STATUS_OOM
@@ -24,6 +28,8 @@ from repro.integrate.config import IntegratorConfig
 from repro.integrate.pooled import BlockPool, TrialTape, advance_pool
 from repro.integrate.streamline import Status, Streamline
 from repro.mesh.bounds import Bounds
+from repro.obs import Recorder
+from repro.obs.export import write_spans_jsonl
 from repro.seeding import circle_seeds, dense_cluster_seeds
 from repro.sim.machine import MachineSpec
 from repro.storage.store import BlockStore
@@ -376,3 +382,178 @@ def test_bank_dies_with_its_run_without_the_cyclic_gc(small_problem,
         assert [ref() for ref in banks] == [None]
     finally:
         gc.enable()
+
+
+# --------------------------------------------------------------------- #
+# One bank, many runs: the problem-scoped half is shared, nothing else
+# --------------------------------------------------------------------- #
+def run_fingerprint(result, obs):
+    """Everything a run hands back: status, geometry sha256, per-rank
+    metrics, wall clock, traffic, and the recorder's span stream as the
+    bytes ``spans.jsonl`` would hold."""
+    geometry = hashlib.sha256()
+    for ln in result.streamlines:
+        geometry.update(f"{ln.sid}:{ln.status.value}:{ln.steps}:".encode())
+        geometry.update(ln.vertices().tobytes())
+    with tempfile.TemporaryDirectory() as tmp:
+        write_spans_jsonl(Path(tmp) / "spans.jsonl", obs)
+        spans = (Path(tmp) / "spans.jsonl").read_bytes()
+    return (result.status, geometry.hexdigest(),
+            [repr(m) for m in result.rank_metrics], repr(result.wall_clock),
+            result.messages_sent, result.bytes_sent, spans)
+
+
+def assert_read_only(result):
+    for ln in result.streamlines:
+        for array in [*ln.segments, ln.position]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 0.0
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_runs_sharing_a_bank_equal_runs_on_their_own(data):
+    """Two to five runs of one random problem — algorithm, ranks, cache
+    size, hybrid tunables and reseeding all varying, one of them dying of
+    simulated OOM — on one shared bank: each equals the same run handed
+    no bank, and leaves nothing of itself for the next."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    field = data.draw(st.sampled_from([
+        SupernovaField(),
+        RigidRotationField(domain=Bounds.cube(-1.0, 1.0))]))
+    size = field.domain.hi_array - field.domain.lo_array
+    lo = field.domain.lo_array + 0.15 * size
+    hi = field.domain.lo_array + 0.85 * size
+    seeds = rng.uniform(lo, hi, size=(data.draw(st.integers(1, 10)), 3))
+    problem = repro.ProblemSpec(
+        field=field, seeds=seeds,
+        blocks_per_axis=(data.draw(st.integers(2, 3)),) * 3,
+        cells_per_block=(4, 4, 4),
+        integ=IntegratorConfig(max_steps=data.draw(st.integers(5, 50)),
+                               h_max=0.05, rtol=1e-4, atol=1e-6))
+    store = BlockStore(field, problem.decomposition)
+    shared = TrajectoryBank(problem, store)
+    n_runs = data.draw(st.integers(2, 5))
+    dies = data.draw(st.integers(0, n_runs - 1))
+    cost = problem.cost_model
+    for i in range(n_runs):
+        algorithm = data.draw(st.sampled_from(
+            ["static", "ondemand", "hybrid"]))
+        # The dying run can buffer its seeds, and then either no block at
+        # all (it must die) or one block but not two (it may).
+        fits = data.draw(st.sampled_from([0, 1])) if i == dies else 100
+        memory = (len(seeds) * cost.streamline_memory_nbytes(60)
+                  + (2 * fits + 1) * cost.block_nbytes // 2)
+        kwargs = dict(
+            algorithm=algorithm, store=store,
+            machine=MachineSpec(n_ranks=data.draw(st.integers(2, 5)),
+                                cache_blocks=data.draw(st.integers(1, 6)),
+                                memory_bytes=memory),
+            hybrid=HybridConfig(
+                assignment_quantum=data.draw(st.integers(1, 10)),
+                load_threshold=data.draw(st.integers(1, 40)),
+                slaves_per_master=data.draw(st.integers(1, 4)),
+                locality_bias=data.draw(st.booleans()),
+                seed=data.draw(st.integers(0, 3))),
+            reseed=(ContinueThroughBudget(budget=data.draw(
+                        st.integers(1, 6)))
+                    if algorithm == "hybrid" and data.draw(st.booleans())
+                    else None))
+        obs_shared, obs_own = Recorder(enabled=True), Recorder(enabled=True)
+        on_shared = run_streamlines(problem, obs=obs_shared, bank=shared,
+                                    **kwargs)
+        on_own = run_streamlines(problem, obs=obs_own, **kwargs)
+        assert run_fingerprint(on_shared, obs_shared) \
+            == run_fingerprint(on_own, obs_own)
+        assert fits or on_shared.status == STATUS_OOM
+        assert_read_only(on_shared)
+        assert_read_only(on_own)
+        # The run's cursors and strays are gone; the seeds' tapes stayed
+        # where the trace left them.
+        assert shared._tapes is None
+        if shared._seeds is not None:
+            assert sorted(shared._seeds) == list(range(len(seeds)))
+            assert all(tape.cursor == tape.a == tape.ci == 0
+                       for tape in shared._seeds.values())
+
+
+def test_oom_mid_replay_leaves_a_shared_bank_clean(small_problem,
+                                                   monkeypatch):
+    """A run that dies of simulated OOM after replaying part of its
+    curves leaves cursors mid-tape; the next run on the same bank starts
+    from rewound ones and traces nothing."""
+    store = BlockStore(small_problem.field, small_problem.decomposition)
+    shared = TrajectoryBank(small_problem, store)
+    calls = count_kernel_calls(monkeypatch)
+    seen = []
+    inner = core_base.advance_pool
+
+    def spying(lines, resident, bank, round_limit):
+        out = inner(lines, resident, bank, round_limit)
+        seen.append(max(tape.cursor for tape in bank._tapes.values()))
+        return out
+
+    monkeypatch.setattr(core_base, "advance_pool", spying)
+    # 20 MiB holds the seeds and one block, not two.
+    dead = run_streamlines(
+        small_problem, algorithm="ondemand", store=store, bank=shared,
+        machine=MachineSpec(n_ranks=2, memory_bytes=20 << 20,
+                            cache_blocks=2))
+    assert dead.status == STATUS_OOM and seen and seen[-1] > 0
+    monkeypatch.setattr(core_base, "advance_pool", inner)
+    kwargs = dict(algorithm="hybrid", store=store,
+                  machine=MachineSpec(n_ranks=6))
+    after = run_streamlines(small_problem, bank=shared, **kwargs)
+    assert len(calls) == 1
+    alone = run_streamlines(small_problem, **kwargs)
+    assert len(calls) == 2
+    assert run_totals(after) == run_totals(alone)
+
+
+def test_strays_of_one_run_are_invisible_to_the_next(tokamak_problem,
+                                                     monkeypatch):
+    """Reseeded curves (sid >= n_seeds) and a hand-built line wearing a
+    seed's sid are traced for the run that met them and dropped with it."""
+    store = BlockStore(tokamak_problem.field, tokamak_problem.decomposition)
+    shared = TrajectoryBank(tokamak_problem, store)
+    calls = count_kernel_calls(monkeypatch)
+    kwargs = dict(algorithm="hybrid", store=store, bank=shared,
+                  machine=MachineSpec(n_ranks=4))
+    reseeded = run_streamlines(tokamak_problem,
+                               reseed=ContinueThroughBudget(budget=8),
+                               **kwargs)
+    assert len(reseeded.streamlines) == 4 + 8 and len(calls) > 1
+    assert shared._tapes is None and sorted(shared._seeds) == [0, 1, 2, 3]
+    # A hand-built line under sid 0, replayed outside any run ...
+    start = tokamak_problem.seeds[0] + 0.01
+    line = Streamline(
+        sid=0, seed=start, h=0.002, time=1.5, steps=7,
+        block_id=int(tokamak_problem.decomposition.locate(start)))
+    del calls[:]
+    replay_pool([line], frozenset(range(tokamak_problem.n_blocks)),
+                shared, 9)
+    assert calls == [1]
+    shared.end_run()
+    # ... and the next run replays the four seeds, tracing nothing.
+    del calls[:]
+    plain = run_streamlines(tokamak_problem, **kwargs)
+    assert calls == [] and [ln.sid for ln in plain.streamlines] \
+        == [0, 1, 2, 3]
+    assert line_state(plain.streamlines[0]) == line_state(
+        run_streamlines(tokamak_problem, algorithm="ondemand",
+                        machine=MachineSpec(n_ranks=1)).streamlines[0])
+
+
+def test_bank_of_another_problem_or_store_is_rejected(small_problem,
+                                                      tokamak_problem):
+    store = BlockStore(small_problem.field, small_problem.decomposition)
+    with pytest.raises(ValueError, match="another problem or store"):
+        run_streamlines(small_problem, store=store,
+                        bank=TrajectoryBank(tokamak_problem, store))
+    with pytest.raises(ValueError, match="another problem or store"):
+        run_streamlines(small_problem,  # the default store is another one
+                        bank=TrajectoryBank(small_problem, store))
+    twin = copy.copy(small_problem)  # equal is not enough: identity
+    with pytest.raises(ValueError, match="another problem or store"):
+        run_streamlines(twin, store=store,
+                        bank=TrajectoryBank(small_problem, store))

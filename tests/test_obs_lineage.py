@@ -3,21 +3,24 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.obs.lineage as lineage_mod
 from repro.core.driver import run_streamlines
 from repro.obs import Recorder, analyze_run
 from repro.obs.analyze import leaf_kind, load_spans_jsonl
 from repro.obs.export import seed_perfetto_json, write_spans_jsonl
 from repro.obs.lineage import (
     LIFECYCLE_KINDS,
+    SeedSegment,
     has_seed_provenance,
     lifecycle_table,
     seed_latency_summary,
-    seed_lineages,
     slowest_seeds,
     slowest_table,
 )
 from repro.obs.span import SpanRecord
+from repro.sim.machine import MachineSpec
 
 
 def rec(rank, name, start, end, **attrs):
@@ -40,6 +43,74 @@ def assert_exact_tiling(lineage):
         assert a.end == b.start, (lineage.sid, a, b)
     total = math.fsum(s.duration for s in segs)
     assert total == pytest.approx(lineage.wall, abs=1e-12)
+
+
+# ---------------------------------------------------------------------- #
+# Oracle: the per-episode tiling as it was before a seed's intervals were
+# grouped by rank, sorted once and bisected — it rescans every tagged
+# interval of the seed for every ownership episode.  Kept verbatim.
+# ---------------------------------------------------------------------- #
+
+def oracle_episode_segments(a, b, rank, intervals):
+    """Tile one ownership episode ``[a, b]`` on ``rank``: tagged advect/
+    load intervals clipped to the episode, gaps emitted as ``queued``."""
+    clipped = []
+    for (s, e, r, kind) in intervals:
+        if r != rank:
+            continue
+        s, e = max(s, a), min(e, b)
+        if e > s:
+            clipped.append((s, e, kind))
+    clipped.sort()
+    out = []
+    t = a
+    for (s, e, kind) in clipped:
+        if s > t:
+            out.append(SeedSegment(t, s, rank, "queued"))
+        s = max(s, t)  # defensive: overlapping tags cannot double-cover
+        if e > s:
+            out.append(SeedSegment(s, e, rank, kind))
+            t = e
+    if b > t:
+        out.append(SeedSegment(t, b, rank, "queued"))
+    return out
+
+
+def oracle_owned_segments(spans, sid):
+    """One seed's advect/load/queued segments: its ownership episodes read
+    off the markers, each tiled by the oracle from the flat list of the
+    seed's tagged intervals (appearance order, every rank)."""
+    flat = [(s.start, s.end, s.rank, lineage_mod._TAGGED_KINDS[s.name])
+            for s in spans if s.name in lineage_mod._TAGGED_KINDS
+            and sid in (s.get("sids") or ())]
+    marks = sorted((s.start, i, s.name, s.rank)
+                   for i, s in enumerate(spans)
+                   if s.name in lineage_mod.SEED_EVENTS
+                   and s.get("sid") == sid)
+    out, own = [], None
+    for t, _i, name, rank in marks:
+        if name == "seed.own":
+            own = (t, rank)
+        elif own is not None:  # a release or the termination closes it
+            out += oracle_episode_segments(own[0], t, rank, flat)
+            own = None
+    if own is not None:  # truncated run: closed at its last tagged activity
+        end = max([own[0]] + [e for (_s, e, r, _k) in flat if r == own[1]])
+        out += oracle_episode_segments(own[0], end, own[1], flat)
+    return out
+
+
+def seed_lineages(spans):
+    """``lineage.seed_lineages`` with every seed's in-episode tiling held
+    against the oracle, so each test of this file — the hand-built
+    handoff, ping-pong and point-episode traces, the live runs of all
+    three algorithms, the JSONL round trip — is an equivalence case."""
+    lineages = lineage_mod.seed_lineages(spans)
+    for ln in lineages:
+        owned = [seg for seg in ln.segments
+                 if seg.kind not in ("handoff", "inflight")]
+        assert owned == oracle_owned_segments(spans, ln.sid), ln.sid
+    return lineages
 
 
 # ---------------------------------------------------------------------- #
@@ -157,6 +228,35 @@ def test_incomplete_lineage_is_flagged_and_excluded_from_slowest():
     assert "excluded" in slowest_table(lns, top=5)
 
 
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_window_equals_full_rescan_on_arbitrary_tags(data):
+    """Tags that overlap, nest, start before their episode, have no
+    length or sit on another rank: the bisected window must keep exactly
+    what the rescan of every interval keeps."""
+    quarter = st.integers(0, 40).map(lambda k: k / 4.0)
+    times = sorted(data.draw(st.sets(quarter, min_size=2, max_size=9)))
+    truncated = data.draw(st.booleans())
+    spans, rank = [], 0
+    for i, t in enumerate(times):
+        if i % 2 == 0:
+            rank = data.draw(st.integers(0, 2))
+            spans.append(marker(rank, "seed.own", t, 3))
+        elif i < len(times) - 1:
+            spans.append(marker(rank, "seed.release", t, 3))
+        elif not truncated:
+            spans.append(marker(rank, "seed.term", t, 3))
+    for _ in range(data.draw(st.integers(0, 12))):
+        start, length = data.draw(quarter), data.draw(st.integers(0, 12))
+        spans.append(rec(data.draw(st.integers(0, 2)),
+                         data.draw(st.sampled_from(["compute.advect",
+                                                    "io.load_block"])),
+                         start, start + length / 4.0,
+                         sids=data.draw(st.sampled_from([[3], [3, 4], [4]]))))
+    (ln,) = [ln for ln in seed_lineages(spans) if ln.sid == 3]
+    assert ln.complete == (len(times) % 2 == 0 and not truncated)
+
+
 def test_pre_provenance_trace_yields_no_lineages():
     spans = [rec(0, "compute.advect", 0.0, 1.0),
              rec(0, "io.read", 1.0, 2.0)]
@@ -271,3 +371,20 @@ def test_rendering_and_perfetto_export(small_problem, small_machine):
     assert all(e["name"] in LIFECYCLE_KINDS for e in slices)
     # Deterministic export: same lineages -> same bytes.
     assert seed_perfetto_json(lineages) == seed_perfetto_json(lineages)
+
+
+def test_truncated_run_lineages_match_the_oracle(small_problem):
+    """A simulated OOM leaves owned seeds without a termination marker:
+    their dangling episode closes at the last tagged activity, and the
+    partial tiling is the oracle's."""
+    obs = Recorder(enabled=True)
+    # 20 MiB holds the seeds and one block, not two.
+    result = run_streamlines(
+        small_problem, algorithm="ondemand", obs=obs,
+        machine=MachineSpec(n_ranks=2, memory_bytes=20 << 20,
+                            cache_blocks=2))
+    assert result.status == "oom"
+    lineages = seed_lineages(obs.spans)
+    dangling = [ln for ln in lineages if not ln.complete]
+    assert dangling and any(ln.segments for ln in dangling)
+    assert all(ln.death is None for ln in dangling)
