@@ -17,7 +17,13 @@ is made of:
   fresh pool of its block (the small-batch schedule simulated ranks
   imposed on the kernel before the bank); and ``full_width``, the
   trajectory bank's one trace of the host benchmark's ``dense_batch``
-  problem (880 thermal circle seeds), with its ``tracemalloc`` peak.
+  problem (880 thermal circle seeds), with its ``tracemalloc`` peak;
+* ``obs`` — what observing one run costs **per recorded span**, on the
+  host benchmark's ``ref_hybrid`` problem (astro dense seeds, hybrid, 8
+  ranks, scale 0.1): ``record`` (recorded minus unrecorded run), each of
+  the five exported files, ``reload`` (``analyze_dir``) and ``analyze``
+  (``analyze_run``), and the collector's gen-0/1/2 collection counts
+  over one record -> export -> reload -> analyze ``pass``.
 
 Each per-particle kernel runs at batch sizes k in {1, 4, 32, 256}
 (``trace`` uses one fixed set of curves).  Wall-clock numbers are deliberately
@@ -42,8 +48,10 @@ the kernels* the wall time goes, not just how much there is.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+import tempfile
 import time
 import tracemalloc
 from contextlib import nullcontext
@@ -56,6 +64,8 @@ if __package__ in (None, ""):  # running as a script
 
 import numpy as np
 
+from repro.analysis import make_problem, scenario_machine
+from repro.core.driver import run_streamlines
 from repro.core.problem import ProblemSpec
 from repro.fields import ThermalHydraulicsField, sample_field
 from repro.fields.library import RigidRotationField
@@ -66,7 +76,10 @@ from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import make_streamlines
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
+from repro.obs import (Recorder, analyze_dir, analyze_run, write_perfetto,
+                       write_run_json, write_samples_jsonl, write_spans_jsonl)
 from repro.seeding import circle_seeds
+from repro.sim.trace import Trace
 from repro.storage import BlockStore
 
 #: Batch sizes every per-particle kernel is measured at.  k=1 and k=4
@@ -205,6 +218,60 @@ def bench_full_width_trace(repeats) -> dict:
     return rec
 
 
+def bench_obs(repeats) -> dict:
+    """Per-span cost of each stage of the observed path (see the module
+    docstring); ``ns_per_call`` is nanoseconds per recorded span."""
+    problem = make_problem("astro", "dense", scale=0.1)
+    machine = scenario_machine(8)
+
+    def run(observed=True):
+        obs = Recorder(enabled=observed, sample_interval=1.0)
+        trace = Trace(enabled=observed)
+        result = run_streamlines(problem, algorithm="hybrid",
+                                 machine=machine, obs=obs, trace=trace)
+        return result, obs, trace
+
+    result, obs, trace = run()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        stages = {
+            "analyze": lambda: analyze_run(result, obs),
+            "export.perfetto": lambda: write_perfetto(
+                out / "trace.perfetto.json", obs, trace=trace),
+            "export.spans": lambda: write_spans_jsonl(
+                out / "spans.jsonl", obs),
+            "export.samples": lambda: write_samples_jsonl(
+                out / "samples.jsonl", obs),
+            "export.run": lambda: write_run_json(
+                out / "run.json", result, obs),
+            "export.events": lambda: trace.to_jsonl(out / "events.jsonl"),
+            "reload": lambda: analyze_dir(out),
+        }
+
+        recs = {"record": _bench(run, 1, repeats),
+                **{name: _bench(stage, 1, repeats)
+                   for name, stage in stages.items()}}
+        recs["record"]["ns_per_call"] -= _bench(
+            lambda: run(observed=False), 1, repeats)["ns_per_call"]
+        # One whole pass (a fresh recorded run, then every stage), timed
+        # once with the collector's counters read on either side.
+        gc.collect()
+        before = [g["collections"] for g in gc.get_stats()]
+        t0 = time.perf_counter()
+        run()
+        for stage in stages.values():
+            stage()
+        recs["pass"] = {
+            "ns_per_call": (time.perf_counter() - t0) * 1e9,
+            "inner": 1, "repeats": 1,
+            "gc_collections": [g["collections"] - b for g, b
+                               in zip(gc.get_stats(), before)]}
+    for rec in recs.values():
+        rec["ns_per_call"] /= len(obs.spans)
+        rec["spans"] = len(obs.spans)
+    return recs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="wall-clock microbenchmarks of the advection kernels")
@@ -242,6 +309,7 @@ def main(argv=None) -> int:
         ("advance", lambda: bench_advance(field, dec, pool, rng, inner,
                                           repeats)),
         ("trace", lambda: bench_trace(field, dec, rng, inner, repeats)),
+        ("obs", lambda: bench_obs(repeats)),
     )
     for name, bench in benches:
         with phase(name):
@@ -262,11 +330,15 @@ def main(argv=None) -> int:
     else:
         for kernel, entries in doc["kernels"].items():
             for label, rec in entries.items():
-                print(f"{kernel:>10s} {label:>10s} "
-                      f"{rec['ns_per_call'] / 1e3:10.2f} us/call"
+                print(f"{kernel:>10s} {label:>16s} "
+                      f"{rec['ns_per_call'] / 1e3:10.2f} "
+                      + ("us/span" if "spans" in rec else "us/call")
                       + (f"  tracemalloc peak "
                          f"{rec['tracemalloc_peak_mib']:.1f} MiB"
-                         if "tracemalloc_peak_mib" in rec else ""))
+                         if "tracemalloc_peak_mib" in rec else "")
+                      + (f"  gen-0/1/2 collections "
+                         f"{rec['gc_collections']}"
+                         if "gc_collections" in rec else ""))
     print(f"total: {doc['total_seconds']:.1f}s ({doc['profile']})")
 
     if args.out:

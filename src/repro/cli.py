@@ -490,16 +490,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _load_trace_lineages(trace_dir):
-    """Seed lineages of a ``repro trace`` output directory (empty when
-    the trace predates per-streamline provenance)."""
+    """Spans of a ``repro trace`` output directory and their marker-only
+    seed lineages (empty when the trace predates per-streamline
+    provenance); callers tile just the seeds they print."""
+    from repro.obs import seed_episodes
     from repro.obs.analyze import load_spans_jsonl
-    from repro.obs.lineage import seed_lineages
 
     path = Path(trace_dir) / "spans.jsonl"
     if not path.is_file():
         raise FileNotFoundError(
             f"{path} not found — pass a `repro trace` output directory")
-    return seed_lineages(load_spans_jsonl(path))
+    spans = load_spans_jsonl(path)
+    return spans, seed_episodes(spans)
 
 
 _NO_PROVENANCE = (
@@ -509,18 +511,18 @@ _NO_PROVENANCE = (
 
 
 def _cmd_slowest(args: argparse.Namespace) -> int:
-    from repro.obs import slowest_seeds, slowest_table, \
+    from repro.obs import slowest_seeds, slowest_table, tile_segments, \
         write_seed_perfetto
 
     try:
-        lineages = _load_trace_lineages(args.trace_dir)
+        spans, lineages = _load_trace_lineages(args.trace_dir)
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro slowest: {exc}", file=sys.stderr)
         return 2
     if not lineages:
         print(_NO_PROVENANCE)
         return 0
-    picks = slowest_seeds(lineages, top=args.top)
+    picks = tile_segments(spans, slowest_seeds(lineages, top=args.top))
     print(f"slowest {len(picks)} of {len(lineages)} seeds "
           f"(birth->termination latency, per-segment breakdown):")
     print(slowest_table(lineages, top=args.top))
@@ -532,10 +534,11 @@ def _cmd_slowest(args: argparse.Namespace) -> int:
 
 
 def _cmd_streamline(args: argparse.Namespace) -> int:
-    from repro.obs import lifecycle_table, write_seed_perfetto
+    from repro.obs import lifecycle_table, tile_segments, \
+        write_seed_perfetto
 
     try:
-        lineages = _load_trace_lineages(args.trace_dir)
+        spans, lineages = _load_trace_lineages(args.trace_dir)
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro streamline: {exc}", file=sys.stderr)
         return 2
@@ -549,6 +552,7 @@ def _cmd_streamline(args: argparse.Namespace) -> int:
               f"(trace has seeds {min(by_sid)}..{max(by_sid)})",
               file=sys.stderr)
         return 2
+    tile_segments(spans, [lineage])
     print(lifecycle_table(lineage))
     if args.perfetto:
         write_seed_perfetto(args.perfetto, [lineage])

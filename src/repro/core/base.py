@@ -22,6 +22,7 @@ from repro.integrate.bank import TrajectoryBank, replay_pool as advance_pool
 from repro.integrate.pooled import BlockPool, PoolResult  # noqa: F401
 from repro.integrate.streamline import Status, Streamline
 from repro.mesh.block import Block
+from repro.obs.span import NULL_SPAN
 from repro.sim.cluster import RankContext
 from repro.sim.engine import Request
 from repro.storage.cache import LRUBlockCache
@@ -110,12 +111,14 @@ class Worker:
             if obs.enabled:
                 obs.registry.counter("cache.hits").inc()
             return block
+        load_span = NULL_SPAN
         if obs.enabled:
             obs.registry.counter("cache.misses").inc()
-        sids = (sorted(ln.sid for ln in waiting_lines)
-                if obs.enabled and waiting_lines else None)
-        with obs.span(ctx.rank, "io.load_block", block=block_id,
-                      **({"sids": sids} if sids else {})):
+            attrs: Dict[str, Any] = {"block": block_id}
+            if waiting_lines:
+                attrs["sids"] = sorted(ln.sid for ln in waiting_lines)
+            load_span = obs.span(ctx.rank, "io.load_block", **attrs)
+        with load_span:
             yield from ctx.read_block_bytes(self.cost.block_nbytes)
             block = self.store.load(block_id)
         evicted = self.cache.put(block)

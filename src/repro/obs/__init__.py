@@ -71,10 +71,12 @@ from repro.obs.lineage import (
     SeedLineage,
     SeedSegment,
     lifecycle_table,
+    seed_episodes,
     seed_latency_summary,
     seed_lineages,
     slowest_seeds,
     slowest_table,
+    tile_segments,
 )
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.obs.trend import TREND_METRICS, load_snapshots, trend_table
@@ -153,12 +155,14 @@ __all__ = [
     "perfetto_events",
     "perfetto_json",
     "regressions",
+    "seed_episodes",
     "seed_latency_summary",
     "seed_lineages",
     "seed_perfetto_json",
     "slowest_seeds",
     "slowest_table",
     "span",
+    "tile_segments",
     "timeline_text",
     "write_collapsed",
     "write_perfetto",

@@ -38,12 +38,13 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.lineage import seed_latency_summary, seed_lineages
+from repro.obs.lineage import seed_episodes, seed_latency_summary
 from repro.obs.registry import Histogram
-from repro.obs.span import SpanRecord
+from repro.obs.span import SpanRecord, freeze_attrs
 
 #: Critical-path segment kinds, in reporting order.
 SEGMENT_KINDS = ("compute", "io", "comm", "idle")
@@ -63,8 +64,12 @@ _LEAF_KINDS = (
 RUN_SCHEMA = 1
 
 
+@lru_cache(maxsize=256)
 def leaf_kind(name: str) -> Optional[str]:
-    """Busy-segment kind for a span name, or None for containers/waits."""
+    """Busy-segment kind for a span name, or None for containers/waits.
+
+    A run has a dozen distinct span names and tens of thousands of
+    spans, so the prefix chain runs once per name (bounded table)."""
     for prefix, kind in _LEAF_KINDS:
         if name.startswith(prefix):
             return kind
@@ -417,7 +422,7 @@ def analyze(run: Mapping[str, Any], spans: Sequence[Any],
         span_summaries=_span_duration_summaries(spans),
         waits={int(k): dict(v) for k, v in run.get("waits", {}).items()},
         rank_rows=rank_rows,
-        seed_latency=seed_latency_summary(seed_lineages(spans)),
+        seed_latency=seed_latency_summary(seed_episodes(spans)),
     )
 
 
@@ -441,6 +446,11 @@ def analyze_run(result: Any, obs: Any) -> RunAnalysis:
 # Artifact loading (the ``repro analyze <trace-dir>`` path)
 # ---------------------------------------------------------------------- #
 
+#: The per-line decoder of the JSONL loaders (``json.loads`` re-checks its
+#: keyword arguments on every call).
+_decode = json.JSONDecoder().decode
+
+
 def load_spans_jsonl(path) -> List[SpanRecord]:
     """Re-hydrate ``spans.jsonl`` into :class:`SpanRecord` objects."""
     spans: List[SpanRecord] = []
@@ -449,11 +459,10 @@ def load_spans_jsonl(path) -> List[SpanRecord]:
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
+            d = _decode(line)
             spans.append(SpanRecord(
-                rank=d["rank"], name=d["name"], start=d["start"],
-                end=d["end"], depth=d.get("depth", 0),
-                attrs=tuple(sorted(d.get("attrs", {}).items()))))
+                d["rank"], d["name"], d["start"], d["end"],
+                d.get("depth", 0), freeze_attrs(d.get("attrs", {}))))
     return spans
 
 
@@ -465,7 +474,7 @@ def load_samples_jsonl(path) -> List[Tuple[float, str, int, float]]:
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
+            d = _decode(line)
             rows.append((d["time"], d["name"], d["rank"], d["value"]))
     return rows
 

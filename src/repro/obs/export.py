@@ -29,6 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.obs.analyze import RUN_SCHEMA, leaf_kind
 from repro.obs.recorder import Recorder
 from repro.obs.span import SpanRecord
 
@@ -56,6 +57,33 @@ def jsonable(value: Any) -> Any:
     return repr(value)
 
 
+#: Exact types :func:`jsonable` returns unchanged.  Matched by ``type()``,
+#: never ``isinstance``: ``numpy.float64`` subclasses ``float`` and must
+#: still be converted.
+_ATOMS = frozenset((int, float, str, bool, type(None)))
+
+#: One encoder per separator style the artifacts use (``json.dumps`` with
+#: any keyword builds a new ``JSONEncoder`` per call).  No circular-
+#: reference bookkeeping: what they are handed is fresh from
+#: :func:`jsonable`, a dict literal of this module, or a list of ints.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False).encode
+_SPACED = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+def plain(value: Any) -> Any:
+    """:func:`jsonable` for the writers' per-record loops: the same
+    result, but a value it would return unchanged — an exact ``int`` /
+    ``float`` / ``str`` / ``bool`` / ``None``, or a ``list`` of exact
+    ``int`` (every ``sids`` payload) — is handed back as is, not walked
+    and not copied.  Anything else goes through :func:`jsonable`."""
+    kind = type(value)
+    if kind in _ATOMS or (kind is list
+                          and all(type(v) is int for v in value)):
+        return value
+    return jsonable(value)
+
+
 def _us(seconds: float) -> float:
     """Simulated seconds -> trace_event microseconds."""
     return round(seconds * 1e6, 3)
@@ -81,25 +109,27 @@ def perfetto_events(spans: Sequence[SpanRecord],
         events.append({"ph": "M", "pid": 0, "tid": r, "ts": 0,
                        "name": "thread_sort_index",
                        "args": {"sort_index": r}})
+    cats: Dict[str, str] = {}
     for s in spans:
+        name = s.name
+        cat = cats.get(name)
+        if cat is None:
+            cat = cats[name] = _span_category(name)
         events.append({
-            "ph": "X", "pid": 0, "tid": s.rank, "name": s.name,
-            "cat": _span_category(s.name),
-            "ts": _us(s.start), "dur": _us(s.duration),
-            "args": {k: jsonable(v) for k, v in s.attrs},
+            "ph": "X", "pid": 0, "tid": s.rank, "name": name, "cat": cat,
+            "ts": _us(s.start), "dur": _us(s.end - s.start),
+            "args": {k: plain(v) for k, v in s.attrs},
         })
     for rec in trace_records:
         events.append({
             "ph": "i", "s": "t", "pid": 0, "tid": rec.rank,
             "name": rec.event, "cat": "trace", "ts": _us(rec.time),
-            "args": {k: jsonable(v) for k, v in rec.detail},
+            "args": {k: plain(v) for k, v in rec.detail},
         })
     for time, name, rank, value in samples:
         events.append({
-            "ph": "C", "pid": rank if rank >= 0 else 0,
-            "name": name if rank < 0 else f"{name}",
-            "ts": _us(time),
-            "args": {"value": jsonable(value)},
+            "ph": "C", "pid": rank if rank >= 0 else 0, "name": name,
+            "ts": _us(time), "args": {"value": plain(value)},
         })
     return events
 
@@ -112,7 +142,7 @@ def perfetto_json(recorder: Recorder, trace=None) -> str:
             recorder.spans, recorder.registry.samples,
             trace if trace is not None else ()),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _COMPACT(doc)
 
 
 def write_perfetto(path, recorder: Recorder, trace=None) -> None:
@@ -122,35 +152,32 @@ def write_perfetto(path, recorder: Recorder, trace=None) -> None:
         f.write("\n")
 
 
+def write_jsonl(path, rows: Iterable[Dict[str, Any]]) -> None:
+    """One sorted-key JSON object per row, streamed to ``path``."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(_SPACED(row) + "\n" for row in rows)
+
+
 def write_spans_jsonl(path, recorder: Recorder) -> None:
     """One JSON object per completed span, in completion order."""
-    with open(path, "w", encoding="utf-8") as f:
-        for s in recorder.spans:
-            f.write(json.dumps({
-                "rank": s.rank, "name": s.name, "start": s.start,
-                "end": s.end, "depth": s.depth,
-                "attrs": {k: jsonable(v) for k, v in s.attrs},
-            }, sort_keys=True))
-            f.write("\n")
+    write_jsonl(path, ({
+        "rank": s.rank, "name": s.name, "start": s.start,
+        "end": s.end, "depth": s.depth,
+        "attrs": {k: plain(v) for k, v in s.attrs},
+    } for s in recorder.spans))
 
 
 def write_samples_jsonl(path, recorder: Recorder) -> None:
     """One JSON object per gauge sample, in sampling order."""
-    with open(path, "w", encoding="utf-8") as f:
-        for time, name, rank, value in recorder.registry.samples:
-            f.write(json.dumps({
-                "time": time, "name": name, "rank": rank,
-                "value": jsonable(value),
-            }, sort_keys=True))
-            f.write("\n")
+    write_jsonl(path, ({
+        "time": time, "name": name, "rank": rank, "value": plain(value),
+    } for time, name, rank, value in recorder.registry.samples))
 
 
 def run_json_doc(result, recorder: Recorder) -> Dict[str, Any]:
     """The ``run.json`` document: run outcome + per-rank metrics + wait
     totals — everything ``repro analyze`` needs that spans/samples do
     not carry.  ``result`` is duck-typed (a ``RunResult``)."""
-    from repro.obs.analyze import RUN_SCHEMA
-
     return {
         "schema": RUN_SCHEMA,
         "algorithm": result.algorithm,
@@ -172,9 +199,7 @@ def run_json_doc(result, recorder: Recorder) -> Dict[str, Any]:
 def write_run_json(path, result, recorder: Recorder) -> None:
     """Write ``run.json`` (deterministic: sorted keys, stable order)."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(jsonable(run_json_doc(result, recorder)),
-                           sort_keys=True, separators=(",", ":")))
-        f.write("\n")
+        f.write(_COMPACT(jsonable(run_json_doc(result, recorder))) + "\n")
 
 
 # ---------------------------------------------------------------------- #
@@ -212,8 +237,7 @@ def seed_perfetto_json(lineages: Sequence) -> str:
     events: List[Dict[str, Any]] = []
     for lineage in lineages:
         events.extend(seed_perfetto_events(lineage))
-    doc = {"displayTimeUnit": "ms", "traceEvents": events}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _COMPACT({"displayTimeUnit": "ms", "traceEvents": events})
 
 
 def write_seed_perfetto(path, lineages: Sequence) -> None:
@@ -227,22 +251,18 @@ def write_seed_perfetto(path, lineages: Sequence) -> None:
 # Text timeline (Gantt)
 # ---------------------------------------------------------------------- #
 
-#: Timeline glyphs by span-name prefix; first match wins.  Only leaf
-#: activity spans paint the chart — container spans (``advect.pool``,
-#: ``io.load_block``, ...) would double-cover their children.
-_TIMELINE_GLYPHS = (
-    ("compute.", "C"),
-    ("io.read", "I"),
-    ("comm.", "M"),
-    ("wait.", "·"),
-)
+#: Timeline glyphs by leaf-span kind (:func:`~repro.obs.analyze.leaf_kind`:
+#: only leaf activity spans paint the chart — container spans such as
+#: ``io.load_block`` would double-cover their children); ``wait.*`` spans,
+#: which are not busy kinds, paint the attributed-wait dot.
+_KIND_GLYPHS = {"compute": "C", "io": "I", "comm": "M"}
 
 
 def _glyph_for(name: str) -> Optional[str]:
-    for prefix, glyph in _TIMELINE_GLYPHS:
-        if name.startswith(prefix):
-            return glyph
-    return None
+    kind = leaf_kind(name)
+    if kind is None:
+        return "·" if name.startswith("wait.") else None
+    return _KIND_GLYPHS[kind]
 
 
 def timeline_text(recorder: Recorder, wall_clock: float,

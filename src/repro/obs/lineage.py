@@ -48,7 +48,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Per-seed segment kinds, in reporting order.
 LIFECYCLE_KINDS = ("advect", "load", "queued", "handoff", "inflight")
@@ -63,8 +63,7 @@ _TAGGED_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class SeedSegment:
+class SeedSegment(NamedTuple):
     """One hop of a seed's lifecycle: over ``[start, end]`` the seed was
     ``kind`` on ``rank`` (rank -1 = in flight between ranks)."""
 
@@ -99,6 +98,10 @@ class SeedLineage:
     #: Arrivals at a rank that already hosted this seed (Wang et al.'s
     #: ping-pong-particle pathology).
     pingpong: int = 0
+    #: Ownership episodes ``(start, end, rank)`` in order, as the markers
+    #: give them; ``end`` is None for a truncated run's dangling last one.
+    episodes: List[Tuple[float, Optional[float], int]] = field(
+        default_factory=list)
 
     @property
     def wall(self) -> Optional[float]:
@@ -120,34 +123,32 @@ def has_seed_provenance(spans: Sequence[Any]) -> bool:
     return any(s.name in SEED_EVENTS for s in spans)
 
 
-def _collect(spans: Sequence[Any]) -> Tuple[
-        Dict[int, List[Tuple[float, int, str, int]]],
+def _tagged(spans: Sequence[Any]) -> Tuple[
         Dict[int, Dict[int, List[Tuple[float, float, str]]]],
         Dict[int, List[Tuple[float, float, int]]]]:
-    """One pass over the spans: per-sid lifecycle events, per-sid tagged
-    activity intervals by rank, and per-sid tagged sends."""
-    events: Dict[int, List[Tuple[float, int, str, int]]] = {}
+    """One pass over the spans: per-sid tagged activity intervals by
+    rank, and per-sid tagged sends.  A span's interval tuple is built
+    once and shared by every sid it carries."""
     activity: Dict[int, Dict[int, List[Tuple[float, float, str]]]] = {}
     sends: Dict[int, List[Tuple[float, float, int]]] = {}
-    for idx, s in enumerate(spans):
+    for s in spans:
         name = s.name
-        if name in SEED_EVENTS:
-            sid = s.get("sid")
-            if sid is None:
-                continue
-            events.setdefault(int(sid), []).append(
-                (s.start, idx, name[len("seed."):], s.rank))
-            continue
         kind = _TAGGED_KINDS.get(name)
+        if kind is None and name != "comm.send":
+            continue
+        sids = s.get("sids")
+        if not sids:
+            continue
         if kind is not None:
-            for sid in (s.get("sids") or ()):
-                activity.setdefault(int(sid), {}).setdefault(
-                    s.rank, []).append((s.start, s.end, kind))
-        elif name == "comm.send":
-            for sid in (s.get("sids") or ()):
-                sends.setdefault(int(sid), []).append(
-                    (s.start, s.end, s.rank))
-    return events, activity, sends
+            rank, interval = s.rank, (s.start, s.end, kind)
+            for sid in sids:
+                activity.setdefault(sid, {}).setdefault(
+                    rank, []).append(interval)
+        else:
+            sent = (s.start, s.end, s.rank)
+            for sid in sids:
+                sends.setdefault(sid, []).append(sent)
+    return activity, sends
 
 
 def _episode_segments(a: float, b: float, rank: int,
@@ -199,22 +200,32 @@ def _gap_segments(b: float, a_next: float, rank: int,
     return out
 
 
-def seed_lineages(spans: Sequence[Any]) -> List[SeedLineage]:
-    """Reconstruct every streamline's lifecycle from a trace's spans.
+def seed_episodes(spans: Sequence[Any]) -> List[SeedLineage]:
+    """The ``seed.own`` / ``seed.release`` / ``seed.term`` state machine:
+    every streamline's ownership episodes — hence birth, death,
+    completeness, rank path, handoffs and ping-pongs — from the lifecycle
+    markers alone.  That is all a latency needs (``analyze`` stops here);
+    ``segments`` stay empty until :func:`tile_segments` fills them.
 
     Returns lineages sorted by sid.  A trace without ``seed.*`` markers
     (recorded before per-streamline provenance existed) yields an empty
     list — callers treat that as "lineage unavailable", not an error.
     """
-    events, activity, sends = _collect(spans)
+    events: Dict[int, List[Tuple[float, int, str, int]]] = {}
+    for idx, s in enumerate(spans):
+        name = s.name
+        if name in SEED_EVENTS:
+            sid = s.get("sid")
+            if sid is not None:
+                events.setdefault(int(sid), []).append(
+                    (s.start, idx, name[len("seed."):], s.rank))
     lineages: List[SeedLineage] = []
     for sid in sorted(events):
-        evs = sorted(events[sid])  # (time, appearance idx) order
-        by_rank = activity.get(sid, {})
         episodes: List[Tuple[float, Optional[float], int]] = []
         open_ep: Optional[Tuple[float, int]] = None
         death: Optional[float] = None
-        for (t, _idx, kind, rank) in evs:
+        # (time, appearance idx) order
+        for (t, _idx, kind, rank) in sorted(events[sid]):
             if kind == "own":
                 if open_ep is not None:
                     raise ValueError(
@@ -244,40 +255,57 @@ def seed_lineages(spans: Sequence[Any]) -> List[SeedLineage]:
                 death = t
         complete = death is not None and open_ep is None
         if open_ep is not None:
-            # Truncated run (OOM): close the dangling episode at the last
-            # tagged activity so the partial lifecycle still renders.
-            start, rank = open_ep
-            end = max([start] + [e for _s, e, _k in by_rank.get(rank, ())])
-            episodes.append((start, end, rank))
-        if not episodes:
-            continue
+            # Truncated run (OOM): the markers cannot say where the
+            # dangling episode ends; the tiling closes it.
+            episodes.append((open_ep[0], None, open_ep[1]))
+        ranks: List[int] = []
+        pingpong = 0
+        for _a, _b, rank in episodes:
+            if rank in ranks:
+                pingpong += 1
+            ranks.append(rank)
+        lineages.append(SeedLineage(
+            sid=sid, birth=episodes[0][0], death=death, complete=complete,
+            ranks=ranks, handoffs=len(episodes) - 1, pingpong=pingpong,
+            episodes=episodes))
+    return lineages
 
+
+def tile_segments(spans: Sequence[Any],
+                  lineages: Sequence[SeedLineage]) -> Sequence[SeedLineage]:
+    """Fill ``segments`` of ``lineages`` — some or all of
+    ``seed_episodes(spans)`` — with the activity tiling of their episodes,
+    in place, and return them."""
+    activity, sends = _tagged(spans)
+    for ln in lineages:
+        by_rank = activity.get(ln.sid, {})
         acts = {}  # rank -> (sorted intervals, running latest end)
         for r, ivs in by_rank.items():
             ivs.sort()
             acts[r] = (ivs, list(accumulate((iv[1] for iv in ivs), max)))
-        sid_sends = sends.get(sid, [])
+        sid_sends = sends.get(ln.sid, [])
         segments: List[SeedSegment] = []
-        ranks: List[int] = []
-        pingpong = 0
-        for i, (a, b, rank) in enumerate(episodes):
-            if rank in ranks:
-                pingpong += 1
-            ranks.append(rank)
-            if i > 0:
-                prev_end, prev_rank = episodes[i - 1][1], episodes[i - 1][2]
-                if prev_end is not None and a > prev_end:
-                    segments.extend(_gap_segments(prev_end, a, prev_rank,
-                                                  sid_sends))
-            if b is not None and b > a:
+        prev: Optional[Tuple[float, int]] = None
+        for a, b, rank in ln.episodes:
+            if b is None:
+                # Close the dangling episode at the last tagged activity
+                # so the partial lifecycle still renders.
+                b = max([a] + [e for _s, e, _k in by_rank.get(rank, ())])
+            if prev is not None and a > prev[0]:
+                segments.extend(_gap_segments(prev[0], a, prev[1],
+                                              sid_sends))
+            if b > a:
                 segments.extend(_episode_segments(
                     a, b, rank, *acts.get(rank, ((), ()))))
-
-        lineages.append(SeedLineage(
-            sid=sid, birth=episodes[0][0], death=death, complete=complete,
-            ranks=ranks, segments=segments,
-            handoffs=len(episodes) - 1, pingpong=pingpong))
+            prev = (b, rank)
+        ln.segments = segments
     return lineages
+
+
+def seed_lineages(spans: Sequence[Any]) -> List[SeedLineage]:
+    """Reconstruct every streamline's lifecycle from a trace's spans:
+    :func:`seed_episodes`, tiled by :func:`tile_segments`."""
+    return tile_segments(spans, seed_episodes(spans))
 
 
 def slowest_seeds(lineages: Sequence[SeedLineage],

@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.host import NULL_PROBE, HostProbe
 from repro.obs.registry import MetricsRegistry
-from repro.obs.span import NULL_SPAN, Span, SpanRecord
+from repro.obs.span import NULL_SPAN, Span, SpanRecord, freeze_attrs
 from repro.obs.waitstate import WAIT_DEFAULT, WaitStates
 
 
@@ -122,9 +122,8 @@ class Recorder:
             return
         t = self._clock()
         self._spans.append(SpanRecord(
-            rank=rank, name=name, start=t, end=t,
-            depth=self._depth.get(rank, 0),
-            attrs=tuple(sorted(attrs.items())) if attrs else ()))
+            rank, name, t, t, self._depth.get(rank, 0),
+            freeze_attrs(attrs)))
 
     @property
     def spans(self) -> Tuple[SpanRecord, ...]:
@@ -158,8 +157,7 @@ class Recorder:
         reason = reason or WAIT_DEFAULT
         self.waits.add(rank, reason, end - start)
         self._spans.append(SpanRecord(
-            rank=rank, name=f"wait.{reason}", start=start, end=end,
-            depth=self._depth.get(rank, 0)))
+            rank, f"wait.{reason}", start, end, self._depth.get(rank, 0)))
 
     def on_time_advance(self, now: float) -> None:
         """The engine clock reached ``now``; sample gauges if due."""

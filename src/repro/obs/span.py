@@ -29,13 +29,23 @@ shared :data:`NULL_SPAN` so the disabled path allocates nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """One completed span: a half-open interval on the simulated clock."""
+def freeze_attrs(attrs: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
+    """A record's attrs: the dict's items as a key-sorted tuple."""
+    if len(attrs) > 1:
+        return tuple(sorted(attrs.items()))
+    return tuple(attrs.items())
+
+
+class SpanRecord(NamedTuple):
+    """One completed span: a half-open interval on the simulated clock.
+
+    A tuple, not a dataclass: a run makes tens of thousands, and one
+    positional tuple costs a third of a frozen-dataclass ``__init__``
+    and carries no per-instance ``__dict__`` for the collector to walk.
+    """
 
     rank: int
     name: str
@@ -130,7 +140,6 @@ class Span:
             rec._depth[self.rank] = self._depth
             attrs = self._attrs
             rec._spans.append(SpanRecord(
-                rank=self.rank, name=self.name, start=self.start,
-                end=end, depth=self._depth,
-                attrs=tuple(sorted(attrs.items())) if attrs else ()))
+                self.rank, self.name, self.start, end, self._depth,
+                freeze_attrs(attrs) if attrs else ()))
         return False

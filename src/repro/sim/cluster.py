@@ -117,9 +117,10 @@ class RankContext:
                       category=TimerCategory.COMPUTE,
                       metrics=self.metrics) as sp:
             if obs.enabled:
-                sp.set(steps=steps)
-                if sids is not None:
-                    sp.set(sids=sorted(sids))
+                if sids is None:
+                    sp.set(steps=steps)
+                else:
+                    sp.set(steps=steps, sids=sorted(sids))
             if seconds > 0:
                 yield Sleep(seconds)
         self.metrics.steps += steps

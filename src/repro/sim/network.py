@@ -120,6 +120,9 @@ class Comm:
         self.rank = rank
         self._mailbox: Deque[Message] = deque()
         self._arrival = Signal(f"rank{rank}.mail")
+        #: (``comm.msgs_sent``, ``comm.msg_bytes``) instruments, looked up
+        #: on this endpoint's first recorded send.
+        self._sent: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # Sending
@@ -142,23 +145,26 @@ class Comm:
         with obs.span(self.rank, "comm.send", category=TimerCategory.COMM,
                       metrics=m) as sp:
             if obs.enabled:
-                sp.set(dst=dst, kind=kind, nbytes=nbytes)
                 # Streamline provenance: tag the send with the ids it
                 # carries so per-seed lineage can attribute the handoff.
                 # Duck-typed (StreamlinePacket has .lines, AssignSeeds
                 # has .sids) to keep this module free of core imports.
                 lines = getattr(payload, "lines", None)
-                if lines is not None:
-                    sp.set(sids=sorted(ln.sid for ln in lines))
+                sids = (getattr(payload, "sids", None) if lines is None
+                        else [ln.sid for ln in lines])
+                if sids is None:
+                    sp.set(dst=dst, kind=kind, nbytes=nbytes)
                 else:
-                    sids = getattr(payload, "sids", None)
-                    if sids is not None:
-                        sp.set(sids=sorted(sids))
-                reg = obs.registry
-                reg.counter("comm.msgs_sent").inc()
-                reg.histogram("comm.msg_bytes",
-                              buckets=(64, 1024, 16384, 262144, 4194304)
-                              ).observe(nbytes)
+                    sp.set(dst=dst, kind=kind, nbytes=nbytes,
+                           sids=sorted(sids))
+                if self._sent is None:
+                    self._sent = (
+                        obs.registry.counter("comm.msgs_sent"),
+                        obs.registry.histogram(
+                            "comm.msg_bytes",
+                            buckets=(64, 1024, 16384, 262144, 4194304)))
+                self._sent[0].inc()
+                self._sent[1].observe(nbytes)
             if post > 0:
                 yield Sleep(post)
         m.msgs_sent += 1

@@ -15,14 +15,14 @@ to the Perfetto exporter as instant events.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
-from repro.obs.export import jsonable
+from repro.obs.export import plain, write_jsonl
+from repro.obs.span import freeze_attrs
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One trace event."""
 
     time: float
@@ -39,10 +39,10 @@ class TraceRecord:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe dict view; numpy scalars/arrays in the detail are
         coerced to plain Python values."""
-        d: Dict[str, Any] = {"time": jsonable(self.time), "rank": self.rank,
+        d: Dict[str, Any] = {"time": plain(self.time), "rank": self.rank,
                              "event": self.event}
         for k, v in self.detail:
-            d[k] = jsonable(v)
+            d[k] = plain(v)
         return d
 
 
@@ -66,8 +66,7 @@ class Trace:
         if not self.enabled:
             return
         self._records.append(TraceRecord(
-            time=self._clock(), rank=rank, event=event,
-            detail=tuple(sorted(detail.items()))))
+            self._clock(), rank, event, freeze_attrs(detail)))
 
     def select(self, event: Optional[str] = None,
                rank: Optional[int] = None) -> List[TraceRecord]:
@@ -93,10 +92,7 @@ class Trace:
     # ------------------------------------------------------------------ #
     def to_jsonl(self, path) -> None:
         """Write one sorted-key JSON object per record, in emit order."""
-        with open(path, "w", encoding="utf-8") as f:
-            for r in self._records:
-                f.write(json.dumps(r.as_dict(), sort_keys=True))
-                f.write("\n")
+        write_jsonl(path, (r.as_dict() for r in self._records))
 
     @classmethod
     def from_jsonl(cls, path) -> "Trace":

@@ -76,6 +76,26 @@ def count_kernel_calls(monkeypatch):
     return calls
 
 
+def draw_problem(data):
+    """A random small problem (also drawn by ``test_obs_lineage.py``):
+    one to ten seeds well inside one of two fields, 8 or 27 blocks, a
+    short step budget.  Returns ``(rng, field, seeds, problem)``."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    field = data.draw(st.sampled_from([
+        SupernovaField(),
+        RigidRotationField(domain=Bounds.cube(-1.0, 1.0))]))
+    size = field.domain.hi_array - field.domain.lo_array
+    lo = field.domain.lo_array + 0.15 * size
+    hi = field.domain.lo_array + 0.85 * size
+    seeds = rng.uniform(lo, hi, size=(data.draw(st.integers(1, 10)), 3))
+    return rng, field, seeds, repro.ProblemSpec(
+        field=field, seeds=seeds,
+        blocks_per_axis=(data.draw(st.integers(2, 3)),) * 3,
+        cells_per_block=(4, 4, 4),
+        integ=IntegratorConfig(max_steps=data.draw(st.integers(5, 50)),
+                               h_max=0.05, rtol=1e-4, atol=1e-6))
+
+
 @pytest.fixture
 def tokamak_problem():
     field = TokamakField()
@@ -95,20 +115,7 @@ def tokamak_problem():
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_replay_equals_direct_kernel_at_every_call(monkeypatch, data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-    field = data.draw(st.sampled_from([
-        SupernovaField(),
-        RigidRotationField(domain=Bounds.cube(-1.0, 1.0))]))
-    size = field.domain.hi_array - field.domain.lo_array
-    lo = field.domain.lo_array + 0.15 * size
-    hi = field.domain.lo_array + 0.85 * size
-    seeds = rng.uniform(lo, hi, size=(data.draw(st.integers(1, 10)), 3))
-    problem = repro.ProblemSpec(
-        field=field, seeds=seeds,
-        blocks_per_axis=(data.draw(st.integers(2, 3)),) * 3,
-        cells_per_block=(4, 4, 4),
-        integ=IntegratorConfig(max_steps=data.draw(st.integers(5, 50)),
-                               h_max=0.05, rtol=1e-4, atol=1e-6))
+    rng, field, seeds, problem = draw_problem(data)
     algorithm = data.draw(st.sampled_from(["static", "ondemand", "hybrid"]))
     machine = MachineSpec(n_ranks=data.draw(st.integers(2, 5)),
                           cache_blocks=data.draw(st.integers(1, 6)))
@@ -417,20 +424,7 @@ def test_runs_sharing_a_bank_equal_runs_on_their_own(data):
     size, hybrid tunables and reseeding all varying, one of them dying of
     simulated OOM — on one shared bank: each equals the same run handed
     no bank, and leaves nothing of itself for the next."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-    field = data.draw(st.sampled_from([
-        SupernovaField(),
-        RigidRotationField(domain=Bounds.cube(-1.0, 1.0))]))
-    size = field.domain.hi_array - field.domain.lo_array
-    lo = field.domain.lo_array + 0.15 * size
-    hi = field.domain.lo_array + 0.85 * size
-    seeds = rng.uniform(lo, hi, size=(data.draw(st.integers(1, 10)), 3))
-    problem = repro.ProblemSpec(
-        field=field, seeds=seeds,
-        blocks_per_axis=(data.draw(st.integers(2, 3)),) * 3,
-        cells_per_block=(4, 4, 4),
-        integ=IntegratorConfig(max_steps=data.draw(st.integers(5, 50)),
-                               h_max=0.05, rtol=1e-4, atol=1e-6))
+    rng, field, seeds, problem = draw_problem(data)
     store = BlockStore(field, problem.decomposition)
     shared = TrajectoryBank(problem, store)
     n_runs = data.draw(st.integers(2, 5))

@@ -1,13 +1,16 @@
 """Per-streamline provenance: lifecycle reconstruction and tiling."""
 
+import importlib
+import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.obs.lineage as lineage_mod
 from repro.core.driver import run_streamlines
-from repro.obs import Recorder, analyze_run
+from repro.obs import Recorder, analyze, analyze_run
 from repro.obs.analyze import leaf_kind, load_spans_jsonl
 from repro.obs.export import seed_perfetto_json, write_spans_jsonl
 from repro.obs.lineage import (
@@ -21,6 +24,10 @@ from repro.obs.lineage import (
 )
 from repro.obs.span import SpanRecord
 from repro.sim.machine import MachineSpec
+from tests.test_integrate_bank import draw_problem
+
+# ``repro.obs.analyze`` the attribute is the function of that name.
+analyze_mod = importlib.import_module("repro.obs.analyze")
 
 
 def rec(rank, name, start, end, **attrs):
@@ -388,3 +395,135 @@ def test_truncated_run_lineages_match_the_oracle(small_problem):
     dangling = [ln for ln in lineages if not ln.complete]
     assert dangling and any(ln.segments for ln in dangling)
     assert all(ln.death is None for ln in dangling)
+
+
+# ---------------------------------------------------------------------- #
+# Marker-only latency == full lineages
+# ---------------------------------------------------------------------- #
+
+def analyzed_latency(spans):
+    """``seed_latency`` as ``analyze()`` reports it for these spans."""
+    run = {"algorithm": "x", "n_ranks": 1, "wall_clock": 1.0}
+    return analyze(run, spans, []).seed_latency
+
+
+def assert_marker_latency_equals_lineages(spans):
+    """What ``analyze()`` summarises — the walls ``seed_episodes`` reads
+    off the markers — is exactly what the full reconstruction gives, and
+    so is everything else the markers determine."""
+    marked = lineage_mod.seed_episodes(spans)
+    full = seed_lineages(spans)
+    assert [ln.wall for ln in marked] == [ln.wall for ln in full]
+    assert analyzed_latency(spans) == seed_latency_summary(full)
+    assert all(ln.segments == [] for ln in marked)
+    assert [(ln.sid, ln.birth, ln.death, ln.complete, ln.ranks,
+             ln.handoffs, ln.pingpong) for ln in marked] \
+        == [(ln.sid, ln.birth, ln.death, ln.complete, ln.ranks,
+             ln.handoffs, ln.pingpong) for ln in full]
+    return full
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_marker_latency_on_random_live_runs(data):
+    _rng, _field, seeds, problem = draw_problem(data)
+    for algorithm in ("static", "ondemand", "hybrid"):
+        obs = Recorder(enabled=True)
+        result = run_streamlines(
+            problem, algorithm=algorithm, obs=obs,
+            machine=MachineSpec(n_ranks=data.draw(st.integers(2, 5)),
+                                cache_blocks=data.draw(st.integers(1, 6))))
+        assert result.ok
+        full = assert_marker_latency_equals_lineages(obs.spans)
+        assert analyzed_latency(obs.spans)["count"] == len(seeds) == len(full)
+
+
+def test_marker_latency_excludes_what_an_oom_left_incomplete(small_problem):
+    obs = Recorder(enabled=True)
+    cost = small_problem.cost_model
+    # One block and 14 curves fit a rank; Static hands one of the two
+    # more than that once curves start migrating, ten terminations in.
+    result = run_streamlines(
+        small_problem, algorithm="static", obs=obs,
+        machine=MachineSpec(
+            n_ranks=2, cache_blocks=1,
+            memory_bytes=(cost.block_nbytes + 1000
+                          + 14 * cost.streamline_memory_nbytes(1))))
+    assert result.status == "oom"
+    full = assert_marker_latency_equals_lineages(obs.spans)
+    done = [ln for ln in full if ln.complete]
+    assert 0 < len(done) < len(full)
+    assert analyzed_latency(obs.spans)["count"] == len(done)
+    # The markers leave the dangling episode open; only the tiling (on
+    # its own copy of the lineages) closes it.
+    assert all(ln.episodes[-1][1] is None
+               for ln in lineage_mod.seed_episodes(obs.spans)
+               if not ln.complete)
+
+
+def test_marker_latency_with_out_of_domain_seeds(small_problem):
+    problem = small_problem.with_seeds(np.array([
+        [0.5, 0.5, 0.5], [5.0, 5.0, 5.0], [0.3, 0.6, 0.4],
+        [-2.0, 0.0, 0.0]]))
+    obs = Recorder(enabled=True)
+    assert run_streamlines(problem, algorithm="hybrid", obs=obs,
+                           machine=MachineSpec(n_ranks=4)).ok
+    full = assert_marker_latency_equals_lineages(obs.spans)
+    assert [ln.wall == 0.0 for ln in full] == [False, True, False, True]
+    # A termination the master recorded without an ownership bracket (no
+    # Worker bookkeeping) is a point episode at the termination.
+    spans = [s for s in obs.spans
+             if not (s.name == "seed.own" and s.get("sid") in (1, 3))]
+    assert_marker_latency_equals_lineages(spans)
+    assert [ln.wall for ln in seed_lineages(spans)] \
+        == [ln.wall for ln in full]
+
+
+def test_no_markers_means_no_latency():
+    spans = [rec(0, "compute.advect", 0.0, 1.0, sids=[1]),
+             rec(0, "comm.send", 1.0, 2.0, sids=[1])]
+    assert lineage_mod.seed_episodes(spans) == []
+    assert analyzed_latency(spans) is None
+
+
+@pytest.mark.parametrize("spans, message", [
+    ([marker(0, "seed.own", 0.0, 1), marker(1, "seed.own", 1.0, 1)],
+     "seed 1: owned twice without release (rank 1 at t=1.0)"),
+    ([marker(0, "seed.own", 0.0, 1), marker(2, "seed.release", 1.0, 1)],
+     "seed 1: release on rank 2 at t=1.0 does not match an open "
+     "ownership episode"),
+    ([marker(0, "seed.own", 0.0, 1), marker(2, "seed.term", 1.0, 1)],
+     "seed 1: termination on rank 2 at t=1.0 while owned by rank 0"),
+])
+def test_malformed_lifecycles_raise_the_same_everywhere(spans, message):
+    for entry in (analyzed_latency, lineage_mod.seed_episodes,
+                  lineage_mod.seed_lineages):
+        with pytest.raises(ValueError) as exc:
+            entry(spans)
+        assert str(exc.value) == message
+
+
+def test_one_state_machine_serves_latency_and_lineages(monkeypatch):
+    """``analyze()`` and ``seed_lineages`` both go through
+    ``seed_episodes``; only the latter tiles."""
+    # The lifecycle errors are raised in one place.
+    assert inspect.getsource(lineage_mod.seed_episodes).count(
+        "raise ValueError") == 3
+    assert "raise" not in inspect.getsource(lineage_mod).replace(
+        inspect.getsource(lineage_mod.seed_episodes), "")
+    calls = []
+
+    def spy(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    episodes = spy("seed_episodes", lineage_mod.seed_episodes)
+    monkeypatch.setattr(lineage_mod, "seed_episodes", episodes)
+    monkeypatch.setattr(analyze_mod, "seed_episodes", episodes)
+    monkeypatch.setattr(lineage_mod, "tile_segments",
+                        spy("tile_segments", lineage_mod.tile_segments))
+    assert not hasattr(analyze_mod, "tile_segments")
+    spans = [marker(0, "seed.own", 0.0, 1), marker(0, "seed.term", 2.0, 1)]
+    assert analyzed_latency(spans)["max"] == 2.0
+    assert calls == ["seed_episodes"]
+    assert lineage_mod.seed_lineages(spans)[0].wall == 2.0
+    assert calls == ["seed_episodes", "seed_episodes", "tile_segments"]

@@ -1,10 +1,14 @@
 """Span API: begin/end pairing, nesting, timer charging, null paths."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core.driver import run_streamlines
 from repro.obs import NULL_SPAN, Recorder
-from repro.obs.span import NullSpan
+from repro.obs.span import NullSpan, Span
 from repro.sim.metrics import RankMetrics, TimerCategory
+from repro.sim.trace import Trace
 
 
 def make_recorder(enabled):
@@ -93,3 +97,49 @@ def test_span_records_on_exception_and_reraises():
     assert m.io_time == pytest.approx(1.0)
     assert rec.spans[0].end == 1.0
     assert rec.open_span_count == 0
+
+
+# ---------------------------------------------------------------------- #
+# Disabled path: no recording work at all
+# ---------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("algorithm", ["hybrid", "static"])
+def test_disabled_run_does_no_recording_work(small_problem, small_machine,
+                                             monkeypatch, algorithm):
+    """With recorder and trace disabled no recording entry point is even
+    called: every ``sp.set`` / ``obs.marker`` / ``trace.emit`` site sits
+    behind its ``if obs.enabled:`` / ``if trace.enabled:`` guard, so the
+    disabled path builds no kwargs.  The same run enabled goes through
+    all three (the counters do count)."""
+    calls = Counter()
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(Span, "set")
+    counting(Recorder, "marker")
+    counting(Trace, "emit")
+
+    obs, trace = Recorder(enabled=False), Trace(enabled=False)
+    result = run_streamlines(small_problem, algorithm=algorithm,
+                             machine=small_machine, obs=obs, trace=trace)
+    assert result.ok
+    assert calls == Counter()
+    assert obs.spans == () and len(trace) == 0
+    assert obs.registry.samples == [] and obs.registry.counters() == {}
+    # No trace handed in: the shared NULL_TRACE is a ``Trace`` too.
+    assert run_streamlines(small_problem, algorithm=algorithm,
+                           machine=small_machine).ok
+    assert calls == Counter()
+
+    obs, trace = Recorder(enabled=True), Trace(enabled=True)
+    run_streamlines(small_problem, algorithm=algorithm,
+                    machine=small_machine, obs=obs, trace=trace)
+    assert set(calls) == {"Span.set", "Recorder.marker", "Trace.emit"}
+    assert calls["Trace.emit"] == len(trace)
