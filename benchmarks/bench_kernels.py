@@ -23,7 +23,17 @@ is made of:
   ranks, scale 0.1): ``record`` (recorded minus unrecorded run), each of
   the five exported files, ``reload`` (``analyze_dir``) and ``analyze``
   (``analyze_run``), and the collector's gen-0/1/2 collection counts
-  over one record -> export -> reload -> analyze ``pass``.
+  over one record -> export -> reload -> analyze ``pass``;
+* ``exec`` — what a sweep pays around its runs, on the host benchmark's
+  24 bench-mode specs (4 problems x 3 algorithms x 2 rank counts, scale
+  0.005): ``acquire.N``, seconds until ``sweep_begin`` with N loopback
+  nodes of one slot each (they start side by side, so it follows the
+  slowest node, not the sum — on one box, until the loopback
+  interpreters outnumber its cores), and ``sweep.jobsN``, the sweep
+  through N local slots with its **cold dispatches** — distinct
+  (worker, problem) pairs, each of which pays one trace of the
+  problem's curves (4 is the floor; a problem-blind dispatcher pays
+  4 x N).
 
 Each per-particle kernel runs at batch sizes k in {1, 4, 32, 256}
 (``trace`` uses one fixed set of curves).  Wall-clock numbers are deliberately
@@ -50,6 +60,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
+import shlex
 import sys
 import tempfile
 import time
@@ -272,6 +284,55 @@ def bench_obs(repeats) -> dict:
     return recs
 
 
+def bench_exec() -> dict:
+    """Acquisition time by node count (best of two one-spec sweeps: the
+    first start of an interpreter reads it from disk) and cold
+    dispatches by slot count (one 24-spec sweep each); see the module
+    docstring."""
+    from repro.exec import (MODE_BENCH, JsonlTelemetry, NodeSpec,
+                            SweepExecutor, grid_specs, load_events)
+
+    specs = grid_specs(["astro", "fusion"], ["sparse", "dense"],
+                       ["static", "ondemand", "hybrid"], [4, 8],
+                       scale=0.005, mode=MODE_BENCH, sample_interval=2.0)
+    problem_of = {spec.name: spec.problem_key for spec in specs}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loopback = (f"env PYTHONPATH={shlex.quote(path)} "
+                f"{shlex.quote(sys.executable)} -m repro.exec.remote_worker")
+
+    def sweep(todo, **kw):
+        with tempfile.TemporaryDirectory() as tmp, \
+                JsonlTelemetry(Path(tmp) / "events.jsonl") as sink:
+            t0 = time.perf_counter()
+            outcomes = SweepExecutor(telemetry=sink, **kw).run(todo)
+            seconds = time.perf_counter() - t0
+            assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+            sink.close()
+            return seconds, load_events(sink.path)
+
+    recs = {}
+    for n in (1, 2, 4):
+        nodes = [NodeSpec(f"n{i + 1}", 1) for i in range(n)]
+        best = float("inf")
+        for _ in range(2):
+            _, events = sweep(specs[:1], nodes=nodes,
+                              remote_template=loopback)
+            begin = next(e for e in events if e["event"] == "sweep_begin")
+            assert len(begin["nodes"]) == n, begin  # every node came up
+            best = min(best, begin["t"])
+        recs[f"acquire.{n}"] = {"ns_per_call": best * 1e9, "inner": 1,
+                                "repeats": 2}
+    for jobs in (1, 2, 4):
+        seconds, events = sweep(specs, jobs=jobs)
+        cold = {(e["worker"], problem_of[e["run"]])
+                for e in events if e["event"] == "dispatch"}
+        recs[f"sweep.jobs{jobs}"] = {"ns_per_call": seconds * 1e9,
+                                     "inner": 1, "repeats": 1,
+                                     "cold_dispatches": len(cold)}
+    return recs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="wall-clock microbenchmarks of the advection kernels")
@@ -310,6 +371,7 @@ def main(argv=None) -> int:
                                           repeats)),
         ("trace", lambda: bench_trace(field, dec, rng, inner, repeats)),
         ("obs", lambda: bench_obs(repeats)),
+        ("exec", bench_exec),
     )
     for name, bench in benches:
         with phase(name):
@@ -338,7 +400,9 @@ def main(argv=None) -> int:
                          if "tracemalloc_peak_mib" in rec else "")
                       + (f"  gen-0/1/2 collections "
                          f"{rec['gc_collections']}"
-                         if "gc_collections" in rec else ""))
+                         if "gc_collections" in rec else "")
+                      + (f"  cold dispatches {rec['cold_dispatches']}"
+                         if "cold_dispatches" in rec else ""))
     print(f"total: {doc['total_seconds']:.1f}s ({doc['profile']})")
 
     if args.out:

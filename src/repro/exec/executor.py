@@ -23,11 +23,12 @@ Three layers sit between the spec list and the workers:
   (``repro sweep --nodes host1:4,host2:8``);
   ``queues=[QueueSpec(...)]`` activates batch acquisition
   (``repro sweep --queue slurm:16``); both can be mixed.
-* **Node-aware dispatch** (:class:`Dispatcher`): free slots live in a
-  heap keyed by ``(-speed, slot)``, where a remote node's speed factor
-  comes from its handshake calibration probe (or retire-event
-  history).  Combined with LPT's longest-first pending order, the
-  longest expected runs land on the fastest free slots.
+* **Node- and problem-aware dispatch** (:class:`Dispatcher`): free
+  slots live in a heap keyed by ``(-speed, slot)`` (a remote node's
+  speed factor comes from its handshake calibration probe or retire
+  history) and a slot keeps the problem its worker has traced, claims
+  an unheld one when that runs dry, and only then steals.  With LPT's
+  order the heaviest unclaimed problem lands on the fastest free slot.
 
 Robustness guards, per run:
 
@@ -155,7 +156,7 @@ class Dispatcher:
     """The sweep's dispatch state machine: which spec goes to which
     slot next, and what each worker event means.
 
-    It owns the pending queue, the free-slot heap, the slot table, and
+    It owns the pending queues, the free-slot heap, the slot table, and
     the retry book-keeping, and maps events — a result, a worker death,
     a timeout, a spawn failure — to actions on the worker and source
     objects it was handed (``send`` / ``spawn`` / ``discard``) plus
@@ -164,8 +165,12 @@ class Dispatcher:
     ready waitables — so tests drive it with fakes.
 
     Free slots are keyed ``(-speed, slot)``: fastest node first, then
-    lowest slot — with LPT's longest-first pending order this is
-    exactly "longest run to fastest free slot".
+    lowest slot.  A worker holds the traced curves of the problem it
+    last ran, so — like the paper's hybrid master, which assigns work
+    for loaded data before it makes anyone load — a free slot takes
+    :meth:`_take`'s pick: its own problem, else an unheld one, else a
+    steal.  With LPT's order this is "heaviest unclaimed problem to
+    the fastest free slot".
     """
 
     def __init__(self, items: Sequence[Tuple[int, RunSpec]],
@@ -174,9 +179,15 @@ class Dispatcher:
                  progress: Callable[[str, Any], None],
                  warn: Callable[[str], None], jobs: int = 1,
                  timeout: Optional[float] = None):
-        self.pending = deque(items)              # schedule order
+        # Pending, per problem: problem_key -> its specs in schedule
+        # order, the problems themselves in plan order.
+        self.queues: Dict[Any, deque] = {}
+        for item in items:
+            self.queues.setdefault(item[1].problem_key,
+                                   deque()).append(item)
         self.table = table                       # slot -> _Slot
         self.workers = workers                   # slot -> held worker
+        self.holds: Dict[int, Any] = {}  # slot -> its worker's problem
         self.local = local    # source of dedicated/emergency workers
         self.jobs = jobs
         self.timeout = timeout
@@ -190,8 +201,36 @@ class Dispatcher:
         self._next_slot = max(table, default=-1) + 1
 
     @property
+    def pending(self) -> List[Tuple[int, RunSpec]]:
+        """The undispatched specs, problem by problem."""
+        return [item for queue in self.queues.values() for item in queue]
+
+    @property
     def done(self) -> bool:
-        return not (self.pending or self.running)
+        return not (self.queues or self.running)
+
+    def _take(self, slot: int) -> Tuple[int, RunSpec]:
+        """Pop the next spec for a free slot: of the problem its worker
+        holds, else of the first problem no slot holds, else the head of
+        the queue — a steal: one more trace, but the tail of the sweep
+        stays work-conserving.  O(problems + slots), not O(pending)."""
+        key = self.holds.get(slot)
+        if key not in self.queues:
+            held = set(self.holds.values())
+            key = next((k for k in self.queues if k not in held),
+                       next(iter(self.queues)))  # nothing unheld: steal
+        queue = self.queues[key]
+        item = queue.popleft()
+        if not queue:
+            del self.queues[key]
+        return item
+
+    def _put_back(self, idx: int, spec: RunSpec) -> None:
+        """Return a spec to the front of its problem (of the whole
+        queue, if that problem had run dry)."""
+        if spec.problem_key not in self.queues:
+            self.queues = {spec.problem_key: deque(), **self.queues}
+        self.queues[spec.problem_key].appendleft((idx, spec))
 
     def _event(self, kind: str, a: _Assigned, **fields: Any) -> None:
         self.emit(kind, run=a.spec.name, idx=a.idx, worker=a.slot,
@@ -199,7 +238,9 @@ class Dispatcher:
 
     def _discard(self, slot: int) -> None:
         """Drop a slot's held worker (died, timed out, or memory-
-        suspect); the slot spawns a fresh one on next use."""
+        suspect) and with it the slot's hold on a problem; the slot
+        spawns a fresh one on next use."""
+        self.holds.pop(slot, None)
         worker = self.workers.pop(slot, None)
         if worker is not None:
             worker.discard()
@@ -208,7 +249,7 @@ class Dispatcher:
         # Every slot gone (all nodes lost) with work left and no
         # in-flight runs that could still succeed: conjure emergency
         # local slots so the sweep always completes.
-        if self.pending and not self.table and not self.running:
+        if self.queues and not self.table and not self.running:
             self.warn("all nodes lost; finishing the sweep on an "
                       f"emergency local pool ({self.jobs} slot(s))")
             self.emit("node_lost", node=LOCAL_NODE, slots=self.jobs,
@@ -224,6 +265,7 @@ class Dispatcher:
                       if info.source is source)
         for s in lost:
             del self.table[s]
+            self.holds.pop(s, None)
             if s not in busy:  # in-flight runs may still report
                 self._discard(s)
         name = source.node.name
@@ -237,18 +279,18 @@ class Dispatcher:
         needed.  An isolated or retry-exhausted spec gets a fresh
         dedicated local worker instead of the slot's own."""
         self._ensure_capacity()
-        while self.pending and self.free:
+        while self.queues and self.free:
             neg_speed, slot = heapq.heappop(self.free)
             info = self.table.get(slot)
             if info is None:
                 continue  # stale heap entry from a dropped node
-            idx, spec = self.pending.popleft()
+            if slot in self.workers and not self.workers[slot].alive:
+                self._discard(slot)  # a dead worker holds no problem
+            idx, spec = self._take(slot)
             dedicated = spec.isolate or idx in self.local_only
             local = dedicated or info.node == LOCAL_NODE
             worker = None if dedicated else self.workers.get(slot)
-            if worker is None or not worker.alive:
-                if not dedicated:
-                    self._discard(slot)
+            if worker is None:
                 try:
                     worker = (self.local if dedicated
                               else info.source).spawn()
@@ -256,7 +298,7 @@ class Dispatcher:
                     if local:
                         raise  # no further fallback: fail the sweep
                     self._drop_node(info.source, exc)
-                    self.pending.appendleft((idx, spec))
+                    self._put_back(idx, spec)
                     self._ensure_capacity()
                     continue
                 if not dedicated:
@@ -271,8 +313,10 @@ class Dispatcher:
                 else:
                     self._discard(slot)
                 heapq.heappush(self.free, (neg_speed, slot))
-                self.pending.appendleft((idx, spec))
+                self._put_back(idx, spec)
                 continue
+            if not dedicated:
+                self.holds[slot] = spec.problem_key
             a = _Assigned(
                 idx=idx, spec=spec, slot=slot,
                 node=LOCAL_NODE if local else info.node, started=now,
@@ -354,7 +398,7 @@ class Dispatcher:
         self._event("requeue", a, attempt=n,
                     target=LOCAL_NODE if to_local else "remote")
         self._release(a, discard=True)
-        self.pending.appendleft((a.idx, a.spec))
+        self._put_back(a.idx, a.spec)
         self.progress("requeue", (a.spec, a.slot, a.node))
 
     def expire(self, now: float) -> None:
@@ -369,9 +413,12 @@ class Dispatcher:
 
     def close(self) -> None:
         """Stop whatever still runs (interrupt / error cleanup) and
-        shut every held worker down politely."""
+        shut every held worker down politely — all of them asked before
+        the first is reaped, so the interpreters exit side by side."""
         for a in list(self.running.values()):
             self._release(a, discard=True)
+        for worker in self.workers.values():
+            worker.shutdown()
         for worker in self.workers.values():
             worker.discard(terminate=False)
         self.workers.clear()
@@ -581,6 +628,8 @@ class SweepExecutor:
         are appended to *sources*.
 
         Without ``nodes``/``queues``: ``jobs`` local slots.  Otherwise
+        every remote node's probe is launched first (acquisition costs
+        the slowest node, not the sum) and then, in listed order,
         each target contributes the slots its ``acquire()`` delivers: a
         remote node all of its declared slots, one of them already
         holding the **probe worker** that proved the node reachable
@@ -599,6 +648,8 @@ class SweepExecutor:
                 self.nodes or [], self.queues or [], self.remote_template,
                 self.queue_template, self.telemetry is not None,
                 emit=self._emit_event))
+        for source in sources:  # every node starts before any is awaited
+            source.launch()
         for source in sources:
             self._fill_slots(source, table, workers)
         if not table:

@@ -23,10 +23,13 @@ RuntimeEstimator` predictions (history when available, static model
     never reorders on guesses alone).
 
 Under every policy the specs of one problem (``RunSpec.problem_key``)
-are dispatched back to back, because a worker holds one problem's traced
+are planned back to back, because a worker holds one problem's traced
 curves at a time and the first spec of a problem pays for the trace:
 ``fifo`` orders the problems by first appearance, ``lpt`` by descending
-total prediction with the longest run of each problem first.
+total prediction with the longest run of each problem first.  With
+several slots the :class:`~repro.exec.executor.Dispatcher` lets a slot
+keep its problem, so the plan's order is the order *within* a problem
+and the order in which free slots claim problems.
 
 Scheduling changes only *when* runs execute.  The executor merges
 outcomes in spec order regardless of dispatch order, so every

@@ -629,10 +629,11 @@ def fork_worker(collect_host: bool = False) -> StreamWorker:
         parent.makefile("wb", buffering=0), parent, proc), collect_host)
 
 
-def command_worker(host: str, template: str = DEFAULT_REMOTE_TEMPLATE,
-                   collect_host: bool = False) -> StreamWorker:
-    """Launch *template* (``{host}``/``{cwd}`` substituted, ``shlex``-
-    split, no local shell) and speak to the worker over its stdio."""
+def launch_command(host: str, template: str = DEFAULT_REMOTE_TEMPLATE
+                   ) -> StreamWorker:
+    """Start *template* (``{host}``/``{cwd}`` substituted, ``shlex``-
+    split, no local shell) and return at once: the worker's stdio
+    stream, its hello not yet read."""
     argv = shlex.split(template.replace("{host}", host)
                        .replace("{cwd}", os.getcwd()))
     if not argv:
@@ -643,8 +644,14 @@ def command_worker(host: str, template: str = DEFAULT_REMOTE_TEMPLATE,
                                 bufsize=0)
     except OSError as exc:
         raise TransportError(f"cannot launch worker on {host}: {exc}")
-    return handshake(StreamWorker(host, proc.stdout, proc.stdin,
-                                  proc.stdout, proc), collect_host)
+    return StreamWorker(host, proc.stdout, proc.stdin, proc.stdout, proc)
+
+
+def command_worker(host: str, template: str = DEFAULT_REMOTE_TEMPLATE,
+                   collect_host: bool = False) -> StreamWorker:
+    """A handshaken worker launched from *template*, spoken to over its
+    stdio."""
+    return handshake(launch_command(host, template), collect_host)
 
 
 class WorkerSource:
@@ -668,6 +675,9 @@ class WorkerSource:
         self.collect_host = collect_host
         #: Handshake failures seen while acquiring, for warnings.
         self.problems: List[str] = []
+        #: What ``launch()`` started and ``acquire()`` has yet to
+        #: handshake: the probe's stream, or why it could not start.
+        self._launched: Any = None
 
     def spawn(self) -> StreamWorker:
         """Open one worker here; launch failure, handshake timeout or
@@ -678,19 +688,45 @@ class WorkerSource:
                               self.template or DEFAULT_REMOTE_TEMPLATE,
                               self.collect_host)
 
+    def launch(self) -> None:
+        """Start a remote node's probe process without waiting for its
+        hello, so a fleet launched first and acquired second starts up
+        side by side; a launch failure is kept for ``acquire()`` to
+        raise.  The parent's calibration is taken before the first
+        process exists: later it would compete with the starting
+        interpreters and skew every node's speed factor."""
+        if self.kind == "ssh" and self._launched is None:
+            reference_calibration()
+            try:
+                self._launched = launch_command(
+                    self.node.name,
+                    self.template or DEFAULT_REMOTE_TEMPLATE)
+            except TransportError as exc:
+                self._launched = exc
+
     def acquire(self) -> List[Optional[StreamWorker]]:
         """One entry per usable slot, before dispatch begins: a held
         worker, or ``None`` for a slot that spawns on first use.  A
         remote node holds one **probe worker** — it detects an
         unreachable node before any spec is dispatched and yields the
-        node's calibration speed; forking needs neither."""
+        node's calibration speed; forking needs neither.  The probe is
+        the process ``launch()`` started, if it was called; its
+        handshake deadline starts here, at its own hello read."""
         lazy: List[Optional[StreamWorker]] = [None] * self.node.slots
         if not self.node.is_local:
-            lazy[0] = self.spawn()
+            self.launch()
+            if isinstance(self._launched, TransportError):
+                raise self._launched
+            lazy[0] = handshake(self._launched, self.collect_host)
+            self._launched = None  # handed over; until here close() reaps
         return lazy
 
     def close(self) -> None:
-        """Release source-owned resources (listeners etc.)."""
+        """Release source-owned resources: a probe that was launched
+        and never acquired is stopped and reaped."""
+        probe, self._launched = self._launched, None
+        if isinstance(probe, StreamWorker):
+            probe.discard()
 
 
 # --------------------------------------------------------------------- #

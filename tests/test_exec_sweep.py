@@ -192,6 +192,33 @@ def test_serial_sweep_traces_each_problem_once(kernel_calls):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_two_slots_keep_their_problems(tmp_path):
+    """Through two slots each problem is traced by the worker that keeps
+    it, plus at most one steal at the tail: 4-5 cold dispatches where
+    the problem-blind dispatcher paid 8 — in grid order, shuffled and
+    under lpt — and the merge is the serial one to the byte."""
+    from repro.exec import JsonlTelemetry, load_events, validate_events
+
+    specs = hostbench_specs()
+    by_name = {s.name: s.problem_key for s in specs}
+    order = np.random.default_rng(3).permutation(len(specs))
+    shuffled = [specs[i] for i in order]
+    serial = _merged_json(SweepExecutor(jobs=1).run(specs))
+    for variant, schedule in ((specs, "fifo"), (shuffled, "fifo"),
+                              (shuffled, "lpt")):
+        with JsonlTelemetry(tmp_path / "events.jsonl") as sink:
+            outcomes = SweepExecutor(jobs=2, telemetry=sink,
+                                     schedule=schedule).run(variant)
+        events = load_events(sink.path)
+        assert [o.spec for o in outcomes] == variant
+        assert _merged_json(outcomes) == serial
+        assert validate_events(events) == []
+        cold = {(e["worker"], by_name[e["run"]])
+                for e in events if e["event"] == "dispatch"}
+        assert {w for w, _ in cold} == {0, 1}, schedule
+        assert 4 <= len(cold) <= 5, (schedule, sorted(cold))
+
+
 def test_sharing_never_changes_a_bench_entry(kernel_calls):
     """Each entry of a sweep that shared banks equals the entry of the
     same spec run alone on a bank of its own."""

@@ -295,18 +295,55 @@ def test_handshake_deadline_covers_the_whole_hello(tmp_path,
         os.kill(int(pidfile.read_text()), 0)
 
 
-def test_nodes_sweep_byte_identical_to_serial(tmp_path):
+@pytest.fixture
+def start_log(monkeypatch):
+    """Call order of the acquisition steps (``calib`` / ``popen`` /
+    ``hello <node>``) and every process ``Popen`` started."""
+    from repro.exec import transport
+
+    log, procs = [], []
+    probe, shake = transport.calibration_probe, transport.handshake
+
+    class LoggedPopen(transport.subprocess.Popen):
+        def __init__(self, *args, **kw):
+            log.append("popen")
+            super().__init__(*args, **kw)
+            procs.append(self)
+
+    def logged_probe(*args, **kw):
+        log.append("calib")
+        return probe(*args, **kw)
+
+    def logged_handshake(worker, collect_host):
+        log.append(f"hello {worker.node}")
+        return shake(worker, collect_host)
+
+    monkeypatch.setattr(transport.subprocess, "Popen", LoggedPopen)
+    monkeypatch.setattr(transport, "calibration_probe", logged_probe)
+    monkeypatch.setattr(transport, "handshake", logged_handshake)
+    transport.reference_calibration.cache_clear()
+    yield log, procs
+    transport.reference_calibration.cache_clear()
+
+
+def test_nodes_sweep_byte_identical_to_serial(tmp_path, start_log):
     """The acceptance contract: a 2-node loopback LPT sweep merges
-    byte-identically to the serial FIFO sweep."""
+    byte-identically to the serial FIFO sweep.  The nodes start side by
+    side: both processes exist before the first hello is read, and the
+    parent's calibration is taken before either."""
+    log, procs = start_log
     specs = grid_specs(["astro"], ["sparse", "dense"],
                        ["ondemand", "static"], [4], scale=0.02)
     serial = SweepExecutor(jobs=1).run(specs)
     clear_cache(disk=True)  # force the remote workers to really run
+    assert log == []  # an inline sweep starts nothing
     sink = JsonlTelemetry(tmp_path / "events.jsonl")
     distributed = SweepExecutor(
         nodes=parse_nodes("n1:1,n2:1"), remote_template=LOOPBACK,
         schedule="lpt", telemetry=sink).run(specs)
     sink.close()
+    assert log == ["calib", "popen", "popen", "hello n1", "hello n2"]
+    assert all(proc.poll() == 0 for proc in procs)  # shut down, reaped
     assert [o.status for o in distributed] == [OUTCOME_OK] * len(specs)
     assert _summary_doc(serial) == _summary_doc(distributed)
     events = load_events(tmp_path / "events.jsonl")
@@ -326,6 +363,75 @@ def test_mixed_local_and_remote_slots():
                           remote_template=LOOPBACK).run(specs)
     assert [o.status for o in mixed] == [OUTCOME_OK] * len(specs)
     assert _summary_doc(serial) == _summary_doc(mixed)
+
+
+# --------------------------------------------------------------------- #
+# Two-phase start: launch every node, then handshake in listed order
+# --------------------------------------------------------------------- #
+
+def test_launch_failure_on_one_node_spares_the_others(start_log, tmp_path,
+                                                      capsys):
+    """A node whose launcher cannot even be executed surfaces at its own
+    acquire() as the usual unreachable-node degradation; the node listed
+    after it was launched all the same."""
+    log, procs = start_log
+    sink = JsonlTelemetry(tmp_path / "events.jsonl")
+    nodes = [NodeSpec("/nonexistent/python", 2), NodeSpec(sys.executable, 1)]
+    outcomes = SweepExecutor(
+        nodes=nodes, remote_template="{host} -m repro.exec.remote_worker",
+        telemetry=sink).run([_spec(), _spec(algorithm="static")])
+    sink.close()
+    assert [o.status for o in outcomes] == [OUTCOME_OK] * 2
+    assert log[:3] == ["calib", "popen", "popen"] and len(procs) == 1
+    err = capsys.readouterr().err
+    assert "node /nonexistent/python unreachable (cannot launch" in err
+    events = load_events(tmp_path / "events.jsonl")
+    assert validate_events(events) == []
+    lost, = (e for e in events if e["event"] == "node_lost")
+    assert lost["phase"] == "startup" and lost["slots"] == 2
+    assert {e["node"] for e in events if e["event"] == "retire"} \
+        == {sys.executable}
+
+
+def test_launched_but_never_handshaken_probes_are_reaped(start_log,
+                                                         monkeypatch):
+    """An interrupt while the first node is being handshaken: the
+    sweep's cleanup leaves no process behind, the second node's — which
+    never got as far as its hello — included."""
+    from repro.exec import transport
+
+    log, procs = start_log
+
+    def interrupted(worker, collect_host):
+        assert all(proc.poll() is None for proc in procs)  # both run
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(transport, "handshake", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        SweepExecutor(nodes=parse_nodes("n1:1,n2:1"),
+                      remote_template=LOOPBACK).run([_spec()])
+    assert log == ["calib", "popen", "popen"]
+    assert [proc.poll() is not None for proc in procs] == [True, True]
+
+
+def test_source_close_reaps_an_unacquired_probe():
+    from repro.exec.transport import WorkerSource
+
+    source = WorkerSource(NodeSpec("n1", 1), LOOPBACK)
+    source.launch()
+    proc = source._launched.proc
+    assert proc.poll() is None
+    source.close()
+    assert proc.poll() is not None and source._launched is None
+    source.close()  # idempotent
+    # acquire() hands the probe over: close() then leaves it alone.
+    source.launch()
+    worker, = source.acquire()
+    try:
+        source.close()
+        assert worker.alive and worker.hello["protocol"] == 1
+    finally:
+        worker.discard(terminate=False)
 
 
 # --------------------------------------------------------------------- #
