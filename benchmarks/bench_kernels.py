@@ -18,6 +18,9 @@ is made of:
   imposed on the kernel before the bank); and ``full_width``, the
   trajectory bank's one trace of the host benchmark's ``dense_batch``
   problem (880 thermal circle seeds), with its ``tracemalloc`` peak;
+* ``serial`` — the serial reference :func:`integrate_single` (one pooled
+  call over a growing pool), ``astro200``: 200 sparse astro seeds over
+  8^3 blocks of 8^3 cells, 300 max steps, blocks already sampled;
 * ``obs`` — what observing one run costs **per recorded span**, on the
   host benchmark's ``ref_hybrid`` problem (astro dense seeds, hybrid, 8
   ranks, scale 0.1): ``record`` (recorded minus unrecorded run), each of
@@ -79,18 +82,20 @@ import numpy as np
 from repro.analysis import make_problem, scenario_machine
 from repro.core.driver import run_streamlines
 from repro.core.problem import ProblemSpec
-from repro.fields import ThermalHydraulicsField, sample_field
+from repro.fields import (SupernovaField, ThermalHydraulicsField,
+                          sample_field)
 from repro.fields.library import RigidRotationField
 from repro.integrate.bank import TrajectoryBank
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
 from repro.integrate.pooled import BlockPool, advance_pool
+from repro.integrate.single import integrate_single
 from repro.integrate.streamline import make_streamlines
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 from repro.obs import (Recorder, analyze_dir, analyze_run, write_perfetto,
                        write_run_json, write_samples_jsonl, write_spans_jsonl)
-from repro.seeding import circle_seeds
+from repro.seeding import circle_seeds, sparse_random_seeds
 from repro.sim.trace import Trace
 from repro.storage import BlockStore
 
@@ -228,6 +233,20 @@ def bench_full_width_trace(repeats) -> dict:
     rec["tracemalloc_live_mib"] = live / 2 ** 20
     rec["tracemalloc_peak_mib"] = peak / 2 ** 20
     return rec
+
+
+def bench_serial(repeats) -> dict:
+    """The serial reference on one fixed sparse astro problem; the block
+    cache is shared across calls, so this times integration, not
+    sampling."""
+    field = SupernovaField()
+    dec = Decomposition(field.domain, (8, 8, 8), (8, 8, 8))
+    seeds = sparse_random_seeds(field.domain, 200, seed=0)
+    cfg = IntegratorConfig(max_steps=300)
+    blocks = {}
+    return {"astro200": _bench(
+        lambda: integrate_single(field, dec, seeds, cfg, blocks=blocks),
+        1, repeats)}
 
 
 def bench_obs(repeats) -> dict:
@@ -370,6 +389,7 @@ def main(argv=None) -> int:
         ("advance", lambda: bench_advance(field, dec, pool, rng, inner,
                                           repeats)),
         ("trace", lambda: bench_trace(field, dec, rng, inner, repeats)),
+        ("serial", lambda: bench_serial(repeats)),
         ("obs", lambda: bench_obs(repeats)),
         ("exec", bench_exec),
     )

@@ -2,8 +2,8 @@
 
 Implements the integration scheme the paper uses — "an integration scheme of
 Runge-Kutta type with adaptive stepsize control as proposed by Dormand and
-Prince" — as a *batched* integrator: all particles resident in one block on
-one rank advance together through vectorized stage evaluations, which is the
+Prince" — as a *batched* integrator: every particle in a pool of loaded
+blocks advances in lockstep rounds of vectorized stage evaluations, the
 NumPy-idiomatic equivalent of the tight C++ inner loop in VisIt.
 
 Public surface
@@ -13,25 +13,28 @@ Public surface
 ``IntegratorConfig``  tolerances, step bounds, termination thresholds
 ``Dopri5``            adaptive Dormand-Prince RK5(4)
 ``RK4``, ``Euler``    fixed-step baselines
-``advance_batch``     advance a batch of streamlines within one block
-``integrate_single``  convenience serial integration across blocks
+``BlockPool``         loaded blocks stacked for one-gather sampling
+``advance_pool``      the advection kernel: lockstep rounds over a pool
+``PoolResult``        outcome of one ``advance_pool`` call
+``integrate_single``  serial reference: one pooled call over all seeds
 """
 
 from repro.integrate.streamline import Status, Streamline
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
 from repro.integrate.fixed import Euler, RK4
-from repro.integrate.advect import AdvectionResult, advance_batch
+from repro.integrate.pooled import BlockPool, PoolResult, advance_pool
 from repro.integrate.single import integrate_single
 
 __all__ = [
-    "AdvectionResult",
+    "BlockPool",
     "Dopri5",
     "Euler",
     "IntegratorConfig",
+    "PoolResult",
     "RK4",
     "Status",
     "Streamline",
-    "advance_batch",
+    "advance_pool",
     "integrate_single",
 ]

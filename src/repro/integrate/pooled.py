@@ -12,10 +12,10 @@ to the edge of the loaded blocks") and it is the key NumPy optimization:
 * particles that cross between two *loaded* blocks keep advancing inside
   the kernel (slot switch), never bouncing back to the per-rank scheduler.
 
-Trajectories are bit-identical to repeated single-block
-:func:`~repro.integrate.advect.advance_batch` calls: the same block data,
-clamping, and per-particle step controller state are used; only the batching
-of Python-level work differs.
+Trajectories are bit-identical to the straight-line NumPy kernel this one
+replaced: ``tests/test_kernel_equivalence.py`` pins them to a golden
+fixture recorded before the fused kernels, and the fused sampler to the
+naive trilinear reference ``_naive_sample``.
 
 Hot-path structure
 ------------------

@@ -1,30 +1,25 @@
 """Serial reference integration (no simulator, no parallel algorithm).
 
-Two uses:
-
-* validating the distributed algorithms — every algorithm must produce the
-  same curves as this reference, because parallelization must not change
-  the numerics (only *where* each block-resident stretch is computed);
-* examples that just want streamline geometry for a picture.
-
-``integrate_single`` runs one curve at a time across the block-decomposed
-dataset: locate the containing block, advance within it via the same
-:func:`~repro.integrate.advect.advance_batch` kernel the parallel
-algorithms use, hop to the next block, repeat.
+It validates the distributed algorithms — parallelization must not change
+the numerics, so every algorithm reproduces these curves bit for bit —
+and serves examples that just want streamline geometry.  Like the
+trajectory bank's trace, it locates every seed once and advances all
+in-domain curves to termination in one :func:`advance_pool` call over a
+growing :class:`BlockPool` that samples each block on first touch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.fields.base import VectorField
 from repro.fields.sampling import sample_block
-from repro.integrate.advect import advance_batch
 from repro.integrate.base import Integrator
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
+from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import Status, Streamline, make_streamlines
 from repro.mesh.block import Block
 from repro.mesh.decomposition import Decomposition
@@ -38,52 +33,32 @@ def integrate_single(field: VectorField, decomposition: Decomposition,
                      ) -> List[Streamline]:
     """Integrate streamlines serially over a block-decomposed field.
 
-    Parameters
-    ----------
-    field:
-        The analytic field; blocks are sampled from it on first touch
-        unless ``blocks`` provides them.
-    decomposition:
-        Block layout of the domain.
-    seeds:
-        ``(k, 3)`` seed points.  Seeds outside the domain produce
-        streamlines terminated immediately with ``OUT_OF_BOUNDS``.
-    blocks:
-        Optional pre-sampled blocks (shared with callers to avoid
-        re-sampling in tests).
-
-    Returns
-    -------
-    The finished streamlines, in seed order.
+    ``seeds`` is ``(k, 3)``; a seed outside the domain gives a streamline
+    terminated ``OUT_OF_BOUNDS`` with no steps.  Blocks are sampled from
+    ``field`` on first touch into ``blocks`` (a cache callers may share,
+    so repeated calls re-sample nothing) unless it already holds them.
+    Returns the finished streamlines in seed order.
     """
     cfg = cfg or IntegratorConfig()
     integrator = integrator or Dopri5(rtol=cfg.rtol, atol=cfg.atol)
     cache: Dict[int, Block] = blocks if blocks is not None else {}
-    lines = make_streamlines(seeds)
 
-    for line in lines:
-        bid = int(decomposition.locate(line.position))
+    def load(block_id: int) -> Block:
+        if block_id not in cache:
+            cache[block_id] = sample_block(field, decomposition.info(block_id))
+        return cache[block_id]
+
+    lines = make_streamlines(seeds)
+    bids = decomposition.locate_many(
+        np.array([line.seed for line in lines]).reshape(-1, 3))
+    for line, bid in zip(lines, bids.tolist()):
+        line.block_id = bid
         if bid < 0:
             line.terminate(Status.OUT_OF_BOUNDS)
-            continue
-        line.block_id = bid
-        while line.status is Status.ACTIVE:
-            block = cache.get(line.block_id)
-            if block is None:
-                block = sample_block(field,
-                                     decomposition.info(line.block_id))
-                cache[line.block_id] = block
-            advance_batch([line], block, decomposition.domain,
-                          integrator, cfg)
-            if line.status is Status.ACTIVE:
-                nbid = int(decomposition.locate(line.position))
-                if nbid < 0:
-                    line.terminate(Status.OUT_OF_BOUNDS)
-                    break
-                if nbid == line.block_id:
-                    # Numerical edge: position re-locates to the same
-                    # block (landed exactly on a face).  Nudge the step
-                    # and continue; advance_batch will move it off.
-                    pass
-                line.block_id = nbid
+    active = [line for line in lines if line.block_id >= 0]
+    if active:
+        pool = BlockPool([load(active[0].block_id)], loader=load,
+                         n_blocks=decomposition.n_blocks)
+        advance_pool(active, pool, decomposition.domain, decomposition,
+                     integrator, cfg)
     return lines

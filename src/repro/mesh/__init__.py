@@ -17,7 +17,7 @@ from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import BlockInfo, Decomposition
 from repro.mesh.block import Block
 from repro.mesh.locator import BlockLocator
-from repro.mesh.interpolate import trilinear, trilinear_one
+from repro.mesh.interpolate import trilinear
 from repro.mesh.topology import block_adjacency, face_neighbors
 
 __all__ = [
@@ -29,5 +29,4 @@ __all__ = [
     "block_adjacency",
     "face_neighbors",
     "trilinear",
-    "trilinear_one",
 ]

@@ -112,9 +112,3 @@ def trilinear(data: np.ndarray, unit_points: np.ndarray) -> np.ndarray:
     flat = data.reshape(-1, data.shape[3])
     return trilinear_nodes(flat, (nx, ny, nz), corner_offsets(ny, nz),
                            fx, fy, fz)
-
-
-def trilinear_one(data: np.ndarray, unit_point: np.ndarray) -> np.ndarray:
-    """Single-point convenience wrapper around :func:`trilinear`."""
-    return trilinear(data, np.asarray(unit_point, dtype=np.float64)
-                     .reshape(1, 3))[0]

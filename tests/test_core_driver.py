@@ -23,6 +23,15 @@ def reference(small_problem_module):
                             problem.seeds, problem.integ)
 
 
+def assert_identical(ref, line):
+    """Same outcome and the same curve, bit for bit."""
+    assert ref.status == line.status
+    assert ref.steps == line.steps
+    assert (ref.h, ref.time) == (line.h, line.time)
+    assert np.array_equal(ref.position, line.position)
+    assert np.array_equal(ref.vertices(), line.vertices())
+
+
 @pytest.fixture(scope="module")
 def small_problem_module():
     # Module-scoped twin of the conftest fixture (for the reference run).
@@ -56,10 +65,9 @@ def test_geometry_identical_to_serial_reference(
     produces bit-identical curves to the serial reference."""
     result = run_streamlines(small_problem_module, algorithm=algorithm,
                              machine=MachineSpec(n_ranks=8))
+    assert len(result.streamlines) == len(reference)
     for ref, line in zip(reference, result.streamlines):
-        assert ref.status == line.status
-        assert ref.steps == line.steps
-        assert np.allclose(ref.vertices(), line.vertices(), atol=1e-13)
+        assert_identical(ref, line)
 
 
 @pytest.mark.parametrize("algorithm", ALGOS)
@@ -77,14 +85,13 @@ def test_deterministic_across_runs(small_problem_module, algorithm):
 
 @pytest.mark.parametrize("algorithm", ALGOS)
 def test_rank_count_does_not_change_results(small_problem_module,
-                                            algorithm):
-    a = run_streamlines(small_problem_module, algorithm=algorithm,
-                        machine=MachineSpec(n_ranks=4))
-    b = run_streamlines(small_problem_module, algorithm=algorithm,
-                        machine=MachineSpec(n_ranks=12))
-    for la, lb in zip(a.streamlines, b.streamlines):
-        assert la.status == lb.status
-        assert np.allclose(la.vertices(), lb.vertices(), atol=1e-13)
+                                            reference, algorithm):
+    for n_ranks in (4, 12):
+        result = run_streamlines(small_problem_module, algorithm=algorithm,
+                                 machine=MachineSpec(n_ranks=n_ranks))
+        assert len(result.streamlines) == len(reference)
+        for ref, line in zip(reference, result.streamlines):
+            assert_identical(ref, line)
 
 
 def test_unknown_algorithm_rejected(small_problem_module):

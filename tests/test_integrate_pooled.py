@@ -5,7 +5,6 @@ import pytest
 
 from repro.fields import UniformField, sample_block, sample_field
 from repro.fields.library import RigidRotationField
-from repro.integrate.advect import advance_batch
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
 from repro.integrate.pooled import BlockPool, advance_pool
@@ -59,29 +58,31 @@ def test_line_crosses_blocks_inside_pool(rotation_setup):
 
 
 def test_pool_trajectory_identical_to_blockwise(rotation_setup):
-    """The pooled kernel must reproduce repeated advance_batch exactly."""
+    """A growing pool gives exactly the curve of hops over one-block fixed
+    pools: the kernel's slot switch is the hop, nothing else differs."""
     field, dec, blocks = rotation_setup
     cfg = IntegratorConfig(max_steps=300, h_max=0.03)
     seed = [0.4, 0.1, -0.2]
 
     pooled = start_line(dec, seed, sid=0)
-    advance_pool([pooled], BlockPool(list(blocks.values())),
-                 field.domain, dec, Dopri5(), cfg)
+    grown = BlockPool([blocks[pooled.block_id]], loader=blocks.__getitem__,
+                      n_blocks=dec.n_blocks)
+    advance_pool([pooled], grown, field.domain, dec, Dopri5(), cfg)
+    assert len(grown) > 1
 
     blockwise = start_line(dec, seed, sid=1)
+    hops = 0
     while blockwise.status is Status.ACTIVE:
-        advance_batch([blockwise], blocks[blockwise.block_id],
-                      field.domain, Dopri5(), cfg)
-        if blockwise.status is Status.ACTIVE:
-            bid = int(dec.locate(blockwise.position))
-            if bid < 0:
-                blockwise.terminate(Status.OUT_OF_BOUNDS)
-                break
-            blockwise.block_id = bid
+        advance_pool([blockwise], BlockPool([blocks[blockwise.block_id]]),
+                     field.domain, dec, Dopri5(), cfg)
+        hops += 1
+    assert hops > 1
 
     assert pooled.status == blockwise.status
     assert pooled.steps == blockwise.steps
-    assert np.allclose(pooled.vertices(), blockwise.vertices(), atol=1e-14)
+    assert (pooled.h, pooled.time) == (blockwise.h, blockwise.time)
+    assert np.array_equal(pooled.position, blockwise.position)
+    assert np.array_equal(pooled.vertices(), blockwise.vertices())
 
 
 def test_exit_reports_destination_block(rotation_setup):
@@ -145,8 +146,10 @@ def test_mixed_batch_outcomes():
     pool = BlockPool(list(blocks.values()))
     res = advance_pool([a, b], pool, field.domain, dec, Dopri5(), cfg)
     assert a.status is Status.MAX_STEPS
+    assert a.steps == cfg.max_steps
     assert b.status is Status.OUT_OF_BOUNDS
     assert sorted(l.sid for l in res.terminated) == [0, 1]
+    assert res.exited == [] and res.in_pool == []
 
 
 def test_wrong_block_id_rejected(rotation_setup):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh.interpolate import trilinear, trilinear_one
+from repro.mesh.interpolate import trilinear
 
 
 def linear_data(nx=5, ny=4, nz=3, coeffs=((1.0, 2.0, 3.0, 0.5),)):
@@ -89,13 +89,6 @@ def test_shape_validation():
         trilinear(np.zeros((1, 4, 4, 3)), np.zeros((1, 3)))  # too few nodes
     with pytest.raises(ValueError):
         trilinear(np.zeros((4, 4, 4)), np.zeros((1, 3)))  # missing channel
-
-
-def test_trilinear_one():
-    data = linear_data()
-    out = trilinear_one(data, np.array([0.5, 0.5, 0.5]))
-    assert out.shape == (1,)
-    assert np.allclose(out[0], affine(np.array([[0.5, 0.5, 0.5]]))[0])
 
 
 def test_anisotropic_grid():
