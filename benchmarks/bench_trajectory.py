@@ -169,8 +169,7 @@ def build_doc(args: argparse.Namespace) -> tuple:
 
     specs = build_specs(args)
     try:
-        nodes, queues = parse_fleet(args.nodes, args.nodes_file,
-                                    args.queue, args.queue_template)
+        nodes = parse_fleet(args.nodes, args.nodes_file)
     except ValueError as exc:
         raise SystemExit(f"bench_trajectory: {exc}")
     telemetry_dir = Path(args.telemetry) if args.telemetry else None
@@ -190,9 +189,7 @@ def build_doc(args: argparse.Namespace) -> tuple:
                              progress=text_progress(),
                              telemetry=sink, schedule=args.schedule,
                              estimator=estimator, nodes=nodes,
-                             remote_template=args.remote_template,
-                             queues=queues,
-                             queue_template=args.queue_template)
+                             remote_template=args.remote_template)
     try:
         outcomes = executor.run(specs)
     finally:
@@ -264,17 +261,6 @@ def main(argv=None) -> int:
                         help="command template launching the remote "
                              "worker on {host} (default: ssh batch "
                              "mode)")
-    parser.add_argument("--queue", default=None, metavar="SPEC",
-                        help="acquire workers through a batch "
-                             "scheduler: comma-separated name:slots "
-                             "(slurm:16, pbs:8, loopback:2); the name "
-                             "selects a submit preset unless "
-                             "--queue-template overrides; the snapshot "
-                             "stays byte-identical")
-    parser.add_argument("--queue-template", default=None,
-                        metavar="TEMPLATE",
-                        help="submit-command template overriding the "
-                             "per-queue preset")
     parser.add_argument("--timeout", type=float, default=0.0,
                         help="per-run limit in real seconds "
                              "(0 = unlimited)")

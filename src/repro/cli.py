@@ -18,11 +18,8 @@ Commands
                schedule-accuracy (predicted vs actual, MAPE) table;
                ``--nodes host1:4,host2:8`` (or ``--nodes-file``)
                dispatches runs to long-lived remote workers with
-               node-aware LPT and failover — still byte-identical;
-               ``--queue slurm:16`` acquires workers through a batch
-               scheduler (submit presets + TCP dial-back) behind the
-               same transport seam
-``fleet``      ``fleet check`` probes every configured node/queue,
+               node-aware LPT and failover — still byte-identical
+``fleet``      ``fleet check`` probes every configured node,
                runs the calibration handshake, and prints a readiness
                report (non-zero exit iff any target fails)
 ``cache``      list the on-disk sweep cache (per-entry size, age,
@@ -242,13 +239,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rank_counts = args.ranks or list(RANK_COUNTS)
 
     # Distributed capacity: --nodes / --nodes-file describe remote slot
-    # counts, --queue name:slots batch-scheduler acquisition.  Duplicate
-    # names and unknown queue presets are configuration errors.
+    # counts.  Duplicate names are configuration errors.
     from repro.exec import parse_fleet
 
     try:
-        nodes, queues = parse_fleet(args.nodes, args.nodes_file,
-                                    args.queue, args.queue_template)
+        nodes = parse_fleet(args.nodes, args.nodes_file)
     except ValueError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 2
@@ -289,9 +284,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                              progress=text_progress(sys.stderr),
                              telemetry=sink, schedule=args.schedule,
                              estimator=estimator, nodes=nodes,
-                             remote_template=args.remote_template,
-                             queues=queues,
-                             queue_template=args.queue_template)
+                             remote_template=args.remote_template)
     outcomes = executor.run(specs)
     if sink is not None:
         sink.close()
@@ -378,12 +371,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    """``repro fleet check``: probe every configured node/queue, run
-    the calibration handshake, and print a readiness report.
+    """``repro fleet check``: probe every configured node, run the
+    calibration handshake, and print a readiness report.
 
     Exit codes: 0 = every target ready; 1 = at least one probe or
     handshake failed; 2 = configuration error (nothing to probe,
-    unparsable specs, unknown queue preset).
+    unparsable specs).
     """
     from repro.exec import (
         fleet_ok,
@@ -393,19 +386,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
 
     try:
-        nodes, queues = parse_fleet(args.nodes, args.nodes_file,
-                                    args.queue, args.queue_template)
+        nodes = parse_fleet(args.nodes, args.nodes_file)
     except ValueError as exc:
         print(f"repro fleet check: {exc}", file=sys.stderr)
         return 2
-    if not nodes and not queues:
-        print("repro fleet check: nothing to probe — pass --nodes, "
-              "--nodes-file, and/or --queue", file=sys.stderr)
+    if not nodes:
+        print("repro fleet check: nothing to probe — pass --nodes "
+              "and/or --nodes-file", file=sys.stderr)
         return 2
-    results = probe_fleet(nodes, queues,
-                          remote_template=args.remote_template,
-                          queue_template=args.queue_template,
-                          acquire_timeout=args.acquire_timeout or None)
+    results = probe_fleet(nodes, remote_template=args.remote_template)
     print(fleet_report(results))
     return 0 if fleet_ok(results) else 1
 
@@ -774,18 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "worker on {host} (default: ssh batch mode, "
                            "cd {cwd}, python -m repro.exec."
                            "remote_worker)")
-    p_sw.add_argument("--queue", default=None, metavar="SPEC",
-                      help="acquire workers through a batch scheduler: "
-                           "comma-separated name:slots (e.g. slurm:16, "
-                           "pbs:8, loopback:2); the name selects a "
-                           "submit preset unless --queue-template "
-                           "overrides it; workers dial back over TCP "
-                           "and merged outputs stay byte-identical")
-    p_sw.add_argument("--queue-template", default=None,
-                      metavar="TEMPLATE",
-                      help="submit-command template overriding the "
-                           "per-queue preset ({worker}, {cwd}, {queue},"
-                           " {job}, {connect} substituted)")
     p_sw.add_argument("--timeout", type=float, default=0.0,
                       help="per-run limit in real seconds "
                            "(0 = unlimited)")
@@ -812,11 +789,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fl = sub.add_parser(
         "fleet",
-        help="validate distributed sweep capacity (nodes and queues)")
+        help="validate distributed sweep capacity (nodes)")
     fl_sub = p_fl.add_subparsers(dest="fleet_command", required=True)
     p_flc = fl_sub.add_parser(
         "check",
-        help="probe every configured node/queue, run the calibration "
+        help="probe every configured node, run the calibration "
              "handshake, and print a readiness report (non-zero exit "
              "iff any target fails)")
     p_flc.add_argument("--nodes", default=None, metavar="SPEC",
@@ -830,17 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="TEMPLATE",
                        help="command template for node probes (default:"
                             " the ssh template)")
-    p_flc.add_argument("--queue", default=None, metavar="SPEC",
-                       help="comma-separated name:slots batch queues "
-                            "to probe (one probe job each)")
-    p_flc.add_argument("--queue-template", default=None,
-                       metavar="TEMPLATE",
-                       help="submit-command template overriding the "
-                            "per-queue preset")
-    p_flc.add_argument("--acquire-timeout", type=float, default=0.0,
-                       help="seconds to wait for a queue probe job to "
-                            "dial back (0 = the default acquisition "
-                            "timeout)")
     p_flc.set_defaults(func=_cmd_fleet)
 
     p_pr = sub.add_parser(

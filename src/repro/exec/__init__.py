@@ -27,15 +27,14 @@ Layers
     never changes merged artifacts.
 :mod:`repro.exec.transport`
     The one worker client (:class:`StreamWorker`, length-prefixed
-    JSON frames over a byte stream) and its three acquisitions: a
-    forked child (``--jobs N``), a command template's stdio
-    (``--nodes host1:4,host2:8``; ``python -m
-    repro.exec.remote_worker``), and a batch job dialling back over TCP
-    (``--queue slurm:16``) — all ending in the same calibration
-    handshake that feeds node-aware LPT.
+    JSON frames over a byte stream) and its two acquisitions: a forked
+    child (``--jobs N``) and a command template's stdio (``--nodes
+    host1:4,host2:8``; ``python -m repro.exec.remote_worker``) — both
+    ending in the same calibration handshake that feeds node-aware
+    LPT.
 :mod:`repro.exec.fleet`
     Fleet validation (``repro fleet check``): probe every configured
-    node/queue, run the handshake, and report readiness.
+    node, run the handshake, and report readiness.
 :mod:`repro.exec.executor`
     :class:`SweepExecutor` and its :class:`Dispatcher` state machine
     over persistent worker slots (local and/or remote), with per-run
@@ -68,10 +67,7 @@ from repro.exec.transport import (
     DEFAULT_REMOTE_TEMPLATE,
     LOCAL_NODE,
     PROTOCOL_VERSION,
-    QUEUE_PRESETS,
     NodeSpec,
-    QueueSource,
-    QueueSpec,
     StreamWorker,
     TransportError,
     calibration_probe,
@@ -79,9 +75,7 @@ from repro.exec.transport import (
     fork_worker,
     parse_fleet,
     parse_nodes,
-    parse_queues,
     read_nodes_file,
-    resolve_queue_template,
 )
 from repro.exec.fleet import (
     ProbeResult,
@@ -103,7 +97,6 @@ from repro.exec.telemetry import (
     load_events,
     makespan,
     node_table,
-    queue_table,
     schedule_table,
     telemetry_report,
     utilization_table,
@@ -142,9 +135,6 @@ __all__ = [
     "OUTCOME_TIMEOUT",
     "PROTOCOL_VERSION",
     "ProbeResult",
-    "QUEUE_PRESETS",
-    "QueueSource",
-    "QueueSpec",
     "RunOutcome",
     "RunSpec",
     "RuntimeEstimator",
@@ -172,12 +162,9 @@ __all__ = [
     "node_table",
     "parse_fleet",
     "parse_nodes",
-    "parse_queues",
     "plan_schedule",
     "probe_fleet",
-    "queue_table",
     "read_nodes_file",
-    "resolve_queue_template",
     "run_spec",
     "run_spec_with_host",
     "schedule_table",

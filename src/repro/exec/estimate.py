@@ -117,8 +117,6 @@ class RuntimeEstimator:
     def __init__(self) -> None:
         #: run name -> [(scale or None, elapsed seconds)]
         self._samples: Dict[str, List[Tuple[Optional[float], float]]] = {}
-        #: node name -> [(run name, elapsed seconds)] from retire events
-        self._node_samples: Dict[str, List[Tuple[str, float]]] = {}
 
     # -- loading ------------------------------------------------------- #
 
@@ -138,8 +136,7 @@ class RuntimeEstimator:
         return est
 
     def record(self, name: str, elapsed: float,
-               scale: Optional[float] = None,
-               node: Optional[str] = None) -> bool:
+               scale: Optional[float] = None) -> bool:
         """Add one measured sample (used by loaders and live sweeps).
 
         Near-zero samples (< :data:`MIN_SAMPLE_SECONDS`) are rejected
@@ -149,9 +146,6 @@ class RuntimeEstimator:
         if elapsed < MIN_SAMPLE_SECONDS:
             return False
         self._samples.setdefault(name, []).append((scale, elapsed))
-        if node:
-            self._node_samples.setdefault(node, []).append(
-                (name, elapsed))
         return True
 
     def load_cache_dir(self, root: Optional[Path] = None) -> int:
@@ -215,10 +209,7 @@ class RuntimeEstimator:
             if (isinstance(run, str) and run
                     and isinstance(elapsed, (int, float)) and elapsed > 0.0
                     and event.get("status") in ("ok", "oom")):
-                node = event.get("node")
-                if self.record(run, float(elapsed), None,
-                               node=node if isinstance(node, str)
-                               else None):
+                if self.record(run, float(elapsed)):
                     loaded += 1
         return loaded
 
@@ -250,32 +241,6 @@ class RuntimeEstimator:
                 return Estimate(seconds=sum(usable) / len(usable),
                                 source=SOURCE_HISTORY)
         return Estimate(seconds=model_estimate(spec), source=SOURCE_MODEL)
-
-    def node_speed(self, node: str) -> Optional[float]:
-        """Relative speed factor of ``node`` from retire-event history
-        (``None`` when no samples name it).
-
-        For every run retired on the node, the ratio of the run's mean
-        elapsed (across all nodes/logs) to the node's elapsed says how
-        much faster (> 1) or slower (< 1) the node was than average;
-        the factor is the mean ratio.  Used by the executor as the
-        speed fallback when a worker's handshake carries no calibration
-        probe.
-        """
-        samples = self._node_samples.get(node)
-        if not samples:
-            return None
-        ratios: List[float] = []
-        for name, elapsed in samples:
-            peers = [e for _, e in self._samples.get(name, [])]
-            if not peers or elapsed <= 0.0:
-                continue
-            mean = sum(peers) / len(peers)
-            if mean > 0.0:
-                ratios.append(mean / elapsed)
-        if not ratios:
-            return None
-        return sum(ratios) / len(ratios)
 
     def to_mapping(self) -> Mapping[str, Any]:
         """Snapshot of the loaded samples (introspection/tests)."""

@@ -16,19 +16,16 @@ Three layers sit between the spec list and the workers:
   :class:`~repro.exec.estimate.RuntimeEstimator`).
 * **Workers** (:mod:`repro.exec.transport`): every slot is backed by
   one :class:`~repro.exec.transport.StreamWorker` speaking the frame
-  protocol; only its acquisition varies — forked on this machine,
+  protocol; only its acquisition varies — forked on this machine, or
   launched on another node from a command template and spoken to over
-  its stdio, or submitted to a batch scheduler and dialling back over
-  TCP.  ``nodes=[NodeSpec(...)]`` activates distributed dispatch
-  (``repro sweep --nodes host1:4,host2:8``);
-  ``queues=[QueueSpec(...)]`` activates batch acquisition
-  (``repro sweep --queue slurm:16``); both can be mixed.
+  its stdio.  ``nodes=[NodeSpec(...)]`` activates distributed dispatch
+  (``repro sweep --nodes host1:4,host2:8``).
 * **Node- and problem-aware dispatch** (:class:`Dispatcher`): free
   slots live in a heap keyed by ``(-speed, slot)`` (a remote node's
-  speed factor comes from its handshake calibration probe or retire
-  history) and a slot keeps the problem its worker has traced, claims
-  an unheld one when that runs dry, and only then steals.  With LPT's
-  order the heaviest unclaimed problem lands on the fastest free slot.
+  speed factor comes from its handshake calibration probe) and a slot
+  keeps the problem its worker has traced, claims an unheld one when
+  that runs dry, and only then steals.  With LPT's order the heaviest
+  unclaimed problem lands on the fastest free slot.
 
 Robustness guards, per run:
 
@@ -94,7 +91,6 @@ from repro.exec.spec import (
 from repro.exec.transport import (
     LOCAL_NODE,
     NodeSpec,
-    QueueSpec,
     TransportError,
     WorkerSource,
     worker_sources,
@@ -457,9 +453,8 @@ class SweepExecutor:
         Outcomes are always returned in spec order regardless.
     estimator:
         Optional :class:`~repro.exec.estimate.RuntimeEstimator`
-        supplying per-spec runtime predictions for LPT/auto (and
-        historical node speed factors).  ``None`` builds an empty one
-        (static-model estimates only).
+        supplying per-spec runtime predictions for LPT/auto.  ``None``
+        builds an empty one (static-model estimates only).
     nodes:
         Optional list of :class:`~repro.exec.transport.NodeSpec`
         activating distributed dispatch: each node contributes
@@ -471,15 +466,6 @@ class SweepExecutor:
         ``{cwd}`` substituted; ``shlex``-split, no local shell).
         Defaults to the ssh-based
         :data:`~repro.exec.transport.DEFAULT_REMOTE_TEMPLATE`.
-    queues:
-        Optional list of :class:`~repro.exec.transport.QueueSpec`
-        activating batch-scheduler acquisition: each queue contributes
-        up to ``slots`` dial-back worker slots, acquired eagerly before
-        dispatch (bounded by the acquisition timeout).  Slots that
-        never connect degrade exactly like an unreachable node.
-    queue_template:
-        Submit-command template overriding the per-queue preset (see
-        :data:`~repro.exec.transport.QUEUE_PRESETS`).
     """
 
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None,
@@ -488,9 +474,7 @@ class SweepExecutor:
                  schedule: str = SCHEDULE_FIFO,
                  estimator: Optional[Any] = None,
                  nodes: Optional[Sequence[NodeSpec]] = None,
-                 remote_template: Optional[str] = None,
-                 queues: Optional[Sequence[QueueSpec]] = None,
-                 queue_template: Optional[str] = None):
+                 remote_template: Optional[str] = None):
         self.jobs = default_jobs() if jobs <= 0 else int(jobs)
         self.timeout = timeout if timeout and timeout > 0 else None
         self.progress = progress
@@ -499,8 +483,6 @@ class SweepExecutor:
         self.estimator = estimator
         self.nodes = list(nodes) if nodes else None
         self.remote_template = remote_template
-        self.queues = list(queues) if queues else None
-        self.queue_template = queue_template
         self.last_plan: Optional[SchedulePlan] = None
         self._t0 = 0.0
 
@@ -536,7 +518,7 @@ class SweepExecutor:
         plan = self.plan(specs)
         self.last_plan = plan
         self._t0 = time.monotonic()
-        distributed = self.nodes is not None or self.queues is not None
+        distributed = self.nodes is not None
         use_pool = bool(total) and (
             distributed or self.jobs > 1 or self.timeout is not None
             or any(spec.isolate for spec in specs))
@@ -627,27 +609,24 @@ class SweepExecutor:
         for this sweep: one loop over the acquisition targets, which
         are appended to *sources*.
 
-        Without ``nodes``/``queues``: ``jobs`` local slots.  Otherwise
-        every remote node's probe is launched first (acquisition costs
-        the slowest node, not the sum) and then, in listed order,
-        each target contributes the slots its ``acquire()`` delivers: a
-        remote node all of its declared slots, one of them already
-        holding the **probe worker** that proved the node reachable
-        and measured its calibration speed for node-aware LPT; a queue
-        one slot per worker that dialled back within the acquisition
-        timeout.  A target that cannot be acquired at all is dropped
-        with a warning and the sweep degrades to the remaining slots;
-        with none left it runs on a local fallback pool.
+        Without ``nodes``: ``jobs`` local slots.  Otherwise every remote
+        node's probe is launched first (acquisition costs the slowest
+        node, not the sum) and then, in listed order, each node
+        contributes all of its declared slots, a remote one's first
+        slot already holding the **probe worker** that proved the node
+        reachable and measured its calibration speed for node-aware
+        LPT.  A node that cannot be acquired is dropped with a warning
+        and the sweep degrades to the remaining slots; with none left
+        it runs on a local fallback pool.
         """
         table: Dict[int, _Slot] = {}
         workers: Dict[int, Any] = {}
-        if self.nodes is None and self.queues is None:
+        if self.nodes is None:
             sources.append(self._local_source())
         else:
             sources.extend(worker_sources(
-                self.nodes or [], self.queues or [], self.remote_template,
-                self.queue_template, self.telemetry is not None,
-                emit=self._emit_event))
+                self.nodes, self.remote_template,
+                self.telemetry is not None))
         for source in sources:  # every node starts before any is awaited
             source.launch()
         for source in sources:
@@ -665,35 +644,18 @@ class SweepExecutor:
         try:
             held = source.acquire()
         except TransportError as exc:
-            self._warn(f"{source.lost_as.format(node.name)} ({exc}); "
+            self._warn(f"node {node.name} unreachable ({exc}); "
                        "degrading to remaining slots")
             self._emit_event("node_lost", node=node.name,
                              slots=node.slots, reason=str(exc),
                              phase="startup")
             return
-        missing = node.slots - len(held)
-        if missing:
-            for problem in source.problems:
-                self._warn(problem)
-            self._warn(
-                f"queue {node.name}: {len(held)}/{node.slots} "
-                f"worker(s) connected before the acquisition "
-                f"timeout; degrading to the connected slots")
-            self._emit_event("node_lost", node=node.name, slots=missing,
-                             reason="acquisition timeout",
-                             phase="startup")
         speed = 1.0
         for worker in held:
             slot = len(table)
             if worker is not None:
                 workers[slot] = worker
                 speed = worker.speed
-                calib = worker.hello.get("calib")
-                if not isinstance(calib, (int, float)) or calib <= 0:
-                    # No calibration in the handshake (older worker):
-                    # fall back to speed inferred from retire history.
-                    speed = getattr(self.estimator, "node_speed",
-                                    lambda _n: None)(node.name) or speed
             table[slot] = _Slot(node.name, speed, source)
 
     @staticmethod

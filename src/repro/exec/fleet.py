@@ -1,15 +1,15 @@
-"""Fleet validation: probe every configured node and queue before
-trusting them with a sweep (``repro fleet check``).
+"""Fleet validation: probe every configured node before trusting it
+with a sweep (``repro fleet check``).
 
 A distributed sweep degrades gracefully when capacity is missing — the
-wrong time to discover a dead ssh key or a rejected ``sbatch`` is
-twenty minutes into a measurement run.  :func:`probe_fleet` performs
-the same acquisition the executor would — launch (or submit) one
-worker per target, run the full version/calibration handshake, then
-shut the worker down politely — through the very acquisition functions
-the executor uses, and reports per-target readiness:
-acquisition latency, the handshake's protocol/feature announcement,
-the worker's hostname, and its calibration speed factor.
+wrong time to discover a dead ssh key or a refused launcher is twenty
+minutes into a measurement run.  :func:`probe_fleet` performs the same
+acquisition the executor would — fork or launch one worker per node,
+run the full version/calibration handshake, then shut the worker down
+politely — through the very acquisition functions the executor uses,
+and reports per-node readiness: acquisition latency, the handshake's
+protocol/feature announcement, the worker's hostname, and its
+calibration speed factor.
 
 This is the tool the ROADMAP's "validate on a real fleet, record a
 genuine ≥ 2× two-node makespan" item needs: run ``repro fleet check
@@ -17,8 +17,8 @@ genuine ≥ 2× two-node makespan" item needs: run ``repro fleet check
 measurement sweep (see docs/distributed.md).
 
 Exit-code contract (enforced by the CLI): 0 when every probe passed,
-1 when any configured node or queue failed its probe or handshake,
-2 for configuration errors (no targets, unparsable specs).
+1 when any configured node failed its launch or handshake, 2 for
+configuration errors (no nodes, unparsable specs).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence
 
 from repro.exec.transport import (
     NodeSpec,
-    QueueSpec,
     TransportError,
     WorkerSource,
     worker_sources,
@@ -38,23 +37,21 @@ from repro.exec.transport import (
 
 @dataclass
 class ProbeResult:
-    """Readiness of one fleet target (a node or a queue)."""
+    """Readiness of one fleet target (a node)."""
 
     target: str
-    kind: str                      # "local" | "ssh" | "queue"
+    kind: str                      # "local" | "ssh"
     slots: int
     ok: bool
     latency: Optional[float] = None   # acquisition seconds
     speed: Optional[float] = None     # calibration speed factor
     host: str = ""                    # worker-announced hostname
-    detail: str = ""                  # features / external id / error
+    detail: str = ""                  # features / error
 
 
 def _probe(source: WorkerSource) -> ProbeResult:
-    """Acquire one worker from *source* — fork, launch, or submit and
-    await the dial-back — which runs the handshake; then shut it down.
-    A queue reports its declared slot count but only one job's worth of
-    queue time is consumed."""
+    """Acquire one worker from *source* — fork or launch — which runs
+    the handshake; then shut it down."""
     target = dict(target=source.node.name, kind=source.kind,
                   slots=source.node.slots)
     t0 = time.monotonic()
@@ -69,24 +66,17 @@ def _probe(source: WorkerSource) -> ProbeResult:
     detail = f"protocol {hello.get('protocol')}"
     if isinstance(features, (list, tuple)) and features:
         detail += f", features {','.join(str(f) for f in features)}"
-    if worker.external_id:
-        detail += f", job id {worker.external_id}"
     return ProbeResult(ok=True, latency=latency, speed=worker.speed,
                        host=str(hello.get("host") or ""), detail=detail,
                        **target)
 
 
-def probe_fleet(nodes: Sequence[NodeSpec] = (),
-                queues: Sequence[QueueSpec] = (),
-                remote_template: Optional[str] = None,
-                queue_template: Optional[str] = None,
-                acquire_timeout: Optional[float] = None
+def probe_fleet(nodes: Sequence[NodeSpec],
+                remote_template: Optional[str] = None
                 ) -> List[ProbeResult]:
-    """Probe every configured node and queue, in listed order."""
+    """Probe every configured node, in listed order."""
     results: List[ProbeResult] = []
-    for source in worker_sources(nodes, queues, remote_template,
-                                 queue_template,
-                                 acquire_timeout=acquire_timeout):
+    for source in worker_sources(nodes, remote_template):
         try:
             results.append(_probe(source))
         finally:

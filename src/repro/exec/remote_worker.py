@@ -2,13 +2,12 @@
 
 The worker side of every :class:`repro.exec.transport.StreamWorker`.
 The parent launches this module on another machine (``ssh`` in
-production, any command template — tests use a local ``sh -c``
-loopback) and speaks over the process's stdin and stdout; or a batch
-scheduler starts it detached with ``--connect host:port`` and it
-**dials back** into the executor's rendezvous listener over TCP; or
-the parent forks :func:`serve_socket` on a ``socketpair`` for an
-in-machine worker.  Every way the conversation is the same
-length-prefixed JSON frame protocol:
+production, a batch scheduler's launcher such as ``srun`` inside an
+allocation, any command template — tests use a local ``sh -c``
+loopback) and speaks over the process's stdin and stdout; or it forks
+:func:`serve_socket` on a ``socketpair`` for an in-machine worker.
+Either way the conversation is the same length-prefixed JSON frame
+protocol:
 
 1. worker → parent: a ``hello`` frame — protocol version, feature
    list, hostname, pid, and a calibration-probe timing the parent turns
@@ -22,14 +21,7 @@ stdout hygiene (stdio mode): the frame stream *is* fd 1, so the very
 first thing the worker does is duplicate the real stdout away and
 point fd 1 at stderr — any stray ``print`` from task code (or an
 imported library) lands in the parent's stderr instead of corrupting a
-frame.  In connect-back mode the frames travel over the socket, so
-stdout needs no rerouting (it goes to the batch job's log).
-
-Connect-back mode (``--connect host:port --queue NAME --job N``): the
-hello frame additionally carries the queue name and submission index
-so the rendezvous listener can match the dial-back to its submission
-record.  A refused or timed-out connection exits 2 — the batch job has
-nothing to serve without a parent.
+frame.
 
 Execution is :func:`repro.exec.worker._execute` for every worker, so
 a spec's payload is byte-identical no matter which machine computed
@@ -51,7 +43,7 @@ from __future__ import annotations
 import os
 import socket
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.exec.transport import (
     PROTOCOL_FEATURES,
@@ -106,13 +98,8 @@ def _maybe_die(spec_name: str) -> None:
     os._exit(_DIE_EXIT_CODE)
 
 
-#: Dial-back connection timeout [real seconds].
-_CONNECT_TIMEOUT = 30.0
-
-
-def _serve(inp: Any, out: Any, hello_extra: Dict[str, Any],
-           local: bool = False) -> int:
-    """Announce hello (plus *hello_extra*) and serve the frame loop.
+def _serve(inp: Any, out: Any, local: bool = False) -> int:
+    """Announce hello and serve the frame loop.
 
     A *local* (forked) worker announces no calibration timing — local
     speed is 1.0 by definition — and ignores the node-death fault."""
@@ -125,7 +112,6 @@ def _serve(inp: Any, out: Any, hello_extra: Dict[str, Any],
     }
     if not local:
         hello["calib"] = calibration_probe()
-    hello.update(hello_extra)
     write_frame(out, hello)
     collect_host = False
     while True:
@@ -163,18 +149,15 @@ def _serve(inp: Any, out: Any, hello_extra: Dict[str, Any],
     return 0
 
 
-def serve_socket(sock: socket.socket, hello_extra: Dict[str, Any],
-                 peer: Optional[socket.socket] = None) -> int:
-    """Serve the frame loop over *sock*: a dialled-back connection, or
-    — given *peer*, the parent's end of a ``socketpair`` — a forked
-    local worker.  The child drops its inherited copy of *peer* so the
-    parent's death reaches it as EOF."""
-    if peer is not None:
-        peer.close()
+def serve_socket(sock: socket.socket, peer: socket.socket) -> int:
+    """Serve the frame loop over *sock*, a forked local worker's end of
+    a ``socketpair``.  The child drops its inherited copy of *peer*, the
+    parent's end, so the parent's death reaches it as EOF."""
+    peer.close()
     inp = sock.makefile("rb", buffering=0)
     out = sock.makefile("wb", buffering=0)
     try:
-        return _serve(inp, out, hello_extra, local=peer is not None)
+        return _serve(inp, out, local=True)
     finally:
         for fh in (inp, out, sock):
             try:
@@ -186,32 +169,14 @@ def serve_socket(sock: socket.socket, hello_extra: Dict[str, Any],
 def main(argv=None) -> int:
     import argparse
 
-    parser = argparse.ArgumentParser(
+    # No options: a stray argument is an error, not a worker that sits
+    # waiting for frames on a stdin nobody writes to.
+    argparse.ArgumentParser(
         prog="python -m repro.exec.remote_worker",
-        description="Frame-protocol sweep worker (stdio, or TCP "
-                    "dial-back with --connect).")
-    parser.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="dial back into a rendezvous listener "
-                             "instead of serving stdio")
-    parser.add_argument("--queue", default="",
-                        help="queue name announced in the hello frame")
-    parser.add_argument("--job", type=int, default=None,
-                        help="submission index announced in the hello "
-                             "frame")
-    args = parser.parse_args(argv)
-    if args.connect is None:
-        inp, out = _bind_stdio()
-        return _serve(inp, out, {})
-    host, _, port = args.connect.rpartition(":")
-    try:
-        sock = socket.create_connection((host, int(port)),
-                                        timeout=_CONNECT_TIMEOUT)
-    except (OSError, ValueError) as exc:
-        print(f"remote_worker: cannot reach rendezvous "
-              f"{args.connect}: {exc}", file=sys.stderr)
-        return 2
-    sock.settimeout(None)
-    return serve_socket(sock, {"queue": args.queue, "job": args.job})
+        description="Frame-protocol sweep worker over stdin/stdout."
+    ).parse_args(argv)
+    inp, out = _bind_stdio()
+    return _serve(inp, out)
 
 
 if __name__ == "__main__":

@@ -63,13 +63,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-#: Recognized event kinds.  ``queue_submit``/``queue_connect`` record
-#: batch-scheduler worker acquisition (one submit per requested slot,
-#: one connect per successful dial-back handshake; ``queue``, ``job``,
-#: ``external_id``, and — on connect — acquisition ``latency``).
+#: Recognized event kinds.
 EVENT_KINDS = ("sweep_begin", "schedule", "dispatch", "start", "finish",
-               "retire", "requeue", "node_lost", "sweep_end",
-               "queue_submit", "queue_connect")
+               "retire", "requeue", "node_lost", "sweep_end")
 
 #: Per-run lifecycle kinds grouped for validation.
 _RUN_KINDS = ("dispatch", "start", "finish", "retire", "requeue")
@@ -455,43 +451,6 @@ def node_table(events: Sequence[Mapping[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def queue_table(events: Sequence[Mapping[str, Any]]) -> str:
-    """Per-queue acquisition table for a batch-scheduler sweep
-    (``--queue``): submissions, connections, losses, and the
-    submit-to-handshake latency distribution."""
-    submitted: Dict[str, int] = {}
-    latencies: Dict[str, List[float]] = {}
-    for event in events:
-        kind = event.get("event")
-        if kind not in ("queue_submit", "queue_connect"):
-            continue
-        queue = str(event.get("queue") or "?")
-        if kind == "queue_submit":
-            submitted[queue] = submitted.get(queue, 0) + 1
-        else:
-            latency = event.get("latency")
-            latencies.setdefault(queue, []).append(
-                float(latency) if isinstance(latency, (int, float))
-                else 0.0)
-    if not submitted and not latencies:
-        return "(no queue activity in the event log)"
-    header = (f"{'queue':<12} {'submitted':>9}  {'connected':>9}  "
-              f"{'lost':>5}  {'latency min/mean/max [s]':>26}")
-    lines = ["per-queue acquisition", header, "-" * len(header)]
-    for queue in sorted(set(submitted) | set(latencies)):
-        subs = submitted.get(queue, 0)
-        lats = latencies.get(queue, [])
-        lost = max(0, subs - len(lats))
-        if lats:
-            stats = (f"{min(lats):.2f}/"
-                     f"{sum(lats) / len(lats):.2f}/{max(lats):.2f}")
-        else:
-            stats = "-"
-        lines.append(f"{queue:<12} {subs:>9d}  {len(lats):>9d}  "
-                     f"{lost:>5d}  {stats:>26}")
-    return "\n".join(lines)
-
-
 def schedule_table(events: Sequence[Mapping[str, Any]]) -> str:
     """Schedule-accuracy table: the ``schedule`` event's per-run
     predictions joined with the ``retire`` actuals.
@@ -553,9 +512,7 @@ def schedule_table(events: Sequence[Mapping[str, Any]]) -> str:
 def telemetry_report(events: Sequence[Mapping[str, Any]],
                      width: int = 72) -> str:
     """Utilization table + timeline + queue depth + schedule accuracy
-    (+ the per-node table when the sweep ran distributed, + the
-    per-queue acquisition table when workers came from a batch
-    scheduler)."""
+    (+ the per-node table when the sweep ran distributed)."""
     sections = [
         utilization_table(events),
         worker_timeline_text(events, width=width),
@@ -568,9 +525,6 @@ def telemetry_report(events: Sequence[Mapping[str, Any]],
         for e in events)
     if distributed:
         sections.append(node_table(events))
-    if any(e.get("event") in ("queue_submit", "queue_connect")
-           for e in events):
-        sections.append(queue_table(events))
     if any(e.get("event") == "schedule" for e in events):
         sections.append(schedule_table(events))
     return "\n\n".join(sections)

@@ -19,17 +19,10 @@ Only **acquisition** — how the stream is obtained — varies:
 :func:`command_worker`
     A worker on another machine (``--nodes host:slots``), launched from
     a pluggable **command template** (``ssh {host} ... python -m
-    repro.exec.remote_worker`` in production; a plain ``sh -c`` loopback
-    template in tests and CI, so no real ssh is ever needed) and spoken
-    to over its stdio.
-:class:`QueueSource`
-    Workers acquired through a **batch scheduler** (``--queue
-    slurm:16``): one detached job per slot is submitted from a
-    **submit template** (``sbatch`` / ``qsub`` presets plus an ssh-free
-    ``sh -c ... &`` loopback preset), and each job runs ``python -m
-    repro.exec.remote_worker --connect host:port`` to dial back into a
-    TCP **rendezvous listener**.  Acquisition is bounded by a timeout
-    and unacquired slots degrade exactly like an unreachable node.
+    repro.exec.remote_worker`` in production; inside a batch allocation
+    the scheduler's own launcher, e.g. ``srun --nodelist={host} ...``;
+    a plain ``sh -c`` loopback template in tests and CI, so no real ssh
+    is ever needed) and spoken to over its stdio.
 
 Every acquisition ends in the one :func:`handshake`: the worker
 announces its protocol version, feature list, hostname, and a
@@ -38,9 +31,9 @@ answers with a ``config`` frame, and derives a per-node **speed
 factor** (parent probe seconds / worker probe seconds; forked workers
 skip the probe, local speed is 1.0 by definition) that node-aware LPT
 uses to steer the longest runs onto the fastest slots.  A
-:class:`WorkerSource` names one acquisition target (a node or queue
-and its slot count); the executor respawns slots through it and
-``repro fleet check`` probes it.
+:class:`WorkerSource` names one acquisition target (a node and its
+slot count); the executor respawns slots through it and ``repro fleet
+check`` probes it.
 
 Determinism: acquisition moves *where* a run executes, never what it
 produces.  Payloads cross the wire as JSON — Python's ``json``
@@ -63,12 +56,10 @@ import functools
 import json
 import multiprocessing
 import os
-import re
 import shlex
 import socket
 import struct
 import subprocess
-import sys
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
@@ -106,48 +97,6 @@ DEFAULT_HANDSHAKE_TIMEOUT = 30.0
 #: ``O_CREAT | O_EXCL``), which is how tests and CI simulate a node
 #: dying mid-sweep without killing anything by hand.
 REMOTE_FAULT_ENV = "REPRO_REMOTE_FAULT"
-
-#: Bound on how long :meth:`QueueSource.acquire` waits for submitted
-#: batch jobs to dial back in [real seconds].  Batch queues can sit in
-#: ``PENDING`` for a while; raise this for busy clusters.
-QUEUE_ACQUIRE_TIMEOUT_ENV = "REPRO_QUEUE_ACQUIRE_TIMEOUT"
-DEFAULT_QUEUE_ACQUIRE_TIMEOUT = 120.0
-
-#: Bound on one submit-command invocation (``sbatch``/``qsub`` itself,
-#: not the job) [real seconds].
-QUEUE_SUBMIT_TIMEOUT_ENV = "REPRO_QUEUE_SUBMIT_TIMEOUT"
-DEFAULT_QUEUE_SUBMIT_TIMEOUT = 60.0
-
-#: Hostname batch jobs should dial back to.  Defaults to this machine's
-#: hostname (``127.0.0.1`` for the loopback preset); set it explicitly
-#: when the submit host is multi-homed.
-QUEUE_CONNECT_HOST_ENV = "REPRO_QUEUE_CONNECT_HOST"
-
-#: Python interpreter the queue worker command launches on the compute
-#: node.  Defaults to this process's interpreter, which is correct when
-#: the repo checkout (and venv) is shared; override for heterogeneous
-#: fleets.
-QUEUE_PYTHON_ENV = "REPRO_QUEUE_PYTHON"
-
-#: Submit-template presets, selected by queue name (``--queue slurm:16``
-#: uses the ``slurm`` preset unless ``--queue-template`` overrides it).
-#: Placeholders: ``{worker}`` — the shell-quoted worker launch command;
-#: ``{worker_raw}`` — the same, unquoted; ``{worker_detached}`` — the
-#: quoted command with output discarded and backgrounded (for wrappers
-#: that do not detach by themselves); ``{cwd}``, ``{queue}``, ``{job}``,
-#: ``{connect}``.  The substituted template is ``shlex``-split and
-#: executed without a local shell.
-QUEUE_PRESETS: Dict[str, str] = {
-    "slurm": ("sbatch --parsable --job-name=repro-{queue}-{job} "
-              "--output=/dev/null --error=/dev/null --wrap {worker}"),
-    "pbs": ("qsub -N repro-{job} -o /dev/null -e /dev/null "
-            "-- /bin/sh -c {worker}"),
-    # Test/CI stand-in for a batch scheduler: detach the worker with
-    # plain sh.  The output redirection is load-bearing — the submit
-    # command's pipes must close when sh exits, not when the worker
-    # does.
-    "loopback": "sh -c {worker_detached}",
-}
 
 #: Upper bound on a single frame; a corrupt length prefix must not ask
 #: the parent to allocate gigabytes.
@@ -239,50 +188,12 @@ def read_nodes_file(path) -> List[NodeSpec]:
     return parse_nodes(",".join(entries))
 
 
-#: One batch queue's worth of worker slots (``--queue slurm:16``): the
-#: same name-and-count shape as a node.
-QueueSpec = NodeSpec
-
-
-def parse_queues(text: str) -> List[QueueSpec]:
-    """Parse ``--queue slurm:16`` / ``--queue loopback:2,slurm:8``.
-
-    Same grammar as ``--nodes`` (bare name means 1 slot).  The queue
-    name selects a submit-template preset (:data:`QUEUE_PRESETS`)
-    unless ``--queue-template`` overrides it; ``local`` is reserved for
-    the in-machine pool and rejected here.
-    """
-    queues = parse_nodes(text)
-    if any(q.is_local for q in queues):
-        raise ValueError("'local' is not a queue — use --nodes local:N "
-                         "for in-machine slots")
-    return queues
-
-
-def resolve_queue_template(name: str,
-                           override: Optional[str] = None) -> str:
-    """The submit template for queue *name*: explicit override first,
-    then the preset named after the queue."""
-    if override:
-        return override
-    try:
-        return QUEUE_PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"no submit-template preset for queue {name!r} "
-            f"(presets: {', '.join(sorted(QUEUE_PRESETS))}); pass "
-            "--queue-template")
-
-
-def parse_fleet(nodes: Optional[str] = None, nodes_file: Any = None,
-                queue: Optional[str] = None,
-                queue_template: Optional[str] = None
-                ) -> Tuple[List[NodeSpec], List[QueueSpec]]:
+def parse_fleet(nodes: Optional[str] = None,
+                nodes_file: Any = None) -> List[NodeSpec]:
     """The fleet a command line describes: ``--nodes`` plus
-    ``--nodes-file`` entries, and ``--queue`` entries whose submit
-    template resolves.  Raises ``ValueError`` for every configuration
-    error — unparsable or unreadable specs, a name listed twice, an
-    unknown queue preset — so callers share one rejection path."""
+    ``--nodes-file`` entries.  Raises ``ValueError`` for every
+    configuration error — unparsable or unreadable specs, a name listed
+    twice — so callers share one rejection path."""
     node_specs = parse_nodes(nodes) if nodes else []
     if nodes_file:
         try:
@@ -292,14 +203,7 @@ def parse_fleet(nodes: Optional[str] = None, nodes_file: Any = None,
     names = [n.name for n in node_specs]
     if len(set(names)) != len(names):
         raise ValueError("duplicate node name across --nodes/--nodes-file")
-    queue_specs = parse_queues(queue) if queue else []
-    for q in queue_specs:
-        resolve_queue_template(q.name, queue_template)
-    overlap = sorted(set(names) & {q.name for q in queue_specs})
-    if overlap:
-        raise ValueError(f"duplicate target name: {', '.join(overlap)} "
-                         "listed in both --nodes and --queue")
-    return node_specs, queue_specs
+    return node_specs
 
 
 # --------------------------------------------------------------------- #
@@ -462,14 +366,11 @@ class StreamWorker:
     The stream is ``(reader, writer, waitable, proc)``: two unbuffered
     binary files, the object :func:`multiprocessing.connection.wait`
     selects on, and the local process handle (``subprocess.Popen`` or a
-    ``multiprocessing`` process).  ``proc`` is ``None`` for a dial-back
-    worker — the batch scheduler owns that process, the socket is its
-    lifeline, and closing it is the termination signal (the worker's
-    ``read_frame`` hits EOF and it exits).
+    ``multiprocessing`` process).
     """
 
     def __init__(self, node: str, reader: Any, writer: Any,
-                 waitable: Any, proc: Any = None) -> None:
+                 waitable: Any, proc: Any) -> None:
         self.node = node
         self.reader = reader
         self.writer = writer
@@ -477,12 +378,10 @@ class StreamWorker:
         self.proc = proc
         self.hello: Dict[str, Any] = {}   # set by the handshake
         self.speed = 1.0
-        self.external_id = ""             # the scheduler's job id, if any
-        self._open = True
 
     @property
     def alive(self) -> bool:
-        return self._open if self.proc is None else self.reap(0) is None
+        return self.reap(0) is None
 
     def send(self, spec: RunSpec) -> None:
         try:
@@ -506,24 +405,16 @@ class StreamWorker:
                 payload_from_wire(msg.get("payload")), msg.get("host"))
 
     def terminate(self) -> None:
-        if self.proc is None:
-            self.close()
-        elif self.alive:
+        if self.alive:
             self.proc.terminate()
 
     def kill(self) -> None:
-        if self.proc is None:
-            self.close()
-        else:
-            self.proc.kill()
+        self.proc.kill()
 
     def reap(self, timeout: Optional[float] = _REAP_GRACE
              ) -> Optional[int]:
         """Wait up to *timeout* (``None``: forever) for the process;
-        its exit code, or ``None`` while it runs (and always for a
-        dial-back worker)."""
-        if self.proc is None:
-            return None
+        its exit code, or ``None`` while it runs."""
         if isinstance(self.proc, subprocess.Popen):
             try:
                 return self.proc.wait(timeout)
@@ -540,7 +431,6 @@ class StreamWorker:
             pass
 
     def close(self) -> None:
-        self._open = False
         for fh in (self.reader, self.writer, self.waitable):
             try:
                 fh.close()
@@ -606,7 +496,7 @@ def handshake(worker: StreamWorker, collect_host: bool) -> StreamWorker:
 
 
 # --------------------------------------------------------------------- #
-# Acquisition: fork, command, dial-back
+# Acquisition: fork, command
 # --------------------------------------------------------------------- #
 
 def fork_worker(collect_host: bool = False) -> StreamWorker:
@@ -621,7 +511,7 @@ def fork_worker(collect_host: bool = False) -> StreamWorker:
               else "spawn")
     parent, child = socket.socketpair()
     proc = multiprocessing.get_context(method).Process(
-        target=serve_socket, args=(child, {}, parent), daemon=True)
+        target=serve_socket, args=(child, parent), daemon=True)
     proc.start()
     child.close()  # the child holds its end now
     return handshake(StreamWorker(
@@ -663,8 +553,6 @@ class WorkerSource:
     """
 
     kind = "ssh"
-    #: How a startup failure is worded in the sweep's warning.
-    lost_as = "node {} unreachable"
 
     def __init__(self, node: NodeSpec, template: Optional[str] = None,
                  collect_host: bool = False) -> None:
@@ -673,8 +561,6 @@ class WorkerSource:
             self.kind = "local"
         self.template = template
         self.collect_host = collect_host
-        #: Handshake failures seen while acquiring, for warnings.
-        self.problems: List[str] = []
         #: What ``launch()`` started and ``acquire()`` has yet to
         #: handshake: the probe's stream, or why it could not start.
         self._launched: Any = None
@@ -729,213 +615,10 @@ class WorkerSource:
             probe.discard()
 
 
-# --------------------------------------------------------------------- #
-# Dial-back acquisition (batch-scheduler workers)
-# --------------------------------------------------------------------- #
-
-def worker_launch_command(queue: str, job: int, connect: str,
-                          cwd: Optional[str] = None) -> str:
-    """The shell command a batch job runs to become a sweep worker.
-
-    It changes into the repo checkout (assumed shared between submit
-    and compute nodes, like the ssh template assumes), prepends
-    ``src`` to ``PYTHONPATH``, and starts the remote worker in
-    connect-back mode.  ``$PYTHONPATH`` expands on the compute node.
-    """
-    python = os.environ.get(QUEUE_PYTHON_ENV) or sys.executable
-    cwd = cwd or os.getcwd()
-    return ("cd {cwd} && PYTHONPATH=src${{PYTHONPATH:+:$PYTHONPATH}} "
-            "{python} -m repro.exec.remote_worker --connect {connect} "
-            "--queue {queue} --job {job}").format(
-                cwd=shlex.quote(cwd), python=shlex.quote(python),
-                connect=connect, queue=queue, job=job)
-
-
-_TEMPLATE_PLACEHOLDER = re.compile(
-    r"\{(worker_detached|worker_raw|worker|cwd|queue|job|connect)\}")
-
-
-def queue_submit_command(template: str, queue: str, job: int,
-                         connect: str,
-                         cwd: Optional[str] = None) -> List[str]:
-    """Substitute a submit template's placeholders and split it into an
-    argv (executed without a local shell)."""
-    raw = worker_launch_command(queue, job, connect, cwd)
-    values = {
-        "worker": shlex.quote(raw),
-        "worker_raw": raw,
-        "worker_detached": shlex.quote(f"{raw} >/dev/null 2>&1 &"),
-        "cwd": shlex.quote(cwd or os.getcwd()),
-        "queue": queue,
-        "job": str(job),
-        "connect": connect,
-    }
-    text = _TEMPLATE_PLACEHOLDER.sub(lambda m: values[m.group(1)],
-                                     template)
-    argv = shlex.split(text)
-    if not argv:
-        raise TransportError(f"submit template for queue {queue!r} is "
-                             "empty")
-    return argv
-
-
-class QueueSource(WorkerSource):
-    """Acquisition through a batch scheduler: submit a job, accept its
-    TCP dial-back.
-
-    ``acquire()`` submits one job per slot and collects dial-backs on
-    the rendezvous listener until every submission connected or the
-    acquisition timeout (:data:`QUEUE_ACQUIRE_TIMEOUT_ENV`) expires —
-    partial acquisition is not an error; the executor folds the missing
-    slots back into the remaining capacity exactly like an unreachable
-    node.  ``spawn()`` (mid-sweep respawn after a worker death)
-    first drains any late dial-back, then submits a replacement job and
-    waits for it, bounded by the same timeout.
-
-    A submit command that fails (non-zero exit, missing binary,
-    timeout) is a :class:`TransportError`, which drops the whole queue
-    — a broken ``sbatch`` is not going to start working mid-sweep.
-    """
-
-    kind = "queue"
-    lost_as = "queue {} unavailable"
-
-    def __init__(self, queue: QueueSpec, template: Optional[str] = None,
-                 collect_host: bool = False,
-                 acquire_timeout: Optional[float] = None,
-                 emit: Optional[Callable[..., None]] = None) -> None:
-        super().__init__(queue, template, collect_host)
-        self.acquire_timeout = (
-            acquire_timeout if acquire_timeout and acquire_timeout > 0
-            else _env_timeout(QUEUE_ACQUIRE_TIMEOUT_ENV,
-                              DEFAULT_QUEUE_ACQUIRE_TIMEOUT))
-        #: Submitted jobs yet to dial back: job -> (submit time, the
-        #: scheduler's job id).  A dial-back for anything else is stale.
-        self._pending: Dict[int, Tuple[float, str]] = {}
-        self._jobs = 0
-        self._emit = emit if emit is not None else (lambda *a, **k: None)
-        self._listener = socket.create_server(("", 0))  # the rendezvous
-
-    def connect_address(self) -> str:
-        """``host:port`` batch jobs dial back to."""
-        host = os.environ.get(QUEUE_CONNECT_HOST_ENV) or (
-            "127.0.0.1" if self.node.name == "loopback"
-            else socket.gethostname())
-        return f"{host}:{self._listener.getsockname()[1]}"
-
-    def submit(self) -> None:
-        """Submit one batch job; raises :class:`TransportError` when
-        the submit command itself fails."""
-        name = self.node.name
-        job = self._jobs
-        try:
-            argv = queue_submit_command(
-                resolve_queue_template(name, self.template),
-                name, job, self.connect_address())
-            res = subprocess.run(
-                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                timeout=_env_timeout(QUEUE_SUBMIT_TIMEOUT_ENV,
-                                     DEFAULT_QUEUE_SUBMIT_TIMEOUT))
-        except ValueError as exc:
-            raise TransportError(str(exc))
-        except (OSError, subprocess.SubprocessError) as exc:
-            raise TransportError(
-                f"queue {name}: submit command failed ({exc})")
-        if res.returncode != 0:
-            err = res.stderr.decode("utf-8", "replace").strip()
-            tail = err.splitlines()[-1] if err else ""
-            raise TransportError(
-                f"queue {name}: submit command exited "
-                f"{res.returncode}" + (f" ({tail})" if tail else ""))
-        out = res.stdout.decode("utf-8", "replace").strip()
-        external_id = out.splitlines()[0].strip() if out else ""
-        self._jobs += 1
-        self._pending[job] = (time.monotonic(), external_id)
-        self._emit("queue_submit", queue=name, job=job,
-                   external_id=external_id)
-
-    def _accept(self, timeout: float) -> Optional[StreamWorker]:
-        """Accept and handshake one dial-back, or return ``None`` if no
-        connection arrives within *timeout* (handshake failures are
-        recorded in ``problems``, not raised)."""
-        self._listener.settimeout(max(0.0, timeout))
-        try:
-            conn, addr = self._listener.accept()
-        except OSError:  # includes the timeout
-            return None
-        name = self.node.name
-        try:
-            worker = handshake(StreamWorker(
-                name, conn.makefile("rb", buffering=0),
-                conn.makefile("wb", buffering=0), conn), self.collect_host)
-        except TransportError as exc:
-            self.problems.append(
-                f"queue {name}: dial-back from {addr[0]}: {exc}")
-            return None
-        job = worker.hello.get("job")
-        if not isinstance(job, int) or job not in self._pending:
-            self.problems.append(
-                f"queue {name}: unexpected dial-back for job {job!r} "
-                f"from {addr[0]} (stale or foreign worker)")
-            worker.discard()
-            return None
-        submitted_at, worker.external_id = self._pending.pop(job)
-        self._emit("queue_connect", queue=name, job=job,
-                   latency=round(time.monotonic() - submitted_at, 6),
-                   host=worker.hello.get("host"),
-                   external_id=worker.external_id)
-        return worker
-
-    def _collect(self, n: int) -> List[StreamWorker]:
-        """Submit *n* jobs, then accept dial-backs until all *n*
-        connected or the acquisition timeout expires."""
-        for _ in range(n):
-            self.submit()
-        deadline = time.monotonic() + self.acquire_timeout
-        workers: List[StreamWorker] = []
-        while len(workers) < n:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            worker = self._accept(min(0.25, remaining))
-            if worker is not None:
-                workers.append(worker)
-        return workers
-
-    def acquire(self) -> List[Optional[StreamWorker]]:
-        """Every slot's worker, acquired before dispatch; possibly
-        fewer than ``slots`` (the rest never connected in time)."""
-        return list(self._collect(self.node.slots))
-
-    def spawn(self) -> StreamWorker:
-        # A replacement may already be dialing in (late original job).
-        worker = self._accept(0.0)
-        if worker is None:
-            got = self._collect(1)
-            if not got:
-                raise TransportError(
-                    self.problems[-1] if self.problems else
-                    f"queue {self.node.name}: no worker dialed back "
-                    f"within {self.acquire_timeout:g}s")
-            worker = got[0]
-        return worker
-
-    def close(self) -> None:
-        self._listener.close()
-
-
-def worker_sources(nodes: Sequence[NodeSpec] = (),
-                   queues: Sequence[QueueSpec] = (),
+def worker_sources(nodes: Sequence[NodeSpec],
                    remote_template: Optional[str] = None,
-                   queue_template: Optional[str] = None,
-                   collect_host: bool = False,
-                   acquire_timeout: Optional[float] = None,
-                   emit: Optional[Callable[..., None]] = None
-                   ) -> List[WorkerSource]:
-    """The acquisition targets of a fleet — nodes, then queues, in
-    listed order — for the executor to fill slots from and ``repro
-    fleet check`` to probe."""
-    return ([WorkerSource(node, remote_template, collect_host)
-             for node in nodes]
-            + [QueueSource(queue, queue_template, collect_host,
-                           acquire_timeout, emit) for queue in queues])
+                   collect_host: bool = False) -> List[WorkerSource]:
+    """The acquisition targets of a fleet, in listed order, for the
+    executor to fill slots from and ``repro fleet check`` to probe."""
+    return [WorkerSource(node, remote_template, collect_host)
+            for node in nodes]

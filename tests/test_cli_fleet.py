@@ -3,12 +3,9 @@ the exit-code contract (0 all ok / 1 any failure / 2 config error)."""
 
 import sys
 
-import pytest
-
 from repro.exec import (
     NodeSpec,
     ProbeResult,
-    QueueSpec,
     fleet_ok,
     fleet_report,
     probe_fleet,
@@ -21,9 +18,6 @@ from tests.test_exec_transport import (  # shared loopback idioms
 #: Remote template that reaches "good" and refuses every other host.
 GOOD_ONLY = (f"sh -c 'test {{host}} = good && exec {sys.executable}"
              " -m repro.exec.remote_worker || exit 7'")
-
-#: Submit template that accepts the job but never starts a worker.
-BLACKHOLE = "sh -c true"
 
 
 # --------------------------------------------------------------------- #
@@ -51,25 +45,6 @@ def test_probe_node_unreachable_reports_failure():
     assert result.detail  # the TransportError text survives
 
 
-def test_probe_queue_loopback_and_timeout(monkeypatch):
-    good, = probe_fleet(queues=[QueueSpec("loopback", 3)])
-    assert good.ok and good.kind == "queue"
-    assert good.slots == 3  # declared capacity, one probe job
-    assert "protocol 1" in good.detail
-
-    bad, = probe_fleet(queues=[QueueSpec("loopback", 2)],
-                       queue_template=BLACKHOLE, acquire_timeout=1.0)
-    assert not bad.ok
-    assert "dialed back" in bad.detail or bad.detail
-
-
-def test_probe_fleet_orders_nodes_before_queues():
-    results = probe_fleet(nodes=[NodeSpec("local", 1)],
-                          queues=[QueueSpec("loopback", 1)])
-    assert [r.target for r in results] == ["local", "loopback"]
-    assert fleet_ok(results)
-
-
 # --------------------------------------------------------------------- #
 # Report formatting
 # --------------------------------------------------------------------- #
@@ -79,14 +54,14 @@ def test_fleet_report_formatting():
         ProbeResult(target="big", kind="ssh", slots=8, ok=True,
                     latency=0.42, speed=1.25, host="big.cluster",
                     detail="protocol 1"),
-        ProbeResult(target="slurm", kind="queue", slots=16, ok=False,
-                    detail="submit failed: exit 1"),
+        ProbeResult(target="ghost", kind="ssh", slots=16, ok=False,
+                    detail="worker exited during the handshake"),
     ]
     report = fleet_report(results)
     assert "fleet readiness" in report
     assert "ok" in report and "FAIL" in report
     assert "1/2 target(s) ready (8 slot(s))" in report
-    assert "FAILED: slurm" in report
+    assert "FAILED: ghost" in report
     assert fleet_report([]) == "(no fleet targets configured)"
     assert not fleet_ok(results)
 
@@ -98,9 +73,8 @@ def test_fleet_report_formatting():
 def test_cli_fleet_check_all_good(capsys):
     from repro.cli import main
 
-    code = main(["fleet", "check", "--nodes", "local:2,n1:1",
-                 "--remote-template", LOOPBACK,
-                 "--queue", "loopback:1"])
+    code = main(["fleet", "check", "--nodes", "local:2,n1:1,n2:1",
+                 "--remote-template", LOOPBACK])
     out = capsys.readouterr().out
     assert code == 0
     assert "3/3 target(s) ready (4 slot(s))" in out
@@ -116,17 +90,6 @@ def test_cli_fleet_check_mixed_good_bad(capsys):
     assert code == 1
     assert "1/2 target(s) ready (2 slot(s))" in out
     assert "FAILED: bad" in out
-
-
-def test_cli_fleet_check_queue_timeout(capsys):
-    from repro.cli import main
-
-    code = main(["fleet", "check", "--queue", "loopback:1",
-                 "--queue-template", BLACKHOLE,
-                 "--acquire-timeout", "1.0"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "FAILED: loopback" in out
 
 
 def test_cli_fleet_check_nodes_file(tmp_path, capsys):
@@ -146,9 +109,5 @@ def test_cli_fleet_check_config_errors(capsys):
 
     assert main(["fleet", "check"]) == 2
     assert "nothing to probe" in capsys.readouterr().err
-    assert main(["fleet", "check", "--queue", "condor:2"]) == 2
-    assert "no submit-template preset" in capsys.readouterr().err
-    assert main(["fleet", "check", "--nodes", "x:1",
-                 "--queue", "x:1",
-                 "--queue-template", BLACKHOLE]) == 2
-    assert "duplicate target name" in capsys.readouterr().err
+    assert main(["fleet", "check", "--nodes", "x:1,x:2"]) == 2
+    assert "listed twice" in capsys.readouterr().err

@@ -24,7 +24,7 @@ def test_all_markdown_links_resolve():
 def test_distributed_guide_exists_with_required_sections():
     text = (REPO / "docs" / "distributed.md").read_text()
     for heading in ("## Quick start", "## Node fleets",
-                    "## Queue fleets", "## Fleet validation",
+                    "## Batch schedulers", "## Fleet validation",
                     "## Failover semantics", "## The wire protocol",
                     "## Troubleshooting"):
         assert heading in text, f"missing section: {heading}"
@@ -44,7 +44,8 @@ def test_runnable_blocks_are_extractable():
             assert "repro" in script, (
                 f"{rel}:{lineno}: runnable block does not exercise "
                 "the repro CLI")
-            assert "ssh " not in script and "sbatch " not in script, (
+            cluster = ("ssh ", "sbatch ", "srun ", "qsub ")
+            assert not any(cmd in script for cmd in cluster), (
                 f"{rel}:{lineno}: cluster-only commands belong in "
                 "```text fences")
 

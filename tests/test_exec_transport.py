@@ -24,7 +24,6 @@ from repro.exec import (
     OUTCOME_OK,
     JsonlTelemetry,
     NodeSpec,
-    QueueSource,
     RunSpec,
     RuntimeEstimator,
     SweepExecutor,
@@ -180,23 +179,8 @@ def test_calibration_probe_is_positive_and_reproducible():
 
 
 # --------------------------------------------------------------------- #
-# Estimator node speed
+# Estimator history
 # --------------------------------------------------------------------- #
-
-def test_estimator_node_speed_from_retire_history(tmp_path):
-    log = tmp_path / "events.jsonl"
-    rows = [
-        {"event": "retire", "run": "r1", "elapsed": 2.0, "status": "ok",
-         "node": "slowbox"},
-        {"event": "retire", "run": "r1", "elapsed": 1.0, "status": "ok",
-         "node": "fastbox"},
-    ]
-    log.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    est = RuntimeEstimator()
-    assert est.load_event_log(log) == 2
-    assert est.node_speed("fastbox") > 1.0 > est.node_speed("slowbox")
-    assert est.node_speed("unknown") is None
-
 
 def test_estimator_rejects_near_zero_samples():
     est = RuntimeEstimator()
@@ -211,26 +195,20 @@ def test_estimator_rejects_near_zero_samples():
 # --------------------------------------------------------------------- #
 
 def _open_fork():
-    return fork_worker(), lambda: None
+    return fork_worker()
 
 
 def _open_command():
-    return command_worker("loop", LOOPBACK), lambda: None
+    return command_worker("loop", LOOPBACK)
 
 
-def _open_dial_back():
-    source = QueueSource(NodeSpec("loopback", 1))
-    return source.spawn(), source.close
-
-
-@pytest.mark.parametrize("acquire", [_open_fork, _open_command,
-                                     _open_dial_back])
+@pytest.mark.parametrize("acquire", [_open_fork, _open_command])
 def test_worker_client_contract(acquire):
-    """One client, three acquisitions: several specs round-trip through
+    """One client, two acquisitions: several specs round-trip through
     one long-lived worker; ``shutdown`` makes it exit; killing it
     surfaces as ``EOFError`` from ``recv``."""
-    worker, release = acquire()
-    victim, release_victim = acquire()
+    worker = acquire()
+    victim = acquire()
     try:
         assert worker.hello["protocol"] == 1
         assert worker.speed > 0.0
@@ -242,12 +220,8 @@ def test_worker_client_contract(acquire):
             assert payload.key.algorithm == algorithm
             assert host is None  # collect_host was off
         worker.shutdown()
-        if worker.proc is not None:
-            assert worker.reap(10.0) == 0
-            assert not worker.alive
-        else:  # dial-back: the scheduler owns the process; it hangs up
-            with pytest.raises(EOFError):
-                worker.recv()
+        assert worker.reap(10.0) == 0
+        assert not worker.alive
 
         assert victim.alive
         os.kill(victim.hello["pid"], signal.SIGKILL)
@@ -256,8 +230,6 @@ def test_worker_client_contract(acquire):
     finally:
         worker.discard()
         victim.discard()
-        release()
-        release_victim()
     assert not worker.alive and not victim.alive
 
 
@@ -501,6 +473,49 @@ def test_all_nodes_unreachable_falls_back_to_local(capsys):
                              jobs=2).run([_spec()])
     assert outcomes[0].status == OUTCOME_OK
     assert "no nodes reachable" in capsys.readouterr().err
+
+
+def test_scheduler_launcher_recipe(tmp_path, monkeypatch, capsys):
+    """A batch scheduler's workers are reached through the command
+    template: a launcher that waits before the worker starts (as
+    ``srun`` inside an allocation may) serves both slots of its node
+    within the handshake timeout; past the timeout the node degrades
+    to the local fallback."""
+    launcher = (f"sh -c 'sleep 1; exec {sys.executable} "
+                "-m repro.exec.remote_worker'")
+    specs = grid_specs(["astro"], ["sparse", "dense"],
+                       ["ondemand", "static"], [4], scale=0.02)
+    serial = SweepExecutor(jobs=1).run(specs)
+    clear_cache(disk=True)
+    monkeypatch.setenv(HANDSHAKE_TIMEOUT_ENV, "10")
+    sink = JsonlTelemetry(tmp_path / "events.jsonl")
+    outcomes = SweepExecutor(nodes=parse_nodes("q:2"),
+                             remote_template=launcher,
+                             telemetry=sink).run(specs)
+    sink.close()
+    assert [o.status for o in outcomes] == [OUTCOME_OK] * len(specs)
+    assert _summary_doc(serial) == _summary_doc(outcomes)
+    events = load_events(tmp_path / "events.jsonl")
+    assert validate_events(events) == []
+    retired = [e for e in events if e["event"] == "retire"]
+    assert {e["node"] for e in retired} == {"q"}
+    assert {e["worker"] for e in retired} == {0, 1}
+
+    monkeypatch.setenv(HANDSHAKE_TIMEOUT_ENV, "0.5")
+    sink = JsonlTelemetry(tmp_path / "late.jsonl")
+    outcomes = SweepExecutor(nodes=parse_nodes("q:2"),
+                             remote_template=launcher,
+                             telemetry=sink).run(specs[:1])
+    sink.close()
+    assert outcomes[0].status == OUTCOME_OK
+    assert "no nodes reachable" in capsys.readouterr().err
+    events = load_events(tmp_path / "late.jsonl")
+    assert validate_events(events) == []
+    lost, = (e for e in events if e["event"] == "node_lost")
+    assert lost["node"] == "q" and lost["phase"] == "startup"
+    assert "timed out after 0.5s" in lost["reason"]
+    retire, = (e for e in events if e["event"] == "retire")
+    assert retire["node"] == LOCAL_NODE
 
 
 # --------------------------------------------------------------------- #
