@@ -15,15 +15,13 @@ that ``repro diff`` can gate against:
 Every run in the matrix is independent, so ``--jobs N`` fans them out
 over a persistent pool of worker processes (``repro.exec.SweepExecutor``);
 results are merged in spec order, so the snapshot is **byte-identical
-for any job count and any ``--schedule`` policy** (CI ``cmp``s an
-``--schedule lpt --jobs 2`` run against a serial FIFO one).
-``--schedule lpt`` dispatches the expected-longest runs first (from
-recorded runtime history, falling back to a static cost model) to
-shrink the sweep's makespan; ``--dry-run`` prints the planned order
-with estimates and exits; ``--telemetry DIR`` captures the executor's
-host-side event log and reports.  ``--timeout`` bounds each run in real
-seconds; a crashed or timed-out run is recorded as a status-only entry
-and the harness exits 1 without losing the rest of the sweep.  The
+for any job count** (CI ``cmp``s a ``--jobs 2`` run against a serial
+one).  Runs are dispatched heaviest problem first by a static cost
+model; ``--dry-run`` prints that order and exits; ``--telemetry DIR``
+captures the executor's host-side event log and reports.
+``--timeout`` bounds each run in real seconds; a crashed or timed-out
+run is recorded as a status-only entry and the harness exits 1
+without losing the rest of the sweep.  The
 thermal OOM probe always executes in an isolated one-shot child
 process: a *real* MemoryError kills the child and is reported as the
 same gated ``oom`` status the simulated probe commits.
@@ -165,20 +163,12 @@ def parse_jobs(text: str) -> int:
 
 def build_doc(args: argparse.Namespace) -> tuple:
     """Run the matrix and merge the snapshot; returns (doc, outcomes)."""
-    from repro.exec import RuntimeEstimator
-
     specs = build_specs(args)
     try:
         nodes = parse_fleet(args.nodes, args.nodes_file)
     except ValueError as exc:
         raise SystemExit(f"bench_trajectory: {exc}")
     telemetry_dir = Path(args.telemetry) if args.telemetry else None
-    prior_logs = []
-    if telemetry_dir is not None:
-        prior = telemetry_dir / "events.jsonl"
-        if prior.is_file():  # read history before the sink truncates it
-            prior_logs.append(prior)
-    estimator = RuntimeEstimator.from_history(event_logs=prior_logs)
     sink = None
     if telemetry_dir is not None:
         from repro.exec import JsonlTelemetry
@@ -187,8 +177,7 @@ def build_doc(args: argparse.Namespace) -> tuple:
         sink = JsonlTelemetry(telemetry_dir / "events.jsonl")
     executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout or None,
                              progress=text_progress(),
-                             telemetry=sink, schedule=args.schedule,
-                             estimator=estimator, nodes=nodes,
+                             telemetry=sink, nodes=nodes,
                              remote_template=args.remote_template)
     try:
         outcomes = executor.run(specs)
@@ -264,21 +253,15 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=0.0,
                         help="per-run limit in real seconds "
                              "(0 = unlimited)")
-    parser.add_argument("--schedule", default="fifo",
-                        choices=("fifo", "lpt", "auto"),
-                        help="dispatch order: fifo = spec order, lpt = "
-                             "longest expected first, auto = lpt once "
-                             "enough runtime history exists; the "
-                             "snapshot is byte-identical for any policy")
     parser.add_argument("--dry-run", action="store_true",
-                        help="print the planned dispatch order with "
-                             "runtime estimates and exit without "
-                             "running anything")
+                        help="print the planned dispatch order (heaviest "
+                             "problem first) and exit without running "
+                             "anything")
     parser.add_argument("--telemetry", default=None, metavar="DIR",
                         help="capture the executor's host-side event "
-                             "log (events.jsonl) and utilization/"
-                             "schedule-accuracy report into DIR; never "
-                             "affects the snapshot bytes")
+                             "log (events.jsonl) and utilization "
+                             "report into DIR; never affects the "
+                             "snapshot bytes")
     parser.add_argument("--date", default="unversioned",
                         help="YYYYMMDD stamp for the filename and the "
                              "'generated' field (explicit, so reruns are "
@@ -288,14 +271,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.dry_run:
-        from repro.exec import (RuntimeEstimator, default_jobs,
-                                dry_run_table, plan_schedule)
+        from repro.exec import dry_run_table, plan_schedule
 
-        estimator = RuntimeEstimator.from_history()
-        plan = plan_schedule(build_specs(args), policy=args.schedule,
-                             estimator=estimator)
-        jobs = args.jobs if args.jobs > 0 else default_jobs()
-        print(dry_run_table(plan, jobs=jobs))
+        print(dry_run_table(plan_schedule(build_specs(args))))
         return 0
 
     doc, outcomes = build_doc(args)

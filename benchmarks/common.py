@@ -15,10 +15,6 @@ Environment knobs
 ``REPRO_BENCH_JOBS``    worker processes for uncached sweep runs
                         (default 1 = serial; results are identical for
                         any value — see docs/performance.md)
-``REPRO_BENCH_SCHEDULE`` dispatch-order policy for uncached sweep runs:
-                        "fifo" (default), "lpt" (longest expected
-                        first, from recorded runtime history), or
-                        "auto"; results are identical for any policy
 """
 
 from __future__ import annotations
@@ -34,14 +30,13 @@ RANKS: Sequence[int] = tuple(
     int(x) for x in os.environ.get("REPRO_BENCH_RANKS",
                                    "16,32,128").split(","))
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-SCHEDULE = os.environ.get("REPRO_BENCH_SCHEDULE", "fifo")
 
 
 def run_figure(benchmark, dataset: str, metric: str) -> List[RunSummary]:
     """Run (or fetch) the dataset sweep and print the figure table."""
     summaries = benchmark.pedantic(
         lambda: sweep_dataset(dataset, scale=SCALE, rank_counts=RANKS,
-                              jobs=JOBS, schedule=SCHEDULE),
+                              jobs=JOBS),
         rounds=1, iterations=1)
     table = figure_table(dataset, summaries, metric)
     print("\n" + table + "\n")

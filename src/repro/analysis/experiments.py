@@ -177,10 +177,9 @@ def _save_entry(key: ExperimentKey, summary: RunSummary,
     a torn write.
 
     ``elapsed`` (measured *real* seconds for the uncached run) rides
-    along as a top-level key; the scheduler's
-    :class:`~repro.exec.estimate.RuntimeEstimator` reads it as runtime
-    history.  Decoders ignore unknown top-level keys, so entries with
-    and without it interoperate at the same ``CACHE_VERSION``.
+    along as a top-level key, which ``repro cache`` shows.  Decoders
+    ignore unknown top-level keys, so entries with and without it
+    interoperate at the same ``CACHE_VERSION``.
     """
     path = _entry_path(key)
     if path is None:
@@ -358,17 +357,15 @@ def sweep_dataset(dataset: str, scale: float = 1.0,
                                                "hybrid"),
                   seedings: Sequence[str] = ("sparse", "dense"),
                   jobs: int = 1, timeout: Optional[float] = None,
-                  progress=None, schedule: str = "fifo",
-                  estimator=None) -> List[RunSummary]:
+                  progress=None) -> List[RunSummary]:
     """Run the full grid for one dataset (all four figures' data).
 
     ``jobs > 1`` fans uncached cells out over a
     :class:`~repro.exec.executor.SweepExecutor` process pool; the
     returned list is in grid order either way (the executor merges in
-    spec order), so figure tables are identical for any job count —
-    and for any ``schedule`` policy (``fifo``/``lpt``/``auto``), which
-    only reorders dispatch.  Each uncached cell persists its measured
-    real runtime to the cache entry, feeding future LPT schedules.
+    spec order), so figure tables are identical for any job count.
+    Each uncached cell persists its measured real runtime to the cache
+    entry (``repro cache`` shows it).
     Raises ``RuntimeError`` with a failure report if any fanned-out run
     crashed or timed out (completed cells stay cached, so a retry only
     re-runs the failures).
@@ -392,9 +389,7 @@ def sweep_dataset(dataset: str, scale: float = 1.0,
                              algorithm=k.algorithm, n_ranks=k.n_ranks,
                              scale=k.scale) for k in missing]
             outcomes = SweepExecutor(jobs=jobs, timeout=timeout,
-                                     progress=progress,
-                                     schedule=schedule,
-                                     estimator=estimator).run(specs)
+                                     progress=progress).run(specs)
             if any(o.failed for o in outcomes):
                 raise RuntimeError(failure_report(outcomes))
             for k, o in zip(missing, outcomes):

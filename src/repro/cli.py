@@ -8,17 +8,15 @@ Commands
                fans uncached runs over a process pool
 ``sweep``      run a full evaluation grid with the parallel sweep
                executor (``--jobs N``) and write a deterministic
-               summary JSON — byte-identical for any job count and any
-               ``--schedule`` policy (fifo/lpt/auto; lpt dispatches
-               the expected-longest runs first using recorded runtime
-               history); ``--dry-run`` prints the planned dispatch
-               order with per-run estimates without executing;
+               summary JSON — byte-identical for any job count; runs
+               are dispatched heaviest problem first by a static cost
+               model; ``--dry-run`` prints that order with each run's
+               share of the model total without executing;
                ``--telemetry DIR`` additionally captures the executor's
-               host-side event log, utilization report, and
-               schedule-accuracy (predicted vs actual, MAPE) table;
+               host-side event log and utilization report;
                ``--nodes host1:4,host2:8`` (or ``--nodes-file``)
-               dispatches runs to long-lived remote workers with
-               node-aware LPT and failover — still byte-identical
+               dispatches runs to long-lived remote workers, fastest
+               node first, with failover — still byte-identical
 ``fleet``      ``fleet check`` probes every configured node,
                runs the calibration handshake, and prints a readiness
                report (non-zero exit iff any target fails)
@@ -251,29 +249,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     specs = grid_specs(datasets, seedings, algorithms, rank_counts,
                        scale=args.scale)
 
-    # Runtime history for the scheduler: the sweep cache's measured
-    # per-entry `elapsed` plus any prior telemetry event log.  The
-    # prior events.jsonl MUST be read before JsonlTelemetry opens
-    # (and truncates) the same path below.
-    from repro.exec import RuntimeEstimator
-
-    telemetry_dir = Path(args.telemetry) if args.telemetry else None
-    prior_logs = []
-    if telemetry_dir is not None:
-        prior = telemetry_dir / "events.jsonl"
-        if prior.is_file():
-            prior_logs.append(prior)
-    estimator = RuntimeEstimator.from_history(event_logs=prior_logs)
-
     if args.dry_run:
-        from repro.exec import default_jobs, dry_run_table, plan_schedule
+        from repro.exec import dry_run_table, plan_schedule
 
-        plan = plan_schedule(specs, policy=args.schedule,
-                             estimator=estimator)
-        jobs = args.jobs if args.jobs > 0 else default_jobs()
-        print(dry_run_table(plan, jobs=jobs))
+        print(dry_run_table(plan_schedule(specs)))
         return 0
 
+    telemetry_dir = Path(args.telemetry) if args.telemetry else None
     sink = None
     if telemetry_dir is not None:
         from repro.exec import JsonlTelemetry
@@ -282,8 +264,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sink = JsonlTelemetry(telemetry_dir / "events.jsonl")
     executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout or None,
                              progress=text_progress(sys.stderr),
-                             telemetry=sink, schedule=args.schedule,
-                             estimator=estimator, nodes=nodes,
+                             telemetry=sink, nodes=nodes,
                              remote_template=args.remote_template)
     outcomes = executor.run(specs)
     if sink is not None:
@@ -766,18 +747,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--timeout", type=float, default=0.0,
                       help="per-run limit in real seconds "
                            "(0 = unlimited)")
-    p_sw.add_argument("--schedule", default="fifo",
-                      choices=("fifo", "lpt", "auto"),
-                      help="dispatch order: fifo = spec order, lpt = "
-                           "longest expected first (from recorded "
-                           "runtime history + a static cost model), "
-                           "auto = lpt once enough history exists; "
-                           "merged outputs are byte-identical for any "
-                           "policy")
     p_sw.add_argument("--dry-run", action="store_true",
-                      help="print the planned dispatch order with "
-                           "per-run runtime estimates and exit "
-                           "without executing")
+                      help="print the planned dispatch order (heaviest "
+                           "problem first) with each run's share of "
+                           "the cost model's total and exit without "
+                           "executing")
     p_sw.add_argument("--out", default=None,
                       help="write a deterministic summary JSON here")
     p_sw.add_argument("--telemetry", default=None, metavar="DIR",

@@ -17,21 +17,17 @@ Layers
 :mod:`repro.exec.worker`
     The worker-side task implementations (one per spec ``mode``) and
     the real-``MemoryError`` -> ``oom`` containment.
-:mod:`repro.exec.estimate`
-    :class:`RuntimeEstimator` — per-spec runtime predictions from the
-    sweep cache's measured ``elapsed`` history and prior telemetry
-    logs, with a static feature-based cost model as fallback.
 :mod:`repro.exec.schedule`
-    :func:`plan_schedule` — dispatch-order policies (``fifo`` /
-    ``lpt`` / ``auto``) over the estimator's predictions; ordering
-    never changes merged artifacts.
+    :func:`plan_schedule` — the one dispatch order: heaviest problem
+    first by a static cost model (:func:`model_estimate`), a problem's
+    specs back to back; ordering never changes merged artifacts.
 :mod:`repro.exec.transport`
     The one worker client (:class:`StreamWorker`, length-prefixed
     JSON frames over a byte stream) and its two acquisitions: a forked
     child (``--jobs N``) and a command template's stdio (``--nodes
     host1:4,host2:8``; ``python -m repro.exec.remote_worker``) — both
-    ending in the same calibration handshake that feeds node-aware
-    LPT.
+    ending in the same calibration handshake that gives each node
+    its speed factor.
 :mod:`repro.exec.fleet`
     Fleet validation (``repro fleet check``): probe every configured
     node, run the handshake, and report readiness.
@@ -43,9 +39,8 @@ Layers
 :mod:`repro.exec.telemetry`
     Host-side executor telemetry: the JSONL event log
     (:class:`JsonlTelemetry`), its schema validator, and the
-    utilization / timeline / queue-depth / per-node /
-    schedule-accuracy analyzers.  Telemetry never perturbs
-    deterministic artifacts.
+    utilization / timeline / queue-depth / per-node analyzers.
+    Telemetry never perturbs deterministic artifacts.
 
 ``repro.exec`` sits *above* ``repro.analysis`` (tasks import it
 lazily), so nothing in the simulator depends on multiprocessing.
@@ -56,12 +51,6 @@ from repro.exec.executor import (
     default_jobs,
     merge_run_entries,
     text_progress,
-)
-from repro.exec.estimate import (
-    Estimate,
-    MIN_SAMPLE_SECONDS,
-    RuntimeEstimator,
-    model_estimate,
 )
 from repro.exec.transport import (
     DEFAULT_REMOTE_TEMPLATE,
@@ -84,12 +73,9 @@ from repro.exec.fleet import (
     probe_fleet,
 )
 from repro.exec.schedule import (
-    SCHEDULE_AUTO,
-    SCHEDULE_FIFO,
-    SCHEDULE_LPT,
-    SCHEDULE_POLICIES,
-    SchedulePlan,
+    PlannedRun,
     dry_run_table,
+    model_estimate,
     plan_schedule,
 )
 from repro.exec.telemetry import (
@@ -97,7 +83,6 @@ from repro.exec.telemetry import (
     load_events,
     makespan,
     node_table,
-    schedule_table,
     telemetry_report,
     utilization_table,
     validate_events,
@@ -121,10 +106,8 @@ from repro.exec.worker import run_spec, run_spec_with_host
 
 __all__ = [
     "DEFAULT_REMOTE_TEMPLATE",
-    "Estimate",
     "JsonlTelemetry",
     "LOCAL_NODE",
-    "MIN_SAMPLE_SECONDS",
     "MODE_BENCH",
     "MODE_SUMMARY",
     "OUTCOME_CRASHED",
@@ -134,15 +117,10 @@ __all__ = [
     "NodeSpec",
     "OUTCOME_TIMEOUT",
     "PROTOCOL_VERSION",
+    "PlannedRun",
     "ProbeResult",
     "RunOutcome",
     "RunSpec",
-    "RuntimeEstimator",
-    "SCHEDULE_AUTO",
-    "SCHEDULE_FIFO",
-    "SCHEDULE_LPT",
-    "SCHEDULE_POLICIES",
-    "SchedulePlan",
     "StreamWorker",
     "SweepExecutor",
     "TransportError",
@@ -167,7 +145,6 @@ __all__ = [
     "read_nodes_file",
     "run_spec",
     "run_spec_with_host",
-    "schedule_table",
     "telemetry_report",
     "text_progress",
     "utilization_table",

@@ -1,19 +1,18 @@
-"""Scheduled multi-process sweep execution over persistent worker
-pools — local or distributed — with deterministic spec-order merge.
+"""Multi-process sweep execution over persistent worker pools — local
+or distributed — with deterministic spec-order merge.
 
 Every run of the evaluation matrix is independent and deterministic, so
 a sweep is embarrassingly parallel: :class:`SweepExecutor` fans specs
 out over worker *slots* and returns outcomes **in spec order**,
 regardless of dispatch or completion order — callers merge artifacts
-from that list, which is what makes ``--jobs N``, ``--nodes ...`` (and
-any ``--schedule`` policy) output byte-identical to serial output.
+from that list, which is what makes ``--jobs N`` and ``--nodes ...``
+output byte-identical to serial output.
 
 Three layers sit between the spec list and the workers:
 
-* **Scheduling** (:mod:`repro.exec.schedule`): the dispatch order is a
-  :class:`~repro.exec.schedule.SchedulePlan` — FIFO (spec order) or
-  LPT (longest expected first, from the
-  :class:`~repro.exec.estimate.RuntimeEstimator`).
+* **Dispatch order** (:mod:`repro.exec.schedule`): one order for every
+  sweep — :func:`~repro.exec.schedule.plan_schedule`, heaviest problem
+  first by the static cost model, a problem's specs back to back.
 * **Workers** (:mod:`repro.exec.transport`): every slot is backed by
   one :class:`~repro.exec.transport.StreamWorker` speaking the frame
   protocol; only its acquisition varies — forked on this machine, or
@@ -24,8 +23,8 @@ Three layers sit between the spec list and the workers:
   slots live in a heap keyed by ``(-speed, slot)`` (a remote node's
   speed factor comes from its handshake calibration probe) and a slot
   keeps the problem its worker has traced, claims an unheld one when
-  that runs dry, and only then steals.  With LPT's order the heaviest
-  unclaimed problem lands on the fastest free slot.
+  that runs dry, and only then steals.  So the heaviest unclaimed
+  problem lands on the fastest free slot.
 
 Robustness guards, per run:
 
@@ -53,11 +52,10 @@ sweep inline in this process — the historical serial behavior,
 byte-for-byte.
 
 Telemetry: pass a sink (:class:`repro.exec.telemetry.JsonlTelemetry`)
-and the executor logs a ``schedule`` event (the plan with per-run
-predictions and the resolved job count) plus ``dispatch`` / ``start``
-/ ``finish`` / ``retire`` (and ``requeue``) events per run — worker
-slot ids, node identity, real timestamps, and the worker's
-host-metric dict framed back with the result (``RunOutcome.host``).
+and the executor logs ``dispatch`` / ``start`` / ``finish`` /
+``retire`` (and ``requeue``) events per run — worker slot ids, node
+identity, real timestamps, and the worker's host-metric dict framed
+back with the result (``RunOutcome.host``).
 Telemetry is host-side only: payloads, merge order, and every
 deterministic artifact are byte-identical with it on or off.
 """
@@ -74,11 +72,7 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.exec.schedule import (
-    SCHEDULE_FIFO,
-    SchedulePlan,
-    plan_schedule,
-)
+from repro.exec.schedule import plan_schedule
 from repro.exec.spec import (
     OUTCOME_CRASHED,
     OUTCOME_ERROR,
@@ -165,8 +159,8 @@ class Dispatcher:
     last ran, so — like the paper's hybrid master, which assigns work
     for loaded data before it makes anyone load — a free slot takes
     :meth:`_take`'s pick: its own problem, else an unheld one, else a
-    steal.  With LPT's order this is "heaviest unclaimed problem to
-    the fastest free slot".
+    steal.  With the plan's order this is "heaviest unclaimed problem
+    to the fastest free slot".
     """
 
     def __init__(self, items: Sequence[Tuple[int, RunSpec]],
@@ -175,8 +169,8 @@ class Dispatcher:
                  progress: Callable[[str, Any], None],
                  warn: Callable[[str], None], jobs: int = 1,
                  timeout: Optional[float] = None):
-        # Pending, per problem: problem_key -> its specs in schedule
-        # order, the problems themselves in plan order.
+        # Pending, per problem: problem_key -> its specs in plan order,
+        # the problems themselves in plan order.
         self.queues: Dict[Any, deque] = {}
         for item in items:
             self.queues.setdefault(item[1].problem_key,
@@ -421,7 +415,8 @@ class Dispatcher:
 
 
 class SweepExecutor:
-    """Run a list of :class:`RunSpec` with scheduled bounded fan-out.
+    """Run a list of :class:`RunSpec` with bounded fan-out, heaviest
+    problem first (:func:`~repro.exec.schedule.plan_schedule`).
 
     Parameters
     ----------
@@ -443,18 +438,9 @@ class SweepExecutor:
     telemetry:
         Optional event sink with an ``emit(dict)`` method (see
         :class:`repro.exec.telemetry.JsonlTelemetry`).  When set, the
-        executor logs the schedule plan and per-run lifecycle events
-        and collects host metrics from every run (``RunOutcome.host``);
-        deterministic outputs are unaffected.
-    schedule:
-        Dispatch-order policy: ``"fifo"`` (default — spec order),
-        ``"lpt"`` (longest expected first), or ``"auto"`` (LPT once
-        enough history exists; see :mod:`repro.exec.schedule`).
-        Outcomes are always returned in spec order regardless.
-    estimator:
-        Optional :class:`~repro.exec.estimate.RuntimeEstimator`
-        supplying per-spec runtime predictions for LPT/auto.  ``None``
-        builds an empty one (static-model estimates only).
+        executor logs per-run lifecycle events and collects host
+        metrics from every run (``RunOutcome.host``); deterministic
+        outputs are unaffected.
     nodes:
         Optional list of :class:`~repro.exec.transport.NodeSpec`
         activating distributed dispatch: each node contributes
@@ -471,19 +457,14 @@ class SweepExecutor:
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None,
                  progress: Optional[ProgressFn] = None,
                  telemetry: Optional[Any] = None,
-                 schedule: str = SCHEDULE_FIFO,
-                 estimator: Optional[Any] = None,
                  nodes: Optional[Sequence[NodeSpec]] = None,
                  remote_template: Optional[str] = None):
         self.jobs = default_jobs() if jobs <= 0 else int(jobs)
         self.timeout = timeout if timeout and timeout > 0 else None
         self.progress = progress
         self.telemetry = telemetry
-        self.schedule = schedule
-        self.estimator = estimator
         self.nodes = list(nodes) if nodes else None
         self.remote_template = remote_template
-        self.last_plan: Optional[SchedulePlan] = None
         self._t0 = 0.0
 
     def _emit_event(self, kind: str, **fields: Any) -> None:
@@ -503,20 +484,13 @@ class SweepExecutor:
     # Public API
     # ------------------------------------------------------------------ #
 
-    def plan(self, specs: Sequence[RunSpec]) -> SchedulePlan:
-        """The dispatch plan ``run`` would use for ``specs`` (also what
-        ``--dry-run`` prints)."""
-        return plan_schedule(list(specs), policy=self.schedule,
-                             estimator=self.estimator)
-
     def run(self, specs: Sequence[RunSpec]) -> List[RunOutcome]:
         """Execute every spec; outcomes are returned in spec order."""
         specs = list(specs)
         total = len(specs)
         results: List[Optional[RunOutcome]] = [None] * total
         done = {"n": 0}
-        plan = self.plan(specs)
-        self.last_plan = plan
+        ordered = [(p.idx, p.spec) for p in plan_schedule(specs)]
         self._t0 = time.monotonic()
         distributed = self.nodes is not None
         use_pool = bool(total) and (
@@ -529,14 +503,10 @@ class SweepExecutor:
             if use_pool:
                 table, workers = self._build_slots(sources)
             slots_n = len(table) if use_pool else self.jobs
-            begin: Dict[str, Any] = {"jobs": slots_n, "runs": total,
-                                     "schedule": plan.effective}
+            begin: Dict[str, Any] = {"jobs": slots_n, "runs": total}
             if distributed and use_pool:
                 begin["nodes"] = self._node_summary(table)
             self._emit_event("sweep_begin", **begin)
-            if total:
-                self._emit_event("schedule", jobs=slots_n,
-                                 **plan.event_fields())
 
             def emit(event: str, payload: Any) -> None:
                 if event == "done":
@@ -545,10 +515,9 @@ class SweepExecutor:
                     self.progress(event, payload, done["n"], total)
 
             if use_pool:
-                self._run_pool(plan.ordered, table, workers, results,
-                               emit)
+                self._run_pool(ordered, table, workers, results, emit)
             else:
-                for i, spec in plan.ordered:
+                for i, spec in ordered:
                     where = {"run": spec.name, "idx": i, "worker": 0,
                              "node": LOCAL_NODE}
                     self._emit_event("dispatch", **where)
@@ -614,10 +583,10 @@ class SweepExecutor:
         node, not the sum) and then, in listed order, each node
         contributes all of its declared slots, a remote one's first
         slot already holding the **probe worker** that proved the node
-        reachable and measured its calibration speed for node-aware
-        LPT.  A node that cannot be acquired is dropped with a warning
-        and the sweep degrades to the remaining slots; with none left
-        it runs on a local fallback pool.
+        reachable and measured its calibration speed, which orders
+        the free-slot heap.  A node that cannot be acquired is dropped
+        with a warning and the sweep degrades to the remaining slots;
+        with none left it runs on a local fallback pool.
         """
         table: Dict[int, _Slot] = {}
         workers: Dict[int, Any] = {}
@@ -677,7 +646,7 @@ class SweepExecutor:
                   results: List[Optional[RunOutcome]],
                   emit: Callable[[str, Any], None]) -> None:
         """Drive the :class:`Dispatcher` over ``items`` (already in
-        schedule order), multiplexing every worker stream through one
+        plan order), multiplexing every worker stream through one
         ``connection.wait`` loop."""
         dispatcher = Dispatcher(
             items, table, workers, self._local_source(), jobs=self.jobs,
@@ -740,8 +709,7 @@ def text_progress(stream=None) -> ProgressFn:
 
     running: Dict[str, float] = {}       # run name -> start monotonic
     labels: Dict[str, str] = {}          # run name -> rendered label
-    state = {"max_active": 1, "elapsed_sum": 0.0, "elapsed_n": 0,
-             "next_slot": 0}
+    state = {"max_active": 1, "elapsed_sum": 0.0, "elapsed_n": 0}
 
     def _metric(payload: Any, name: str) -> Optional[float]:
         if isinstance(payload, dict):
@@ -759,14 +727,9 @@ def text_progress(stream=None) -> ProgressFn:
 
     def _unpack(payload: Any) -> Tuple[str, str]:
         """(run name, worker label) from a start/requeue payload."""
-        if isinstance(payload, tuple) and len(payload) == 3:
-            spec, slot, node = payload
-            suffix = "" if node in (None, LOCAL_NODE) else f"@{node}"
-            return str(spec), f"w{slot}{suffix}"
-        # Legacy payload: a bare spec; synthesize sequential labels.
-        label = f"w{state['next_slot']}"
-        state["next_slot"] += 1
-        return str(payload), label
+        spec, slot, node = payload
+        suffix = "" if node in (None, LOCAL_NODE) else f"@{node}"
+        return str(spec), f"w{slot}{suffix}"
 
     def progress(event: str, payload: Any, done: int, total: int) -> None:
         if event == "start":

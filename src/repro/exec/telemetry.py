@@ -6,13 +6,8 @@ the parent scheduler loop (a single writer, so the log needs no
 locking and lines never interleave):
 
 ``sweep_begin``
-    once per ``run()`` call — ``jobs`` (pool width), ``runs``
-    (spec count), and the effective ``schedule`` policy;
-``schedule``
-    the resolved dispatch plan (policy, history coverage, per-run
-    predicted seconds + estimate source), emitted once right after
-    ``sweep_begin``; :func:`schedule_table` joins it with the
-    ``retire`` actuals for predicted-vs-actual accuracy (MAPE);
+    once per ``run()`` call — ``jobs`` (pool width) and ``runs``
+    (spec count);
 ``dispatch``
     a spec was popped off the pending queue and assigned a worker slot;
 ``start``
@@ -48,9 +43,9 @@ released at ``retire``/``requeue``, so per-worker busy intervals never
 overlap — the invariants :func:`validate_events` checks, together with
 per-episode event ordering and worker consistency.
 
-The analyzers turn an event list into the scheduling views the
-ROADMAP's longest-run-first heuristic needs as input: a per-worker
-timeline (:func:`worker_timeline_text`), a queue-depth curve
+The analyzers turn an event list into the views that show how well
+the dispatch order balanced the slots: a per-worker timeline
+(:func:`worker_timeline_text`), a queue-depth curve
 (:func:`queue_depth_table`), and an idle-fraction/utilization table
 (:func:`utilization_table`).  Host event logs are never byte-stable;
 they live outside BENCH snapshots and the deterministic sweep outputs.
@@ -64,8 +59,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 #: Recognized event kinds.
-EVENT_KINDS = ("sweep_begin", "schedule", "dispatch", "start", "finish",
-               "retire", "requeue", "node_lost", "sweep_end")
+EVENT_KINDS = ("sweep_begin", "dispatch", "start", "finish", "retire",
+               "requeue", "node_lost", "sweep_end")
 
 #: Per-run lifecycle kinds grouped for validation.
 _RUN_KINDS = ("dispatch", "start", "finish", "retire", "requeue")
@@ -451,68 +446,10 @@ def node_table(events: Sequence[Mapping[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def schedule_table(events: Sequence[Mapping[str, Any]]) -> str:
-    """Schedule-accuracy table: the ``schedule`` event's per-run
-    predictions joined with the ``retire`` actuals.
-
-    Rows are in dispatch order; the summary line reports the mean
-    absolute percentage error (MAPE) of the estimator over the runs
-    that actually retired — the feedback signal that tells you whether
-    LPT had a sane cost model to work with.
-    """
-    plan_event: Optional[Mapping[str, Any]] = None
-    for event in events:
-        if event.get("event") == "schedule":
-            plan_event = event
-    if plan_event is None or not plan_event.get("plan"):
-        return "(no schedule event in the event log)"
-    actual: Dict[str, float] = {}
-    for event in events:
-        if event.get("event") == "retire":
-            run = event.get("run")
-            elapsed = event.get("elapsed")
-            if isinstance(run, str) and isinstance(elapsed, (int, float)):
-                actual[run] = float(elapsed)
-    header = (f"{'#':>3}  {'run':<34} {'predicted':>10}  {'actual':>10}  "
-              f"{'err %':>7}  {'source':<8}")
-    lines = [
-        f"schedule {plan_event.get('policy', '?')}"
-        + (f" -> {plan_event.get('effective')}"
-           if plan_event.get("effective") != plan_event.get("policy")
-           else "")
-        + f" ({float(plan_event.get('coverage') or 0.0) * 100.0:.0f}% "
-        f"history coverage)",
-        header,
-        "-" * len(header),
-    ]
-    errors: List[float] = []
-    for pos, p in enumerate(plan_event["plan"]):
-        run = str(p.get("run", "?"))
-        predicted = float(p.get("predicted", 0.0))
-        got = actual.get(run)
-        if got is not None and got > 0.0:
-            err = abs(predicted - got) / got * 100.0
-            errors.append(err)
-            lines.append(f"{pos:>3}  {run:<34} {predicted:>9.2f}s  "
-                         f"{got:>9.2f}s  {err:>6.1f}%  "
-                         f"{p.get('source', '?'):<8}")
-        else:
-            lines.append(f"{pos:>3}  {run:<34} {predicted:>9.2f}s  "
-                         f"{'-':>10}  {'-':>7}  "
-                         f"{p.get('source', '?'):<8}")
-    lines.append("")
-    if errors:
-        lines.append(f"estimator MAPE {sum(errors) / len(errors):.1f}% "
-                     f"over {len(errors)} run(s)")
-    else:
-        lines.append("(no retired runs to score the estimator against)")
-    return "\n".join(lines)
-
-
 def telemetry_report(events: Sequence[Mapping[str, Any]],
                      width: int = 72) -> str:
-    """Utilization table + timeline + queue depth + schedule accuracy
-    (+ the per-node table when the sweep ran distributed)."""
+    """Utilization table + timeline + queue depth (+ the per-node table
+    when the sweep ran distributed)."""
     sections = [
         utilization_table(events),
         worker_timeline_text(events, width=width),
@@ -525,6 +462,4 @@ def telemetry_report(events: Sequence[Mapping[str, Any]],
         for e in events)
     if distributed:
         sections.append(node_table(events))
-    if any(e.get("event") == "schedule" for e in events):
-        sections.append(schedule_table(events))
     return "\n\n".join(sections)

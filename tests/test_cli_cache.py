@@ -111,7 +111,7 @@ def test_cli_jobs_auto_accepted(capsys):
                  "--algorithm", "ondemand", "--ranks", "4",
                  "--scale", "0.02", "--jobs", "auto", "--dry-run"])
     assert code == 0
-    assert "predicted total" in capsys.readouterr().out
+    assert "astro-sparse-ondemand-4" in capsys.readouterr().out
 
 
 def test_cli_jobs_rejects_garbage(capsys):

@@ -1,6 +1,6 @@
-"""Adaptive sweep scheduling: estimator, LPT planner, warm pool."""
+"""The sweep's one dispatch order (heaviest problem first by the static
+cost model) and the warm worker pool."""
 
-import dataclasses
 import importlib.util
 import itertools
 import json
@@ -12,9 +12,7 @@ import pytest
 
 from repro.analysis.experiments import (
     ExperimentKey,
-    RunSummary,
     _entry_path,
-    _save_entry,
     clear_cache,
     run_experiment,
     sweep_dataset,
@@ -25,25 +23,16 @@ from repro.exec import (
     OUTCOME_OOM,
     JsonlTelemetry,
     RunSpec,
-    RuntimeEstimator,
     SweepExecutor,
+    dry_run_table,
     grid_specs,
     load_events,
     model_estimate,
     plan_schedule,
-    schedule_table,
     validate_events,
 )
-from repro.exec.estimate import SOURCE_HISTORY, SOURCE_MODEL
-from repro.exec.schedule import (
-    AUTO_HISTORY_THRESHOLD,
-    SCHEDULE_AUTO,
-    SCHEDULE_FIFO,
-    SCHEDULE_LPT,
-    dry_run_table,
-)
 from repro.exec.worker import FAULT_ENV
-from tests.test_exec_sweep import hostbench_specs
+from tests.test_exec_sweep import _merged_json, hostbench_specs
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -76,6 +65,20 @@ def _spec(dataset="astro", seeding="sparse", algorithm="ondemand",
                    n_ranks=n_ranks, scale=kw.pop("scale", 0.02), **kw)
 
 
+class _ListSink(list):
+    """A telemetry sink that keeps the events in memory."""
+
+    emit = list.append
+
+
+def _problem_totals(specs):
+    totals = {}
+    for spec in specs:
+        totals[spec.problem_key] = (totals.get(spec.problem_key, 0.0)
+                                    + model_estimate(spec))
+    return totals
+
+
 # --------------------------------------------------------------------- #
 # Static cost model
 # --------------------------------------------------------------------- #
@@ -95,204 +98,165 @@ def test_model_scales_with_scale_and_discounts_probe():
     assert model_estimate(probe) > 0.0
 
 
-# --------------------------------------------------------------------- #
-# History-backed estimator
-# --------------------------------------------------------------------- #
-
-def test_estimator_prefers_history_and_averages():
-    est = RuntimeEstimator()
-    spec = _spec(scale=0.5)
-    assert est.estimate(spec).source == SOURCE_MODEL
-    est.record(spec.name, 2.0, scale=0.5)
-    est.record(spec.name, 4.0, scale=0.5)
-    e = est.estimate(spec)
-    assert e.source == SOURCE_HISTORY
-    assert e.seconds == pytest.approx(3.0)
-
-
-def test_estimator_rescales_other_scale_samples():
-    est = RuntimeEstimator()
-    spec = _spec(scale=1.0)
-    est.record(spec.name, 2.0, scale=0.5)  # measured at half scale
-    e = est.estimate(spec)
-    assert e.source == SOURCE_HISTORY
-    assert e.seconds == pytest.approx(4.0)  # linear in scale
-
-
-def test_estimator_scale_free_telemetry_samples_match_any_scale():
-    est = RuntimeEstimator()
-    spec = _spec(scale=0.25)
-    est.record(spec.name, 7.0, scale=None)
-    assert est.estimate(spec).seconds == pytest.approx(7.0)
-
-
-def test_estimator_loads_cache_dir_elapsed():
-    key = ExperimentKey(dataset="astro", seeding="sparse",
-                        algorithm="ondemand", n_ranks=4, scale=0.5)
-    _save_entry(key, RunSummary(key=key, status="ok", wall_clock=1.0),
-                elapsed=3.5)
-    # A pre-scheduler entry without elapsed contributes nothing.
-    old = ExperimentKey(dataset="astro", seeding="dense",
-                        algorithm="static", n_ranks=4, scale=0.5)
-    _save_entry(old, RunSummary(key=old, status="ok"))
-    est = RuntimeEstimator.from_history()
-    spec = _spec(algorithm="ondemand", scale=0.5)
-    e = est.estimate(spec)
-    assert e.source == SOURCE_HISTORY
-    assert e.seconds == pytest.approx(3.5)
-    assert est.estimate(_spec(seeding="dense",
-                              algorithm="static")).source == SOURCE_MODEL
-
-
-def test_estimator_loads_event_log_retires(tmp_path):
-    log = tmp_path / "events.jsonl"
-    events = [
-        {"event": "sweep_begin", "t": 0.0, "jobs": 1, "runs": 2},
-        {"event": "retire", "t": 1.0, "run": "astro-sparse-ondemand-4",
-         "worker": 0, "status": "ok", "elapsed": 2.5},
-        {"event": "retire", "t": 2.0, "run": "astro-sparse-static-4",
-         "worker": 0, "status": "crashed", "elapsed": 9.9},
-    ]
-    log.write_text("\n".join(json.dumps(e) for e in events) + "\n")
-    est = RuntimeEstimator.from_history(event_logs=[log])
-    assert est.estimate(_spec()).seconds == pytest.approx(2.5)
-    # Crashed runs are not runtime history.
-    assert est.estimate(_spec(algorithm="static")).source == SOURCE_MODEL
-
-
 def test_run_experiment_persists_elapsed():
+    """The sweep cache keeps each run's measured seconds for
+    ``repro cache``."""
     run_experiment("astro", "sparse", "ondemand", 4, scale=0.02)
     key = ExperimentKey(dataset="astro", seeding="sparse",
                         algorithm="ondemand", n_ranks=4, scale=0.02)
     blob = json.loads(_entry_path(key).read_text())
     assert blob["elapsed"] > 0.0
-    est = RuntimeEstimator.from_history()
-    assert est.has_history(_spec())
 
 
 # --------------------------------------------------------------------- #
-# Schedule planning
+# The plan
 # --------------------------------------------------------------------- #
-
-def test_fifo_plan_keeps_spec_order():
-    specs = grid_specs(["astro"], ["sparse", "dense"],
-                       ["static", "ondemand"], [4], scale=0.02)
-    plan = plan_schedule(specs, policy=SCHEDULE_FIFO)
-    assert plan.effective == SCHEDULE_FIFO
-    assert [i for i, _ in plan.ordered] == list(range(len(specs)))
-
 
 def test_lpt_plan_sorts_longest_first_deterministically():
-    est = RuntimeEstimator()
     specs = [_spec(algorithm=a) for a in ("static", "ondemand", "hybrid")]
-    est.record(specs[0].name, 1.0)
-    est.record(specs[1].name, 5.0)
-    est.record(specs[2].name, 3.0)
-    plan = plan_schedule(specs, policy=SCHEDULE_LPT, estimator=est)
-    assert [i for i, _ in plan.ordered] == [1, 2, 0]
+    plan = plan_schedule(specs)
+    assert [p.idx for p in plan] == [2, 0, 1]  # hybrid > static > ondemand
+    assert [p.cost for p in plan] == [model_estimate(specs[i])
+                                      for i in (2, 0, 1)]
     # Ties break on original index: stable and deterministic.
-    est2 = RuntimeEstimator()
-    for s in specs:
-        est2.record(s.name, 2.0)
-    plan2 = plan_schedule(specs, policy=SCHEDULE_LPT, estimator=est2)
-    assert [i for i, _ in plan2.ordered] == [0, 1, 2]
+    tied = [_spec(tag=tag) for tag in ("a", "b", "c")]
+    assert [p.idx for p in plan_schedule(tied)] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("policy", [SCHEDULE_FIFO, SCHEDULE_LPT,
-                                    SCHEDULE_AUTO])
-def test_plan_keeps_the_specs_of_a_problem_together(policy):
-    """A worker holds one problem's traced curves at a time, so however
-    the input interleaves problems, the plan dispatches each problem's
-    specs back to back — and ``--dry-run`` prints that order."""
+def _grouped(specs, key):
+    """``specs`` with each problem's runs back to back: problems by
+    ``key`` of their runs, runs by ``key`` inside each."""
+    groups = {}
+    for spec in specs:
+        groups.setdefault(spec.problem_key, []).append(spec)
+    batches = [sorted(b, key=key) for b in groups.values()]
+    batches.sort(key=lambda b: key(b[0]))
+    return [spec for b in batches for spec in b]
+
+
+def _shuffled_hostbench():
     specs = hostbench_specs()  # 24 specs, 4 problems
-    specs = [specs[i] for i in np.random.default_rng(3).permutation(24)]
-    est = RuntimeEstimator()
-    for i, spec in enumerate(specs):  # full history: auto resolves to lpt
-        est.record(spec.name, 0.5 + (7 * i) % 11)
-    plan = plan_schedule(specs, policy=policy, estimator=est)
-    assert sorted(p.idx for p in plan.runs) == list(range(len(specs)))
-    assert all(p.spec is specs[p.idx] for p in plan.runs)
+    return [specs[i] for i in np.random.default_rng(3).permutation(24)]
+
+
+def _arranged(order):
+    """The shuffled hostbench grid in the order a former dispatch
+    policy ran it: ``fifo`` problems by first appearance and spec order
+    inside each; ``lpt`` today's plan (LPT on the model); ``auto`` LPT
+    on a recorded history unrelated to the model."""
+    specs = _shuffled_hostbench()
+    if order == "fifo":
+        first = {}
+        for i, spec in enumerate(specs):
+            first.setdefault(spec.problem_key, i)
+        return _grouped(specs, lambda s: (first[s.problem_key],
+                                          specs.index(s)))
+    if order == "lpt":
+        return [p.spec for p in plan_schedule(specs)]
+    seconds = {s.name: 0.5 + (7 * i) % 11 for i, s in enumerate(specs)}
+    totals = {}
+    for s in specs:
+        totals[s.problem_key] = totals.get(s.problem_key, 0.0) \
+            + seconds[s.name]
+    return _grouped(specs, lambda s: (-totals[s.problem_key],
+                                      -seconds[s.name], s.name))
+
+
+@pytest.mark.parametrize("order", ["auto", "fifo", "lpt"])
+def test_plan_keeps_the_specs_of_a_problem_together(order):
+    """A worker holds one problem's traced curves at a time, so however
+    the input interleaves problems — shuffled, or already in the order
+    a removed ``fifo``/``lpt``/``auto`` policy dispatched it — the plan
+    dispatches each problem's specs back to back, heaviest problem
+    first and longest run first inside each, the same plan up to ties
+    for every input order, and ``--dry-run`` prints that order."""
+    specs = _arranged(order)
+    plan = plan_schedule(specs)
+    assert sorted(p.idx for p in plan) == list(range(len(specs)))
+    assert all(p.spec is specs[p.idx] for p in plan)
     batches = [list(batch) for _key, batch in itertools.groupby(
-        plan.runs, key=lambda p: p.spec.problem_key)]
+        plan, key=lambda p: p.spec.problem_key)]
     assert len(batches) == len({s.problem_key for s in specs}) == 4
-    if plan.effective == SCHEDULE_FIFO:
-        # Problems by first appearance, spec order inside each.
-        assert [b[0].idx for b in batches] \
-            == sorted(b[0].idx for b in batches)
-        assert batches[0][0].idx == 0
-        assert all([p.idx for p in b] == sorted(p.idx for p in b)
-                   for b in batches)
-    else:
-        # Heaviest problem first, longest run first inside each.
-        totals = [sum(p.seconds for p in b) for b in batches]
-        assert totals == sorted(totals, reverse=True)
-        assert all([p.seconds for p in b]
-                   == sorted((p.seconds for p in b), reverse=True)
-                   for b in batches)
-    rows = dry_run_table(plan).splitlines()[3:3 + len(specs)]
+    totals = [sum(p.cost for p in b) for b in batches]
+    assert totals == sorted(totals, reverse=True)
+    assert all([p.cost for p in b] == sorted((p.cost for p in b),
+                                             reverse=True)
+               for b in batches)
+    reference = plan_schedule(_shuffled_hostbench())
+    assert [p.cost for p in plan] == [p.cost for p in reference]
+
+    def runs_by_problem(plan):
+        return sorted(sorted((p.cost, p.spec.name) for p in b)
+                      for _k, b in itertools.groupby(
+                          plan, key=lambda p: p.spec.problem_key))
+
+    assert runs_by_problem(plan) == runs_by_problem(reference)
+    rows = dry_run_table(plan).splitlines()[2:2 + len(specs)]
     assert [row.split()[:2] for row in rows] \
-        == [[str(pos), p.spec.name] for pos, p in enumerate(plan.runs)]
+        == [[str(pos), p.spec.name] for pos, p in enumerate(plan)]
 
 
 def test_lpt_ties_between_problems_keep_first_appearance():
-    specs = [_spec(dataset=d, algorithm=a) for a in ("static", "hybrid")
-             for d in ("fusion", "astro")]
-    est = RuntimeEstimator()
-    for spec in specs:
-        est.record(spec.name, 2.0)
-    plan = plan_schedule(specs, policy=SCHEDULE_LPT, estimator=est)
-    assert [i for i, _ in plan.ordered] == [0, 2, 1, 3]
+    # astro sparse and dense seed sets are the same size: equal totals.
+    specs = [_spec(seeding=s, algorithm=a) for a in ("static", "hybrid")
+             for s in ("dense", "sparse")]
+    assert [p.idx for p in plan_schedule(specs)] == [2, 0, 3, 1]
 
 
-def test_auto_resolves_on_history_coverage():
-    specs = [_spec(algorithm=a) for a in ("static", "ondemand")]
-    cold = plan_schedule(specs, policy=SCHEDULE_AUTO,
-                         estimator=RuntimeEstimator())
-    assert cold.effective == SCHEDULE_FIFO
-    est = RuntimeEstimator()
-    est.record(specs[0].name, 4.0)  # 50% coverage == threshold
-    assert AUTO_HISTORY_THRESHOLD == 0.5
-    warm = plan_schedule(specs, policy=SCHEDULE_AUTO, estimator=est)
-    assert warm.effective == SCHEDULE_LPT
-    assert warm.coverage == pytest.approx(0.5)
+def test_dry_run_table_lists_plan():
+    specs = [_spec(algorithm=a) for a in ("static", "ondemand", "hybrid")]
+    lines = dry_run_table(plan_schedule(specs)).splitlines()
+    assert lines[0].split() == ["#", "run", "share"]
+    rows = lines[2:5]
+    assert [row.split()[1] for row in rows] == [
+        "astro-sparse-hybrid-4", "astro-sparse-static-4",
+        "astro-sparse-ondemand-4"]
+    shares = [float(row.split()[2].rstrip("%")) for row in rows]
+    assert shares == sorted(shares, reverse=True)
+    assert sum(shares) == pytest.approx(100.0, abs=0.2)
+    assert lines[-1].startswith("3 runs over 1 problem(s)")
+    # Model units are relative: the table claims no seconds.
+    assert not any("predicted" in line or "makespan" in line
+                   for line in lines)
 
 
-def test_auto_stays_fifo_just_below_threshold():
-    specs = [_spec(algorithm=a)
-             for a in ("static", "ondemand", "hybrid")]
-    est = RuntimeEstimator()
-    est.record(specs[0].name, 4.0)  # 1/3 coverage, under the 50% bar
-    plan = plan_schedule(specs, policy=SCHEDULE_AUTO, estimator=est)
-    assert plan.effective == SCHEDULE_FIFO
-    assert plan.coverage == pytest.approx(1 / 3)
+# --------------------------------------------------------------------- #
+# Every sweep runs in that order
+# --------------------------------------------------------------------- #
+
+def test_every_sweep_dispatches_the_heaviest_problem_first():
+    """Two slots, no schedule argument: the first two dispatches go to
+    the two problems with the largest model totals, the given and a
+    shuffled spec list dispatch the same (run, problem) sequence up to
+    ties, and both merge to the serial bytes."""
+    specs = hostbench_specs()
+    shuffled = [specs[i] for i in np.random.default_rng(3).permutation(24)]
+    totals = _problem_totals(specs)
+    problem_of = {s.name: s.problem_key for s in specs}
+    serial = _merged_json(SweepExecutor(jobs=1).run(specs))
+    sequences = []
+    for variant in (specs, shuffled):
+        sink = _ListSink()
+        outcomes = SweepExecutor(jobs=2, telemetry=sink).run(variant)
+        assert validate_events(sink) == []
+        assert [o.spec for o in outcomes] == variant
+        assert _merged_json(outcomes) == serial
+        runs = [e["run"] for e in sink if e["event"] == "dispatch"]
+        first, second = (problem_of[r] for r in runs[:2])
+        assert first != second
+        assert sorted([totals[first], totals[second]]) \
+            == sorted(totals.values())[-2:]
+        claims = list(dict.fromkeys(problem_of[r] for r in runs))
+        per_problem = {key: [r for r in runs if problem_of[r] == key]
+                       for key in totals}
+        sequences.append(([totals[k] for k in claims], per_problem))
+    assert sequences[0][0] == sorted(totals.values(), reverse=True)
+    assert sequences[0] == sequences[1]
 
 
-def test_estimator_zero_scale_sample_falls_back_to_model():
-    """A degenerate prior (scale recorded as 0) must not divide by
-    zero when rescaling to the requested scale — the static model
-    takes over instead."""
-    spec = _spec(scale=0.1)
-    est = RuntimeEstimator()
-    est.record(spec.name, 5.0, scale=0.0)
-    e = est.estimate(spec)
-    assert e.source == SOURCE_MODEL
-    assert e.seconds == pytest.approx(model_estimate(spec))
-
-
-def test_estimator_ignores_cache_hit_samples():
-    """Near-zero elapsed values are sweep-cache hits, not runtimes;
-    recording them would teach LPT that everything is instant."""
-    spec = _spec()
-    est = RuntimeEstimator()
-    assert est.record(spec.name, 0.001) is False
-    assert not est.has_history(spec)
-    assert est.record(spec.name, 0.5) is True
-    assert est.estimate(spec).source == SOURCE_HISTORY
-
-
-def test_schedule_event_logs_resolved_jobs(tmp_path):
+def test_sweep_begin_logs_resolved_jobs(tmp_path):
     """--jobs auto resolves to a concrete worker count before the
-    schedule event is emitted, so the log names the real pool size."""
+    sweep begins, so the log names the real pool size."""
     import os as _os
 
     assert SweepExecutor(jobs=0).jobs == (_os.cpu_count() or 1)
@@ -300,109 +264,41 @@ def test_schedule_event_logs_resolved_jobs(tmp_path):
     SweepExecutor(jobs=2, telemetry=sink).run([_spec()])
     sink.close()
     events = load_events(tmp_path / "events.jsonl")
-    assert next(e for e in events
-                if e["event"] == "schedule")["jobs"] == 2
-    assert next(e for e in events
-                if e["event"] == "sweep_begin")["jobs"] == 2
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError, match="unknown schedule policy"):
-        plan_schedule([_spec()], policy="random")
-
-
-def test_dry_run_table_lists_plan():
-    est = RuntimeEstimator()
-    specs = [_spec(algorithm=a) for a in ("static", "ondemand")]
-    est.record(specs[1].name, 9.0)
-    text = dry_run_table(plan_schedule(specs, policy=SCHEDULE_LPT,
-                                       estimator=est), jobs=2)
-    lines = text.splitlines()
-    assert "schedule lpt" in lines[0]
-    assert "history" in text and "model" in text
-    assert "predicted total" in lines[-1]
-    assert "ideal makespan on 2 workers" in lines[-1]
-    # Longest-first: the history-backed 9 s run leads.
-    first_row = next(ln for ln in lines if "astro-sparse" in ln)
-    assert "ondemand" in first_row
+    begin = next(e for e in events if e["event"] == "sweep_begin")
+    assert begin == {"event": "sweep_begin", "t": begin["t"], "jobs": 2,
+                     "runs": 1}
 
 
 # --------------------------------------------------------------------- #
-# Determinism: artifacts byte-identical across schedules and job counts
+# Determinism: artifacts byte-identical across job counts
 # --------------------------------------------------------------------- #
 
 def test_bench_snapshot_byte_identical_across_schedules(bench_mod,
                                                         tmp_path):
-    """The acceptance contract: BENCH artifacts from --schedule
-    fifo/lpt/auto at --jobs 1/4 are all byte-identical."""
-    args = ["--scale", "0.05", "--ranks", "4", "--sample-interval", "2.0",
-            "--date", "sched"]
-    variants = [("fifo", "1"), ("lpt", "1"), ("fifo", "4"), ("lpt", "4"),
-                ("auto", "4")]
-    blobs = {}
-    for schedule, jobs in variants:
-        out = tmp_path / f"{schedule}-j{jobs}"
-        assert bench_mod.main(args + ["--out", str(out), "--jobs", jobs,
-                                      "--schedule", schedule]) == 0
-        blobs[(schedule, jobs)] = (out / "BENCH_sched.json").read_bytes()
-        clear_cache(disk=True)
-    baseline = blobs[("fifo", "1")]
-    for variant, blob in blobs.items():
-        assert blob == baseline, f"{variant} diverged from serial FIFO"
+    """The acceptance contract: the BENCH snapshot is the same bytes
+    whether the plan's order runs on one slot or is spread over four.
+    Listing fusion first makes the plan reverse the problems' spec
+    order."""
+    args = ["--dataset", "fusion,astro", "--scale", "0.05", "--ranks",
+            "4", "--sample-interval", "2.0", "--date", "sched"]
+    blobs = []
+    for jobs in ("1", "4"):
+        out = tmp_path / f"j{jobs}"
+        assert bench_mod.main(args + ["--out", str(out),
+                                      "--jobs", jobs]) == 0
+        blobs.append((out / "BENCH_sched.json").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
-def test_sweep_dataset_lpt_matches_serial_fifo():
+def test_sweep_dataset_jobs4_matches_serial():
     serial = sweep_dataset("astro", rank_counts=(4,),
                            algorithms=("ondemand", "static"),
                            seedings=("sparse",), scale=0.02)
     clear_cache(disk=True)
-    lpt = sweep_dataset("astro", rank_counts=(4,),
-                        algorithms=("ondemand", "static"),
-                        seedings=("sparse",), scale=0.02,
-                        jobs=4, schedule="lpt")
-    assert serial == lpt
-
-
-# --------------------------------------------------------------------- #
-# Schedule telemetry: plan event + accuracy analyzer
-# --------------------------------------------------------------------- #
-
-def test_schedule_event_emitted_and_log_validates(tmp_path):
-    specs = grid_specs(["astro"], ["sparse"], ["static", "ondemand"],
-                       [4], scale=0.02)
-    sink = JsonlTelemetry(tmp_path / "events.jsonl")
-    with sink:
-        outcomes = SweepExecutor(jobs=2, telemetry=sink,
-                                 schedule="lpt").run(specs)
-    assert all(o.ok for o in outcomes)
-    events = load_events(sink.path)
-    assert validate_events(events) == []
-    [sched] = [e for e in events if e["event"] == "schedule"]
-    assert sched["policy"] == "lpt" and sched["effective"] == "lpt"
-    assert {p["run"] for p in sched["plan"]} == {s.name for s in specs}
-    assert all(p["predicted"] > 0.0 for p in sched["plan"])
-    begin = events[0]
-    assert begin["event"] == "sweep_begin" and begin["schedule"] == "lpt"
-
-
-def test_schedule_table_reports_mape(tmp_path):
-    specs = grid_specs(["astro"], ["sparse"], ["ondemand"], [4],
-                       scale=0.02)
-    sink = JsonlTelemetry(tmp_path / "events.jsonl")
-    with sink:
-        SweepExecutor(jobs=2, telemetry=sink, schedule="auto").run(specs)
-    events = load_events(sink.path)
-    text = schedule_table(events)
-    assert "schedule auto" in text
-    assert "estimator MAPE" in text
-    assert "astro-sparse-ondemand-4" in text
-    from repro.exec import telemetry_report
-    assert "estimator MAPE" in telemetry_report(events)
-
-
-def test_schedule_table_without_schedule_event():
-    assert "(no schedule event" in schedule_table(
-        [{"event": "sweep_begin", "t": 0.0, "jobs": 1, "runs": 0}])
+    pooled = sweep_dataset("astro", rank_counts=(4,),
+                           algorithms=("ondemand", "static"),
+                           seedings=("sparse",), scale=0.02, jobs=4)
+    assert serial == pooled
 
 
 # --------------------------------------------------------------------- #
@@ -474,12 +370,13 @@ def test_cli_sweep_dry_run_prints_plan_and_runs_nothing(tmp_path,
 
     code = main(["sweep", "--dataset", "astro", "--seeding", "sparse",
                  "--algorithm", "ondemand,static", "--ranks", "4",
-                 "--scale", "0.02", "--schedule", "lpt", "--dry-run"])
+                 "--scale", "0.02", "--dry-run"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "schedule lpt" in out
-    assert "predicted total" in out
-    assert "astro-sparse-ondemand-4" in out
+    assert "heaviest first" in out
+    rows = [line.split()[1] for line in out.splitlines()
+            if "astro-sparse" in line]
+    assert rows == ["astro-sparse-static-4", "astro-sparse-ondemand-4"]
     # Nothing executed: the sweep cache stayed empty.
     key = ExperimentKey(dataset="astro", seeding="sparse",
                         algorithm="ondemand", n_ranks=4, scale=0.02)
@@ -491,22 +388,22 @@ def test_cli_sweep_schedule_with_telemetry(tmp_path, capsys):
 
     telem = tmp_path / "telem"
     code = main(["sweep", "--dataset", "astro", "--seeding", "sparse",
-                 "--algorithm", "ondemand", "--ranks", "4",
-                 "--scale", "0.02", "--jobs", "2", "--schedule", "lpt",
+                 "--algorithm", "ondemand,hybrid", "--ranks", "4",
+                 "--scale", "0.02", "--jobs", "2",
                  "--telemetry", str(telem)])
     assert code == 0
     events = load_events(telem / "events.jsonl")
     assert validate_events(events) == []
-    assert any(e["event"] == "schedule" for e in events)
+    first = next(e for e in events if e["event"] == "dispatch")
+    assert first["run"] == "astro-sparse-hybrid-4"  # the model's heaviest
     report = (telem / "utilization.txt").read_text()
-    assert "estimator MAPE" in report
+    assert "makespan" in report
 
 
 def test_bench_dry_run_flag(bench_mod, capsys, tmp_path):
     code = bench_mod.main(["--scale", "0.05", "--ranks", "4",
-                           "--schedule", "lpt", "--dry-run",
-                           "--out", str(tmp_path)])
+                           "--dry-run", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "predicted total" in out
+    assert "heaviest first" in out
     assert not list(tmp_path.glob("BENCH_*.json"))

@@ -31,6 +31,7 @@ from repro.exec import (
     failure_report,
     grid_specs,
     merge_run_entries,
+    plan_schedule,
 )
 from repro.exec.worker import FAULT_ENV
 from tests.test_integrate_bank import count_kernel_calls
@@ -172,31 +173,29 @@ def kernel_calls(monkeypatch):
 
 def test_serial_sweep_traces_each_problem_once(kernel_calls):
     """24 specs over 4 problems integrate 4 seed sets, not 24 — in grid
-    order, in a shuffled order that interleaves the problems, and under
-    lpt — and merge to the same bytes every time."""
+    order and in a shuffled order that interleaves the problems — and
+    merge to the same bytes every time."""
     specs = hostbench_specs()
     order = np.random.default_rng(3).permutation(len(specs))
     shuffled = [specs[i] for i in order]
     keys = [s.problem_key for s in shuffled]
     assert sum(a != b for a, b in zip(keys, keys[1:])) > 10
     blobs = []
-    for variant, schedule in ((specs, "fifo"), (shuffled, "fifo"),
-                              (shuffled, "lpt")):
+    for variant in (specs, shuffled):
         del kernel_calls[:]
-        executor = SweepExecutor(jobs=1, schedule=schedule)
-        blobs.append(_merged_json(executor.run(variant)))
-        assert len(kernel_calls) == 4, schedule
+        blobs.append(_merged_json(SweepExecutor(jobs=1).run(variant)))
+        assert len(kernel_calls) == 4
         assert scenarios._HELD == {}
-        planned = [s.problem_key for _, s in executor.last_plan.ordered]
+        planned = [p.spec.problem_key for p in plan_schedule(variant)]
         assert sum(a != b for a, b in zip(planned, planned[1:])) == 3
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
 
 
 def test_two_slots_keep_their_problems(tmp_path):
     """Through two slots each problem is traced by the worker that keeps
     it, plus at most one steal at the tail: 4-5 cold dispatches where
-    the problem-blind dispatcher paid 8 — in grid order, shuffled and
-    under lpt — and the merge is the serial one to the byte."""
+    the problem-blind dispatcher paid 8 — in grid order and shuffled —
+    and the merge is the serial one to the byte."""
     from repro.exec import JsonlTelemetry, load_events, validate_events
 
     specs = hostbench_specs()
@@ -204,19 +203,17 @@ def test_two_slots_keep_their_problems(tmp_path):
     order = np.random.default_rng(3).permutation(len(specs))
     shuffled = [specs[i] for i in order]
     serial = _merged_json(SweepExecutor(jobs=1).run(specs))
-    for variant, schedule in ((specs, "fifo"), (shuffled, "fifo"),
-                              (shuffled, "lpt")):
+    for variant in (specs, shuffled):
         with JsonlTelemetry(tmp_path / "events.jsonl") as sink:
-            outcomes = SweepExecutor(jobs=2, telemetry=sink,
-                                     schedule=schedule).run(variant)
+            outcomes = SweepExecutor(jobs=2, telemetry=sink).run(variant)
         events = load_events(sink.path)
         assert [o.spec for o in outcomes] == variant
         assert _merged_json(outcomes) == serial
         assert validate_events(events) == []
         cold = {(e["worker"], by_name[e["run"]])
                 for e in events if e["event"] == "dispatch"}
-        assert {w for w, _ in cold} == {0, 1}, schedule
-        assert 4 <= len(cold) <= 5, (schedule, sorted(cold))
+        assert {w for w, _ in cold} == {0, 1}
+        assert 4 <= len(cold) <= 5, sorted(cold)
 
 
 def test_sharing_never_changes_a_bench_entry(kernel_calls):

@@ -25,7 +25,6 @@ from repro.exec import (
     JsonlTelemetry,
     NodeSpec,
     RunSpec,
-    RuntimeEstimator,
     SweepExecutor,
     TransportError,
     calibration_probe,
@@ -179,18 +178,6 @@ def test_calibration_probe_is_positive_and_reproducible():
 
 
 # --------------------------------------------------------------------- #
-# Estimator history
-# --------------------------------------------------------------------- #
-
-def test_estimator_rejects_near_zero_samples():
-    est = RuntimeEstimator()
-    spec = _spec()
-    assert est.record(spec.name, 0.001) is False  # a cache hit, not a run
-    assert not est.has_history(spec)
-    assert est.record(spec.name, 0.5) is True
-
-
-# --------------------------------------------------------------------- #
 # The worker client, over each acquisition
 # --------------------------------------------------------------------- #
 
@@ -299,8 +286,8 @@ def start_log(monkeypatch):
 
 
 def test_nodes_sweep_byte_identical_to_serial(tmp_path, start_log):
-    """The acceptance contract: a 2-node loopback LPT sweep merges
-    byte-identically to the serial FIFO sweep.  The nodes start side by
+    """The acceptance contract: a 2-node loopback sweep merges
+    byte-identically to the serial sweep.  The nodes start side by
     side: both processes exist before the first hello is read, and the
     parent's calibration is taken before either."""
     log, procs = start_log
@@ -312,7 +299,7 @@ def test_nodes_sweep_byte_identical_to_serial(tmp_path, start_log):
     sink = JsonlTelemetry(tmp_path / "events.jsonl")
     distributed = SweepExecutor(
         nodes=parse_nodes("n1:1,n2:1"), remote_template=LOOPBACK,
-        schedule="lpt", telemetry=sink).run(specs)
+        telemetry=sink).run(specs)
     sink.close()
     assert log == ["calib", "popen", "popen", "hello n1", "hello n2"]
     assert all(proc.poll() == 0 for proc in procs)  # shut down, reaped
@@ -537,7 +524,6 @@ def test_cli_sweep_nodes_loopback(tmp_path, capsys):
     code = main(base + ["--out", str(out_b), "--nodes", "n1:1",
                         "--nodes-file", str(nodes_file),
                         "--remote-template", LOOPBACK,
-                        "--schedule", "lpt",
                         "--telemetry", str(tmp_path / "telem")])
     assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
