@@ -345,7 +345,7 @@ def bench_exec() -> dict:
     for jobs in (1, 2, 4):
         seconds, events = sweep(specs, jobs=jobs)
         cold = {(e["worker"], problem_of[e["run"]])
-                for e in events if e["event"] == "dispatch"}
+                for e in events if e["event"] == "start"}
         recs[f"sweep.jobs{jobs}"] = {"ns_per_call": seconds * 1e9,
                                      "inner": 1, "repeats": 1,
                                      "cold_dispatches": len(cold)}

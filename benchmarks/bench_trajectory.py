@@ -169,21 +169,20 @@ def build_doc(args: argparse.Namespace) -> tuple:
     except ValueError as exc:
         raise SystemExit(f"bench_trajectory: {exc}")
     telemetry_dir = Path(args.telemetry) if args.telemetry else None
-    sink = None
+    sinks = [text_progress()]
     if telemetry_dir is not None:
         from repro.exec import JsonlTelemetry
 
         telemetry_dir.mkdir(parents=True, exist_ok=True)
-        sink = JsonlTelemetry(telemetry_dir / "events.jsonl")
+        sinks.append(JsonlTelemetry(telemetry_dir / "events.jsonl"))
     executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout or None,
-                             progress=text_progress(),
-                             telemetry=sink, nodes=nodes,
+                             telemetry=sinks, nodes=nodes,
                              remote_template=args.remote_template)
     try:
         outcomes = executor.run(specs)
     finally:
-        if sink is not None:
-            sink.close()
+        if telemetry_dir is not None:
+            sinks[-1].close()
     if telemetry_dir is not None:
         from repro.exec import load_events, telemetry_report
 

@@ -160,7 +160,7 @@ def critical_path_sections() -> list:
     specs = [RunSpec(dataset=dataset, seeding="dense", algorithm=algo,
                      n_ranks=CONTEXT_RANKS, scale=SCALE, mode=MODE_BENCH)
              for dataset in DATASETS for algo in ALGORITHMS]
-    executor = SweepExecutor(jobs=JOBS, progress=text_progress(sys.stderr))
+    executor = SweepExecutor(jobs=JOBS, telemetry=text_progress(sys.stderr))
     outcomes = executor.run(specs)
     report = failure_report(outcomes)
     if report:

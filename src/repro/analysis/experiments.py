@@ -357,7 +357,7 @@ def sweep_dataset(dataset: str, scale: float = 1.0,
                                                "hybrid"),
                   seedings: Sequence[str] = ("sparse", "dense"),
                   jobs: int = 1, timeout: Optional[float] = None,
-                  progress=None) -> List[RunSummary]:
+                  telemetry=None) -> List[RunSummary]:
     """Run the full grid for one dataset (all four figures' data).
 
     ``jobs > 1`` fans uncached cells out over a
@@ -365,7 +365,8 @@ def sweep_dataset(dataset: str, scale: float = 1.0,
     returned list is in grid order either way (the executor merges in
     spec order), so figure tables are identical for any job count.
     Each uncached cell persists its measured real runtime to the cache
-    entry (``repro cache`` shows it).
+    entry (``repro cache`` shows it).  ``telemetry`` — a sink or a list
+    of sinks — is passed to the executor.
     Raises ``RuntimeError`` with a failure report if any fanned-out run
     crashed or timed out (completed cells stay cached, so a retry only
     re-runs the failures).
@@ -377,7 +378,9 @@ def sweep_dataset(dataset: str, scale: float = 1.0,
             for algorithm in algorithms
             for n_ranks in rank_counts]
     if jobs <= 0:  # 0 = "auto": one worker per CPU
-        jobs = os.cpu_count() or 1
+        from repro.exec import default_jobs
+
+        jobs = default_jobs()
     if jobs > 1:
         _load_disk_cache()
         missing = [k for k in keys if k not in _CACHE]
@@ -389,7 +392,7 @@ def sweep_dataset(dataset: str, scale: float = 1.0,
                              algorithm=k.algorithm, n_ranks=k.n_ranks,
                              scale=k.scale) for k in missing]
             outcomes = SweepExecutor(jobs=jobs, timeout=timeout,
-                                     progress=progress).run(specs)
+                                     telemetry=telemetry).run(specs)
             if any(o.failed for o in outcomes):
                 raise RuntimeError(failure_report(outcomes))
             for k, o in zip(missing, outcomes):

@@ -110,7 +110,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                                   rank_counts=args.ranks or RANK_COUNTS,
                                   jobs=args.jobs,
                                   timeout=args.timeout or None,
-                                  progress=_stderr_progress(args))
+                                  telemetry=_stderr_progress(args))
     except RuntimeError as exc:
         print(f"repro figure: {exc}", file=sys.stderr)
         return 1
@@ -119,8 +119,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _stderr_progress(args):
-    """Live per-run progress on stderr when fanning out (stdout stays a
-    clean, deterministic artifact)."""
+    """A live-progress sink on stderr when fanning out, else ``None``
+    (stdout stays a clean, deterministic artifact)."""
     if getattr(args, "jobs", 1) == 1:
         return None
     from repro.exec import text_progress
@@ -256,19 +256,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     telemetry_dir = Path(args.telemetry) if args.telemetry else None
-    sink = None
+    sinks = [text_progress(sys.stderr)]
     if telemetry_dir is not None:
         from repro.exec import JsonlTelemetry
 
         telemetry_dir.mkdir(parents=True, exist_ok=True)
-        sink = JsonlTelemetry(telemetry_dir / "events.jsonl")
+        sinks.append(JsonlTelemetry(telemetry_dir / "events.jsonl"))
     executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout or None,
-                             progress=text_progress(sys.stderr),
-                             telemetry=sink, nodes=nodes,
+                             telemetry=sinks, nodes=nodes,
                              remote_template=args.remote_template)
     outcomes = executor.run(specs)
-    if sink is not None:
-        sink.close()
+    if telemetry_dir is not None:
+        sinks[-1].close()
 
     runs = {}
     for o in outcomes:

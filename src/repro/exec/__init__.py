@@ -37,10 +37,11 @@ Layers
     timeout, crash containment, OOM-probe isolation, and remote
     failover (requeue + bounded retries + local fallback).
 :mod:`repro.exec.telemetry`
-    Host-side executor telemetry: the JSONL event log
-    (:class:`JsonlTelemetry`), its schema validator, and the
-    utilization / timeline / queue-depth / per-node analyzers.
-    Telemetry never perturbs deterministic artifacts.
+    Host-side executor telemetry: the one event stream and its sinks
+    — the JSONL log (:class:`JsonlTelemetry`) and live progress
+    (:func:`text_progress`) — its schema validator, and the per-slot
+    table and timeline views.  Telemetry never perturbs deterministic
+    artifacts.
 
 ``repro.exec`` sits *above* ``repro.analysis`` (tasks import it
 lazily), so nothing in the simulator depends on multiprocessing.
@@ -50,7 +51,6 @@ from repro.exec.executor import (
     SweepExecutor,
     default_jobs,
     merge_run_entries,
-    text_progress,
 )
 from repro.exec.transport import (
     DEFAULT_REMOTE_TEMPLATE,
@@ -82,8 +82,8 @@ from repro.exec.telemetry import (
     JsonlTelemetry,
     load_events,
     makespan,
-    node_table,
     telemetry_report,
+    text_progress,
     utilization_table,
     validate_events,
     worker_intervals,
@@ -102,7 +102,7 @@ from repro.exec.spec import (
     failure_report,
     grid_specs,
 )
-from repro.exec.worker import run_spec, run_spec_with_host
+from repro.exec.worker import run_spec
 
 __all__ = [
     "DEFAULT_REMOTE_TEMPLATE",
@@ -137,14 +137,12 @@ __all__ = [
     "makespan",
     "merge_run_entries",
     "model_estimate",
-    "node_table",
     "parse_fleet",
     "parse_nodes",
     "plan_schedule",
     "probe_fleet",
     "read_nodes_file",
     "run_spec",
-    "run_spec_with_host",
     "telemetry_report",
     "text_progress",
     "utilization_table",

@@ -51,13 +51,15 @@ Robustness guards, per run:
 sweep inline in this process — the historical serial behavior,
 byte-for-byte.
 
-Telemetry: pass a sink (:class:`repro.exec.telemetry.JsonlTelemetry`)
-and the executor logs ``dispatch`` / ``start`` / ``finish`` /
-``retire`` (and ``requeue``) events per run — worker slot ids, node
-identity, real timestamps, and the worker's host-metric dict framed
-back with the result (``RunOutcome.host``).
-Telemetry is host-side only: payloads, merge order, and every
-deterministic artifact are byte-identical with it on or off.
+Observation is one event stream (:mod:`repro.exec.telemetry`): every
+run transition — ``start`` / ``finish`` / ``retire``, ``requeue``,
+``node_lost`` — becomes one event dict, sent to every sink passed as
+``telemetry=`` (the JSONL log, live progress, a test's list).  Every
+run executes under a :class:`~repro.obs.host.HostProbe` whether or not
+anything listens, so ``RunOutcome.host`` is a dict for every run a
+worker reported.  Telemetry is host-side only: payloads, merge order,
+and every deterministic artifact are byte-identical with any sinks or
+none.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ import heapq
 import os
 import sys
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
@@ -89,7 +90,7 @@ from repro.exec.transport import (
     WorkerSource,
     worker_sources,
 )
-from repro.exec.worker import oom_payload, run_spec, run_spec_with_host
+from repro.exec.worker import _execute, oom_payload
 
 #: Scheduler poll interval [real seconds].
 _POLL = 0.05
@@ -98,8 +99,6 @@ _POLL = 0.05
 #: local worker (a spec that kills every remote worker it touches must
 #: not starve the sweep).
 _MAX_REMOTE_ATTEMPTS = 2
-
-ProgressFn = Callable[[str, Any, int, int], None]
 
 
 def default_jobs() -> int:
@@ -142,6 +141,16 @@ def _retire_fields(outcome: RunOutcome, idx: int, slot: int,
     return fields
 
 
+def _reported(spec: RunSpec, status: str, payload: Any, host: Any,
+              elapsed: float) -> RunOutcome:
+    """The outcome of a ``(status, payload, host)`` message."""
+    if status in (OUTCOME_OK, OUTCOME_OOM):
+        return RunOutcome(spec=spec, status=status, payload=payload,
+                          elapsed=elapsed, host=host)
+    return RunOutcome(spec=spec, status=OUTCOME_ERROR, error=str(payload),
+                      elapsed=elapsed, host=host)
+
+
 class Dispatcher:
     """The sweep's dispatch state machine: which spec goes to which
     slot next, and what each worker event means.
@@ -150,7 +159,7 @@ class Dispatcher:
     the retry book-keeping, and maps events — a result, a worker death,
     a timeout, a spawn failure — to actions on the worker and source
     objects it was handed (``send`` / ``spawn`` / ``discard``) plus
-    ``emit`` / ``progress`` / ``warn`` reports.  It never touches a
+    ``emit`` / ``warn`` reports.  It never touches a
     process or a clock itself — the caller supplies *now* and the
     ready waitables — so tests drive it with fakes.
 
@@ -166,7 +175,6 @@ class Dispatcher:
     def __init__(self, items: Sequence[Tuple[int, RunSpec]],
                  table: Dict[int, _Slot], workers: Dict[int, Any],
                  local: Any, emit: Callable[..., None],
-                 progress: Callable[[str, Any], None],
                  warn: Callable[[str], None], jobs: int = 1,
                  timeout: Optional[float] = None):
         # Pending, per problem: problem_key -> its specs in plan order,
@@ -181,7 +189,7 @@ class Dispatcher:
         self.local = local    # source of dedicated/emergency workers
         self.jobs = jobs
         self.timeout = timeout
-        self.emit, self.progress, self.warn = emit, progress, warn
+        self.emit, self.warn = emit, warn
         self.running: Dict[Any, _Assigned] = {}  # waitable -> run
         self.attempts: Dict[int, int] = {}       # idx -> remote deaths
         self.local_only: Set[int] = set()        # retry-exhausted specs
@@ -313,9 +321,7 @@ class Dispatcher:
                 deadline=now + self.timeout if self.timeout else None,
                 worker=worker, dedicated=dedicated)
             self.running[worker.waitable] = a
-            self._event("dispatch", a)
             self._event("start", a)
-            self.progress("start", (spec, slot, a.node))
 
     def _release(self, a: _Assigned, discard: bool) -> None:
         """End an assignment: off the running table, its worker
@@ -337,7 +343,6 @@ class Dispatcher:
         self.results[a.idx] = outcome
         self.emit("retire",
                   **_retire_fields(outcome, a.idx, a.slot, a.node))
-        self.progress("done", outcome)
 
     def on_ready(self, key: Any, now: float) -> None:
         """A running worker's stream became readable: a result, or —
@@ -368,14 +373,7 @@ class Dispatcher:
                     error=f"child died without result (exit code {code})")
             self._retire(a, outcome, discard=True)
             return
-        if status in (OUTCOME_OK, OUTCOME_OOM):
-            outcome = RunOutcome(spec=a.spec, status=status,
-                                 payload=payload, elapsed=elapsed,
-                                 host=host)
-        else:
-            outcome = RunOutcome(spec=a.spec, status=OUTCOME_ERROR,
-                                 error=str(payload), elapsed=elapsed,
-                                 host=host)
+        outcome = _reported(a.spec, status, payload, host, elapsed)
         # A worker that survived a MemoryError has a suspect allocator
         # state — recycle it.
         self._retire(a, outcome, discard=status == OUTCOME_OOM)
@@ -389,7 +387,6 @@ class Dispatcher:
                     target=LOCAL_NODE if to_local else "remote")
         self._release(a, discard=True)
         self._put_back(a.idx, a.spec)
-        self.progress("requeue", (a.spec, a.slot, a.node))
 
     def expire(self, now: float) -> None:
         """Time out every run past its deadline: the worker is
@@ -429,18 +426,12 @@ class SweepExecutor:
         Per-run wall-clock limit in *real* seconds (``None`` — the
         default — disables the guard).  Setting a timeout forces child
         execution even at ``jobs=1`` so the limit is enforceable.
-    progress:
-        Optional callback ``progress(event, payload, done, total)``
-        where ``event`` is ``"start"`` (payload: ``(spec, slot,
-        node)``), ``"requeue"`` (same payload shape), or ``"done"``
-        (payload: the outcome).  Called from this process only, as runs
-        start and finish (completion order).
     telemetry:
-        Optional event sink with an ``emit(dict)`` method (see
-        :class:`repro.exec.telemetry.JsonlTelemetry`).  When set, the
-        executor logs per-run lifecycle events and collects host
-        metrics from every run (``RunOutcome.host``); deterministic
-        outputs are unaffected.
+        One event sink or a list of them, each with an ``emit(dict)``
+        method (:class:`~repro.exec.telemetry.JsonlTelemetry`,
+        :func:`~repro.exec.telemetry.text_progress`); every run
+        transition is sent to each, from this process only.
+        Deterministic outputs are unaffected.
     nodes:
         Optional list of :class:`~repro.exec.transport.NodeSpec`
         activating distributed dispatch: each node contributes
@@ -455,27 +446,27 @@ class SweepExecutor:
     """
 
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None,
-                 progress: Optional[ProgressFn] = None,
-                 telemetry: Optional[Any] = None,
+                 telemetry: Any = None,
                  nodes: Optional[Sequence[NodeSpec]] = None,
                  remote_template: Optional[str] = None):
         self.jobs = default_jobs() if jobs <= 0 else int(jobs)
         self.timeout = timeout if timeout and timeout > 0 else None
-        self.progress = progress
-        self.telemetry = telemetry
+        self.sinks = ([telemetry] if hasattr(telemetry, "emit")
+                      else list(telemetry or ()))
         self.nodes = list(nodes) if nodes else None
         self.remote_template = remote_template
         self._t0 = 0.0
 
     def _emit_event(self, kind: str, **fields: Any) -> None:
-        if self.telemetry is None:
+        if not self.sinks:
             return
         event: Dict[str, Any] = {
             "event": kind,
             "t": round(time.monotonic() - self._t0, 6),
         }
         event.update(fields)
-        self.telemetry.emit(event)
+        for sink in self.sinks:
+            sink.emit(event)
 
     def _warn(self, message: str) -> None:
         print(f"sweep: {message}", file=sys.stderr)
@@ -489,7 +480,6 @@ class SweepExecutor:
         specs = list(specs)
         total = len(specs)
         results: List[Optional[RunOutcome]] = [None] * total
-        done = {"n": 0}
         ordered = [(p.idx, p.spec) for p in plan_schedule(specs)]
         self._t0 = time.monotonic()
         distributed = self.nodes is not None
@@ -507,59 +497,29 @@ class SweepExecutor:
             if distributed and use_pool:
                 begin["nodes"] = self._node_summary(table)
             self._emit_event("sweep_begin", **begin)
-
-            def emit(event: str, payload: Any) -> None:
-                if event == "done":
-                    done["n"] += 1
-                if self.progress is not None:
-                    self.progress(event, payload, done["n"], total)
-
             if use_pool:
-                self._run_pool(ordered, table, workers, results, emit)
+                self._run_pool(ordered, table, workers, results)
             else:
                 for i, spec in ordered:
                     where = {"run": spec.name, "idx": i, "worker": 0,
                              "node": LOCAL_NODE}
-                    self._emit_event("dispatch", **where)
                     self._emit_event("start", **where)
-                    emit("start", (spec, 0, LOCAL_NODE))
-                    outcome = self._run_inline(spec)
+                    t0 = time.monotonic()
+                    outcome = _reported(spec, *_execute(spec),
+                                        time.monotonic() - t0)
                     self._emit_event("finish", **where)
                     results[i] = outcome
                     self._emit_event("retire", **_retire_fields(
                         outcome, i, 0, LOCAL_NODE))
-                    emit("done", outcome)
         finally:
             for source in sources:
                 source.close()
             # The problem the inline path held; workers took theirs along.
             from repro.analysis.scenarios import release_problem
             release_problem()
-        self._emit_event("sweep_end", runs=done["n"])
-        return [r for r in results if r is not None]
-
-    # ------------------------------------------------------------------ #
-    # Inline (serial) execution
-    # ------------------------------------------------------------------ #
-
-    def _run_inline(self, spec: RunSpec) -> RunOutcome:
-        collect_host = self.telemetry is not None
-        t0 = time.monotonic()
-        try:
-            if collect_host:
-                payload, host = run_spec_with_host(spec)
-            else:
-                payload, host = run_spec(spec), None
-        except MemoryError:
-            return RunOutcome(spec=spec, status=OUTCOME_OOM,
-                              payload=oom_payload(spec),
-                              elapsed=time.monotonic() - t0)
-        except Exception:
-            return RunOutcome(spec=spec, status=OUTCOME_ERROR,
-                              error=traceback.format_exc(limit=20),
-                              elapsed=time.monotonic() - t0)
-        return RunOutcome(spec=spec, status=OUTCOME_OK, payload=payload,
-                          elapsed=time.monotonic() - t0, host=host)
+        outcomes = [r for r in results if r is not None]
+        self._emit_event("sweep_end", runs=len(outcomes))
+        return outcomes
 
     # ------------------------------------------------------------------ #
     # Slot-table construction (acquisition)
@@ -569,8 +529,7 @@ class SweepExecutor:
         """``jobs`` in-machine slots: the plain pool, the fallback when
         no node is reachable, and the dispatcher's dedicated/emergency
         workers."""
-        return worker_sources([NodeSpec(LOCAL_NODE, self.jobs)],
-                              collect_host=self.telemetry is not None)[0]
+        return worker_sources([NodeSpec(LOCAL_NODE, self.jobs)])[0]
 
     def _build_slots(self, sources: List[WorkerSource]
                      ) -> Tuple[Dict[int, _Slot], Dict[int, Any]]:
@@ -593,9 +552,8 @@ class SweepExecutor:
         if self.nodes is None:
             sources.append(self._local_source())
         else:
-            sources.extend(worker_sources(
-                self.nodes, self.remote_template,
-                self.telemetry is not None))
+            sources.extend(worker_sources(self.nodes,
+                                          self.remote_template))
         for source in sources:  # every node starts before any is awaited
             source.launch()
         for source in sources:
@@ -643,15 +601,13 @@ class SweepExecutor:
 
     def _run_pool(self, items: Sequence[Tuple[int, RunSpec]],
                   table: Dict[int, _Slot], workers: Dict[int, Any],
-                  results: List[Optional[RunOutcome]],
-                  emit: Callable[[str, Any], None]) -> None:
+                  results: List[Optional[RunOutcome]]) -> None:
         """Drive the :class:`Dispatcher` over ``items`` (already in
         plan order), multiplexing every worker stream through one
         ``connection.wait`` loop."""
         dispatcher = Dispatcher(
             items, table, workers, self._local_source(), jobs=self.jobs,
-            timeout=self.timeout, emit=self._emit_event, progress=emit,
-            warn=self._warn)
+            timeout=self.timeout, emit=self._emit_event, warn=self._warn)
         try:
             while not dispatcher.done:
                 dispatcher.dispatch(time.monotonic())
@@ -667,7 +623,7 @@ class SweepExecutor:
                 results[idx] = outcome
 
 # ---------------------------------------------------------------------- #
-# Merging and progress rendering
+# Merging
 # ---------------------------------------------------------------------- #
 
 def merge_run_entries(outcomes: Sequence[RunOutcome]
@@ -687,97 +643,3 @@ def merge_run_entries(outcomes: Sequence[RunOutcome]
         else:
             runs[o.spec.name] = {"status": o.status}
     return runs
-
-
-def text_progress(stream=None) -> ProgressFn:
-    """A progress callback printing live per-run lines with per-worker
-    state and an ETA.
-
-    Works for both task modes: bench payloads are entry dicts, summary
-    payloads are ``RunSummary`` objects.
-
-    Worker labels are the executor's own slot ids (the ``start``
-    payload carries ``(spec, slot, node)``), so they match the
-    telemetry event log exactly; remote slots render as
-    ``[wN@node]``.  A ``requeue`` event prints the node loss and
-    returns the run to the queue.  Every event is rendered into **one**
-    ``write()`` call on one writer: a multi-``print`` renderer could
-    interleave partial lines when several runs finish in the same
-    scheduler poll.
-    """
-    out = stream if stream is not None else sys.stdout
-
-    running: Dict[str, float] = {}       # run name -> start monotonic
-    labels: Dict[str, str] = {}          # run name -> rendered label
-    state = {"max_active": 1, "elapsed_sum": 0.0, "elapsed_n": 0}
-
-    def _metric(payload: Any, name: str) -> Optional[float]:
-        if isinstance(payload, dict):
-            value = payload.get(name)
-            return float(value) if isinstance(value, (int, float)) else None
-        return getattr(payload, name, None)
-
-    def _eta(done: int, total: int) -> str:
-        remaining = total - done
-        if not remaining or not state["elapsed_n"]:
-            return ""
-        mean = state["elapsed_sum"] / state["elapsed_n"]
-        eta = mean * remaining / max(1, state["max_active"])
-        return f" ETA ~{eta:.0f}s"
-
-    def _unpack(payload: Any) -> Tuple[str, str]:
-        """(run name, worker label) from a start/requeue payload."""
-        spec, slot, node = payload
-        suffix = "" if node in (None, LOCAL_NODE) else f"@{node}"
-        return str(spec), f"w{slot}{suffix}"
-
-    def progress(event: str, payload: Any, done: int, total: int) -> None:
-        if event == "start":
-            name, label = _unpack(payload)
-            labels[name] = label
-            running[name] = time.monotonic()
-            state["max_active"] = max(state["max_active"], len(running))
-            queued = max(0, total - done - len(running))
-            out.write(f"  [{label}] {name}: start "
-                      f"({len(running)} running, {queued} queued)\n")
-            out.flush()
-            return
-        if event == "requeue":
-            name, label = _unpack(payload)
-            running.pop(name, None)
-            labels.pop(name, None)
-            out.write(f"  [{label}] {name}: REQUEUED (worker died; "
-                      f"retrying)\n")
-            out.flush()
-            return
-        o: RunOutcome = payload
-        name = o.spec.name
-        label = labels.pop(name, None)
-        running.pop(name, None)
-        state["elapsed_sum"] += o.elapsed
-        state["elapsed_n"] += 1
-        tag = f"[{done}/{total}]"
-        wtag = "" if label is None else f" [{label}]"
-        if o.failed:
-            detail = f" ({o.error.splitlines()[-1]})" if o.error else ""
-            out.write(f"    {tag}{wtag} {name}: "
-                      f"{o.status.upper()}{detail}{_eta(done, total)}\n")
-            out.flush()
-            return
-        wall = _metric(o.payload, "wall_clock")
-        eff = _metric(o.payload, "block_efficiency")
-        status = (o.payload.get("status", o.status)
-                  if isinstance(o.payload, dict)
-                  else getattr(o.payload, "status", o.status))
-        bits = []
-        if wall is not None:
-            bits.append(f"wall={wall:.3f}s")
-        if eff is not None:
-            bits.append(f"E={eff:.3f}")
-        bits.append(f"status={status}")
-        bits.append(f"{o.elapsed:.1f}s real")
-        out.write(f"    {tag}{wtag} {name}: {' '.join(bits)}"
-                  f"{_eta(done, total)}\n")
-        out.flush()
-
-    return progress

@@ -8,8 +8,8 @@ acquisition the executor would — fork or launch one worker per node,
 run the full version/calibration handshake, then shut the worker down
 politely — through the very acquisition functions the executor uses,
 and reports per-node readiness: acquisition latency, the handshake's
-protocol/feature announcement, the worker's hostname, and its
-calibration speed factor.
+protocol version, the worker's hostname, and its calibration speed
+factor.
 
 This is the tool the ROADMAP's "validate on a real fleet, record a
 genuine ≥ 2× two-node makespan" item needs: run ``repro fleet check
@@ -46,7 +46,7 @@ class ProbeResult:
     latency: Optional[float] = None   # acquisition seconds
     speed: Optional[float] = None     # calibration speed factor
     host: str = ""                    # worker-announced hostname
-    detail: str = ""                  # features / error
+    detail: str = ""                  # protocol / error
 
 
 def _probe(source: WorkerSource) -> ProbeResult:
@@ -62,13 +62,9 @@ def _probe(source: WorkerSource) -> ProbeResult:
     latency = time.monotonic() - t0
     worker.discard(terminate=False)
     hello = worker.hello
-    features = hello.get("features")
-    detail = f"protocol {hello.get('protocol')}"
-    if isinstance(features, (list, tuple)) and features:
-        detail += f", features {','.join(str(f) for f in features)}"
     return ProbeResult(ok=True, latency=latency, speed=worker.speed,
-                       host=str(hello.get("host") or ""), detail=detail,
-                       **target)
+                       host=str(hello.get("host") or ""),
+                       detail=f"protocol {hello.get('protocol')}", **target)
 
 
 def probe_fleet(nodes: Sequence[NodeSpec],

@@ -9,13 +9,13 @@ loopback) and speaks over the process's stdin and stdout; or it forks
 Either way the conversation is the same length-prefixed JSON frame
 protocol:
 
-1. worker → parent: a ``hello`` frame — protocol version, feature
-   list, hostname, pid, and a calibration-probe timing the parent turns
-   into this node's relative speed factor for node-aware LPT;
-2. parent → worker: a ``config`` frame (host-metric collection flag,
-   fault-injection settings so loopback tests behave identically under
-   every launch template);
-3. then a ``run`` / ``result`` loop until a ``shutdown`` frame or EOF.
+1. worker → parent: a ``hello`` frame — protocol version, hostname,
+   pid, and a calibration-probe timing the parent turns into this
+   node's relative speed factor;
+2. parent → worker: a ``config`` frame (fault-injection settings, so
+   loopback tests behave identically under every launch template);
+3. then a ``run`` / ``result`` loop until a ``shutdown`` frame or EOF;
+   every result carries the run's host-metric dict.
 
 stdout hygiene (stdio mode): the frame stream *is* fd 1, so the very
 first thing the worker does is duplicate the real stdout away and
@@ -46,7 +46,6 @@ import sys
 from typing import Any, Dict
 
 from repro.exec.transport import (
-    PROTOCOL_FEATURES,
     PROTOCOL_VERSION,
     REMOTE_FAULT_ENV,
     calibration_probe,
@@ -106,14 +105,12 @@ def _serve(inp: Any, out: Any, local: bool = False) -> int:
     hello: Dict[str, Any] = {
         "type": "hello",
         "protocol": PROTOCOL_VERSION,
-        "features": list(PROTOCOL_FEATURES),
         "host": socket.gethostname(),
         "pid": os.getpid(),
     }
     if not local:
         hello["calib"] = calibration_probe()
     write_frame(out, hello)
-    collect_host = False
     while True:
         try:
             msg = read_frame(inp)
@@ -123,7 +120,6 @@ def _serve(inp: Any, out: Any, local: bool = False) -> int:
         if kind == "shutdown":
             break
         if kind == "config":
-            collect_host = bool(msg.get("collect_host"))
             # Propagate fault settings explicitly: a real remote shell
             # does not inherit the parent's environment.
             for env, key in ((FAULT_ENV, "fault"),
@@ -141,7 +137,7 @@ def _serve(inp: Any, out: Any, local: bool = False) -> int:
         spec = spec_from_wire(msg["spec"])
         if not local:
             _maybe_die(spec.name)
-        status, payload, host = _execute(spec, collect_host)
+        status, payload, host = _execute(spec)
         write_frame(out, {"type": "result", "run": spec.name,
                           "status": status,
                           "payload": payload_to_wire(payload),

@@ -1,23 +1,22 @@
-"""Executor telemetry: JSONL event log + utilization analytics.
+"""Executor telemetry: one event stream, its sinks, and its two views.
 
-When a :class:`~repro.exec.executor.SweepExecutor` is given a telemetry
-sink, it logs one event per run-lifecycle transition, all emitted from
-the parent scheduler loop (a single writer, so the log needs no
-locking and lines never interleave):
+A :class:`~repro.exec.executor.SweepExecutor` turns every run-lifecycle
+transition into one event dict and hands it to each sink passed as
+``telemetry=`` (anything with an ``emit(dict)`` method), all from the
+parent scheduler loop — a single writer, so a log needs no locking and
+lines never interleave:
 
 ``sweep_begin``
-    once per ``run()`` call — ``jobs`` (pool width) and ``runs``
-    (spec count);
-``dispatch``
-    a spec was popped off the pending queue and assigned a worker slot;
+    once per ``run()`` call — ``jobs`` (declared worker slots) and
+    ``runs`` (spec count);
 ``start``
-    its worker process started (or the inline call began);
+    a spec was handed to a worker slot (or the inline call began);
 ``finish``
     the run's result arrived (or its timeout fired / its child died);
 ``retire``
     the outcome was merged into the results list — carries ``status``,
-    ``elapsed`` (real seconds), and, when available, the child's
-    ``host`` metric dict (:mod:`repro.obs.host`) piped back with the
+    ``elapsed`` (real seconds), and, when the worker reported, its
+    ``host`` metric dict (:mod:`repro.obs.host`) framed back with the
     result;
 ``requeue``
     a *remote* worker died mid-run and the spec went back to the front
@@ -31,43 +30,46 @@ locking and lines never interleave):
     the sweep drained.
 
 All timestamps ``t`` are real seconds relative to ``sweep_begin``.
-Distributed sweeps tag run events with a ``node`` identity (the
-pseudo-node ``local`` for in-machine slots) and ``sweep_begin`` with
-the per-node slot/speed summary.
+Run events carry the worker slot and a ``node`` identity (the
+pseudo-node ``local`` for in-machine slots); a distributed sweep's
+``sweep_begin`` adds the per-node slot/speed summary.
 
 A run's lifecycle is one or more **episodes**: every failed attempt is
-``dispatch -> start -> requeue`` and the final one is ``dispatch ->
-start -> finish -> retire`` — exactly one ``retire`` per run, so
-retire-count == run count holds even under failover.  Worker slots are
-released at ``retire``/``requeue``, so per-worker busy intervals never
-overlap — the invariants :func:`validate_events` checks, together with
-per-episode event ordering and worker consistency.
+``start -> requeue`` and the final one is ``start -> finish -> retire``
+— exactly one ``retire`` per run, so retire-count == run count holds
+even under failover.  Worker slots are released at ``retire`` /
+``requeue``, so per-worker busy intervals never overlap — the
+invariants :func:`validate_events` checks, together with per-episode
+event ordering and worker consistency.
 
-The analyzers turn an event list into the views that show how well
-the dispatch order balanced the slots: a per-worker timeline
-(:func:`worker_timeline_text`), a queue-depth curve
-(:func:`queue_depth_table`), and an idle-fraction/utilization table
-(:func:`utilization_table`).  Host event logs are never byte-stable;
+Sinks: :class:`JsonlTelemetry` writes the log, :func:`text_progress`
+renders it live.  The analyzers turn a log into the two views that show
+how busy each slot stayed: one per-slot table
+(:func:`utilization_table`) and a per-worker timeline
+(:func:`worker_timeline_text`).  Host event logs are never byte-stable;
 they live outside BENCH snapshots and the deterministic sweep outputs.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.exec.transport import LOCAL_NODE
 
 #: Recognized event kinds.
-EVENT_KINDS = ("sweep_begin", "dispatch", "start", "finish", "retire",
-               "requeue", "node_lost", "sweep_end")
+EVENT_KINDS = ("sweep_begin", "start", "finish", "retire", "requeue",
+               "node_lost", "sweep_end")
 
 #: Per-run lifecycle kinds grouped for validation.
-_RUN_KINDS = ("dispatch", "start", "finish", "retire", "requeue")
+_RUN_KINDS = ("start", "finish", "retire", "requeue")
 
 #: A completed (final) episode; earlier episodes end in ``requeue``.
-_FINAL_EPISODE = ("dispatch", "start", "finish", "retire")
-_REQUEUED_EPISODE = ("dispatch", "start", "requeue")
+_FINAL_EPISODE = ("start", "finish", "retire")
+_REQUEUED_EPISODE = ("start", "requeue")
 
 
 class JsonlTelemetry:
@@ -121,12 +123,12 @@ def load_events(path) -> List[Dict[str, Any]]:
 
 def _split_episodes(seq: Sequence[Mapping[str, Any]]
                     ) -> List[List[Mapping[str, Any]]]:
-    """Split one run's events at each ``dispatch`` (one episode per
-    dispatch attempt)."""
+    """Split one run's events at each ``start`` (one episode per
+    attempt)."""
     episodes: List[List[Mapping[str, Any]]] = []
     current: List[Mapping[str, Any]] = []
     for event in seq:
-        if event["event"] == "dispatch" and current:
+        if event["event"] == "start" and current:
             episodes.append(current)
             current = []
         current.append(event)
@@ -139,9 +141,9 @@ def validate_events(events: Sequence[Mapping[str, Any]]) -> List[str]:
     """Schema and invariant checks; returns problems (empty == valid).
 
     Checked: known event kinds with numeric non-negative ``t``; per-run
-    episode structure — every non-final episode is ``dispatch -> start
-    -> requeue`` (a remote worker death) and the final one ``dispatch
-    -> start -> finish -> retire`` — with non-decreasing timestamps and
+    episode structure — every non-final episode is ``start -> requeue``
+    (a remote worker death) and the final one ``start -> finish ->
+    retire`` — with non-decreasing timestamps and
     a consistent worker id within each episode; retire count equals the
     announced run count (failover never loses or double-counts a run);
     every retire carries a ``status``; per-worker busy intervals do not
@@ -171,9 +173,9 @@ def validate_events(events: Sequence[Mapping[str, Any]]) -> List[str]:
     retired = 0
     for run, seq in per_run.items():
         kinds = [e["event"] for e in seq]
-        if kinds[0] != "dispatch":
+        if kinds[0] != "start":
             problems.append(f"run {run}: lifecycle starts with "
-                            f"{kinds[0]!r}, not 'dispatch'")
+                            f"{kinds[0]!r}, not 'start'")
             continue
         episodes = _split_episodes(seq)
         bad = False
@@ -274,36 +276,59 @@ def makespan(events: Sequence[Mapping[str, Any]]) -> float:
 
 
 def utilization_table(events: Sequence[Mapping[str, Any]]) -> str:
-    """Per-worker runs / busy / idle / idle-fraction table."""
+    """The per-slot view: one row per (worker slot, node) seen — the
+    node's speed factor, retired runs, requeued attempts, busy seconds
+    and utilization over the makespan.  The footer charges idle time to
+    every slot the sweep declared (``sweep_begin.jobs``), not only to
+    the slots that ran something, and breaks utilization down per node
+    (slots from the ``sweep_begin`` node summary when present)."""
     span = makespan(events)
     intervals = worker_intervals(events)
     if not intervals or span <= 0.0:
         return "(no completed runs in the event log)"
-    header = (f"{'worker':>6}  {'runs':>5}  {'busy [s]':>10}  "
-              f"{'idle [s]':>10}  {'idle %':>7}")
+    begin = next((e for e in events if e.get("event") == "sweep_begin"),
+                 {})
+    declared = {str(n["node"]): n for n in begin.get("nodes") or []}
+    rows: Dict[Tuple[int, str], Dict[str, Any]] = {}
+    for iv in sorted((iv for ivs in intervals.values() for iv in ivs),
+                     key=lambda iv: (iv.worker, str(iv.node))):
+        row = rows.setdefault((iv.worker, iv.node or LOCAL_NODE),
+                              {"runs": 0, "requeues": 0, "busy": 0.0})
+        row["requeues" if iv.status == "requeue" else "runs"] += 1
+        row["busy"] += iv.end - iv.start
+    header = (f"{'worker':>6}  {'node':<12} {'speed':>6}  {'runs':>5}  "
+              f"{'requeues':>8}  {'busy [s]':>10}  {'util %':>7}")
     lines = [header, "-" * len(header)]
-    total_busy = 0.0
-    for worker in sorted(intervals):
-        busy = sum(iv.end - iv.start for iv in intervals[worker])
-        total_busy += busy
-        idle = max(0.0, span - busy)
-        lines.append(f"{worker:>6d}  {len(intervals[worker]):>5d}  "
-                     f"{busy:>10.3f}  {idle:>10.3f}  "
-                     f"{idle / span * 100.0:>6.1f}%")
-    n_workers = len(intervals)
-    n_runs = sum(len(v) for v in intervals.values())
+    node_busy: Dict[str, float] = {}
+    node_seen: Dict[str, set] = {}
+    for (worker, node), row in rows.items():
+        speed = declared.get(node, {}).get(
+            "speed", 1.0 if node == LOCAL_NODE else None)
+        speed_text = f"{speed:.2f}" if speed is not None else "-"
+        lines.append(f"{worker:>6d}  {node:<12} {speed_text:>6}  "
+                     f"{row['runs']:>5d}  {row['requeues']:>8d}  "
+                     f"{row['busy']:>10.3f}  "
+                     f"{row['busy'] / span * 100.0:>6.1f}%")
+        node_busy[node] = node_busy.get(node, 0.0) + row["busy"]
+        node_seen.setdefault(node, set()).add(worker)
+    slots = int(begin.get("jobs") or 0) or len({w for w, _ in rows})
+    node_slots = ({name: int(n.get("slots") or 0)
+                   for name, n in declared.items()}
+                  if declared else {LOCAL_NODE: slots})
+    retired = sum(1 for e in events if e.get("event") == "retire")
     lines.append("")
-    lines.append(f"makespan {span:.3f} s; {n_runs} runs on {n_workers} "
-                 f"worker slot(s); pool utilization "
-                 f"{total_busy / (span * n_workers) * 100.0:.1f}%")
-    waits = [e for e in events if e.get("event") == "start"]
-    dispatches = {e.get("run"): e for e in events
-                  if e.get("event") == "dispatch"}
-    lags = [float(e["t"]) - float(dispatches[e["run"]]["t"])
-            for e in waits if e.get("run") in dispatches]
-    if lags:
-        lines.append(f"mean dispatch->start lag {sum(lags) / len(lags):.3f} "
-                     f"s over {len(lags)} run(s)")
+    lines.append(f"makespan {span:.3f} s; {retired} runs retired on "
+                 f"{slots} declared slot(s); pool utilization "
+                 f"{sum(node_busy.values()) / (span * slots) * 100.0:.1f}%")
+    per_node = []
+    for node in sorted(set(node_busy) | set(node_slots)):
+        n = node_slots.get(node) or len(node_seen.get(node, ())) or 1
+        per_node.append(
+            f"{node} {node_busy.get(node, 0.0) / (span * n) * 100.0:.1f}%")
+    lost = sorted({str(e.get("node")) for e in events
+                   if e.get("event") == "node_lost"})
+    lines.append("per node: " + ", ".join(per_node)
+                 + (f"; lost: {', '.join(lost)}" if lost else ""))
     return "\n".join(lines)
 
 
@@ -340,126 +365,77 @@ def worker_timeline_text(events: Sequence[Mapping[str, Any]],
     return "\n".join(lines)
 
 
-def queue_depth_points(events: Sequence[Mapping[str, Any]]
-                       ) -> List[Dict[str, float]]:
-    """``(t, queued, running, done)`` sampled at every start/retire."""
-    total = 0
-    for event in events:
-        if event.get("event") == "sweep_begin":
-            total = int(event.get("runs") or 0)
-    started = finished = 0
-    points: List[Dict[str, float]] = [
-        {"t": 0.0, "queued": total, "running": 0, "done": 0}]
-    for event in events:
-        kind = event.get("event")
-        if kind == "start":
-            started += 1
-        elif kind == "retire":
-            finished += 1
-        else:
-            continue
-        points.append({"t": float(event.get("t", 0.0)),
-                       "queued": max(0, total - started),
-                       "running": started - finished,
-                       "done": finished})
-    return points
-
-
-def queue_depth_table(events: Sequence[Mapping[str, Any]],
-                      max_rows: int = 16) -> str:
-    """The queue-depth curve as a compact table (down-sampled to at
-    most ``max_rows`` transition points)."""
-    points = queue_depth_points(events)
-    if len(points) <= 1:
-        return "(no queue transitions in the event log)"
-    if len(points) > max_rows:
-        step = (len(points) - 1) / (max_rows - 1)
-        points = [points[round(i * step)] for i in range(max_rows)]
-    header = f"{'t [s]':>8}  {'queued':>6}  {'running':>7}  {'done':>5}"
-    lines = [header, "-" * len(header)]
-    for p in points:
-        lines.append(f"{p['t']:>8.3f}  {int(p['queued']):>6d}  "
-                     f"{int(p['running']):>7d}  {int(p['done']):>5d}")
-    return "\n".join(lines)
-
-
-def node_table(events: Sequence[Mapping[str, Any]]) -> str:
-    """Per-node slot/speed/runs/requeue/busy/utilization table for a
-    distributed sweep (``--nodes``).
-
-    Slots come from the ``sweep_begin`` node summary when present (so
-    idle slots still count against utilization), else from the distinct
-    workers observed per node.  Requeues are charged to the node whose
-    worker died.
-    """
-    span = makespan(events)
-    declared: Dict[str, Dict[str, Any]] = {}
-    for event in events:
-        if event.get("event") == "sweep_begin":
-            for entry in event.get("nodes") or []:
-                if isinstance(entry, dict) and entry.get("node"):
-                    declared[str(entry["node"])] = entry
-    stats: Dict[str, Dict[str, Any]] = {}
-
-    def bucket(node: str) -> Dict[str, Any]:
-        return stats.setdefault(node, {"workers": set(), "runs": 0,
-                                       "requeues": 0, "busy": 0.0})
-
-    for intervals in worker_intervals(events).values():
-        for iv in intervals:
-            node = iv.node or "local"
-            b = bucket(node)
-            b["workers"].add(iv.worker)
-            b["busy"] += iv.end - iv.start
-            if iv.status == "requeue":
-                b["requeues"] += 1
-            else:
-                b["runs"] += 1
-    for event in events:
-        if event.get("event") == "node_lost" and event.get("node"):
-            bucket(str(event["node"]))  # show fully-lost nodes too
-    if not stats or span <= 0.0:
-        return "(no per-node activity in the event log)"
-    header = (f"{'node':<12} {'slots':>5}  {'speed':>6}  {'runs':>5}  "
-              f"{'requeues':>8}  {'busy [s]':>10}  {'util %':>7}")
-    lines = ["per-node utilization", header, "-" * len(header)]
-    for node in sorted(set(stats) | set(declared)):
-        b = stats.get(node, {"workers": set(), "runs": 0,
-                             "requeues": 0, "busy": 0.0})
-        entry = declared.get(node, {})
-        slots = int(entry.get("slots") or 0) or len(b["workers"]) or 1
-        speed = entry.get("speed")
-        speed_text = (f"{float(speed):.2f}"
-                      if isinstance(speed, (int, float)) else "-")
-        util = b["busy"] / (span * slots) * 100.0
-        lines.append(f"{node:<12} {slots:>5d}  {speed_text:>6}  "
-                     f"{b['runs']:>5d}  {b['requeues']:>8d}  "
-                     f"{b['busy']:>10.3f}  {util:>6.1f}%")
-    requeues = sum(b["requeues"] for b in stats.values())
-    lost = [str(e.get("node")) for e in events
-            if e.get("event") == "node_lost"]
-    lines.append("")
-    summary = (f"{len(stats)} node(s), {requeues} requeue(s)")
-    if lost:
-        summary += f"; lost: {', '.join(sorted(set(lost)))}"
-    lines.append(summary)
-    return "\n".join(lines)
-
-
 def telemetry_report(events: Sequence[Mapping[str, Any]],
                      width: int = 72) -> str:
-    """Utilization table + timeline + queue depth (+ the per-node table
-    when the sweep ran distributed)."""
-    sections = [
-        utilization_table(events),
-        worker_timeline_text(events, width=width),
-        queue_depth_table(events),
-    ]
-    distributed = any(
-        (e.get("node") not in (None, "local"))
-        or e.get("event") in ("requeue", "node_lost")
-        or e.get("nodes")
-        for e in events)
-    if distributed:
-        sections.append(node_table(events))
-    return "\n\n".join(sections)
+    """The ``utilization.txt`` report: the per-slot table, then the
+    per-worker timeline."""
+    return (utilization_table(events) + "\n\n"
+            + worker_timeline_text(events, width=width))
+
+
+# ---------------------------------------------------------------------- #
+# Live progress
+# ---------------------------------------------------------------------- #
+
+class _TextProgress:
+    """The sink :func:`text_progress` returns."""
+
+    def __init__(self, out: Any) -> None:
+        self.out = out
+        self.total = self.done = 0
+        self.running: Dict[str, str] = {}  # run name -> worker label
+        self.max_active = 1
+        self.elapsed_sum = 0.0
+
+    def _eta(self) -> str:
+        remaining = self.total - self.done
+        if remaining <= 0 or not self.done:
+            return ""
+        eta = (self.elapsed_sum / self.done * remaining
+               / max(1, self.max_active))
+        return f" ETA ~{eta:.0f}s"
+
+    def emit(self, event: Mapping[str, Any]) -> None:
+        kind, name = event.get("event"), event.get("run")
+        if kind == "sweep_begin":
+            self.total = int(event.get("runs") or 0)
+            return
+        node = event.get("node")
+        label = f"w{event.get('worker')}" + (
+            "" if node in (None, LOCAL_NODE) else f"@{node}")
+        if kind == "start":
+            self.running[name] = label
+            self.max_active = max(self.max_active, len(self.running))
+            queued = max(0, self.total - self.done - len(self.running))
+            line = (f"  [{label}] {name}: start ({len(self.running)} "
+                    f"running, {queued} queued)")
+        elif kind == "requeue":
+            self.running.pop(name, None)
+            line = f"  [{label}] {name}: REQUEUED (worker died; retrying)"
+        elif kind == "retire":
+            self.running.pop(name, None)
+            self.done += 1
+            elapsed = float(event.get("elapsed") or 0.0)
+            self.elapsed_sum += elapsed
+            line = (f"    [{self.done}/{self.total}] [{label}] {name}: "
+                    f"status={event.get('status')} {elapsed:.1f}s real"
+                    f"{self._eta()}")
+        else:
+            return
+        self.out.write(line + "\n")
+        self.out.flush()
+
+
+def text_progress(stream: Any = None) -> _TextProgress:
+    """A telemetry sink printing one live line per ``start``,
+    ``requeue`` and ``retire`` (to *stream*, default stdout), with
+    per-worker labels and an ETA while runs remain.
+
+    Labels are the events' own slot ids, so they match the event log
+    exactly; remote slots render as ``[wN@node]``.  Each line is one
+    ``write()`` call: several runs finishing in the same scheduler poll
+    cannot interleave partial lines.  A run's simulated metrics are not
+    in any event — ``repro sweep`` prints them in its table after the
+    sweep.
+    """
+    return _TextProgress(stream if stream is not None else sys.stdout)

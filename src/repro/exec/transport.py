@@ -25,15 +25,14 @@ Only **acquisition** — how the stream is obtained — varies:
     is ever needed) and spoken to over its stdio.
 
 Every acquisition ends in the one :func:`handshake`: the worker
-announces its protocol version, feature list, hostname, and a
-calibration-probe timing; the parent rejects incompatible protocols,
-answers with a ``config`` frame, and derives a per-node **speed
-factor** (parent probe seconds / worker probe seconds; forked workers
-skip the probe, local speed is 1.0 by definition) that node-aware LPT
-uses to steer the longest runs onto the fastest slots.  A
-:class:`WorkerSource` names one acquisition target (a node and its
-slot count); the executor respawns slots through it and ``repro fleet
-check`` probes it.
+announces its protocol version, hostname, and a calibration-probe
+timing; the parent rejects incompatible protocols, answers with a
+``config`` frame, and derives a per-node **speed factor** (parent probe
+seconds / worker probe seconds; forked workers skip the probe, local
+speed is 1.0 by definition) that orders the free slots, fastest
+first.  A :class:`WorkerSource` names one acquisition target (a node
+and its slot count); the executor respawns slots through it and
+``repro fleet check`` probes it.
 
 Determinism: acquisition moves *where* a run executes, never what it
 produces.  Payloads cross the wire as JSON — Python's ``json``
@@ -71,11 +70,7 @@ from repro.exec.worker import FAULT_ENV
 
 #: Framed-protocol version.  Bump on incompatible message changes; the
 #: handshake rejects a mismatch before any spec is dispatched.
-PROTOCOL_VERSION = 1
-
-#: Features this side of the protocol understands (advertised in the
-#: handshake; the parent gates optional behavior on the intersection).
-PROTOCOL_FEATURES = ("calibration", "host-metrics", "shutdown")
+PROTOCOL_VERSION = 2
 
 #: Default command template for remote workers.  ``{host}`` and
 #: ``{cwd}`` are substituted; the template is ``shlex``-split and
@@ -453,7 +448,7 @@ class StreamWorker:
         self.close()
 
 
-def handshake(worker: StreamWorker, collect_host: bool) -> StreamWorker:
+def handshake(worker: StreamWorker) -> StreamWorker:
     """hello → protocol check → ``config`` frame: the one handshake
     every acquisition ends in.  The whole hello read is bounded by
     :data:`HANDSHAKE_TIMEOUT_ENV`.  Returns the worker, ready for
@@ -478,7 +473,6 @@ def handshake(worker: StreamWorker, collect_host: bool) -> StreamWorker:
                 f"{PROTOCOL_VERSION} (mismatched repro versions?)")
         write_frame(worker.writer, {
             "type": "config",
-            "collect_host": collect_host,
             "fault": os.environ.get(FAULT_ENV, ""),
             "remote_fault": os.environ.get(REMOTE_FAULT_ENV, ""),
         })
@@ -499,7 +493,7 @@ def handshake(worker: StreamWorker, collect_host: bool) -> StreamWorker:
 # Acquisition: fork, command
 # --------------------------------------------------------------------- #
 
-def fork_worker(collect_host: bool = False) -> StreamWorker:
+def fork_worker() -> StreamWorker:
     """Fork a ``multiprocessing`` child serving a ``socketpair``.
 
     ``fork`` where the platform offers it (cheap, inherits loaded
@@ -516,7 +510,7 @@ def fork_worker(collect_host: bool = False) -> StreamWorker:
     child.close()  # the child holds its end now
     return handshake(StreamWorker(
         LOCAL_NODE, parent.makefile("rb", buffering=0),
-        parent.makefile("wb", buffering=0), parent, proc), collect_host)
+        parent.makefile("wb", buffering=0), parent, proc))
 
 
 def launch_command(host: str, template: str = DEFAULT_REMOTE_TEMPLATE
@@ -537,11 +531,11 @@ def launch_command(host: str, template: str = DEFAULT_REMOTE_TEMPLATE
     return StreamWorker(host, proc.stdout, proc.stdin, proc.stdout, proc)
 
 
-def command_worker(host: str, template: str = DEFAULT_REMOTE_TEMPLATE,
-                   collect_host: bool = False) -> StreamWorker:
+def command_worker(host: str, template: str = DEFAULT_REMOTE_TEMPLATE
+                   ) -> StreamWorker:
     """A handshaken worker launched from *template*, spoken to over its
     stdio."""
-    return handshake(launch_command(host, template), collect_host)
+    return handshake(launch_command(host, template))
 
 
 class WorkerSource:
@@ -554,13 +548,12 @@ class WorkerSource:
 
     kind = "ssh"
 
-    def __init__(self, node: NodeSpec, template: Optional[str] = None,
-                 collect_host: bool = False) -> None:
+    def __init__(self, node: NodeSpec, template: Optional[str] = None
+                 ) -> None:
         self.node = node
         if node.is_local:
             self.kind = "local"
         self.template = template
-        self.collect_host = collect_host
         #: What ``launch()`` started and ``acquire()`` has yet to
         #: handshake: the probe's stream, or why it could not start.
         self._launched: Any = None
@@ -569,10 +562,9 @@ class WorkerSource:
         """Open one worker here; launch failure, handshake timeout or
         EOF, and protocol mismatch raise :class:`TransportError`."""
         if self.node.is_local:
-            return fork_worker(self.collect_host)
+            return fork_worker()
         return command_worker(self.node.name,
-                              self.template or DEFAULT_REMOTE_TEMPLATE,
-                              self.collect_host)
+                              self.template or DEFAULT_REMOTE_TEMPLATE)
 
     def launch(self) -> None:
         """Start a remote node's probe process without waiting for its
@@ -603,7 +595,7 @@ class WorkerSource:
             self.launch()
             if isinstance(self._launched, TransportError):
                 raise self._launched
-            lazy[0] = handshake(self._launched, self.collect_host)
+            lazy[0] = handshake(self._launched)
             self._launched = None  # handed over; until here close() reaps
         return lazy
 
@@ -616,9 +608,8 @@ class WorkerSource:
 
 
 def worker_sources(nodes: Sequence[NodeSpec],
-                   remote_template: Optional[str] = None,
-                   collect_host: bool = False) -> List[WorkerSource]:
+                   remote_template: Optional[str] = None
+                   ) -> List[WorkerSource]:
     """The acquisition targets of a fleet, in listed order, for the
     executor to fill slots from and ``repro fleet check`` to probe."""
-    return [WorkerSource(node, remote_template, collect_host)
-            for node in nodes]
+    return [WorkerSource(node, remote_template) for node in nodes]

@@ -6,19 +6,21 @@ in-process path and every worker process call, which is what makes
 ``--jobs N`` byte-identical to ``--jobs 1``: the simulation is
 deterministic and pure, so *where* it runs cannot change the result.
 
-:func:`_execute` wraps it into the ``(status, payload, host)`` message
-the worker serve loop (:mod:`repro.exec.remote_worker`) frames back to
-the parent.  A task exception (including :class:`MemoryError`) is
-reported as an outcome message and the loop continues; only a *hard*
-death (crash, ``os._exit``, the kernel OOM killer) ends the worker,
-which the executor observes as EOF.  A long-lived worker amortizes
-interpreter/NumPy start-up across every run it executes and keeps
-process-level caches warm — the memoized dataset fields and the one
-held problem with its traced curves (:mod:`repro.analysis.scenarios`;
-one problem at a time, about 80 MiB for thermal-dense at scale 1.0,
-replaced when a spec of another problem arrives), the shared immutable
-block store (:mod:`repro.core.driver`), and the in-memory sweep cache —
-none of which can change results (all are deterministic and read-only).
+:func:`_execute` runs it under a :class:`~repro.obs.host.HostProbe`
+and packages the ``(status, payload, host)`` message the worker serve
+loop (:mod:`repro.exec.remote_worker`) frames back to the parent and
+the inline serial path turns into its outcome.  A task exception
+(including :class:`MemoryError`) is reported as an outcome message and
+the loop continues; a *hard* death (crash, ``os._exit``, the kernel OOM
+killer) ends the worker, which the executor observes as EOF.  A
+long-lived worker amortizes interpreter/NumPy start-up across every run
+it executes and keeps process-level caches warm — the memoized dataset
+fields and the one held problem with its traced curves
+(:mod:`repro.analysis.scenarios`; one problem at a time, about 80 MiB
+for thermal-dense at scale 1.0, replaced when a spec of another problem
+arrives), the shared immutable block store (:mod:`repro.core.driver`),
+and the in-memory sweep cache — none of which can change results (all
+are deterministic and read-only).
 *Isolated* specs (the thermal OOM probe) get a dedicated worker that
 is discarded after its one result, so a real :class:`MemoryError` — or
 a hard kernel OOM kill — takes down a process that owns nothing else.
@@ -119,24 +121,6 @@ def run_spec(spec: RunSpec) -> Any:
     return task(spec)
 
 
-def run_spec_with_host(spec: RunSpec) -> Tuple[Any, dict]:
-    """Execute one spec under an active :class:`HostProbe` and return
-    ``(payload, host_metrics)``.
-
-    The probe is host-side only: the task's phase labels (``setup`` /
-    ``advect`` / ``merge``) charge real wall/CPU/RSS/GC cost, while the
-    payload itself — simulated time — is byte-identical to an unprobed
-    run (the telemetry on/off determinism tests assert this).
-    """
-    probe = HostProbe()
-    try:
-        with activated(probe):
-            payload = run_spec(spec)
-    finally:
-        probe.stop()
-    return payload, probe.to_dict()
-
-
 def oom_payload(spec: RunSpec) -> dict:
     """Minimal run entry for a spec whose child hit a *real*
     MemoryError — the same gated ``oom`` status the simulated probe
@@ -144,17 +128,27 @@ def oom_payload(spec: RunSpec) -> dict:
     return {"status": "oom"}
 
 
-def _execute(spec: RunSpec, collect_host: bool) -> Tuple[str, Any, Any]:
-    """Run one spec and package the ``(status, payload, host)`` message
-    the serve loop frames back to the parent."""
-    host = None
+def _execute(spec: RunSpec) -> Tuple[str, Any, dict]:
+    """Run one spec under an active :class:`HostProbe` and package the
+    ``(status, payload, host)`` message; the host dict comes back
+    whatever the status.  A ``MemoryError`` is the ``oom`` outcome and
+    any other ``Exception`` the ``error`` one.  An interrupt or exit is
+    no outcome: it stops an inline sweep, and it ends a worker, which
+    the parent sees as the worker's death.
+
+    The probe is host-side only: the task's phase labels (``setup`` /
+    ``advect`` / ``merge``) charge real wall/CPU/RSS/GC cost, while the
+    payload itself — simulated time — is byte-identical whichever
+    process runs it and whoever listens.
+    """
+    probe = HostProbe()
     try:
-        if collect_host:
-            value, host = run_spec_with_host(spec)
-        else:
-            value = run_spec(spec)
-        return (OUTCOME_OK, value, host)
+        with activated(probe):
+            result = (OUTCOME_OK, run_spec(spec))
     except MemoryError:
-        return (OUTCOME_OOM, oom_payload(spec), host)
-    except BaseException:
-        return (OUTCOME_ERROR, traceback.format_exc(limit=20), host)
+        result = (OUTCOME_OOM, oom_payload(spec))
+    except Exception:
+        result = (OUTCOME_ERROR, traceback.format_exc(limit=20))
+    finally:
+        probe.stop()
+    return (*result, probe.to_dict())

@@ -4,6 +4,7 @@ the exit-code contract (0 all ok / 1 any failure / 2 config error)."""
 import sys
 
 from repro.exec import (
+    PROTOCOL_VERSION,
     NodeSpec,
     ProbeResult,
     fleet_ok,
@@ -35,7 +36,7 @@ def test_probe_node_loopback_runs_handshake():
     assert result.ok and result.kind == "ssh"
     assert result.latency is not None and result.latency >= 0.0
     assert result.speed is not None and result.speed > 0.0
-    assert "protocol 1" in result.detail
+    assert f"protocol {PROTOCOL_VERSION}" in result.detail
 
 
 def test_probe_node_unreachable_reports_failure():

@@ -81,12 +81,11 @@ def _table(*sources, speeds=None):
 
 class Harness:
     def __init__(self, items, *sources, speeds=None, **kw):
-        self.events, self.progress, self.warnings = [], [], []
+        self.events, self.warnings = [], []
         self.local = FakeSource(LOCAL_NODE, 1)
         self.d = Dispatcher(
             items, _table(*sources, speeds=speeds), {}, self.local,
             emit=lambda kind, **f: self.events.append((kind, f)),
-            progress=lambda kind, p: self.progress.append((kind, p)),
             warn=self.warnings.append, **kw)
 
     def kinds(self, kind):
@@ -115,11 +114,13 @@ def test_die_once_requeues_at_the_front_then_succeeds():
     requeue, = h.kinds("requeue")
     assert requeue["run"] == a.name and requeue["attempt"] == 1
     assert requeue["target"] == "remote"
+    assert (requeue["worker"], requeue["node"]) == (0, "n1")
     assert h.kinds("retire") == []  # a requeue is not an outcome
     h.drain(2.0)
     assert [h.d.results[i].status for i in (a_idx, b_idx)] == ["ok", "ok"]
     assert [f["run"] for f in h.kinds("retire")] == [a.name, b.name]
-    assert ("requeue", (a, 0, "n1")) in h.progress
+    assert [k for k, _ in h.events if k != "finish"] == [
+        "start", "requeue", "start", "retire", "start", "retire"]
 
 
 def test_death_on_every_attempt_falls_back_to_a_dedicated_local_worker():

@@ -241,7 +241,7 @@ def test_every_sweep_dispatches_the_heaviest_problem_first():
         assert validate_events(sink) == []
         assert [o.spec for o in outcomes] == variant
         assert _merged_json(outcomes) == serial
-        runs = [e["run"] for e in sink if e["event"] == "dispatch"]
+        runs = [e["run"] for e in sink if e["event"] == "start"]
         first, second = (problem_of[r] for r in runs[:2])
         assert first != second
         assert sorted([totals[first], totals[second]]) \
@@ -394,7 +394,7 @@ def test_cli_sweep_schedule_with_telemetry(tmp_path, capsys):
     assert code == 0
     events = load_events(telem / "events.jsonl")
     assert validate_events(events) == []
-    first = next(e for e in events if e["event"] == "dispatch")
+    first = next(e for e in events if e["event"] == "start")
     assert first["run"] == "astro-sparse-hybrid-4"  # the model's heaviest
     report = (telem / "utilization.txt").read_text()
     assert "makespan" in report

@@ -211,7 +211,7 @@ def test_two_slots_keep_their_problems(tmp_path):
         assert _merged_json(outcomes) == serial
         assert validate_events(events) == []
         cold = {(e["worker"], by_name[e["run"]])
-                for e in events if e["event"] == "dispatch"}
+                for e in events if e["event"] == "start"}
         assert {w for w, _ in cold} == {0, 1}
         assert 4 <= len(cold) <= 5, sorted(cold)
 
@@ -254,13 +254,14 @@ def test_holder_is_empty_after_the_sweep_returns_or_raises():
     assert all(o.ok for o in SweepExecutor(jobs=1).run(specs))
     assert scenarios._HELD == {}
 
-    def interrupted(event, payload, done, total):
-        if event == "done":
-            assert len(scenarios._HELD) == 1
-            raise KeyboardInterrupt
+    class Interrupting:
+        def emit(self, event):
+            if event["event"] == "retire":
+                assert len(scenarios._HELD) == 1
+                raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        SweepExecutor(jobs=1, progress=interrupted).run(specs)
+        SweepExecutor(jobs=1, telemetry=Interrupting()).run(specs)
     assert scenarios._HELD == {}
 
 

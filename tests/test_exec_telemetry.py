@@ -24,7 +24,7 @@ from repro.exec import (
     worker_intervals,
     worker_timeline_text,
 )
-from repro.exec.telemetry import makespan, queue_depth_points
+from repro.exec.telemetry import makespan
 from repro.exec.worker import FAULT_ENV
 
 
@@ -60,7 +60,7 @@ def test_parallel_sweep_event_log_is_valid(tmp_path):
     assert kinds[0] == "sweep_begin"
     assert kinds[-1] == "sweep_end"
     assert kinds.count("retire") == len(specs)
-    assert kinds.count("dispatch") == kinds.count("start") == 3
+    assert kinds.count("start") == kinds.count("finish") == 3
     # Per-worker busy intervals never overlap.
     for worker, ivs in worker_intervals(events).items():
         ordered = sorted(ivs, key=lambda iv: iv.start)
@@ -82,10 +82,10 @@ def test_events_are_one_json_object_per_line(tmp_path):
                        scale=0.02)
     _sweep(tmp_path, specs, jobs=2)
     lines = (tmp_path / "events.jsonl").read_text().splitlines()
-    assert len(lines) >= 6
-    for line in lines:
-        event = json.loads(line)
-        assert "event" in event and "t" in event
+    events = [json.loads(line) for line in lines]
+    assert all("t" in event for event in events)
+    assert [e["event"] for e in events] == [
+        "sweep_begin", "start", "finish", "retire", "sweep_end"]
 
 
 def test_outcomes_carry_child_host_metrics(tmp_path):
@@ -101,12 +101,16 @@ def test_outcomes_carry_child_host_metrics(tmp_path):
     assert retire["host"]["phases"].keys() == o.host["phases"].keys()
 
 
-def test_no_telemetry_means_no_host_collection(tmp_path):
+def test_host_is_collected_with_no_sink():
+    """One execution path: every run is probed, inline or in a worker,
+    listened to or not."""
     specs = grid_specs(["astro"], ["sparse"], ["ondemand"], [4],
                        scale=0.02, mode=MODE_BENCH)
-    [o] = SweepExecutor(jobs=2).run(specs)
-    assert o.status == OUTCOME_OK
-    assert o.host is None
+    for jobs in (1, 2):
+        [o] = SweepExecutor(jobs=jobs).run(specs)
+        assert o.status == OUTCOME_OK
+        assert isinstance(o.host, dict) and o.host["wall_s"] > 0.0
+        assert {"setup", "advect", "merge"} <= set(o.host["phases"])
 
 
 # --------------------------------------------------------------------- #
@@ -114,17 +118,28 @@ def test_no_telemetry_means_no_host_collection(tmp_path):
 # --------------------------------------------------------------------- #
 
 def test_merged_artifact_bytes_unchanged_by_telemetry(tmp_path):
+    """No sink, a JSONL sink, and progress + JSONL merge to one byte
+    string."""
     specs = grid_specs(["astro"], ["sparse"], ["static", "hybrid"], [4],
                        scale=0.02, mode=MODE_BENCH)
-    plain = SweepExecutor(jobs=2).run(specs)
+
+    def merged(outcomes):
+        return json.dumps(merge_run_entries(outcomes), sort_keys=True,
+                          indent=2).encode()
+
+    plain = merged(SweepExecutor(jobs=2).run(specs))
     clear_cache(disk=True)
     with_telem, events = _sweep(tmp_path, specs, jobs=2)
     assert validate_events(events) == []
-    doc_a = json.dumps(merge_run_entries(plain), sort_keys=True,
-                       indent=2).encode()
-    doc_b = json.dumps(merge_run_entries(with_telem), sort_keys=True,
-                       indent=2).encode()
-    assert doc_a == doc_b
+    assert merged(with_telem) == plain
+    clear_cache(disk=True)
+    buf = io.StringIO()
+    with JsonlTelemetry(tmp_path / "both.jsonl") as sink:
+        both = SweepExecutor(jobs=2, telemetry=[text_progress(buf), sink]
+                             ).run(specs)
+    assert validate_events(load_events(sink.path)) == []
+    assert merged(both) == plain
+    assert buf.getvalue().count(" real") == len(specs)
 
 
 # --------------------------------------------------------------------- #
@@ -162,14 +177,11 @@ def test_crash_emits_finish_and_retire(tmp_path, monkeypatch):
 def _synthetic_events():
     return [
         {"event": "sweep_begin", "t": 0.0, "jobs": 2, "runs": 3},
-        {"event": "dispatch", "t": 0.0, "run": "a", "idx": 0},
         {"event": "start", "t": 0.1, "run": "a", "idx": 0, "worker": 0},
-        {"event": "dispatch", "t": 0.1, "run": "b", "idx": 1},
         {"event": "start", "t": 0.2, "run": "b", "idx": 1, "worker": 1},
         {"event": "finish", "t": 2.0, "run": "a", "idx": 0, "worker": 0},
         {"event": "retire", "t": 2.1, "run": "a", "idx": 0, "worker": 0,
          "status": "ok", "elapsed": 2.0},
-        {"event": "dispatch", "t": 2.1, "run": "c", "idx": 2},
         {"event": "start", "t": 2.2, "run": "c", "idx": 2, "worker": 0},
         {"event": "finish", "t": 3.0, "run": "b", "idx": 1, "worker": 1},
         {"event": "retire", "t": 3.0, "run": "b", "idx": 1, "worker": 1,
@@ -190,7 +202,7 @@ def test_validate_flags_broken_logs():
     assert any("unknown kind" in p for p in validate_events(
         events + [{"event": "bogus", "t": 1.0}]))
     assert any("bad timestamp" in p for p in validate_events(
-        events + [{"event": "dispatch", "t": -1.0, "run": "z"}]))
+        events + [{"event": "start", "t": -1.0, "run": "z"}]))
     # Drop one retire: count no longer matches the announcement.
     short = [e for e in events
              if not (e["event"] == "retire" and e["run"] == "c")]
@@ -199,9 +211,7 @@ def test_validate_flags_broken_logs():
     # Same worker, overlapping runs.
     overlap = [
         {"event": "sweep_begin", "t": 0.0, "jobs": 1, "runs": 2},
-        {"event": "dispatch", "t": 0.0, "run": "a", "idx": 0},
         {"event": "start", "t": 0.0, "run": "a", "idx": 0, "worker": 0},
-        {"event": "dispatch", "t": 0.1, "run": "b", "idx": 1},
         {"event": "start", "t": 0.5, "run": "b", "idx": 1, "worker": 0},
         {"event": "finish", "t": 1.0, "run": "a", "idx": 0, "worker": 0},
         {"event": "retire", "t": 1.0, "run": "a", "idx": 0, "worker": 0,
@@ -211,33 +221,85 @@ def test_validate_flags_broken_logs():
          "status": "ok"},
     ]
     assert any("overlapping runs" in p for p in validate_events(overlap))
+    # A lifecycle must open with ``start``.
+    orphan = [{"event": "retire", "t": 1.0, "run": "x", "status": "ok"}]
+    assert any("not 'start'" in p for p in validate_events(orphan))
+
+
+def _row(text, worker):
+    """The cells of one worker's row of the per-slot table."""
+    return next(ln.split() for ln in text.splitlines()
+                if ln.split()[:1] == [str(worker)])
 
 
 def test_utilization_table_numbers():
     text = utilization_table(_synthetic_events())
-    assert "makespan 4.000 s" in text
-    assert "3 runs on 2 worker slot(s)" in text
-    assert "mean dispatch->start lag 0.100 s" in text
+    assert "makespan 4.000 s; 3 runs retired on 2 declared slot(s); " \
+        "pool utilization 82.5%" in text
+    # worker, node, speed, runs, requeues, busy, util
+    assert _row(text, 0) == ["0", "local", "1.00", "2", "0", "3.800",
+                             "95.0%"]
+    assert _row(text, 1) == ["1", "local", "1.00", "1", "0", "2.800",
+                             "70.0%"]
+    assert "per node: local 82.5%" in text
+    assert "lag" not in text
 
 
-def test_worker_timeline_and_queue_depth():
+def test_utilization_counts_declared_slots_and_retired_runs():
+    """Idle declared slots count against the pool, and a requeued
+    attempt is a requeue, not a run."""
+    events = [
+        {"event": "sweep_begin", "t": 0.0, "jobs": 3, "runs": 2,
+         "nodes": [{"node": "n1", "slots": 2, "speed": 1.5},
+                   {"node": "n2", "slots": 1, "speed": 0.5}]},
+        {"event": "start", "t": 0.0, "run": "a", "worker": 0,
+         "node": "n1"},
+        {"event": "start", "t": 0.0, "run": "b", "worker": 2,
+         "node": "n2"},
+        {"event": "requeue", "t": 1.0, "run": "b", "worker": 2,
+         "node": "n2", "attempt": 1, "target": "remote"},
+        {"event": "finish", "t": 2.0, "run": "a", "worker": 0,
+         "node": "n1"},
+        {"event": "retire", "t": 2.0, "run": "a", "worker": 0,
+         "node": "n1", "status": "ok", "elapsed": 2.0},
+        {"event": "start", "t": 2.0, "run": "b", "worker": 0,
+         "node": "n1"},
+        {"event": "finish", "t": 4.0, "run": "b", "worker": 0,
+         "node": "n1"},
+        {"event": "retire", "t": 4.0, "run": "b", "worker": 0,
+         "node": "n1", "status": "ok", "elapsed": 2.0},
+        {"event": "node_lost", "t": 4.0, "node": "n2", "slots": 1,
+         "reason": "gone"},
+        {"event": "sweep_end", "t": 4.0, "runs": 2},
+    ]
+    assert validate_events(events) == []
+    text = utilization_table(events)
+    retires = sum(e["event"] == "retire" for e in events)
+    assert f"{retires} runs retired on 3 declared slot(s)" in text
+    # busy 4 + 1 over 3 slots x 4 s — not over the 2 slots that ran.
+    assert "pool utilization 41.7%" in text
+    assert _row(text, 0) == ["0", "n1", "1.50", "2", "0", "4.000",
+                             "100.0%"]
+    assert _row(text, 2) == ["2", "n2", "0.50", "0", "1", "1.000",
+                             "25.0%"]
+    assert "per node: n1 50.0%, n2 25.0%; lost: n2" in text
+
+
+def test_worker_timeline_and_report():
     events = _synthetic_events()
     timeline = worker_timeline_text(events, width=40)
     assert "w0" in timeline and "w1" in timeline
     assert "=a" in timeline  # glyph legend
-    points = queue_depth_points(events)
-    assert points[0] == {"t": 0.0, "queued": 3, "running": 0, "done": 0}
-    assert points[-1]["done"] == 3
     assert makespan(events) == 4.0
     report = telemetry_report(events)
-    assert "per-worker timeline" in report
-    assert "queued" in report
+    assert report == (utilization_table(events) + "\n\n"
+                      + worker_timeline_text(events))
 
 
 def test_analyzers_handle_empty_logs():
     assert "(no completed runs" in utilization_table([])
     assert "(no completed runs" in worker_timeline_text([])
-    assert "(no queue transitions" in telemetry_report([])
+    assert telemetry_report([]).count("(no completed runs") == 2
 
 
 def test_load_events_rejects_bad_lines(tmp_path):
@@ -257,8 +319,8 @@ def test_text_progress_worker_labels_and_eta(tmp_path):
                        ["static", "ondemand", "hybrid"], [4], scale=0.02)
     sink = JsonlTelemetry(tmp_path / "events.jsonl")
     with sink:
-        outcomes = SweepExecutor(jobs=2, telemetry=sink,
-                                 progress=text_progress(buf)).run(specs)
+        outcomes = SweepExecutor(
+            jobs=2, telemetry=[text_progress(buf), sink]).run(specs)
     assert all(o.ok for o in outcomes)
     lines = buf.getvalue().splitlines()
     # One start + one done line per run, each a complete line.
@@ -275,3 +337,39 @@ def test_text_progress_worker_labels_and_eta(tmp_path):
     # ETA appears while runs remain, never on the last done line.
     assert any("ETA ~" in ln for ln in dones[:-1])
     assert "ETA ~" not in dones[-1]
+
+
+def test_text_progress_renders_one_line_per_transition():
+    """One line per start / requeue / retire, none for the other kinds;
+    a failed retire shows its status; no ETA once nothing remains."""
+    buf = io.StringIO()
+    sink = text_progress(buf)
+    events = [
+        {"event": "sweep_begin", "t": 0.0, "jobs": 2, "runs": 2},
+        {"event": "start", "t": 0.0, "run": "a", "worker": 0,
+         "node": "n1"},
+        {"event": "start", "t": 0.0, "run": "b", "worker": 1,
+         "node": "local"},
+        {"event": "requeue", "t": 1.0, "run": "a", "worker": 0,
+         "node": "n1", "attempt": 1, "target": "remote"},
+        {"event": "finish", "t": 2.0, "run": "b", "worker": 1},
+        {"event": "retire", "t": 2.0, "run": "b", "worker": 1,
+         "node": "local", "status": "ok", "elapsed": 2.0},
+        {"event": "start", "t": 2.0, "run": "a", "worker": 1,
+         "node": "local"},
+        {"event": "finish", "t": 3.0, "run": "a", "worker": 1},
+        {"event": "retire", "t": 3.0, "run": "a", "worker": 1,
+         "node": "local", "status": "crashed", "elapsed": 1.0},
+        {"event": "sweep_end", "t": 3.0, "runs": 2},
+    ]
+    for event in events:
+        sink.emit(event)
+    lines = buf.getvalue().splitlines()
+    assert lines == [
+        "  [w0@n1] a: start (1 running, 1 queued)",
+        "  [w1] b: start (2 running, 0 queued)",
+        "  [w0@n1] a: REQUEUED (worker died; retrying)",
+        "    [1/2] [w1] b: status=ok 2.0s real ETA ~1s",
+        "  [w1] a: start (1 running, 0 queued)",
+        "    [2/2] [w1] a: status=crashed 1.0s real",
+    ]

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import shlex
 import signal
 import struct
 import sys
@@ -22,6 +23,7 @@ from repro.analysis.experiments import (
 from repro.exec import (
     LOCAL_NODE,
     OUTCOME_OK,
+    PROTOCOL_VERSION,
     JsonlTelemetry,
     NodeSpec,
     RunSpec,
@@ -197,7 +199,7 @@ def test_worker_client_contract(acquire):
     worker = acquire()
     victim = acquire()
     try:
-        assert worker.hello["protocol"] == 1
+        assert worker.hello["protocol"] == PROTOCOL_VERSION
         assert worker.speed > 0.0
         for algorithm in ("ondemand", "static"):
             worker.send(_spec(algorithm=algorithm))
@@ -205,7 +207,7 @@ def test_worker_client_contract(acquire):
             assert status == OUTCOME_OK
             assert isinstance(payload, RunSummary)
             assert payload.key.algorithm == algorithm
-            assert host is None  # collect_host was off
+            assert isinstance(host, dict) and host["wall_s"] > 0.0
         worker.shutdown()
         assert worker.reap(10.0) == 0
         assert not worker.alive
@@ -254,6 +256,45 @@ def test_handshake_deadline_covers_the_whole_hello(tmp_path,
         os.kill(int(pidfile.read_text()), 0)
 
 
+#: A "worker" of an older repro: it announces protocol 1, then waits.
+OLD_WORKER = """\
+import json, struct, sys
+hello = json.dumps({"type": "hello", "protocol": 1}).encode()
+sys.stdout.buffer.write(struct.pack(">I", len(hello)) + hello)
+sys.stdout.flush()
+sys.stdin.buffer.read()
+"""
+
+
+def test_protocol_mismatch_is_refused_and_the_sweep_degrades(tmp_path,
+                                                            capsys):
+    """The handshake refuses a protocol-1 worker; a sweep loses that
+    node at startup and finishes on the local fallback, merging to the
+    serial bytes."""
+    script = tmp_path / "old_worker.py"
+    script.write_text(OLD_WORKER)
+    template = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    with pytest.raises(TransportError, match="protocol 1 != 2"):
+        command_worker("old", template)
+    specs = grid_specs(["astro"], ["sparse"], ["ondemand", "static"],
+                       [4], scale=0.02)
+    serial = SweepExecutor(jobs=1).run(specs)
+    clear_cache(disk=True)
+    with JsonlTelemetry(tmp_path / "events.jsonl") as sink:
+        fallback = SweepExecutor(nodes=parse_nodes("old:1"),
+                                 remote_template=template,
+                                 telemetry=sink).run(specs)
+    events = load_events(sink.path)
+    assert validate_events(events) == []
+    lost, = (e for e in events if e["event"] == "node_lost")
+    assert (lost["node"], lost["phase"]) == ("old", "startup")
+    assert "protocol 1 != 2" in lost["reason"]
+    assert {e["node"] for e in events if e["event"] == "retire"} \
+        == {LOCAL_NODE}
+    assert _summary_doc(fallback) == _summary_doc(serial)
+    assert "no nodes reachable" in capsys.readouterr().err
+
+
 @pytest.fixture
 def start_log(monkeypatch):
     """Call order of the acquisition steps (``calib`` / ``popen`` /
@@ -273,9 +314,9 @@ def start_log(monkeypatch):
         log.append("calib")
         return probe(*args, **kw)
 
-    def logged_handshake(worker, collect_host):
+    def logged_handshake(worker):
         log.append(f"hello {worker.node}")
-        return shake(worker, collect_host)
+        return shake(worker)
 
     monkeypatch.setattr(transport.subprocess, "Popen", LoggedPopen)
     monkeypatch.setattr(transport, "calibration_probe", logged_probe)
@@ -361,7 +402,7 @@ def test_launched_but_never_handshaken_probes_are_reaped(start_log,
 
     log, procs = start_log
 
-    def interrupted(worker, collect_host):
+    def interrupted(worker):
         assert all(proc.poll() is None for proc in procs)  # both run
         raise KeyboardInterrupt
 
@@ -388,7 +429,7 @@ def test_source_close_reaps_an_unacquired_probe():
     worker, = source.acquire()
     try:
         source.close()
-        assert worker.alive and worker.hello["protocol"] == 1
+        assert worker.alive and worker.hello["protocol"] == PROTOCOL_VERSION
     finally:
         worker.discard(terminate=False)
 
@@ -528,8 +569,9 @@ def test_cli_sweep_nodes_loopback(tmp_path, capsys):
     assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     report = (tmp_path / "telem" / "utilization.txt").read_text()
-    assert "per-node" in report
-    assert "n1" in report and "n2" in report
+    per_node = next(ln for ln in report.splitlines()
+                    if ln.startswith("per node: "))
+    assert "n1 " in per_node and "n2 " in per_node
 
 
 def test_cli_sweep_rejects_bad_nodes(capsys):
