@@ -168,14 +168,13 @@ def _lines_at(seeds, bids):
 def bench_advance(field, dec, pool, rng, inner, repeats) -> dict:
     out = {}
     cfg = IntegratorConfig(max_steps=64, h_max=0.02)
-    integ = Dopri5(cfg.rtol, cfg.atol)
     for k in BATCH_SIZES:
         seeds = rng.uniform(-0.6, 0.6, size=(k, 3))
         bids = dec.locate_many(seeds)
 
         def run():
             return advance_pool(_lines_at(seeds, bids), pool, field.domain,
-                                dec, integ, cfg, round_limit=32)
+                                dec, cfg, round_limit=32)
 
         out[f"k{k}"] = _bench(run, max(1, inner // 8), repeats)
     return out
@@ -184,7 +183,6 @@ def bench_advance(field, dec, pool, rng, inner, repeats) -> dict:
 def bench_trace(field, dec, rng, inner, repeats) -> dict:
     blocks = sample_field(field, dec)
     cfg = IntegratorConfig(max_steps=64, h_max=0.02)
-    integ = Dopri5(cfg.rtol, cfg.atol)
     seeds = rng.uniform(-0.6, 0.6, size=(TRACE_CURVES, 3))
     bids = [int(b) for b in dec.locate_many(seeds)]
 
@@ -192,15 +190,14 @@ def bench_trace(field, dec, rng, inner, repeats) -> dict:
         pool = BlockPool([blocks[b] for b in sorted(set(bids))],
                          loader=blocks.__getitem__)
         return advance_pool(_lines_at(seeds, bids), pool, field.domain, dec,
-                            integ, cfg)
+                            cfg)
 
     def per_call():
         active = _lines_at(seeds, bids)
         while active:
             line = active.pop()
             res = advance_pool([line], BlockPool([blocks[line.block_id]]),
-                               field.domain, dec, integ, cfg,
-                               round_limit=32)
+                               field.domain, dec, cfg, round_limit=32)
             active.extend(res.in_pool + res.exited)
 
     inner = max(1, inner // 50)

@@ -40,10 +40,9 @@ class ProblemSpec:
     cells_per_block:
         *Actual* sampled resolution per block (scaled down for speed; the
         modelled full-scale size lives in ``cost_model``).
-    integrator:
-        Integrator name: "dopri5" (paper), "rk4", or "euler".
     integ:
-        Tolerances / step bounds / per-curve step budget.
+        Tolerances / step bounds / per-curve step budget of the DOPRI5
+        integration (the paper's scheme; there is no other).
     cost_model:
         Full-scale byte pricing for I/O, memory, and messages.
     name:
@@ -54,7 +53,6 @@ class ProblemSpec:
     seeds: np.ndarray
     blocks_per_axis: Tuple[int, int, int] = (8, 8, 8)
     cells_per_block: Tuple[int, int, int] = (16, 16, 16)
-    integrator: str = "dopri5"
     integ: IntegratorConfig = field(default_factory=IntegratorConfig)
     cost_model: DataCostModel = field(default_factory=DataCostModel)
     name: str = ""
@@ -68,8 +66,6 @@ class ProblemSpec:
         seeds = seeds.copy()
         seeds.setflags(write=False)
         object.__setattr__(self, "seeds", seeds)
-        if self.integrator not in ("dopri5", "rk4", "euler"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
     @property
     def n_seeds(self) -> int:
@@ -102,5 +98,5 @@ class ProblemSpec:
         cx, cy, cz = self.cells_per_block
         return (f"{self.name or self.field.name}: {self.n_seeds} seeds, "
                 f"{bx * by * bz} blocks ({bx}x{by}x{bz}) of "
-                f"{cx}x{cy}x{cz} cells, integrator={self.integrator}, "
+                f"{cx}x{cy}x{cz} cells, "
                 f"max_steps={self.integ.max_steps}")

@@ -12,7 +12,6 @@ All fields are vectorized: ``evaluate(points)`` maps ``(k, 3) -> (k, 3)``.
 
 from repro.fields.base import (
     AnalyticField,
-    SampledField,
     TimeVaryingField,
     VectorField,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "LorenzField",
     "RigidRotationField",
     "SaddleField",
-    "SampledField",
     "SinkField",
     "SourceField",
     "SupernovaField",

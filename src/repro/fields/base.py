@@ -2,9 +2,9 @@
 
 A :class:`VectorField` maps positions to velocities over a bounded domain.
 Analytic fields (the dataset stand-ins) derive from :class:`AnalyticField`;
-:class:`SampledField` wraps a node array + bounds (what a loaded block
-effectively is) so tests can compare analytic truth against the
-sample-then-interpolate pipeline the algorithms actually use.
+the sample-then-interpolate pipeline the algorithms actually use is
+:func:`~repro.fields.sampling.sample_block` plus
+:meth:`~repro.mesh.block.Block.velocity`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from repro.mesh.bounds import Bounds
-from repro.mesh.interpolate import trilinear
 
 
 class VectorField(abc.ABC):
@@ -55,36 +54,6 @@ class AnalyticField(VectorField):
     @property
     def domain(self) -> Bounds:
         return self._domain
-
-
-class SampledField(VectorField):
-    """A field defined by a node array over a box (trilinear interpolation).
-
-    This is the data model of a loaded block; wrapping it as a field lets
-    tests run the same integrators on analytic truth and on sampled data
-    and compare the resulting curves.
-    """
-
-    name = "sampled"
-
-    def __init__(self, data: np.ndarray, bounds: Bounds) -> None:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 4 or data.shape[3] != 3:
-            raise ValueError(f"data must be (nx, ny, nz, 3), "
-                             f"got {data.shape}")
-        if min(data.shape[:3]) < 2:
-            raise ValueError("need at least 2 nodes per axis")
-        self.data = data
-        self._bounds = bounds
-
-    @property
-    def domain(self) -> Bounds:
-        return self._bounds
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        unit = self._bounds.normalized(pts)
-        return trilinear(self.data, unit)
 
 
 class TimeVaryingField(abc.ABC):

@@ -16,39 +16,23 @@ from repro.mesh.block import Block
 from repro.mesh.decomposition import BlockInfo, Decomposition
 
 
-def sample_block(field: VectorField, info: BlockInfo,
-                 ghost_layers: int = 0) -> Block:
-    """Sample ``field`` at the node coordinates of one block.
-
-    With ``ghost_layers > 0`` the sampled box is grown by that many node
-    spacings on every face (samples outside the field domain clamp to the
-    domain edge values via the field's own out-of-domain behaviour).
-    """
-    if ghost_layers < 0:
-        raise ValueError(f"negative ghost_layers: {ghost_layers}")
+def sample_block(field: VectorField, info: BlockInfo) -> Block:
+    """Sample ``field`` at the node coordinates of one block."""
     xs, ys, zs = info.node_coordinates()
-    if ghost_layers:
-        def grow(c: np.ndarray) -> np.ndarray:
-            h = c[1] - c[0]
-            pre = c[0] - h * np.arange(ghost_layers, 0, -1)
-            post = c[-1] + h * np.arange(1, ghost_layers + 1)
-            return np.concatenate([pre, c, post])
-        xs, ys, zs = grow(xs), grow(ys), grow(zs)
     gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     values = field.evaluate(pts)
     data = values.reshape(len(xs), len(ys), len(zs), 3)
-    return Block(info=info, data=np.ascontiguousarray(data),
-                 ghost_layers=ghost_layers)
+    return Block(info=info, data=np.ascontiguousarray(data))
 
 
-def sample_field(field: VectorField, decomposition: Decomposition,
-                 ghost_layers: int = 0) -> dict[int, Block]:
+def sample_field(field: VectorField,
+                 decomposition: Decomposition) -> dict[int, Block]:
     """Sample every block of a decomposition (small problems / tests only).
 
     Production code paths go through :class:`repro.storage.store.BlockStore`
     so that loads are priced; this helper exists for validation against
     fully-resident data.
     """
-    return {info.block_id: sample_block(field, info, ghost_layers)
+    return {info.block_id: sample_block(field, info)
             for info in decomposition}

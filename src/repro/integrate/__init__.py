@@ -11,8 +11,7 @@ Public surface
 ``Streamline``        one integral curve: state, status, geometry
 ``Status``            termination reasons
 ``IntegratorConfig``  tolerances, step bounds, termination thresholds
-``Dopri5``            adaptive Dormand-Prince RK5(4)
-``RK4``, ``Euler``    fixed-step baselines
+``Dopri5``            adaptive Dormand-Prince RK5(4), the paper's scheme
 ``BlockPool``         loaded blocks stacked for one-gather sampling
 ``advance_pool``      the advection kernel: lockstep rounds over a pool
 ``PoolResult``        outcome of one ``advance_pool`` call
@@ -22,17 +21,14 @@ Public surface
 from repro.integrate.streamline import Status, Streamline
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
-from repro.integrate.fixed import Euler, RK4
 from repro.integrate.pooled import BlockPool, PoolResult, advance_pool
 from repro.integrate.single import integrate_single
 
 __all__ = [
     "BlockPool",
     "Dopri5",
-    "Euler",
     "IntegratorConfig",
     "PoolResult",
-    "RK4",
     "Status",
     "Streamline",
     "advance_pool",

@@ -27,7 +27,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from repro.integrate.fixed import make_integrator
 from repro.integrate.pooled import (BlockPool, PoolResult, TrialTape,
                                      advance_pool)
 from repro.integrate.streamline import Status, Streamline
@@ -61,9 +60,6 @@ class TrajectoryBank:
     def __init__(self, problem, store) -> None:
         self.problem = problem
         self.store = store
-        self.integrator = make_integrator(
-            problem.integrator, rtol=problem.integ.rtol,
-            atol=problem.integ.atol)
         self._pool: Optional[BlockPool] = None
         #: Problem-scoped: sid -> the seed's tape, never replayed itself;
         #: ``None`` until the first demand traces the seeds.
@@ -92,7 +88,7 @@ class TrajectoryBank:
         # Room for one rejected trial in 16 before the columns grow.
         log = TrialTape(len(lines), p.integ.max_steps * 17 // 16 + 2)
         advance_pool(lines, self._pool, p.field.domain, p.decomposition,
-                     self.integrator, p.integ, tape=log)
+                     p.integ, tape=log)
         acc, blk, n = log.steps, log.blk, log.n
         acc -= np.array([state[2] for state in states],
                         dtype=acc.dtype)[:, None]

@@ -33,7 +33,7 @@ bottleneck).  Three mechanisms keep it down:
   and across compaction rounds).  ``bind(slots)`` re-points the
   per-particle block assignment without rebuilding closures or copying
   pool geometry;
-* the round loop calls :meth:`Integrator.attempt_steps_prepared` —
+* the round loop calls :meth:`Dopri5.attempt_steps_prepared` —
   validation runs once per advance call, not once per round.
 
 All fused chains evaluate the exact expression trees of the original
@@ -49,13 +49,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.integrate import dopri5 as _d5
-from repro.integrate.base import Integrator, fast_einsum
 from repro.integrate.config import IntegratorConfig
+from repro.integrate.dopri5 import (Dopri5, adapt_h, fast_einsum,
+                                    validate_batch)
 from repro.integrate.streamline import Status, Streamline
-from repro.mesh.block import Block
+from repro.mesh.block import Block, corner_offsets
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
-from repro.mesh.interpolate import corner_offsets
 
 _CODE_ACTIVE = 0
 _CODE_EXITED = 1
@@ -99,7 +99,7 @@ class PoolSampler:
 
     Every array view the kernel touches (workspace slices, the broadcast
     shapes feeding the weight products, the reshaped weight tensor) is
-    built once per batch size and memoized: an integrator calls the bound
+    built once per batch size and memoized: DOPRI5 calls the bound
     sampler 7 times per round with the same ``k``, and compaction revisits
     the same sizes across rounds, so ``__call__`` itself performs only
     ufunc/gather calls — no view construction, no allocation.
@@ -108,11 +108,11 @@ class PoolSampler:
     per-call NumPy implementation (same clipping, truncation, and
     multiply/accumulate orders); only allocation and call count differ.
 
-    Integrators detect :attr:`writes_out` and pass ``out=`` stage buffers,
-    making a full Runge-Kutta step allocation-free.
+    :class:`Dopri5` detects :attr:`writes_out` and passes ``out=`` stage
+    buffers, making a full Runge-Kutta step allocation-free.
     """
 
-    #: Protocol flag for :meth:`Integrator.eval_velocity`.
+    #: Accepts ``out=`` (the protocol :class:`Dopri5` checks).
     writes_out = True
 
     def __init__(self, pool: "BlockPool") -> None:
@@ -169,7 +169,7 @@ class PoolSampler:
 
         Gathers each particle's block parameters into reused buffers;
         returns ``self`` so ``sampler.bind(slots)`` can be passed straight
-        to an integrator.
+        to :meth:`Dopri5.attempt_steps_prepared`.
         """
         k = len(slots)
         self._reserve(k)
@@ -546,7 +546,7 @@ def _d5_step_scalar(sctx: tuple, pctx: tuple, x: float, y: float, z: float,
 
 
 def _scalar_rounds(pool: "BlockPool",
-                   decomposition: Decomposition, integrator: Integrator,
+                   decomposition: Decomposition,
                    cfg: IntegratorConfig, alive: np.ndarray,
                    pos: np.ndarray, h: np.ndarray, time: np.ndarray,
                    steps: np.ndarray, slot: np.ndarray, codes: np.ndarray,
@@ -572,9 +572,9 @@ def _scalar_rounds(pool: "BlockPool",
             + (nx - 2, ny - 2, nz - 2, ny * nz, nz))
     dlo0, dlo1, dlo2 = float(dlo[0]), float(dlo[1]), float(dlo[2])
     dhi0, dhi1, dhi2 = float(dhi[0]), float(dhi[1]), float(dhi[2])
-    rtol = integrator.rtol
-    atol = integrator.atol
-    exp_ = -1.0 / integrator.order
+    rtol = float(cfg.rtol)
+    atol = float(cfg.atol)
+    exp_ = -1.0 / _d5.ORDER
     safety = cfg.safety
     shrink = cfg.shrink_limit
     grow = cfg.grow_limit
@@ -783,14 +783,14 @@ class PoolResult:
 
 def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
                  domain: Bounds, decomposition: Decomposition,
-                 integrator: Integrator, cfg: IntegratorConfig,
-                 max_rounds: Optional[int] = None,
+                 cfg: IntegratorConfig,
                  round_limit: Optional[int] = None,
                  tape: Optional[TrialTape] = None) -> PoolResult:
     """Advance streamlines until each terminates or leaves the pool.
 
     Every streamline's ``block_id`` must name a block in the pool and its
-    position must lie inside that block.
+    position must lie inside that block.  Steps are DOPRI5 trials at
+    ``cfg``'s tolerances, controlled by ``cfg``'s step bounds.
 
     ``round_limit`` caps the number of lockstep rounds in this call;
     leftover active particles come back in ``result.in_pool`` so callers
@@ -843,29 +843,26 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
 
     dlo = domain.lo_array
     dhi = domain.hi_array
-    if max_rounds is None:
-        max_rounds = 4 * cfg.max_steps + 64
+    # A converging controller needs far fewer rounds; this only stops a
+    # pathological one from looping forever.
+    max_rounds = 4 * cfg.max_steps + 64
     h_min_edge = cfg.h_min * (1.0 + 1e-12)
 
-    # The batch arrays above already satisfy the integrator's contract;
+    # The batch arrays above already satisfy Dopri5's contract;
     # validation is hoisted here so the round loop can use the prepared
     # fast path.
-    pos, h = Integrator.validate_batch(pos, h)
+    pos, h = validate_batch(pos, h)
+    integrator = Dopri5(cfg.rtol, cfg.atol)
     sampler = pool.sampler()
-
-    # The scalar fast path handles small surviving batches of the exact
-    # DOPRI5 + trilinear kernel; any other integrator runs the array path
-    # at every size.
-    scalar_ok = type(integrator) is _d5.Dopri5
 
     alive = np.arange(k, dtype=np.int64)
     rounds = 0
     while len(alive):
         if round_limit is not None and rounds >= round_limit:
             break
-        if scalar_ok and len(alive) <= _SCALAR_MAX_K:
+        if len(alive) <= _SCALAR_MAX_K:
             rounds, alive = _scalar_rounds(
-                pool, decomposition, integrator, cfg, alive, pos, h, time,
+                pool, decomposition, cfg, alive, pos, h, time,
                 steps, slot, codes, exit_bid, verts, nv, dlo, dhi,
                 h_min_edge, rounds, round_limit, max_rounds, result, tape)
             continue
@@ -881,10 +878,7 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
 
         new_p, err = integrator.attempt_steps_prepared(f, p, hh)
         result.attempted_steps += len(alive)
-        if integrator.adaptive:
-            accept = err <= 1.0
-        else:
-            accept = np.ones(len(alive), dtype=bool)
+        accept = err <= 1.0
 
         delta = new_p - p
         disp2 = fast_einsum("kc,kc->k", delta, delta)
@@ -901,7 +895,7 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
             verts[acc_idx, nv[acc_idx]] = accepted_pos
             nv[acc_idx] += 1
 
-        h[alive] = Integrator.adapt_h(hh, err, integrator.order, cfg)
+        h[alive] = adapt_h(hh, err, cfg)
 
         # Classification.  Particles that stepped out of their block but
         # into another *pool* block switch slots and keep going.

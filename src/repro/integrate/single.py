@@ -16,9 +16,7 @@ import numpy as np
 
 from repro.fields.base import VectorField
 from repro.fields.sampling import sample_block
-from repro.integrate.base import Integrator
 from repro.integrate.config import IntegratorConfig
-from repro.integrate.dopri5 import Dopri5
 from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import Status, Streamline, make_streamlines
 from repro.mesh.block import Block
@@ -28,7 +26,6 @@ from repro.mesh.decomposition import Decomposition
 def integrate_single(field: VectorField, decomposition: Decomposition,
                      seeds: np.ndarray,
                      cfg: Optional[IntegratorConfig] = None,
-                     integrator: Optional[Integrator] = None,
                      blocks: Optional[Dict[int, Block]] = None
                      ) -> List[Streamline]:
     """Integrate streamlines serially over a block-decomposed field.
@@ -40,7 +37,6 @@ def integrate_single(field: VectorField, decomposition: Decomposition,
     Returns the finished streamlines in seed order.
     """
     cfg = cfg or IntegratorConfig()
-    integrator = integrator or Dopri5(rtol=cfg.rtol, atol=cfg.atol)
     cache: Dict[int, Block] = blocks if blocks is not None else {}
 
     def load(block_id: int) -> Block:
@@ -59,6 +55,5 @@ def integrate_single(field: VectorField, decomposition: Decomposition,
     if active:
         pool = BlockPool([load(active[0].block_id)], loader=load,
                          n_blocks=decomposition.n_blocks)
-        advance_pool(active, pool, decomposition.domain, decomposition,
-                     integrator, cfg)
+        advance_pool(active, pool, decomposition.domain, decomposition, cfg)
     return lines

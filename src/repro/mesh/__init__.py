@@ -7,9 +7,9 @@ package provides:
 ``Bounds``            axis-aligned box arithmetic
 ``Decomposition``     regular splitting of a domain into blocks
 ``BlockInfo``         static metadata of one block (id, bounds, extents)
-``Block``             a loaded block: metadata + node-centred vector data
+``Block``             a loaded block: node-centred vector data and its
+                      trilinear velocity sampler
 ``BlockLocator``      O(1) point -> block-id lookup
-``trilinear``         vectorized trilinear interpolation inside a block
 ``neighbors``         block adjacency topology (face/edge/corner)
 """
 
@@ -17,7 +17,6 @@ from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import BlockInfo, Decomposition
 from repro.mesh.block import Block
 from repro.mesh.locator import BlockLocator
-from repro.mesh.interpolate import trilinear
 from repro.mesh.topology import block_adjacency, face_neighbors
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "Decomposition",
     "block_adjacency",
     "face_neighbors",
-    "trilinear",
 ]

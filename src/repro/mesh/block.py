@@ -3,21 +3,26 @@
 Blocks are produced by the :class:`~repro.storage.store.BlockStore` (which
 models reading them from the parallel filesystem) and held in per-rank LRU
 caches.  Data is a ``(nx, ny, nz, 3)`` float64 array of node-centred vectors;
-neighbouring blocks share their boundary nodes so interpolation is continuous
-across faces without ghost layers (ghost support exists for algorithms that
-want one-cell overlap).
+neighbouring blocks share their boundary nodes, so interpolation is
+continuous across faces without ghost layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import BlockInfo
-from repro.mesh.interpolate import corner_offsets, trilinear, trilinear_nodes
+
+
+def corner_offsets(ny: int, nz: int) -> np.ndarray:
+    """Flat-index offsets of a cell's 8 corners in C-ordered (nx,ny,nz)."""
+    return np.array([
+        0, 1, nz, nz + 1,
+        ny * nz, ny * nz + 1, ny * nz + nz, ny * nz + nz + 1,
+    ], dtype=np.int64)
 
 
 @dataclass
@@ -26,31 +31,28 @@ class Block:
 
     info: BlockInfo
     data: np.ndarray  # (nx, ny, nz, 3) node-centred vectors
-    ghost_layers: int = 0
 
     def __post_init__(self) -> None:
-        expected = self.info.node_dims
-        g = self.ghost_layers
-        want = tuple(n + 2 * g for n in expected) + (3,)
+        want = tuple(self.info.node_dims) + (3,)
         if self.data.shape != want:
             raise ValueError(
                 f"block {self.info.block_id}: data shape {self.data.shape} "
-                f"!= expected {want} (node_dims={expected}, ghost={g})")
+                f"!= expected {want}")
         if self.data.dtype != np.float64:
             raise ValueError(f"block data must be float64, "
                              f"got {self.data.dtype}")
         # Precompute the affine map point -> continuous node coordinates
-        # and a flat view of the data: the velocity sampler runs inside
-        # every Runge-Kutta stage, so it must be lean.
-        sb = self.sample_bounds
+        # and a flat view of the data, shared with the pooled kernel's
+        # sampler (BlockPool stacks these).
+        bounds = self.info.bounds
         dims = self.data.shape[:3]
-        size = sb.hi_array - sb.lo_array
-        self._lo = sb.lo_array
+        size = bounds.hi_array - bounds.lo_array
+        self._lo = bounds.lo_array
         self._node_scale = (np.asarray(dims, dtype=np.float64) - 1.0) / size
         self._node_max = np.asarray(dims, dtype=np.float64) - 1.0
+        self._cell_max = np.asarray(dims, dtype=np.int64) - 2
         self._flat = np.ascontiguousarray(self.data).reshape(-1, 3)
-        self._dims = (int(dims[0]), int(dims[1]), int(dims[2]))
-        self._offsets = corner_offsets(self._dims[1], self._dims[2])
+        self._offsets = corner_offsets(int(dims[1]), int(dims[2]))
 
     @property
     def block_id(self) -> int:
@@ -61,18 +63,6 @@ class Block:
         return self.info.bounds
 
     @property
-    def sample_bounds(self) -> Bounds:
-        """Bounds of the stored samples, including ghost layers."""
-        if self.ghost_layers == 0:
-            return self.info.bounds
-        spacing = self.info.bounds.size / (
-            np.asarray(self.info.node_dims, dtype=float) - 1.0)
-        margin = spacing * self.ghost_layers
-        lo = self.info.bounds.lo_array - margin
-        hi = self.info.bounds.hi_array + margin
-        return Bounds.from_arrays(lo, hi)
-
-    @property
     def nbytes_actual(self) -> int:
         """Real in-process memory of the data array."""
         return int(self.data.nbytes)
@@ -80,9 +70,11 @@ class Block:
     def velocity(self, points: np.ndarray) -> np.ndarray:
         """Trilinear sample of the vector field at ``points``.
 
-        ``points`` has shape ``(k, 3)`` (or ``(3,)``); points epsilon
-        outside :attr:`sample_bounds` clamp to the boundary values.
-        Returns ``(k, 3)`` (or ``(3,)``).
+        ``points`` has shape ``(k, 3)`` (or ``(3,)``); points outside
+        :attr:`bounds` clamp to the boundary values.  Returns ``(k, 3)``
+        (or ``(3,)``), bit for bit what the pooled kernel's
+        :class:`~repro.integrate.pooled.PoolSampler` computes for this
+        block.
         """
         pts = np.asarray(points, dtype=np.float64)
         single = pts.ndim == 1
@@ -91,10 +83,28 @@ class Block:
         f = (pts - self._lo) * self._node_scale
         np.minimum(f, self._node_max, out=f)
         np.maximum(f, 0.0, out=f)
-        out = trilinear_nodes(self._flat, self._dims, self._offsets,
-                              f[:, 0], f[:, 1], f[:, 2])
+        # Cell index by truncation (f >= 0), clamped to the last cell.
+        cell = np.minimum(f.astype(np.int64), self._cell_max)
+        t = f - cell
+        s = 1.0 - t
+        sx, sy, sz = s.T
+        tx, ty, tz = t.T
+        sxsy = sx * sy
+        sxty = sx * ty
+        txsy = tx * sy
+        txty = tx * ty
+        # Weights in corner_offsets order (z fastest, then y, then x),
+        # grouped ((x*y) * z).
+        w = np.stack([sxsy * sz, sxsy * tz, sxty * sz, sxty * tz,
+                      txsy * sz, txsy * tz, txty * sz, txty * tz], axis=1)
+        _, ny, nz = self.data.shape[:3]
+        base = (cell[:, 0] * ny + cell[:, 1]) * nz + cell[:, 2]
+        corners = self._flat[base[:, None] + self._offsets]  # (k, 8, 3)
+        # einsum accumulates the 8 corners sequentially, like
+        # (corners * w[:, :, None]).sum(axis=1), without the temporary.
+        out = np.einsum("ke,kec->kc", w, corners)
         return out[0] if single else out
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Mask of points inside this block's (non-ghost) bounds."""
+        """Mask of points inside this block's bounds."""
         return self.info.bounds.contains(points)

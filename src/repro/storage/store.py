@@ -26,6 +26,8 @@ from repro.mesh.decomposition import Decomposition
 
 #: Magic bytes of the simple block file format.
 _MAGIC = b"RPB1"
+#: Magic plus five uint32 header fields.
+_HEADER = len(_MAGIC) + 5 * 4
 
 
 class BlockStore:
@@ -37,11 +39,10 @@ class BlockStore:
     memory, not real RAM.
     """
 
-    def __init__(self, field: VectorField, decomposition: Decomposition,
-                 ghost_layers: int = 0) -> None:
+    def __init__(self, field: VectorField,
+                 decomposition: Decomposition) -> None:
         self.field = field
         self.decomposition = decomposition
-        self.ghost_layers = ghost_layers
         self._memo: Dict[int, Block] = {}
         self.generation_count = 0
 
@@ -54,7 +55,7 @@ class BlockStore:
         block = self._memo.get(block_id)
         if block is None:
             info = self.decomposition.info(block_id)
-            block = sample_block(self.field, info, self.ghost_layers)
+            block = sample_block(self.field, info)
             block.data.setflags(write=False)
             self._memo[block_id] = block
             self.generation_count += 1
@@ -84,30 +85,25 @@ class DiskBlockStore:
         return self.directory / f"block_{block_id:05d}.rpb"
 
     def load(self, block_id: int) -> Block:
-        info = self.decomposition.info(block_id)
-        data, ghost = read_block_file(self.path_for(block_id))
-        return Block(info=info, data=data, ghost_layers=ghost)
+        return Block(info=self.decomposition.info(block_id),
+                     data=read_block_file(self.path_for(block_id)))
 
     @staticmethod
     def write(store: BlockStore, directory: Path) -> "DiskBlockStore":
         """Materialize every block of ``store`` into ``directory``."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        disk = None
         for info in store.decomposition:
-            block = store.load(info.block_id)
             path = directory / f"block_{info.block_id:05d}.rpb"
-            write_block_file(path, block.data, block.ghost_layers)
-        disk = DiskBlockStore(directory, store.decomposition)
-        return disk
+            write_block_file(path, store.load(info.block_id).data)
+        return DiskBlockStore(directory, store.decomposition)
 
 
-def write_block_file(path: Path, data: np.ndarray,
-                     ghost_layers: int = 0) -> None:
+def write_block_file(path: Path, data: np.ndarray) -> None:
     """Write one block's node array in the simple RPB1 format.
 
-    Layout: magic, ghost layer count, 4 dims (uint32 little-endian), then
-    the float64 array in C order.
+    Layout: magic, a ghost-layer count (always 0), 4 dims (uint32
+    little-endian), then the float64 array in C order.
     """
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.ndim != 4 or arr.shape[3] != 3:
@@ -115,26 +111,37 @@ def write_block_file(path: Path, data: np.ndarray,
                          f"got {arr.shape}")
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<5I", ghost_layers, *arr.shape))
+        f.write(struct.pack("<5I", 0, *arr.shape))
         f.write(arr.tobytes())
 
 
-def read_block_file(path: Path) -> tuple[np.ndarray, int]:
-    """Read a block file written by :func:`write_block_file`.
+def read_block_file(path: Path) -> np.ndarray:
+    """Read the node array of a block file written by
+    :func:`write_block_file`.
 
-    Returns ``(data, ghost_layers)``.
+    Raises ``ValueError`` naming ``path`` for anything but exactly one
+    well-formed RPB1 block: a bad magic, a cut header, a non-zero ghost
+    count, a component count other than 3, or a size that disagrees with
+    the header (truncated data or trailing bytes).
     """
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        ghost, nx, ny, nz, nc = struct.unpack("<5I", f.read(20))
-        if nc != 3:
-            raise ValueError(f"{path}: expected 3 components, got {nc}")
-        expected = nx * ny * nz * nc * 8
-        raw = f.read(expected)
-        if len(raw) != expected:
-            raise ValueError(f"{path}: truncated block file "
-                             f"({len(raw)} of {expected} bytes)")
-        data = np.frombuffer(raw, dtype=np.float64).reshape(nx, ny, nz, nc)
-    return data.copy(), ghost
+    raw = Path(path).read_bytes()
+    if raw[:len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: bad magic {raw[:len(_MAGIC)]!r}")
+    if len(raw) < _HEADER:
+        raise ValueError(f"{path}: truncated header "
+                         f"({len(raw)} of {_HEADER} bytes)")
+    ghost, nx, ny, nz, nc = struct.unpack_from("<5I", raw, len(_MAGIC))
+    if ghost:
+        raise ValueError(f"{path}: {ghost} ghost layers; "
+                         "only ghost-free blocks are supported")
+    if nc != 3:
+        raise ValueError(f"{path}: expected 3 components, got {nc}")
+    expected = _HEADER + nx * ny * nz * nc * 8
+    if len(raw) < expected:
+        raise ValueError(f"{path}: truncated block file "
+                         f"({len(raw)} of {expected} bytes)")
+    if len(raw) > expected:
+        raise ValueError(f"{path}: {len(raw) - expected} trailing bytes "
+                         "after the block data")
+    data = np.frombuffer(raw, dtype=np.float64, offset=_HEADER)
+    return data.reshape(nx, ny, nz, nc).copy()

@@ -23,8 +23,6 @@ if __package__ in (None, ""):  # running as a script
 from repro.fields import SupernovaField, sample_field
 from repro.fields.library import RigidRotationField
 from repro.integrate.config import IntegratorConfig
-from repro.integrate.dopri5 import Dopri5
-from repro.integrate.fixed import make_integrator
 from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import make_streamlines
 from repro.mesh.bounds import Bounds
@@ -33,7 +31,7 @@ from repro.mesh.decomposition import Decomposition
 OUT = Path(__file__).parent / "golden_pool_trajectories.npz"
 
 
-def record(name, field, counts, dims, integ, cfg, seeds, store):
+def record(name, field, counts, dims, cfg, seeds, store):
     dec = Decomposition(field.domain, counts, dims)
     pool = BlockPool(list(sample_field(field, dec).values()))
     lines = make_streamlines(seeds)
@@ -43,7 +41,7 @@ def record(name, field, counts, dims, integ, cfg, seeds, store):
     for _ in range(400):
         if not active:
             break
-        res = advance_pool(active, pool, field.domain, dec, integ, cfg,
+        res = advance_pool(active, pool, field.domain, dec, cfg,
                            round_limit=24)
         active = res.in_pool + list(res.exited)
     store[f"{name}_seeds"] = seeds
@@ -75,18 +73,14 @@ def main() -> int:
     rot = RigidRotationField(domain=Bounds.cube(-1.0, 1.0))
     astro = SupernovaField()
     rng = np.random.default_rng(2026)
-    record("rot_dopri5", rot, (4, 4, 4), (8, 8, 8), Dopri5(1e-5, 1e-7),
+    record("rot_dopri5", rot, (4, 4, 4), (8, 8, 8),
            IntegratorConfig(max_steps=220, h_max=0.03,
                             rtol=1e-5, atol=1e-7),
            _seeds("rot_dopri5", rng, (17, 3), 0.9), store)
     record("astro_dopri5", astro, (8, 8, 8), (8, 8, 8),
-           Dopri5(1e-5, 1e-7),
            IntegratorConfig(max_steps=300, h_max=0.045,
                             rtol=1e-5, atol=1e-7),
            _seeds("astro_dopri5", rng, (23, 3), 0.85), store)
-    record("rot_rk4", rot, (4, 4, 4), (8, 8, 8), make_integrator("rk4"),
-           IntegratorConfig(max_steps=150, h_max=0.02),
-           _seeds("rot_rk4", rng, (5, 3), 0.9), store)
     np.savez_compressed(OUT, **store)
     print(f"wrote {OUT}")
     return 0

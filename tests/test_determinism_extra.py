@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro.core.config import HybridConfig
 from repro.core.driver import run_streamlines
-from repro.fields import SupernovaField, TokamakField
+from repro.fields import SupernovaField
 from repro.integrate import IntegratorConfig
 from repro.seeding import sparse_random_seeds
 from repro.sim.machine import MachineSpec
@@ -63,23 +63,6 @@ def test_hybrid_config_changes_schedule_not_curves():
     for la, lb in zip(a.streamlines, b.streamlines):
         assert la.status == lb.status
         assert np.allclose(la.vertices(), lb.vertices(), atol=1e-13)
-
-
-def test_rk4_and_euler_backends_run_end_to_end():
-    for name in ("rk4", "euler"):
-        field = TokamakField()
-        seeds = sparse_random_seeds(
-            field.domain.subbox((0.3, 0.3, 0.4), (0.7, 0.7, 0.6)), 8,
-            seed=5)
-        problem = repro.ProblemSpec(
-            field=field, seeds=seeds, blocks_per_axis=(4, 4, 4),
-            cells_per_block=(5, 5, 5), integrator=name,
-            integ=IntegratorConfig(max_steps=60, h_init=0.02,
-                                   h_max=0.02))
-        result = run_streamlines(problem, algorithm="ondemand",
-                                 machine=MachineSpec(n_ranks=4))
-        assert result.ok
-        assert all(l.status.terminated for l in result.streamlines)
 
 
 def test_single_seed_problem():

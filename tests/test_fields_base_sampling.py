@@ -1,32 +1,12 @@
 """Tests of field base classes and block sampling."""
 
 import numpy as np
-import pytest
 
-from repro.fields.base import FrozenTimeField, SampledField
+from repro.fields.base import FrozenTimeField
 from repro.fields.library import RigidRotationField, UniformField
 from repro.fields.sampling import sample_block, sample_field
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
-
-
-def test_sampled_field_matches_source_for_linear_fields():
-    src = RigidRotationField(domain=Bounds.cube(0.0, 1.0))
-    xs = np.linspace(0, 1, 9)
-    gx, gy, gz = np.meshgrid(xs, xs, xs, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    data = src.evaluate(pts).reshape(9, 9, 9, 3)
-    sampled = SampledField(data, src.domain)
-    rng = np.random.default_rng(0)
-    q = rng.uniform(size=(30, 3))
-    assert np.allclose(sampled.evaluate(q), src.evaluate(q), atol=1e-12)
-
-
-def test_sampled_field_validation():
-    with pytest.raises(ValueError):
-        SampledField(np.zeros((4, 4, 4)), Bounds.cube(0, 1))
-    with pytest.raises(ValueError):
-        SampledField(np.zeros((1, 4, 4, 3)), Bounds.cube(0, 1))
 
 
 def test_frozen_time_field_is_time_independent():
@@ -55,13 +35,6 @@ def test_sample_block_nodes_exact():
     for (i, j, k) in ((0, 0, 0), (2, 1, 3), (4, 4, 4)):
         p = np.array([[xs[i], ys[j], zs[k]]])
         assert np.allclose(block.data[i, j, k], field.evaluate(p)[0])
-
-
-def test_sample_block_ghost_validation():
-    field = UniformField(domain=Bounds.cube(0.0, 1.0))
-    dec = Decomposition(field.domain, (2, 2, 2), (4, 4, 4))
-    with pytest.raises(ValueError):
-        sample_block(field, dec.info(0), ghost_layers=-1)
 
 
 def test_sample_field_covers_all_blocks():

@@ -7,7 +7,6 @@ import pytest
 from repro.fields import UniformField, sample_block
 from repro.fields.library import RigidRotationField, SinkField
 from repro.integrate.config import IntegratorConfig
-from repro.integrate.dopri5 import Dopri5
 from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import Status, Streamline, make_streamlines
 from repro.mesh.bounds import Bounds
@@ -21,7 +20,7 @@ def make_setup(field, blocks=(2, 2, 2), cells=(6, 6, 6)):
 def advance(lines, field, dec, bid, cfg):
     """Advance ``lines`` within block ``bid`` alone."""
     pool = BlockPool([sample_block(field, dec.info(bid))])
-    return advance_pool(lines, pool, field.domain, dec, Dopri5(), cfg)
+    return advance_pool(lines, pool, field.domain, dec, cfg)
 
 
 def test_uniform_flow_exits_block():

@@ -41,7 +41,7 @@ def direct_advance(lines, resident, bank, round_limit=None):
     p = bank.problem
     pool = BlockPool([bank.store.load(b) for b in sorted(resident)])
     return advance_pool(lines, pool, p.field.domain, p.decomposition,
-                        bank.integrator, p.integ, round_limit=round_limit)
+                        p.integ, round_limit=round_limit)
 
 
 def line_state(line):
@@ -248,8 +248,7 @@ def test_kernel_segments_are_rows_of_one_buffer(small_problem):
                         block_id=int(p.seed_blocks[i])) for i in range(6)]
     pool = BlockPool([store.load(ln.block_id) for ln in lines],
                      loader=store.load)
-    advance_pool(lines, pool, p.field.domain, p.decomposition,
-                 TrajectoryBank(p, store).integrator, p.integ,
+    advance_pool(lines, pool, p.field.domain, p.decomposition, p.integ,
                  round_limit=20)
     buffer = lines[0].segments[0].base
     assert buffer.shape == (6, 21, 3)
@@ -355,8 +354,7 @@ def test_taping_needs_a_growing_pool(small_problem):
     pool = BlockPool([store.load(line.block_id)])
     with pytest.raises(ValueError, match="growing"):
         advance_pool([line], pool, p.field.domain, p.decomposition,
-                     TrajectoryBank(p, store).integrator, p.integ,
-                     tape=TrialTape(1, 8))
+                     p.integ, tape=TrialTape(1, 8))
 
 
 # --------------------------------------------------------------------- #

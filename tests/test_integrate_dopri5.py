@@ -9,10 +9,8 @@ from repro.fields.library import (
     SourceField,
     UniformField,
 )
-from repro.integrate.base import Integrator
 from repro.integrate.config import IntegratorConfig
-from repro.integrate.dopri5 import Dopri5
-from repro.integrate.fixed import RK4, Euler
+from repro.integrate.dopri5 import Dopri5, adapt_h
 
 
 def step_to_time(integrator, field, y0, t_end, cfg):
@@ -23,10 +21,10 @@ def step_to_time(integrator, field, y0, t_end, cfg):
     while t < t_end - 1e-12:
         h[0] = min(h[0], t_end - t)
         new_pos, err = integrator.attempt_steps(field.evaluate, pos, h)
-        if not integrator.adaptive or err[0] <= 1.0:
+        if err[0] <= 1.0:
             pos = new_pos
             t += h[0]
-        h = Integrator.adapt_h(h, err, integrator.order, cfg)
+        h = adapt_h(h, err, cfg)
     return pos[0]
 
 
@@ -127,7 +125,7 @@ def test_adapt_h_grows_and_shrinks():
     cfg = IntegratorConfig()
     h = np.array([0.01, 0.01])
     err = np.array([1e-6, 100.0])
-    new_h = Integrator.adapt_h(h, err, 5, cfg)
+    new_h = adapt_h(h, err, cfg)
     assert new_h[0] > h[0]  # tiny error -> grow
     assert new_h[1] < h[1]  # big error -> shrink
     assert np.all(new_h <= cfg.h_max)
@@ -149,25 +147,3 @@ def test_invalid_tolerances():
     with pytest.raises(ValueError):
         Dopri5(atol=-1.0)
 
-
-def test_rk4_fourth_order_convergence():
-    f = RigidRotationField()
-    rk4 = RK4()
-
-    def err_at(h):
-        y0 = np.array([[0.5, 0.0, 0.0]])
-        y, _ = rk4.attempt_steps(f.evaluate, y0, np.array([h]))
-        exact = np.array([0.5 * np.cos(h), 0.5 * np.sin(h), 0.0])
-        return np.linalg.norm(y[0] - exact)
-
-    ratio = err_at(0.2) / err_at(0.1)
-    assert 20.0 < ratio < 45.0  # ~2^5 local truncation of RK4
-
-
-def test_euler_first_order():
-    f = SourceField()
-    e = Euler()
-    y, err = e.attempt_steps(f.evaluate, np.array([[1.0, 0.0, 0.0]]),
-                             np.array([0.1]))
-    assert np.allclose(y, [[1.1, 0.0, 0.0]])
-    assert np.all(err == 0.0)

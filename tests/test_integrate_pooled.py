@@ -6,7 +6,6 @@ import pytest
 from repro.fields import UniformField, sample_block, sample_field
 from repro.fields.library import RigidRotationField
 from repro.integrate.config import IntegratorConfig
-from repro.integrate.dopri5 import Dopri5
 from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import Status, Streamline
 from repro.mesh.bounds import Bounds
@@ -49,7 +48,7 @@ def test_line_crosses_blocks_inside_pool(rotation_setup):
     pool = BlockPool(list(blocks.values()))
     line = start_line(dec, [0.5, 0.0, 0.1])
     cfg = IntegratorConfig(max_steps=2000, h_max=0.02)
-    res = advance_pool([line], pool, field.domain, dec, Dopri5(), cfg)
+    res = advance_pool([line], pool, field.domain, dec, cfg)
     assert res.exited == []
     assert line.status is Status.MAX_STEPS
     verts = line.vertices()
@@ -67,14 +66,14 @@ def test_pool_trajectory_identical_to_blockwise(rotation_setup):
     pooled = start_line(dec, seed, sid=0)
     grown = BlockPool([blocks[pooled.block_id]], loader=blocks.__getitem__,
                       n_blocks=dec.n_blocks)
-    advance_pool([pooled], grown, field.domain, dec, Dopri5(), cfg)
+    advance_pool([pooled], grown, field.domain, dec, cfg)
     assert len(grown) > 1
 
     blockwise = start_line(dec, seed, sid=1)
     hops = 0
     while blockwise.status is Status.ACTIVE:
         advance_pool([blockwise], BlockPool([blocks[blockwise.block_id]]),
-                     field.domain, dec, Dopri5(), cfg)
+                     field.domain, dec, cfg)
         hops += 1
     assert hops > 1
 
@@ -92,7 +91,7 @@ def test_exit_reports_destination_block(rotation_setup):
     line = start_line(dec, [0.5, 0.1, 0.1])
     pool = BlockPool([blocks[line.block_id]])
     cfg = IntegratorConfig(max_steps=2000, h_max=0.02)
-    res = advance_pool([line], pool, field.domain, dec, Dopri5(), cfg)
+    res = advance_pool([line], pool, field.domain, dec, cfg)
     assert res.exited == [line]
     assert line.status is Status.ACTIVE
     assert line.block_id >= 0
@@ -104,13 +103,13 @@ def test_round_limit_returns_in_pool(rotation_setup):
     pool = BlockPool(list(blocks.values()))
     line = start_line(dec, [0.5, 0.0, 0.0])
     cfg = IntegratorConfig(max_steps=1000, h_max=0.01)
-    res = advance_pool([line], pool, field.domain, dec, Dopri5(), cfg,
+    res = advance_pool([line], pool, field.domain, dec, cfg,
                        round_limit=10)
     assert res.in_pool == [line]
     assert line.status is Status.ACTIVE
     assert 0 < line.steps <= 10
     # Resuming continues seamlessly.
-    res2 = advance_pool([line], pool, field.domain, dec, Dopri5(), cfg)
+    res2 = advance_pool([line], pool, field.domain, dec, cfg)
     assert res2.in_pool == []
     assert line.status is Status.MAX_STEPS
 
@@ -121,11 +120,11 @@ def test_round_limit_resume_matches_single_call(rotation_setup):
     pool = BlockPool(list(blocks.values()))
 
     a = start_line(dec, [0.3, 0.2, 0.4], sid=0)
-    advance_pool([a], pool, field.domain, dec, Dopri5(), cfg)
+    advance_pool([a], pool, field.domain, dec, cfg)
 
     b = start_line(dec, [0.3, 0.2, 0.4], sid=1)
     for _ in range(100):
-        res = advance_pool([b], pool, field.domain, dec, Dopri5(), cfg,
+        res = advance_pool([b], pool, field.domain, dec, cfg,
                            round_limit=7)
         if not res.in_pool:
             break
@@ -144,7 +143,7 @@ def test_mixed_batch_outcomes():
     a = start_line(dec, [0.05, 0.5, 0.5], sid=0)
     b = start_line(dec, [0.9, 0.5, 0.5], sid=1)
     pool = BlockPool(list(blocks.values()))
-    res = advance_pool([a, b], pool, field.domain, dec, Dopri5(), cfg)
+    res = advance_pool([a, b], pool, field.domain, dec, cfg)
     assert a.status is Status.MAX_STEPS
     assert a.steps == cfg.max_steps
     assert b.status is Status.OUT_OF_BOUNDS
@@ -158,8 +157,7 @@ def test_wrong_block_id_rejected(rotation_setup):
     pool = BlockPool([blocks[0]])
     if line.block_id != 0:
         with pytest.raises(ValueError):
-            advance_pool([line], pool, field.domain, dec, Dopri5(),
-                         IntegratorConfig())
+            advance_pool([line], pool, field.domain, dec, IntegratorConfig())
 
 
 def test_sampler_matches_block_velocity(rotation_setup):

@@ -9,7 +9,6 @@ from repro.fields.library import (
     UniformField,
 )
 from repro.integrate.config import IntegratorConfig
-from repro.integrate.fixed import make_integrator
 from repro.integrate.single import integrate_single
 from repro.integrate.streamline import Status
 from repro.mesh.bounds import Bounds
@@ -43,14 +42,6 @@ def test_config_validation(kw):
 def test_with_max_steps():
     cfg = IntegratorConfig().with_max_steps(7)
     assert cfg.max_steps == 7
-
-
-def test_make_integrator_factory():
-    assert make_integrator("dopri5").name == "dopri5"
-    assert make_integrator("rk4").name == "rk4"
-    assert make_integrator("euler").name == "euler"
-    with pytest.raises(ValueError):
-        make_integrator("rk45000")
 
 
 # --------------------------------------------------------------------- #
@@ -117,14 +108,3 @@ def test_results_in_seed_order():
     assert [l.sid for l in lines] == [0, 1, 2]
     for l, s in zip(lines, seeds):
         assert np.allclose(l.seed, s)
-
-
-def test_rk4_integrator_option():
-    field = RigidRotationField(domain=Bounds.cube(-1.0, 1.0))
-    dec = Decomposition(field.domain, (2, 2, 2), (6, 6, 6))
-    cfg = IntegratorConfig(max_steps=100, h_init=0.02, h_max=0.02)
-    lines = integrate_single(field, dec, np.array([[0.5, 0.0, 0.0]]),
-                             cfg, integrator=make_integrator("rk4"))
-    v = lines[0].vertices()
-    r = np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2)
-    assert np.allclose(r, 0.5, atol=0.01)

@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from repro.fields import SupernovaField, ThermalHydraulicsField
-from repro.fields.library import RigidRotationField, SinkField
+from repro.fields.library import SinkField
 from repro.integrate import IntegratorConfig, integrate_single
-from repro.integrate.fixed import make_integrator
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 from repro.seeding import circle_seeds, sparse_random_seeds
@@ -29,51 +28,38 @@ PINS = {
         '8d1202cba1c6f7c517b093055e0fedd61362e58a718d634605c1050911f5ae78',
     'thermal':
         'b1267bad36bc2bc98b8556942a3ed729b552533a3ee7feaf50f3cc20e50eb763',
-    'rotation_rk4':
-        '848be5947713ebb96e6ea5c90ce33c625b28f76c04fa2dfd1a405881a31c9dd9',
     'sink':
         '9aed6b9a9eb7c8f3843d8ad81de00cba96c601dcd9d81ccfb9f23e39da238777',
 }
 
 
 def case(name: str) -> tuple:
-    """``(field, decomposition, seeds, cfg, integrator)`` of one case."""
+    """``(field, decomposition, seeds, cfg)`` of one case."""
     if name == "astro":
         field = SupernovaField()
         seeds = sparse_random_seeds(
             field.domain.subbox((0.15, 0.15, 0.15), (0.85, 0.85, 0.85)),
             24, seed=42)
         return (field, Decomposition(field.domain, (4, 4, 4), (6, 6, 6)),
-                seeds, IntegratorConfig(max_steps=120, rtol=1e-5, atol=1e-7),
-                None)
+                seeds, IntegratorConfig(max_steps=120, rtol=1e-5, atol=1e-7))
     if name == "thermal":
         field = ThermalHydraulicsField()
         cy, cz = field.inlet_centers[0]
         return (field, Decomposition(field.domain, (4, 4, 4), (6, 6, 6)),
                 circle_seeds((0.06, cy, cz), 0.02, 120),
-                IntegratorConfig(max_steps=150, rtol=1e-4, atol=1e-6), None)
-    if name == "rotation_rk4":
-        field = RigidRotationField(domain=Bounds.cube(-1.0, 1.0))
-        seeds = np.array([[0.5, 0.0, 0.0], [2.0, 2.0, 2.0],
-                          [0.3, 0.2, 0.4], [-0.6, 0.1, -0.3]])
-        return (field, Decomposition(field.domain, (2, 2, 2), (6, 6, 6)),
-                seeds, IntegratorConfig(max_steps=100, h_init=0.02,
-                                        h_max=0.02),
-                make_integrator("rk4"))
+                IntegratorConfig(max_steps=150, rtol=1e-4, atol=1e-6))
     assert name == "sink"
     field = SinkField(domain=Bounds.cube(-1.0, 1.0))
     seeds = np.array([[0.5, 0.4, 0.3], [-0.7, 0.2, 0.6], [0.1, -0.8, -0.5]])
     return (field, Decomposition(field.domain, (2, 2, 2), (5, 5, 5)), seeds,
-            IntegratorConfig(max_steps=5000, min_speed=1e-4, h_max=0.1),
-            None)
+            IntegratorConfig(max_steps=5000, min_speed=1e-4, h_max=0.1))
 
 
 def digest(name: str) -> str:
     """sha256 over every curve's outcome and geometry, in seed order."""
-    field, dec, seeds, cfg, integrator = case(name)
+    field, dec, seeds, cfg = case(name)
     h = hashlib.sha256()
-    for line in integrate_single(field, dec, seeds, cfg,
-                                 integrator=integrator):
+    for line in integrate_single(field, dec, seeds, cfg):
         h.update(f"{line.sid}:{line.status.value}:{line.steps}:"
                  f"{line.h!r}:{line.time!r}:".encode())
         h.update(np.asarray(line.position, dtype=np.float64).tobytes())

@@ -1,8 +1,10 @@
-"""Consistency between the three interpolation paths.
+"""Consistency between the interpolation paths.
 
-``trilinear`` (generic), ``Block.velocity`` (per-block fast path), and
-``BlockPool.sampler().bind`` (pooled flat-gather) must agree bit-for-bit —
-the algorithms' geometry-identity guarantee depends on it.
+``Block.velocity`` (the generic per-block sampler, used by single-point
+queries and the pathline extension), ``BlockPool.sampler().bind`` (the
+pooled flat-gather the advection kernel runs) and the naive reference
+``_naive_sample`` must agree bit-for-bit — the algorithms'
+geometry-identity guarantee depends on it.
 """
 
 import numpy as np
@@ -10,9 +12,8 @@ import pytest
 
 from repro.fields import SupernovaField, sample_field
 from repro.integrate.pooled import BlockPool
-from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
-from repro.mesh.interpolate import trilinear
+from tests.test_kernel_equivalence import _naive_sample
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +33,11 @@ def test_three_paths_agree(setup):
         pts = block.bounds.denormalized(rng.uniform(0.05, 0.95, (20, 3)))
 
         via_block = block.velocity(pts)
-        unit = block.bounds.normalized(pts)
-        via_trilinear = trilinear(block.data, unit)
-        slot = pool.slot_of[bid]
-        f = pool.sampler().bind(np.full(20, slot, dtype=np.int64))
-        via_pool = f(pts)
+        slots = np.full(20, pool.slot_of[bid], dtype=np.int64)
+        via_pool = pool.sampler().bind(slots)(pts)
 
         assert np.array_equal(via_block, via_pool)
-        assert np.allclose(via_block, via_trilinear, atol=1e-14)
+        assert np.array_equal(via_block, _naive_sample(pool, slots, pts))
 
 
 def test_pool_mixed_slots_agree_with_per_block(setup):

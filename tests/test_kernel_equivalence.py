@@ -11,7 +11,7 @@ contract from three angles:
 * the **scalar** small-batch path against the array path.
 
 Regenerating ``tests/data/golden_pool_trajectories.npz`` (only needed if
-the *simulated* semantics intentionally change) re-runs the three cases
+the *simulated* semantics intentionally change) re-runs the cases
 below at the same configs and stores seeds plus final state and
 geometry; see ``_replay``'s driver loop for the exact schedule::
 
@@ -25,8 +25,6 @@ import repro.integrate.pooled as pooled_mod
 from repro.fields import SupernovaField, sample_field
 from repro.fields.library import RigidRotationField
 from repro.integrate.config import IntegratorConfig
-from repro.integrate.dopri5 import Dopri5
-from repro.integrate.fixed import make_integrator
 from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import make_streamlines
 from repro.mesh.bounds import Bounds
@@ -38,18 +36,12 @@ GOLDEN = Path(__file__).parent / "data" / "golden_pool_trajectories.npz"
 CASES = {
     "rot_dopri5": dict(
         field="rot", counts=(4, 4, 4), dims=(8, 8, 8),
-        integ=lambda: Dopri5(1e-5, 1e-7),
         cfg=IntegratorConfig(max_steps=220, h_max=0.03,
                              rtol=1e-5, atol=1e-7)),
     "astro_dopri5": dict(
         field="astro", counts=(8, 8, 8), dims=(8, 8, 8),
-        integ=lambda: Dopri5(1e-5, 1e-7),
         cfg=IntegratorConfig(max_steps=300, h_max=0.045,
                              rtol=1e-5, atol=1e-7)),
-    "rot_rk4": dict(
-        field="rot", counts=(4, 4, 4), dims=(8, 8, 8),
-        integ=lambda: make_integrator("rk4"),
-        cfg=IntegratorConfig(max_steps=150, h_max=0.02)),
 }
 
 
@@ -65,7 +57,6 @@ def _replay(case, seeds):
     dec = Decomposition(field.domain, case["counts"], case["dims"])
     blocks = list(sample_field(field, dec).values())
     pool = BlockPool(blocks)
-    integ = case["integ"]()
     lines = make_streamlines(seeds)
     for line in lines:
         line.block_id = int(dec.locate(line.position))
@@ -73,8 +64,8 @@ def _replay(case, seeds):
     for _ in range(400):
         if not active:
             break
-        res = advance_pool(active, pool, field.domain, dec, integ,
-                           case["cfg"], round_limit=24)
+        res = advance_pool(active, pool, field.domain, dec, case["cfg"],
+                           round_limit=24)
         active = res.in_pool + list(res.exited)
     return lines
 

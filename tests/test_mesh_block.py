@@ -58,26 +58,6 @@ def test_contains(dec):
     assert not bool(np.all(block.contains(np.array([[0.75, 0.25, 0.25]]))))
 
 
-def test_ghost_layers_extend_sample_bounds(dec):
-    field = UniformField(domain=Bounds.cube(0.0, 1.0))
-    block = sample_block(field, dec.info(0), ghost_layers=1)
-    assert block.ghost_layers == 1
-    sb = block.sample_bounds
-    assert sb.lo[0] < block.bounds.lo[0]
-    assert sb.hi[0] > block.bounds.hi[0]
-    # Data grew by two nodes per axis.
-    assert block.data.shape[0] == dec.info(0).node_dims[0] + 2
-
-
-def test_ghost_block_interpolates_beyond_face(dec):
-    field = RigidRotationField(domain=Bounds.cube(0.0, 1.0))
-    block = sample_block(field, dec.info(0), ghost_layers=1)
-    # A point just past the block face but inside the ghost region.
-    p = np.array([0.52, 0.2, 0.2])
-    assert np.allclose(block.velocity(p), field.evaluate(p[None])[0],
-                       atol=1e-12)
-
-
 def test_block_ids_and_bounds(dec):
     field = UniformField(domain=Bounds.cube(0.0, 1.0))
     block = sample_block(field, dec.info(6))

@@ -1,12 +1,25 @@
-"""Tests of trilinear interpolation."""
+"""Tests of trilinear interpolation (``Block.velocity``)."""
 
 import numpy as np
 import pytest
 
-from repro.mesh.interpolate import trilinear
+from repro.mesh.block import Block
+from repro.mesh.bounds import Bounds
+from repro.mesh.decomposition import Decomposition
+
+COEFFS = ((1.0, 2.0, 3.0, 0.5), (-0.5, 0.25, 1.5, -1.0),
+          (0.0, -2.0, 0.75, 2.0))
 
 
-def linear_data(nx=5, ny=4, nz=3, coeffs=((1.0, 2.0, 3.0, 0.5),)):
+def unit_block(data):
+    """A block spanning the unit cube holding ``(nx, ny, nz, 3)`` data."""
+    nx, ny, nz = data.shape[:3]
+    dec = Decomposition(Bounds.cube(0.0, 1.0), (1, 1, 1),
+                        (nx - 1, ny - 1, nz - 1))
+    return Block(info=dec.info(0), data=np.ascontiguousarray(data))
+
+
+def linear_data(nx=5, ny=4, nz=3, coeffs=COEFFS):
     """Node data sampling affine functions: exactly reproducible by
     trilinear interpolation."""
     xs = np.linspace(0, 1, nx)
@@ -19,44 +32,48 @@ def linear_data(nx=5, ny=4, nz=3, coeffs=((1.0, 2.0, 3.0, 0.5),)):
     return np.stack(chans, axis=-1)
 
 
-def affine(points, a=1.0, b=2.0, c=3.0, d=0.5):
-    return (a * points[:, 0] + b * points[:, 1] + c * points[:, 2] + d)
+def affine(points, coeffs=COEFFS):
+    return np.stack([a * points[:, 0] + b * points[:, 1]
+                     + c * points[:, 2] + d for (a, b, c, d) in coeffs],
+                    axis=1)
 
 
 def test_reproduces_affine_functions_exactly():
-    data = linear_data()
+    block = unit_block(linear_data())
     rng = np.random.default_rng(1)
     pts = rng.uniform(size=(50, 3))
-    out = trilinear(data, pts)
-    assert np.allclose(out[:, 0], affine(pts), atol=1e-12)
+    assert np.allclose(block.velocity(pts), affine(pts), atol=1e-12)
 
 
 def test_node_values_exact():
     data = linear_data(4, 4, 4)
     # Query exactly at node (2, 1, 3) of a 4^3 grid.
     p = np.array([[2 / 3, 1 / 3, 1.0]])
-    assert np.allclose(trilinear(data, p)[0, 0], data[2, 1, 3, 0])
+    assert np.allclose(unit_block(data).velocity(p)[0], data[2, 1, 3])
 
 
 def test_corners_exact():
     data = linear_data(3, 3, 3)
-    assert np.allclose(trilinear(data, np.array([[0.0, 0.0, 0.0]]))[0, 0],
-                       data[0, 0, 0, 0])
-    assert np.allclose(trilinear(data, np.array([[1.0, 1.0, 1.0]]))[0, 0],
-                       data[2, 2, 2, 0])
+    block = unit_block(data)
+    assert np.allclose(block.velocity(np.array([0.0, 0.0, 0.0])),
+                       data[0, 0, 0])
+    assert np.allclose(block.velocity(np.array([1.0, 1.0, 1.0])),
+                       data[2, 2, 2])
 
 
 def test_out_of_range_clamps():
-    data = linear_data(3, 3, 3)
-    inside = trilinear(data, np.array([[1.0, 0.5, 0.5]]))
-    outside = trilinear(data, np.array([[1.7, 0.5, 0.5]]))
-    assert np.allclose(inside, outside)
+    block = unit_block(linear_data(3, 3, 3))
+    inside = block.velocity(np.array([[1.0, 0.5, 0.5]]))
+    outside = block.velocity(np.array([[1.7, 0.5, 0.5]]))
+    assert np.array_equal(inside, outside)
+    below = block.velocity(np.array([[-0.4, 0.5, -2.0]]))
+    assert np.array_equal(below, block.velocity(np.array([[0.0, 0.5, 0.0]])))
 
 
 def test_multi_component():
     data = linear_data(coeffs=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     pts = np.array([[0.3, 0.7, 0.2]])
-    out = trilinear(data, pts)
+    out = unit_block(data).velocity(pts)
     assert out.shape == (1, 3)
     assert np.allclose(out[0], [0.3, 0.7, 0.2])
 
@@ -64,35 +81,37 @@ def test_multi_component():
 def test_interpolation_is_convex_combination():
     """Interpolated values never exceed the data range (no overshoot)."""
     rng = np.random.default_rng(2)
-    data = rng.uniform(-5, 5, size=(6, 6, 6, 1))
+    data = rng.uniform(-5, 5, size=(6, 6, 6, 3))
     pts = rng.uniform(size=(100, 3))
-    out = trilinear(data, pts)
+    out = unit_block(data).velocity(pts)
     assert out.min() >= data.min() - 1e-12
     assert out.max() <= data.max() + 1e-12
 
 
 def test_continuity_across_cell_faces():
     rng = np.random.default_rng(3)
-    data = rng.uniform(size=(5, 5, 5, 2))
+    block = unit_block(rng.uniform(size=(5, 5, 5, 3)))
     # Approach an interior node plane from both sides.
     eps = 1e-9
-    left = trilinear(data, np.array([[0.5 - eps, 0.3, 0.3]]))
-    right = trilinear(data, np.array([[0.5 + eps, 0.3, 0.3]]))
+    left = block.velocity(np.array([[0.5 - eps, 0.3, 0.3]]))
+    right = block.velocity(np.array([[0.5 + eps, 0.3, 0.3]]))
     assert np.allclose(left, right, atol=1e-6)
 
 
 def test_shape_validation():
-    data = linear_data()
+    block = unit_block(linear_data())
     with pytest.raises(ValueError):
-        trilinear(data, np.zeros((3,)))  # not (k, 3)
+        block.velocity(np.zeros(2))  # not (3,)
     with pytest.raises(ValueError):
-        trilinear(np.zeros((1, 4, 4, 3)), np.zeros((1, 3)))  # too few nodes
+        block.velocity(np.zeros((4, 2)))  # not (k, 3)
     with pytest.raises(ValueError):
-        trilinear(np.zeros((4, 4, 4)), np.zeros((1, 3)))  # missing channel
+        Block(info=block.info, data=np.zeros((4, 4, 3, 3)))  # node count
+    with pytest.raises(ValueError):
+        Block(info=block.info, data=np.zeros((5, 4, 3)))  # missing channel
 
 
 def test_anisotropic_grid():
-    data = linear_data(9, 3, 17)
+    block = unit_block(linear_data(9, 3, 17))
     rng = np.random.default_rng(4)
     pts = rng.uniform(size=(30, 3))
-    assert np.allclose(trilinear(data, pts)[:, 0], affine(pts), atol=1e-12)
+    assert np.allclose(block.velocity(pts), affine(pts), atol=1e-12)

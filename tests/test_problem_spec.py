@@ -36,12 +36,6 @@ def test_seeds_are_frozen_copies():
         p.seeds[0, 0] = 0.1  # read-only
 
 
-def test_integrator_name_validated():
-    with pytest.raises(ValueError):
-        make(integrator="rk7")
-    assert make(integrator="euler").integrator == "euler"
-
-
 def test_derived_decomposition_and_locator_cached():
     p = make()
     assert p.decomposition is p.decomposition
@@ -75,7 +69,8 @@ def test_describe_mentions_key_facts():
     text = p.describe()
     assert "demo" in text
     assert "64 blocks" in text
-    assert "dopri5" in text
+    assert "6x6x6 cells" in text
+    assert "max_steps=" in text
 
 
 def test_cost_model_plumbed():

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.base import owner_of_block, partition_contiguous
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
-from repro.mesh.interpolate import trilinear
-from repro.integrate.base import Integrator
 from repro.integrate.config import IntegratorConfig
+from repro.integrate.dopri5 import adapt_h
+from repro.mesh.block import Block
 from repro.storage.cache import LRUBlockCache
 
 
@@ -67,18 +67,25 @@ def test_locate_agrees_with_block_bounds(bx, by, bz, u):
 
 
 # --------------------------------------------------------------------- #
-# Interpolation
+# Interpolation (Block.velocity over a block of the unit cube)
 # --------------------------------------------------------------------- #
+def _unit_block(data):
+    nx, ny, nz = data.shape[:3]
+    dec = Decomposition(Bounds.cube(0.0, 1.0), (1, 1, 1),
+                        (nx - 1, ny - 1, nz - 1))
+    return Block(info=dec.info(0), data=data)
+
+
 @given(seed=st.integers(0, 10_000),
        k=st.integers(1, 20))
 @settings(max_examples=40)
 def test_trilinear_within_data_range(seed, k):
     rng = np.random.default_rng(seed)
-    data = rng.uniform(-3, 3, size=(4, 5, 3, 2))
+    data = rng.uniform(-3, 3, size=(4, 5, 3, 3))
     pts = rng.uniform(size=(k, 3))
-    out = trilinear(data, pts)
-    assert np.all(out >= data.min() - 1e-9)
-    assert np.all(out <= data.max() + 1e-9)
+    out = _unit_block(data).velocity(pts)
+    assert np.all(out >= data.min(axis=(0, 1, 2)) - 1e-9)
+    assert np.all(out <= data.max(axis=(0, 1, 2)) + 1e-9)
     assert np.all(np.isfinite(out))
 
 
@@ -86,23 +93,22 @@ def test_trilinear_within_data_range(seed, k):
 @settings(max_examples=30)
 def test_trilinear_reproduces_affine(seed):
     rng = np.random.default_rng(seed)
-    a, b, c, d = rng.uniform(-2, 2, size=4)
+    a, b, c, d = rng.uniform(-2, 2, size=(4, 3))
     xs = np.linspace(0, 1, 4)
     gx, gy, gz = np.meshgrid(xs, xs, xs, indexing="ij")
-    data = (a * gx + b * gy + c * gz + d)[..., None]
+    data = (a * gx[..., None] + b * gy[..., None] + c * gz[..., None] + d)
     pts = rng.uniform(size=(10, 3))
-    expect = a * pts[:, 0] + b * pts[:, 1] + c * pts[:, 2] + d
-    assert np.allclose(trilinear(data, pts)[:, 0], expect, atol=1e-10)
+    expect = (a * pts[:, :1] + b * pts[:, 1:2] + c * pts[:, 2:] + d)
+    assert np.allclose(_unit_block(data).velocity(pts), expect, atol=1e-10)
 
 
 # --------------------------------------------------------------------- #
 # Step controller
 # --------------------------------------------------------------------- #
-@given(h=st.floats(1e-8, 0.2), err=st.floats(0.0, 1e6),
-       order=st.integers(1, 5))
-def test_adapt_h_always_within_bounds(h, err, order):
+@given(h=st.floats(1e-8, 0.2), err=st.floats(0.0, 1e6))
+def test_adapt_h_always_within_bounds(h, err):
     cfg = IntegratorConfig()
-    out = Integrator.adapt_h(np.array([h]), np.array([err]), order, cfg)
+    out = adapt_h(np.array([h]), np.array([err]), cfg)
     assert cfg.h_min <= out[0] <= cfg.h_max
     assert np.isfinite(out[0])
 
@@ -111,7 +117,7 @@ def test_adapt_h_always_within_bounds(h, err, order):
 def test_adapt_h_monotone_in_error(h):
     cfg = IntegratorConfig()
     errs = np.array([0.01, 0.5, 2.0, 50.0])
-    out = Integrator.adapt_h(np.full(4, h), errs, 5, cfg)
+    out = adapt_h(np.full(4, h), errs, cfg)
     assert np.all(np.diff(out) <= 1e-15)  # larger error -> smaller h
 
 

@@ -11,9 +11,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from repro.fields.library import ABCFlowField, RigidRotationField, SaddleField
-from repro.integrate.base import Integrator
 from repro.integrate.config import IntegratorConfig
-from repro.integrate.dopri5 import Dopri5
+from repro.integrate.dopri5 import Dopri5, adapt_h
 
 
 def integrate_ours(field, y0, t_end, rtol=1e-9, atol=1e-11):
@@ -29,7 +28,7 @@ def integrate_ours(field, y0, t_end, rtol=1e-9, atol=1e-11):
         if err[0] <= 1.0:
             pos = new_pos
             t += h[0]
-        h = Integrator.adapt_h(h, err, d.order, cfg)
+        h = adapt_h(h, err, cfg)
     return pos[0]
 
 

@@ -55,10 +55,36 @@ def test_block_file_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.normal(size=(4, 5, 6, 3))
     path = tmp_path / "b.rpb"
-    write_block_file(path, data, ghost_layers=1)
-    out, ghost = read_block_file(path)
-    assert ghost == 1
-    assert np.array_equal(out, data)
+    write_block_file(path, data)
+    assert np.array_equal(read_block_file(path), data)
+    # The RPB1 header keeps its ghost-layer field, always written as 0.
+    assert path.read_bytes()[4:8] == b"\x00" * 4
+
+
+def test_block_file_with_ghost_layers_rejected(tmp_path):
+    path = tmp_path / "g.rpb"
+    write_block_file(path, np.zeros((2, 2, 2, 3)))
+    raw = bytearray(path.read_bytes())
+    raw[4] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="g.rpb: 1 ghost layers"):
+        read_block_file(path)
+
+
+def test_block_file_cut_inside_header(tmp_path):
+    path = tmp_path / "h.rpb"
+    write_block_file(path, np.zeros((2, 2, 2, 3)))
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(ValueError, match="h.rpb: truncated header"):
+        read_block_file(path)
+
+
+def test_block_file_trailing_bytes(tmp_path):
+    path = tmp_path / "j.rpb"
+    write_block_file(path, np.zeros((2, 2, 2, 3)))
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(ValueError, match="j.rpb: 4 trailing bytes"):
+        read_block_file(path)
 
 
 def test_block_file_bad_magic(tmp_path):
