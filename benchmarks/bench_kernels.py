@@ -38,7 +38,7 @@ is made of:
   problem's curves (4 is the floor; a problem-blind dispatcher pays
   4 x N).
 
-Each per-particle kernel runs at batch sizes k in {1, 4, 32, 256}
+Each per-particle kernel runs at batch sizes k in {1, 4, 32, 256, 880}
 (``trace`` uses one fixed set of curves).  Wall-clock numbers are deliberately
 kept *out* of the BENCH snapshot documents — they vary by machine — and
 written to their own JSON artifact for CI to upload::
@@ -100,8 +100,9 @@ from repro.sim.trace import Trace
 from repro.storage import BlockStore
 
 #: Batch sizes every per-particle kernel is measured at.  k=1 and k=4
-#: exercise the scalar small-batch regime; 32 and 256 the vectorized one.
-BATCH_SIZES = (1, 4, 32, 256)
+#: exercise the scalar small-batch regime; 32, 256 and 880 (the width
+#: of the ``full_width`` trace's first rounds) the vectorized one.
+BATCH_SIZES = (1, 4, 32, 256, 880)
 
 #: Curves the wide-trace-vs-per-call comparison integrates.
 TRACE_CURVES = 64

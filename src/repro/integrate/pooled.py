@@ -22,17 +22,22 @@ Hot-path structure
 The dominant cost of advection at reproduction scale is per-*call* NumPy
 overhead, not per-element arithmetic (batches are tiny — the regime
 "A Guide to Particle Advection Performance" identifies as the advection
-bottleneck).  Three mechanisms keep it down:
+bottleneck).  Four mechanisms keep it down:
 
 * a run advances every curve in one wide call (the trajectory bank,
   :mod:`repro.integrate.bank`) over one :class:`BlockPool` that stacks
   each block once, the first time a curve enters it;
-* :class:`PoolSampler` is a fused trilinear kernel: one index gather, one
-  ``einsum`` weight reduction, and every intermediate written into
-  preallocated workspaces (reused across the 7 DOPRI5 stages of a step
-  and across compaction rounds).  ``bind(slots)`` re-points the
-  per-particle block assignment without rebuilding closures or copying
-  pool geometry;
+* :class:`PoolSampler` is a fused trilinear kernel over component-major
+  workspaces (``(3, k)`` coordinates, ``(8, k)`` weights, ``(8, 3, k)``
+  corner values): one element gather of every corner component, one
+  weight multiply and one ``np.add.reduce`` over the corner axis, every
+  ufunc looping over the ``k`` particles and writing into preallocated
+  workspaces (reused across the 7 DOPRI5 stages of a step and across
+  compaction rounds).  ``bind(slots)`` re-points the per-particle block
+  assignment without rebuilding closures or copying pool geometry;
+* a crossing curve's new slot comes from the pool's block -> slot table
+  (:meth:`BlockPool.slots_for`), one lookup for all of a round's
+  crossings;
 * the round loop calls :meth:`Dopri5.attempt_steps_prepared` —
   validation runs once per advance call, not once per round.
 
@@ -94,19 +99,28 @@ class PoolSampler:
     slot assignment (gathering each particle's block origin/scale/base
     offset into reused buffers), after which the instance is a
     ``VelocityFn`` whose every evaluation runs a minimal-op kernel —
-    a single corner gather plus one ``einsum`` weight reduction, with all
-    intermediates written into preallocated workspaces.
+    one corner gather plus one multiply and one ``np.add.reduce`` over
+    the corner axis, with all intermediates written into preallocated
+    workspaces.
 
-    Every array view the kernel touches (workspace slices, the broadcast
-    shapes feeding the weight products, the reshaped weight tensor) is
-    built once per batch size and memoized: DOPRI5 calls the bound
-    sampler 7 times per round with the same ``k``, and compaction revisits
-    the same sizes across rounds, so ``__call__`` itself performs only
+    The workspaces are component-major: coordinates, cell indices and
+    fractional offsets are ``(3, k)``, the corner weights ``(8, k)`` and
+    the gathered corner values ``(8, 3, k)``, so every ufunc's inner loop
+    runs over the ``k`` particles instead of over 2 or 3 components.
+    Each batch size's views are carved from the front of one flat float
+    buffer and one flat int buffer (grown geometrically), so a run that
+    binds many distinct ``k`` holds the workspace of the largest only.
+    The views are memoized per ``k``: DOPRI5 calls the bound sampler 7
+    times per round with the same ``k``, and compaction revisits the
+    same sizes across rounds, so ``__call__`` itself performs only
     ufunc/gather calls — no view construction, no allocation.
 
     The computation is bit-for-bit identical to the straightforward
     per-call NumPy implementation (same clipping, truncation, and
-    multiply/accumulate orders); only allocation and call count differ.
+    multiply/accumulate orders; the corner reduction runs along the
+    *outer* axis, an elementwise ``0 + c0 + ... + c7`` in corner order
+    like ``einsum("ke,kec->kc")``).  Reducing along an inner axis would
+    not be: NumPy sums a contiguous inner axis pairwise.
 
     :class:`Dopri5` detects :attr:`writes_out` and passes ``out=`` stage
     buffers, making a full Runge-Kutta step allocation-free.
@@ -115,53 +129,71 @@ class PoolSampler:
     #: Accepts ``out=`` (the protocol :class:`Dopri5` checks).
     writes_out = True
 
+    # Per-particle rows of each workspace, in buffer order: lo, scale,
+    # g, st, m1, w, corners (float) and corner_base, icell, base, idx
+    # (int).
+    _F_ROWS = (3, 3, 3, 6, 4, 8, 24)
+    _I_ROWS = (24, 3, 1, 24)
+
     def __init__(self, pool: "BlockPool") -> None:
         self.pool = pool
         nx, ny, nz = pool.dims
-        self._cell_max = np.array([nx - 2, ny - 2, nz - 2], dtype=np.int64)
-        self._axis_strides = np.array([ny * nz, nz, 1], dtype=np.int64)
-        self._node_max = pool.node_max
-        self._offsets_row = pool.offsets[None, :]
-        self._cap = 0
+        self._cell_max = np.array([[nx - 2], [ny - 2], [nz - 2]],
+                                  dtype=np.int64)
+        # Element strides into pool.flat.reshape(-1): component c of node
+        # (ix, iy, iz) of a slot sits 3 * ((ix*ny + iy)*nz + iz) + c past
+        # the slot's first element.
+        self._axis_strides = 3 * np.array([ny * nz, nz, 1], dtype=np.int64)
+        self._corner_elems = (3 * pool.offsets[:, None, None]
+                              + np.arange(3, dtype=np.int64)[:, None])
+        self._node_max = pool.node_max[:, None]
+        self._fbuf = np.empty(0, dtype=np.float64)
+        self._ibuf = np.empty(0, dtype=np.int64)
         self._k = 0
         self._views: Dict[int, tuple] = {}
         self._b: Optional[tuple] = None
+        self._flat: Optional[np.ndarray] = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the buffers behind every memoized workspace view."""
+        held = {}
+        for bundle in self._views.values():
+            for view in bundle:
+                owner = view if view.base is None else view.base
+                held[id(owner)] = owner.nbytes
+        return sum(held.values())
 
     def _reserve(self, k: int) -> None:
         """Grow workspaces to hold batches of up to ``k`` particles."""
-        if k <= self._cap:
+        cap = len(self._ibuf) // sum(self._I_ROWS)
+        if k <= cap:
             return
-        cap = max(k, 2 * self._cap)
-        self._cap = cap
-        self._lo = np.empty((cap, 3), dtype=np.float64)
-        self._scale = np.empty((cap, 3), dtype=np.float64)
-        self._base0 = np.empty(cap, dtype=np.int64)
-        self._g = np.empty((cap, 3), dtype=np.float64)
-        self._icell = np.empty((cap, 3), dtype=np.int64)
-        # st[:, 0, :] holds (sx, sy, sz), st[:, 1, :] holds (tx, ty, tz).
-        self._st = np.empty((cap, 2, 3), dtype=np.float64)
-        self._m1 = np.empty((cap, 2, 2), dtype=np.float64)
-        self._w = np.empty((cap, 8), dtype=np.float64)
-        self._base = np.empty(cap, dtype=np.int64)
-        self._idx = np.empty((cap, 8), dtype=np.int64)
-        self._corners = np.empty((cap, 8, 3), dtype=np.float64)
+        cap = max(k, 2 * cap)
+        self._fbuf = np.empty(sum(self._F_ROWS) * cap, dtype=np.float64)
+        self._ibuf = np.empty(sum(self._I_ROWS) * cap, dtype=np.int64)
         self._views = {}  # old views point into the replaced buffers
 
     def _bundle(self, k: int) -> tuple:
-        """The memoized view bundle for batch size ``k``."""
-        st = self._st[:k]
-        m1 = self._m1[:k]
-        w = self._w[:k]
-        base = self._base[:k]
+        """The memoized view bundle for batch size ``k``, carved from the
+        front of the flat buffers."""
+        def carve(buf, rows):
+            return np.split(buf[:sum(rows) * k], np.cumsum(rows[:-1]) * k)
+
+        lo, scale, g, st, m1, w, corners = carve(self._fbuf, self._F_ROWS)
+        corner_base, icell, base, idx = carve(self._ibuf, self._I_ROWS)
+        # st[0] holds (sx, sy, sz), st[1] holds (tx, ty, tz).
+        st = st.reshape(2, 3, k)
+        m1 = m1.reshape(2, 2, k)
         return (
-            self._lo[:k], self._scale[:k], self._base0[:k],
-            self._g[:k], self._icell[:k],
-            st[:, 1, :], st[:, 0, :],                 # t, s
-            st[:, :, 0, None], st[:, None, :, 1],     # weight factors x, y
-            m1, m1[:, :, :, None], st[:, None, None, :, 2],  # xy, z
-            w.reshape(k, 2, 2, 2), w,
-            base, base[:, None],
-            self._idx[:k], self._corners[:k],
+            lo.reshape(3, k), scale.reshape(3, k),
+            corner_base.reshape(8, 3, k), g.reshape(3, k),
+            icell.reshape(3, k),
+            st[1], st[0],                                # t, s
+            st[:, None, 0], st[None, :, 1],              # weight factors x, y
+            m1, m1[:, :, None], st[None, None, :, 2],    # xy, z
+            w.reshape(2, 2, 2, k), w.reshape(8, 1, k),
+            base, idx.reshape(8, 3, k), corners.reshape(8, 3, k),
         )
 
     def bind(self, slots: np.ndarray) -> "PoolSampler":
@@ -178,10 +210,18 @@ class PoolSampler:
         if b is None:
             b = self._views[k] = self._bundle(k)
         self._b = b
+        lo, scale, corner_base, base = b[0], b[1], b[2], b[14]
         pool = self.pool
-        np.take(pool.lo, slots, axis=0, out=b[0], mode="clip")
-        np.take(pool.scale, slots, axis=0, out=b[1], mode="clip")
-        np.take(pool.slot_base, slots, out=b[2], mode="clip")
+        # A pool that grows later copies its rows into new arrays; the
+        # bound slots' rows are the same in the old ones.
+        self._flat = pool.flat.reshape(-1)
+        np.take(pool.lo.T, slots, axis=1, out=lo, mode="clip")
+        np.take(pool.scale.T, slots, axis=1, out=scale, mode="clip")
+        # Element index of each corner component at the slot's first
+        # node; each call adds its cell's offset.
+        np.take(pool.slot_base, slots, out=base, mode="clip")
+        np.multiply(base, 3, out=base)
+        np.add(base, self._corner_elems, out=corner_base)
         return self
 
     def __call__(self, points: np.ndarray,
@@ -192,14 +232,14 @@ class PoolSampler:
         if len(points) != k:
             raise ValueError(
                 f"sampler bound to {k} slots, got {len(points)} points")
-        (lo, scale, base0, g, icell, t, s, wfx, wfy, m1, m1z, wfz,
-         w4, w, base, base_col, idx, corners) = self._b
+        (lo, scale, corner_base, g, icell, t, s, wfx, wfy, m1, m1z, wfz,
+         w4, w_col, base, idx, corners) = self._b
         if out is None:
             out = np.empty((k, 3), dtype=np.float64)
 
         # Continuous node coordinates, clipped: ((p - lo) * scale) in
         # [0, node_max].
-        np.subtract(points, lo, out=g)
+        np.subtract(points.T, lo, out=g)
         np.multiply(g, scale, out=g)
         np.minimum(g, self._node_max, out=g)
         np.maximum(g, 0.0, out=g)
@@ -219,15 +259,17 @@ class PoolSampler:
         np.multiply(wfx, wfy, out=m1)
         np.multiply(m1z, wfz, out=w4)
 
-        # Flat base index of each particle's cell within its slot
-        # (matmul == the explicit (ix*ny + iy)*nz + iz integer arithmetic).
-        np.matmul(icell, self._axis_strides, out=base)
-        np.add(base, base0, out=base)
-        np.add(base_col, self._offsets_row, out=idx)
-        self.pool.flat.take(idx, axis=0, out=corners, mode="clip")
+        # Flat element index of every corner component (matmul == the
+        # explicit ((ix*ny + iy)*nz + iz) * 3 integer arithmetic).
+        np.matmul(self._axis_strides, icell, out=base)
+        np.add(base, corner_base, out=idx)
+        self._flat.take(idx, out=corners, mode="clip")
 
-        # Single weighted reduction (bit-identical to multiply + sum).
-        return fast_einsum("ke,kec->kc", w, corners, out=out)
+        # Weighted corners, summed over the outer corner axis in corner
+        # order (bit-identical to einsum("ke,kec->kc")).
+        np.multiply(corners, w_col, out=corners)
+        np.add.reduce(corners, axis=0, out=out.T)
+        return out
 
 
 class BlockPool:
@@ -240,6 +282,7 @@ class BlockPool:
     Without one the block set is fixed.  The stacked arrays may carry
     spare rows past ``len(pool)`` (at most ``n_blocks`` slots in all when
     the loader's block count is given); a slot's rows never move or change.
+    ``slot_of`` maps block id to slot, ``-1`` for a block not stacked.
     """
 
     def __init__(self, blocks: Sequence[Block],
@@ -255,7 +298,10 @@ class BlockPool:
         self.loader = loader
         self.n_blocks = n_blocks
         self.blocks: List[Block] = []
-        self.slot_of: Dict[int, int] = {}
+        self.slot_of = np.full(n_blocks or 0, -1, dtype=np.int64)
+        # Slot -> its node data as a Python float list, for the scalar
+        # rounds; built on first use and dropped with the pool.
+        self._scalar_flat: Dict[int, list] = {}
         self._reserve(len(blocks))
         for b in blocks:
             self.add(b)
@@ -281,6 +327,13 @@ class BlockPool:
             setattr(self, name, new)
         self.slot_base = np.arange(cap, dtype=np.int64) * n_nodes
 
+    def _cover(self, n: int) -> None:
+        """Extend ``slot_of`` to block ids below ``n``."""
+        grow = n - len(self.slot_of)
+        if grow > 0:
+            self.slot_of = np.concatenate(
+                [self.slot_of, np.full(grow, -1, dtype=np.int64)])
+
     def add(self, block: Block) -> int:
         """Stack one more block; returns its slot."""
         if block.data.shape[:3] != self.dims:
@@ -300,16 +353,33 @@ class BlockPool:
         self.block_hi[s] = block.info.bounds.hi_array
         self.block_ids[s] = block.block_id
         self.blocks.append(block)
+        self._cover(block.block_id + 1)
         self.slot_of[block.block_id] = s
         return s
 
     def slot_for(self, block_id: int) -> int:
         """Slot of ``block_id``; a growing pool stacks a missing block
         first, a fixed one answers ``-1``."""
-        s = self.slot_of.get(block_id, -1)
+        table = self.slot_of
+        s = table.item(block_id) if 0 <= block_id < len(table) else -1
         if s < 0 and self.loader is not None:
             s = self.add(self.loader(block_id))
         return s
+
+    def slots_for(self, block_ids: np.ndarray) -> np.ndarray:
+        """:meth:`slot_for` of every id in ``block_ids`` (all ``>= 0``);
+        a growing pool stacks the missing blocks in order of first
+        appearance, as one :meth:`slot_for` call per id would."""
+        if len(block_ids):
+            self._cover(int(block_ids.max()) + 1)
+        slots = self.slot_of[block_ids]
+        if self.loader is not None:
+            missing = slots < 0
+            if missing.any():
+                for bid in dict.fromkeys(block_ids[missing].tolist()):
+                    self.add(self.loader(bid))
+                slots = self.slot_of[block_ids]
+        return slots
 
     def sampler(self) -> PoolSampler:
         """A fused sampler over this pool (rebind per round with
@@ -319,13 +389,14 @@ class BlockPool:
     def scalar_slot(self, s: int) -> tuple:
         """Python-float context of slot ``s`` for the scalar rounds:
         ``((lox, loy, loz, scx, scy, scz, flat), (block_lo, block_hi))``,
-        ``flat`` being the block's own node data as a float list, cached
-        on the block — there is no pool-wide mirror to rebuild on growth.
+        ``flat`` being the block's node data as a float list, built on
+        the slot's first scalar round and held by the pool only — the
+        blocks outlive it in the store, the lists do not.
         """
         b = self.blocks[s]
-        flat = getattr(b, "_scalar_flat", None)
+        flat = self._scalar_flat.get(s)
         if flat is None:
-            flat = b._scalar_flat = b._flat.ravel().tolist()
+            flat = self._scalar_flat[s] = b._flat.ravel().tolist()
         return ((*b._lo.tolist(), *b._node_scale.tolist(), flat),
                 (self.block_lo[s].tolist(), self.block_hi[s].tolist()))
 
@@ -338,7 +409,7 @@ def _d5_step_scalar(sctx: tuple, pctx: tuple, x: float, y: float, z: float,
     Bit-for-bit identical to :meth:`Dopri5.attempt_steps_prepared` over a
     bound :class:`PoolSampler` with ``k == 1``: Python float arithmetic is
     the same IEEE-754 double arithmetic as NumPy's elementwise loops, the
-    trilinear accumulation below follows the einsum's sequential corner
+    trilinear accumulation below follows the sampler's sequential corner
     order, and the error norm follows c_einsum's ``(r0²+r2²)+r1²``
     3-element order (all verified empirically by the kernel-equivalence
     tests).  Exists because at ``k <= _SCALAR_MAX_K`` per-call NumPy
@@ -917,8 +988,7 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
             local = np.flatnonzero(crossing)
             cross_global = alive[local]
             bids = decomposition.locate_many(pos[cross_global])
-            new_slots = np.array(
-                [pool.slot_for(int(b)) for b in bids], dtype=np.int64)
+            new_slots = pool.slots_for(bids)
             stay = new_slots >= 0
             slot[cross_global[stay]] = new_slots[stay]
             code[local[stay]] = _CODE_ACTIVE

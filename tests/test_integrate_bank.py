@@ -330,6 +330,24 @@ def test_growing_pool_stacks_blocks_on_crossing(small_problem):
     assert np.array_equal(pool.flat[n:2 * n], store.load(5)._flat)
 
 
+def test_slots_for_numbers_slots_like_slot_for(small_problem):
+    """The batched lookup stacks missing blocks in first-appearance
+    order, so every slot number is what one slot_for per id gives."""
+    store = BlockStore(small_problem.field, small_problem.decomposition)
+    ids = np.array([5, 9, 5, 2, 0, 9, 63, 2], dtype=np.int64)
+    one = BlockPool([store.load(0)], loader=store.load)
+    want = [one.slot_for(int(b)) for b in ids]
+    many = BlockPool([store.load(0)], loader=store.load,
+                     n_blocks=small_problem.n_blocks)
+    assert many.slots_for(ids).tolist() == want
+    assert many.block_ids[:len(many)].tolist() == \
+        one.block_ids[:len(one)].tolist()
+    # A fixed pool answers -1 for what it does not hold, at any id.
+    fixed = BlockPool([store.load(0), store.load(5)])
+    assert fixed.slots_for(ids).tolist() == [1, -1, 1, -1, 0, -1, -1, -1]
+    assert fixed.slot_for(63) == -1 and len(fixed) == 2
+
+
 def test_growing_pool_never_reserves_past_the_store(small_problem):
     store = BlockStore(small_problem.field, small_problem.decomposition)
     n_blocks, n = small_problem.n_blocks, store.load(0)._flat.shape[0]

@@ -27,6 +27,7 @@ from repro.fields.library import RigidRotationField
 from repro.integrate.config import IntegratorConfig
 from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import make_streamlines
+from repro.mesh.block import Block
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 from pathlib import Path
@@ -132,7 +133,12 @@ def sampler_pool():
     return dec, pool
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 33])
+def _same_bytes(a, b):
+    """Bit-for-bit equality; ``np.array_equal`` takes ``-0.0 == 0.0``."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 33, 200, 880])
 def test_fused_sampler_matches_naive(sampler_pool, k):
     dec, pool = sampler_pool
     rng = np.random.default_rng(k)
@@ -140,7 +146,22 @@ def test_fused_sampler_matches_naive(sampler_pool, k):
     slots = np.array([pool.slot_of[int(b)]
                       for b in dec.locate_many(pts)], dtype=np.int64)
     f = pool.sampler().bind(slots)
-    assert np.array_equal(f(pts), _naive_sample(pool, slots, pts))
+    assert _same_bytes(f(pts), _naive_sample(pool, slots, pts))
+
+
+@pytest.mark.parametrize("k", [1, 5, 64])
+def test_fused_sampler_matches_naive_on_negative_zero_block(sampler_pool, k):
+    """A block whose every node value is ``-0.0``: each weighted corner is
+    ``-0.0``, so the sign of the result shows where the corner sum
+    starts (the reference's einsum adds them to ``+0.0``)."""
+    dec, pool = sampler_pool
+    zero = Block(dec.info(0), np.full(pool.blocks[0].data.shape, -0.0))
+    mixed = BlockPool([zero, pool.blocks[1]])
+    rng = np.random.default_rng(k + 7)
+    pts = rng.uniform(-0.99, 0.99, size=(k, 3))
+    slots = np.arange(k) % 2  # the -0.0 block first
+    f = mixed.sampler().bind(slots)
+    assert _same_bytes(f(pts), _naive_sample(mixed, slots, pts))
 
 
 def test_fused_sampler_degenerate_and_boundary_points(sampler_pool):
@@ -162,11 +183,11 @@ def test_fused_sampler_degenerate_and_boundary_points(sampler_pool):
     slots = np.array([pool.slot_of[int(b)]
                       for b in dec.locate_many(pts)], dtype=np.int64)
     f = pool.sampler().bind(slots)
-    assert np.array_equal(f(pts), _naive_sample(pool, slots, pts))
+    assert _same_bytes(f(pts), _naive_sample(pool, slots, pts))
     # Points outside their bound block's box: the sampler clips into the
     # block (same value as the reference clip).
     far = pts + 3.7
-    assert np.array_equal(f(far), _naive_sample(pool, slots, far))
+    assert _same_bytes(f(far), _naive_sample(pool, slots, far))
 
 
 def test_sampler_out_buffer_matches_fresh(sampler_pool):
@@ -179,7 +200,19 @@ def test_sampler_out_buffer_matches_fresh(sampler_pool):
     buf = np.full((6, 3), np.nan)
     res = f(pts, out=buf)
     assert res is buf
-    assert np.array_equal(buf, f(pts))
+    assert _same_bytes(buf, f(pts))
+
+
+def test_sampler_workspace_tracks_largest_batch(sampler_pool):
+    """Every batch size's workspace is a view into one set of buffers:
+    binding k = 1..300 in turn holds about what binding 300 once does,
+    not one workspace per distinct k."""
+    _, pool = sampler_pool
+    f = pool.sampler()
+    for k in range(1, 301):
+        f.bind(np.zeros(k, dtype=np.int64))
+    largest = pool.sampler().bind(np.zeros(300, dtype=np.int64)).nbytes
+    assert 0 < f.nbytes <= 2 * largest
 
 
 # --------------------------------------------------------------------- #
