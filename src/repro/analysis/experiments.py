@@ -360,16 +360,19 @@ def sweep_dataset(dataset: str, scale: float = 1.0,
                   telemetry=None) -> List[RunSummary]:
     """Run the full grid for one dataset (all four figures' data).
 
-    ``jobs > 1`` fans uncached cells out over a
-    :class:`~repro.exec.executor.SweepExecutor` process pool; the
-    returned list is in grid order either way (the executor merges in
-    spec order), so figure tables are identical for any job count.
-    Each uncached cell persists its measured real runtime to the cache
-    entry (``repro cache`` shows it).  ``telemetry`` — a sink or a list
-    of sinks — is passed to the executor.
-    Raises ``RuntimeError`` with a failure report if any fanned-out run
-    crashed or timed out (completed cells stay cached, so a retry only
-    re-runs the failures).
+    The uncached cells go through a
+    :class:`~repro.exec.executor.SweepExecutor` at every ``jobs``
+    (``1`` runs them inline, ``0`` means one worker per CPU); each is a
+    summary-mode run whose ``run_experiment`` — the only cache writer —
+    persists it with its measured real runtime (``repro cache`` shows
+    it).  The returned list is in grid order, so figure tables are
+    identical for any job count.  ``telemetry`` — a sink or a list of
+    sinks — is passed to the executor.  A real ``MemoryError`` comes
+    back as an ``oom`` summary, never memoized or persisted: it is a
+    machine-dependent outcome.
+    Raises ``RuntimeError`` with a failure report if any run crashed or
+    timed out (completed cells stay cached, so a retry only re-runs the
+    failures).
     """
     keys = [ExperimentKey(dataset=dataset, seeding=seeding,
                           algorithm=algorithm, n_ranks=n_ranks,
@@ -377,32 +380,22 @@ def sweep_dataset(dataset: str, scale: float = 1.0,
             for seeding in seedings
             for algorithm in algorithms
             for n_ranks in rank_counts]
-    if jobs <= 0:  # 0 = "auto": one worker per CPU
-        from repro.exec import default_jobs
+    _load_disk_cache()
+    missing = [k for k in keys if k not in _CACHE]
+    oom: Dict[ExperimentKey, RunSummary] = {}
+    if missing:
+        from repro.exec import (RunSpec, SweepExecutor, default_jobs,
+                                failure_report)
 
-        jobs = default_jobs()
-    if jobs > 1:
-        _load_disk_cache()
-        missing = [k for k in keys if k not in _CACHE]
-        if missing:
-            from repro.exec import (OUTCOME_OOM, RunSpec, SweepExecutor,
-                                    failure_report)
-
-            specs = [RunSpec(dataset=k.dataset, seeding=k.seeding,
-                             algorithm=k.algorithm, n_ranks=k.n_ranks,
-                             scale=k.scale) for k in missing]
-            outcomes = SweepExecutor(jobs=jobs, timeout=timeout,
-                                     telemetry=telemetry).run(specs)
-            if any(o.failed for o in outcomes):
-                raise RuntimeError(failure_report(outcomes))
-            for k, o in zip(missing, outcomes):
-                if o.status == OUTCOME_OOM:
-                    # A *real* MemoryError in the child: report the
-                    # gated status, but never persist a machine-
-                    # dependent outcome to the shared cache.
-                    _CACHE[k] = RunSummary(key=k, status=STATUS_OOM)
-                else:
-                    _CACHE[k] = o.payload
-                    _save_entry(k, o.payload, elapsed=o.elapsed)
-    return [run_experiment(k.dataset, k.seeding, k.algorithm, k.n_ranks,
-                           scale=k.scale) for k in keys]
+        outcomes = SweepExecutor(
+            jobs=default_jobs() if jobs <= 0 else jobs, timeout=timeout,
+            telemetry=telemetry,
+        ).run([RunSpec(**dataclasses.asdict(k)) for k in missing])
+        if any(o.failed for o in outcomes):
+            raise RuntimeError(failure_report(outcomes))
+        for k, o in zip(missing, outcomes):
+            if o.ok:
+                _CACHE[k] = o.payload
+            else:
+                oom[k] = RunSummary(key=k, status=STATUS_OOM)
+    return [oom.get(k) or _CACHE[k] for k in keys]

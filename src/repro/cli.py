@@ -105,27 +105,21 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         print(f"figure {args.number} is not a {args.dataset} figure; "
               f"valid: {valid}", file=sys.stderr)
         return 2
+    from repro.exec import text_progress
+
+    # Live progress on stderr when fanning out: stdout stays the table.
+    progress = text_progress(sys.stderr) if args.jobs != 1 else None
     try:
         summaries = sweep_dataset(args.dataset, scale=args.scale,
                                   rank_counts=args.ranks or RANK_COUNTS,
                                   jobs=args.jobs,
                                   timeout=args.timeout or None,
-                                  telemetry=_stderr_progress(args))
+                                  telemetry=progress)
     except RuntimeError as exc:
         print(f"repro figure: {exc}", file=sys.stderr)
         return 1
     print(figure_table(args.dataset, summaries, metric))
     return 0
-
-
-def _stderr_progress(args):
-    """A live-progress sink on stderr when fanning out, else ``None``
-    (stdout stays a clean, deterministic artifact)."""
-    if getattr(args, "jobs", 1) == 1:
-        return None
-    from repro.exec import text_progress
-
-    return text_progress(sys.stderr)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -205,17 +199,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
-    from repro.exec import (
-        OUTCOME_OOM,
-        SweepExecutor,
-        failure_report,
-        grid_specs,
-        text_progress,
-    )
-    from repro.obs import jsonable
+    from repro.exec import grid_specs, merge_run_entries
+    from repro.exec.frontend import drive_sweep, write_doc
 
     def split(text: str, valid, what: str) -> List[str]:
         items = [x for x in text.split(",") if x]
@@ -235,71 +220,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 2
     rank_counts = args.ranks or list(RANK_COUNTS)
-
-    # Distributed capacity: --nodes / --nodes-file describe remote slot
-    # counts.  Duplicate names are configuration errors.
-    from repro.exec import parse_fleet
-
-    try:
-        nodes = parse_fleet(args.nodes, args.nodes_file)
-    except ValueError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
-        return 2
-
     specs = grid_specs(datasets, seedings, algorithms, rank_counts,
                        scale=args.scale)
+    outcomes, code = drive_sweep(args, specs, "repro sweep")
+    if outcomes is None:
+        return code
 
-    if args.dry_run:
-        from repro.exec import dry_run_table, plan_schedule
-
-        print(dry_run_table(plan_schedule(specs)))
-        return 0
-
-    telemetry_dir = Path(args.telemetry) if args.telemetry else None
-    sinks = [text_progress(sys.stderr)]
-    if telemetry_dir is not None:
-        from repro.exec import JsonlTelemetry
-
-        telemetry_dir.mkdir(parents=True, exist_ok=True)
-        sinks.append(JsonlTelemetry(telemetry_dir / "events.jsonl"))
-    executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout or None,
-                             telemetry=sinks, nodes=nodes,
-                             remote_template=args.remote_template)
-    outcomes = executor.run(specs)
-    if telemetry_dir is not None:
-        sinks[-1].close()
-
-    runs = {}
-    for o in outcomes:
-        if o.ok:
-            entry = dataclasses.asdict(o.payload)
-            entry.pop("key", None)
-        elif o.status == OUTCOME_OOM:
-            entry = {"status": "oom"}
-        else:
-            entry = {"status": o.status}
-        runs[o.spec.name] = entry
-
-    widths = (28, 8, 12, 12, 12, 8)
-    header = "".join(f"{h:>{w}}" if i else f"{h:<{w}}"
-                     for i, (h, w) in enumerate(zip(
-                         ("run", "status", "wall", "io", "comm", "E"),
-                         widths)))
-    print(header)
-    print("-" * len(header))
-    for o in outcomes:
-        entry = runs[o.spec.name]
-        cells = [f"{o.spec.name:<{widths[0]}}",
-                 f"{entry.get('status', o.status):>{widths[1]}}"]
-        for metric, w in (("wall_clock", widths[2]),
-                          ("io_time", widths[3]),
-                          ("comm_time", widths[4])):
+    runs = merge_run_entries(outcomes)
+    print(f"{'run':<28}{'status':>8}{'wall':>12}{'io':>12}{'comm':>12}"
+          f"{'E':>8}")
+    print("-" * 80)
+    for name, entry in runs.items():
+        cells = [f"{name:<28}{entry['status']:>8}"]
+        for metric, w in (("wall_clock", 12), ("io_time", 12),
+                          ("comm_time", 12), ("block_efficiency", 8)):
             value = entry.get(metric)
             cells.append(f"{value:>{w}.3f}" if isinstance(value, float)
                          else f"{'-':>{w}}")
-        eff = entry.get("block_efficiency")
-        cells.append(f"{eff:>{widths[5]}.3f}" if isinstance(eff, float)
-                     else f"{'-':>{widths[5]}}")
         print("".join(cells))
 
     if args.out:
@@ -314,40 +251,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             },
             "runs": runs,
         }
-        out = Path(args.out)
-        if out.parent:
-            out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(json.dumps(jsonable(doc), sort_keys=True,
-                               separators=(",", ":")))
-            f.write("\n")
-        print(f"wrote {out} ({len(runs)} runs)", file=sys.stderr)
-
-    telemetry_ok = True
-    if telemetry_dir is not None:
-        from repro.exec import load_events, telemetry_report, \
-            validate_events
-
-        events = load_events(telemetry_dir / "events.jsonl")
-        problems = validate_events(events)
-        util_path = telemetry_dir / "utilization.txt"
-        util_path.write_text(telemetry_report(events) + "\n",
-                             encoding="utf-8")
-        print(f"telemetry: {len(events)} events -> "
-              f"{telemetry_dir / 'events.jsonl'}; utilization report -> "
-              f"{util_path}", file=sys.stderr)
-        if problems:
-            telemetry_ok = False
-            print("telemetry: event log FAILED validation:",
-                  file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-
-    report = failure_report(outcomes)
-    if report:
-        print(report, file=sys.stderr)
-        return 1
-    return 0 if telemetry_ok else 1
+        write_doc(args.out, doc)
+        print(f"wrote {args.out} ({len(runs)} runs)", file=sys.stderr)
+    return code
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -643,21 +549,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jobs_arg(text: str) -> int:
-    """``--jobs`` values: a non-negative int, or ``auto`` (= 0 = one
-    worker per CPU)."""
-    if text.strip().lower() == "auto":
-        return 0
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid jobs value {text!r}: expected an integer or 'auto'")
-    if value < 0:
-        raise argparse.ArgumentTypeError("jobs must be >= 0")
-    return value
-
-
 def _age_arg(text: str) -> float:
     """``--older-than`` values: seconds, or ``NN[s|m|h|d]``."""
     raw = text.strip().lower()
@@ -678,6 +569,9 @@ def _age_arg(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
+    from repro.exec.frontend import (add_fleet_args, add_pool_args,
+                                     add_sweep_args)
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Scalable streamline computation (SC'09 reproduction)")
@@ -698,15 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--dataset", choices=DATASETS, required=True)
     p_fig.add_argument("--scale", type=float, default=0.25)
     p_fig.add_argument("--ranks", type=int, nargs="*", default=None)
-    p_fig.add_argument("--jobs", type=_jobs_arg, default=1,
-                       metavar="N",
-                       help="worker processes for uncached runs "
-                            "(default 1 = serial; 0 or 'auto' = one "
-                            "per CPU); the table is identical for any "
-                            "value")
-    p_fig.add_argument("--timeout", type=float, default=0.0,
-                       help="per-run limit in real seconds "
-                            "(0 = unlimited)")
+    add_pool_args(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
 
     p_sw = sub.add_parser(
@@ -722,42 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--ranks", type=int, nargs="*", default=None,
                       help=f"rank counts (default {list(RANK_COUNTS)})")
     p_sw.add_argument("--scale", type=float, default=0.25)
-    p_sw.add_argument("--jobs", type=_jobs_arg, default=1,
-                      metavar="N",
-                      help="worker processes (default 1 = serial; 0 or "
-                           "'auto' = one per CPU); the merged output "
-                           "is byte-identical for any value")
-    p_sw.add_argument("--nodes", default=None, metavar="SPEC",
-                      help="distribute runs over remote nodes: "
-                           "comma-separated host:slots (e.g. "
-                           "host1:4,host2:8; bare host = 1 slot; "
-                           "the pseudo-host 'local' adds in-process "
-                           "slots); merged outputs stay byte-identical")
-    p_sw.add_argument("--nodes-file", default=None, metavar="PATH",
-                      help="read node specs from PATH (one 'host', "
-                           "'host:slots', or 'host slots' per line; "
-                           "# comments); combined with --nodes")
-    p_sw.add_argument("--remote-template", default=None,
-                      metavar="TEMPLATE",
-                      help="command template that launches the remote "
-                           "worker on {host} (default: ssh batch mode, "
-                           "cd {cwd}, python -m repro.exec."
-                           "remote_worker)")
-    p_sw.add_argument("--timeout", type=float, default=0.0,
-                      help="per-run limit in real seconds "
-                           "(0 = unlimited)")
-    p_sw.add_argument("--dry-run", action="store_true",
-                      help="print the planned dispatch order (heaviest "
-                           "problem first) with each run's share of "
-                           "the cost model's total and exit without "
-                           "executing")
     p_sw.add_argument("--out", default=None,
                       help="write a deterministic summary JSON here")
-    p_sw.add_argument("--telemetry", default=None, metavar="DIR",
-                      help="capture the executor's host-side event log "
-                           "(events.jsonl) and utilization report into "
-                           "DIR; never affects the deterministic "
-                           "outputs")
+    add_sweep_args(p_sw)
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_fl = sub.add_parser(
@@ -769,17 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe every configured node, run the calibration "
              "handshake, and print a readiness report (non-zero exit "
              "iff any target fails)")
-    p_flc.add_argument("--nodes", default=None, metavar="SPEC",
-                       help="comma-separated host:slots to probe over "
-                            "the remote template ('local' reports the "
-                            "in-machine pool)")
-    p_flc.add_argument("--nodes-file", default=None, metavar="PATH",
-                       help="read node specs from PATH (same format as "
-                            "repro sweep --nodes-file)")
-    p_flc.add_argument("--remote-template", default=None,
-                       metavar="TEMPLATE",
-                       help="command template for node probes (default:"
-                            " the ssh template)")
+    add_fleet_args(p_flc)
     p_flc.set_defaults(func=_cmd_fleet)
 
     p_pr = sub.add_parser(

@@ -42,6 +42,9 @@ Layers
     (:func:`text_progress`) — its schema validator, and the per-slot
     table and timeline views.  Telemetry never perturbs deterministic
     artifacts.
+:mod:`repro.exec.frontend`
+    The one command-line front end: the executor flags and
+    ``drive_sweep``, behind ``repro sweep`` and ``bench_trajectory.py``.
 
 ``repro.exec`` sits *above* ``repro.analysis`` (tasks import it
 lazily), so nothing in the simulator depends on multiprocessing.

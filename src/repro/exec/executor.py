@@ -69,7 +69,7 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -628,18 +628,24 @@ class SweepExecutor:
 
 def merge_run_entries(outcomes: Sequence[RunOutcome]
                       ) -> Dict[str, Dict[str, Any]]:
-    """Merge bench-mode outcomes into the ``runs`` table of a
-    ``BENCH_*.json`` document, in spec order.
+    """Merge outcomes into the ``runs`` table of a sweep document, in
+    spec order: the one place a run's entry is built, for
+    ``BENCH_*.json`` snapshots and ``repro sweep --out`` alike.
 
-    Successful runs contribute their full entry; a probe-level real OOM
-    contributes the minimal gated entry; executor failures contribute a
-    status-only entry (``repro diff`` flags the status change) so the
-    rest of the sweep is never discarded.
+    A successful run contributes its payload: a bench-mode entry dict as
+    it is, a summary-mode ``RunSummary`` as its fields without the key.
+    A real OOM contributes the minimal gated entry; executor failures
+    contribute a status-only entry (``repro diff`` flags the status
+    change) so the rest of the sweep is never discarded.
     """
     runs: Dict[str, Dict[str, Any]] = {}
     for o in outcomes:
-        if o.ok or o.status == OUTCOME_OOM:
-            runs[o.spec.name] = o.payload
+        if o.ok and is_dataclass(o.payload):
+            entry = asdict(o.payload)
+            entry.pop("key", None)
+        elif o.ok or o.status == OUTCOME_OOM:
+            entry = o.payload
         else:
-            runs[o.spec.name] = {"status": o.status}
+            entry = {"status": o.status}
+        runs[o.spec.name] = entry
     return runs

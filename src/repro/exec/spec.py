@@ -82,9 +82,11 @@ class RunSpec:
 class RunOutcome:
     """What happened to one spec: payload or failure.
 
-    ``host`` carries the child's host-telemetry dict
-    (:meth:`repro.obs.host.HostProbe.to_dict`) when the executor ran
-    with telemetry enabled; like ``elapsed`` it is *real-machine* data,
+    ``host`` carries the host-telemetry dict
+    (:meth:`repro.obs.host.HostProbe.to_dict`) of every run a worker —
+    or the inline path — reported, whether or not any sink listens; it
+    is ``None`` only for a run that never reported (timed out, or its
+    child died).  Like ``elapsed`` it is *real-machine* data,
     deliberately excluded from deterministic artifacts (the merge step
     never reads it).
     """

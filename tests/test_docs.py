@@ -1,5 +1,6 @@
 """Documentation invariants: every intra-repo markdown link resolves,
-and the distributed guide's runnable examples stay extractable.
+the distributed guide's runnable examples stay extractable, and every
+documented ``repro sweep`` command parses.
 
 The heavyweight half of the docs gate — actually *executing* the
 ```sh blocks in docs/distributed.md — runs in CI via
@@ -7,6 +8,8 @@ The heavyweight half of the docs gate — actually *executing* the
 suite fast.
 """
 
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -14,6 +17,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 import docs_check  # noqa: E402
+
+from repro.cli import build_parser  # noqa: E402
 
 
 def test_all_markdown_links_resolve():
@@ -58,3 +63,39 @@ def test_fenced_blocks_are_stripped_from_link_scan(tmp_path):
     assert problems == ["x.md: broken link -> target.md"]
     (tmp_path / "target.md").write_text("ok\n")
     assert docs_check.check_links(tmp_path) == []
+
+
+def _sweep_commands(path):
+    """The arguments of every ``repro sweep`` command in a markdown
+    file: fenced lines with their continuation lines joined, and inline
+    code spans, which may wrap."""
+    text = re.sub(r"\\\n\s*", " ", path.read_text())
+    chunks = text.split("```")  # odd chunks are fenced blocks
+    lines = [ln for chunk in chunks[1::2] for ln in chunk.splitlines()]
+    spans = [span.replace("\n", " ") for chunk in chunks[::2]
+             for span in re.findall(r"`([^`]+)`", chunk)]
+    for command in lines + spans:
+        _, found, rest = command.partition("repro sweep")
+        if not found:
+            continue
+        args = shlex.split(rest, comments=True)
+        ends = [i for i, arg in enumerate(args)
+                if arg in ("|", "||", "&&", ";") or arg.startswith(">")]
+        yield command.strip(), args[:ends[0]] if ends else args
+
+
+def test_documented_sweep_commands_parse(capsys):
+    """Every ``repro sweep`` command in README.md and docs/ parses with
+    the real CLI parser (``--ranks`` takes space-separated counts)."""
+    docs = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+    commands = [(path.relative_to(REPO), command, args)
+                for path in docs for command, args in _sweep_commands(path)]
+    assert len(commands) >= 20
+    rejected = []
+    for path, command, args in commands:
+        try:
+            build_parser().parse_args(["sweep", *args])
+        except SystemExit:
+            rejected.append(f"{path}: {command}\n  "
+                            f"{capsys.readouterr().err.splitlines()[-1]}")
+    assert not rejected, "\n".join(rejected)

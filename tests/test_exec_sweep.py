@@ -97,12 +97,7 @@ def test_unknown_mode_rejected():
 # --------------------------------------------------------------------- #
 
 def _summary_doc(outcomes):
-    runs = {}
-    for o in outcomes:
-        entry = dataclasses.asdict(o.payload)
-        entry.pop("key")
-        runs[o.spec.name] = entry
-    return json.dumps(runs, sort_keys=True).encode()
+    return json.dumps(merge_run_entries(outcomes), sort_keys=True).encode()
 
 
 def test_four_spec_sweep_parallel_matches_serial():
@@ -128,6 +123,78 @@ def test_sweep_dataset_parallel_matches_serial():
                              algorithms=("ondemand",),
                              seedings=("sparse", "dense"), jobs=4, **TINY)
     assert serial == parallel  # frozen dataclasses, exact floats
+
+
+def test_sweep_dataset_oom_does_not_depend_on_jobs(monkeypatch):
+    """Every jobs value runs through the executor: a real MemoryError is
+    the same unpersisted oom summary inline as in a pool."""
+    monkeypatch.setenv(FAULT_ENV, "memerr:astro")
+    grid = dict(rank_counts=(4,), algorithms=("ondemand", "static"),
+                seedings=("sparse",), **TINY)
+    serial = sweep_dataset("astro", jobs=1, **grid)
+    pooled = sweep_dataset("astro", jobs=2, **grid)
+    assert serial == pooled
+    assert [s.status for s in serial] == ["oom", "oom"]
+    assert not any(_entry_path(s.key).exists() for s in serial)
+
+
+#: sha256 of ``repro sweep --dataset astro --seeding sparse --algorithm
+#: static,ondemand,hybrid --ranks 4 --scale 0.02``: its ``--out`` bytes
+#: and its stdout table, computed with the hand-built merge and table
+#: that preceded ``drive_sweep`` and ``merge_run_entries``.  Serial-vs-
+#: parallel equality cannot see a change both sides share; this can.
+#: Never recompute these to make the test pass.
+PINNED_SWEEP = {
+    "out": "23a3f71dfbbdd8d016fc784e17741df638fc8d67e208223f59e828d9faa89bb1",
+    "stdout":
+        "f0c98dda761f448eaff4835c7e44616fb758bf63c11ac674eeae337bd341169b",
+}
+
+
+def test_cli_sweep_outputs_pinned(tmp_path, capsys):
+    import hashlib
+
+    from repro.cli import main
+
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--dataset", "astro", "--seeding", "sparse",
+                 "--algorithm", "static,ondemand,hybrid", "--ranks", "4",
+                 "--scale", "0.02", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert {"out": hashlib.sha256(out.read_bytes()).hexdigest(),
+            "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
+            } == PINNED_SWEEP
+
+
+@pytest.mark.parametrize("front_end", ["repro sweep", "bench_trajectory"])
+def test_telemetry_problems_fail_both_front_ends(front_end, bench_mod,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+    """Both front ends validate their --telemetry log through the shared
+    driver: a problem is listed on stderr and the exit code is 1, while
+    the document and utilization report are still written."""
+    import repro.exec.frontend as frontend
+    from repro.cli import main as cli_main
+
+    monkeypatch.setattr(frontend, "validate_events",
+                        lambda events: ["injected problem"])
+    telem = tmp_path / "telem"
+    if front_end == "repro sweep":
+        code = cli_main(["sweep", "--dataset", "astro", "--seeding",
+                         "sparse", "--algorithm", "ondemand", "--ranks",
+                         "4", "--scale", "0.02", "--telemetry", str(telem),
+                         "--out", str(tmp_path / "doc.json")])
+    else:
+        code = bench_mod.main(["--scale", "0.02", "--ranks", "4",
+                               "--sample-interval", "2.0", "--date", "t",
+                               "--telemetry", str(telem),
+                               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "event log FAILED validation" in err
+    assert "  injected problem" in err
+    assert (telem / "utilization.txt").is_file()
+    assert list(tmp_path.glob("*.json"))
 
 
 def test_bench_trajectory_jobs_byte_identical(bench_mod, tmp_path):

@@ -1,7 +1,6 @@
 """Distributed sweep transport: framing, node specs, loopback remotes,
 failover, and the byte-identity contract across transports."""
 
-import dataclasses
 import io
 import json
 import os
@@ -34,6 +33,7 @@ from repro.exec import (
     fork_worker,
     grid_specs,
     load_events,
+    merge_run_entries,
     parse_nodes,
     read_nodes_file,
     validate_events,
@@ -84,12 +84,7 @@ def _spec(dataset="astro", seeding="sparse", algorithm="ondemand",
 
 
 def _summary_doc(outcomes):
-    runs = {}
-    for o in outcomes:
-        entry = dataclasses.asdict(o.payload)
-        entry.pop("key")
-        runs[o.spec.name] = entry
-    return json.dumps(runs, sort_keys=True).encode()
+    return json.dumps(merge_run_entries(outcomes), sort_keys=True).encode()
 
 
 # --------------------------------------------------------------------- #
