@@ -105,10 +105,11 @@ def wait_state_table(result: "RunResult", obs: "Recorder") -> str:
     wait states, and the drain tail.
 
     Per rank, ``busy + Σ wait:<reason> + drain == wall`` up to float
-    summation error: every simulated cost is charged inside a span, every
-    blocked interval is attributed to a reason, and *drain* is the gap
-    between the rank finishing its program and the run's last event
-    (``wall - finish_time`` — not a wait, the rank is done).
+    summation error: every simulated cost is charged by
+    ``Recorder.charge``, every blocked interval is attributed to a
+    reason, and *drain* is the gap between the rank finishing its
+    program and the run's last event (``wall - finish_time`` — not a
+    wait, the rank is done).
 
     Hybrid master ranks are listed like every other rank but labelled
     with a ``role`` column (their idle is coordination parking, not

@@ -140,6 +140,12 @@ class HybridMaster:
         self._hinted: Set[int] = set()
         #: Out-of-domain seeds terminated at startup (root only).
         self.done_lines: List[Streamline] = []
+        #: Loaded blocks under which the locality rule still loads.
+        self._budget = min(config.duplication_budget,
+                           self._cache_capacity() - 1)
+        #: Step 7's busiest slaves over the whole group, or ``None`` once
+        #: an instruction changed a record (see :meth:`_busiest`).
+        self._top: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
     # Pool helpers
@@ -181,6 +187,7 @@ class HybridMaster:
         yield from self._send(s.rank, msg.KIND_ASSIGN, assign)
         s.mark_loaded(bid)  # Assign_unloaded makes the slave load it.
         s.advanceable += len(assign.sids)
+        self._top = None
         if self.ctx.trace.enabled:
             self.ctx.trace.emit(self.ctx.rank, "assign", slave=s.rank,
                                 block=bid, n=len(assign.sids))
@@ -190,6 +197,7 @@ class HybridMaster:
         yield from self._send(s.rank, msg.KIND_LOAD, msg.LoadBlock(bid))
         s.mark_loaded(bid)
         s.advanceable += s.take(bid)
+        self._top = None
         if self.ctx.trace.enabled:
             self.ctx.trace.emit(self.ctx.rank, "load_rule", slave=s.rank,
                                 block=bid)
@@ -200,6 +208,7 @@ class HybridMaster:
                               msg.SendForce(block_id=bid, dest=dst.rank))
         moved = src.take(bid)
         dst.advanceable += moved  # dst has bid loaded, so they can run.
+        self._top = None
         if self.ctx.trace.enabled:
             self.ctx.trace.emit(self.ctx.rank, "send_force", src=src.rank,
                                 dst=dst.rank, block=bid, moved=moved)
@@ -244,14 +253,11 @@ class HybridMaster:
         # One waiting list serves the locality rule and steps 1-2: step 1
         # only takes blocks at or below N_L, step 2 only looks above it.
         waiting = s.waiting_blocks()
-        if not waiting and not self._pool_count and s.rank in self._hinted:
-            return  # No rule can fire: nothing to move, load, assign or hint.
 
         # Locality bias (see HybridConfig): while S is under its
         # duplication budget, loading the block it needs is cheaper over
         # the curve's lifetime than migrating geometry on every crossing.
-        budget = min(cfg.duplication_budget, self._cache_capacity() - 1)
-        if cfg.locality_bias and len(s.loaded) < budget and waiting:
+        if cfg.locality_bias and len(s.loaded) < self._budget and waiting:
             yield from self._emit_load(s, waiting[0][1])
             self.needs_work.discard(s.rank)
             self._hinted.discard(s.rank)
@@ -313,13 +319,7 @@ class HybridMaster:
         # Step 7: Send_hint — ask a busy slave to feed S (at most once
         # per idle episode of S, see _hinted).
         if not assigned and s.rank not in self._hinted:
-            most, busiest = 1, []
-            for r in self.slaves:
-                n = records[r].queued + records[r].advanceable
-                if n >= most and r != s.rank:
-                    if n > most:
-                        most, busiest = n, []
-                    busiest.append(r)
+            busiest = self._busiest(s.rank)
             if busiest:
                 # Drawn whether or not a hint follows: the stream of
                 # draws is part of the schedule.
@@ -344,17 +344,58 @@ class HybridMaster:
             self.needs_work.discard(s.rank)
             self._hinted.discard(s.rank)
 
+    def _scan_busiest(self, exclude: Optional[int]) -> List[int]:
+        """The slaves other than ``exclude`` holding the most lines (at
+        least one), in slave order."""
+        records = self.records
+        most, busiest = 1, []
+        for r in self.slaves:
+            n = records[r].queued + records[r].advanceable
+            if n >= most and r != exclude:
+                if n > most:
+                    most, busiest = n, []
+                busiest.append(r)
+        return busiest
+
+    def _busiest(self, exclude: int) -> List[int]:
+        """Step 7's candidates for starving slave ``exclude``.
+
+        Derived from the group-wide list, which is scanned once per pass
+        and again only after an ``_emit_*`` changed a record: a slave
+        outside the list leaves it whole, one of several busiest drops
+        out of it, and only the sole busiest needs a rescan without it.
+        """
+        top = self._top
+        if top is None:
+            top = self._top = self._scan_busiest(None)
+        if exclude not in top:
+            return top
+        if len(top) > 1:
+            return [r for r in top if r != exclude]
+        return self._scan_busiest(exclude)
+
     def _assignment_pass(self) -> Generator[Request, Any, None]:
-        starving = sorted(self.needs_work.copy())
+        starving = sorted(self.needs_work)
         if not starving:
             return
         obs = self.ctx.obs
+        self._top = None  # Statuses refreshed records since the last pass.
         with (obs.span(self.ctx.rank, "master.assign_pass",
                        starving=len(starving))
               if obs.enabled else NULL_SPAN):
             for rank in starving:
-                if rank in self.needs_work:
-                    yield from self._try_assign(rank)
+                if rank not in self.needs_work:
+                    continue
+                # No rule can fire for a slave with nothing waiting while
+                # the pool is empty unless a hint can go out, and none can
+                # when one is out or no other slave has work: skip it
+                # without entering the sequence (no draw is skipped).
+                if not self._pool_count \
+                        and not self.records[rank].waiting_blocks() \
+                        and (rank in self._hinted
+                             or not self._busiest(rank)):
+                    continue
+                yield from self._try_assign(rank)
 
     # ------------------------------------------------------------------ #
     # Inter-master seed balancing

@@ -20,9 +20,9 @@ the engine observer protocol that feeds two of them:
     shift tie-breaking sequence numbers): a traced run and an untraced
     run execute the identical schedule.
 
-A disabled ``Recorder`` is still functional as a *clock + timer*
-carrier: charging spans created through it read the simulated clock and
-feed ``RankMetrics``, they just leave no record.  The engine observer is
+A disabled ``Recorder`` still carries the timers: :meth:`Recorder.charge`
+feeds ``RankMetrics`` whether or not it records, and only an enabled
+recorder turns the same interval into a span.  The engine observer is
 only installed when the recorder is enabled, so the disabled per-event
 overhead is zero.
 
@@ -53,8 +53,8 @@ class Recorder:
     Parameters
     ----------
     enabled:
-        Master switch.  Disabled recorders charge timers but record
-        nothing and install no engine hooks.
+        Master switch.  Disabled recorders charge timers
+        (:meth:`charge`) but record nothing and install no engine hooks.
     sample_interval:
         Simulated seconds between gauge samples (``None`` or ``<= 0``
         disables sampling).
@@ -96,19 +96,33 @@ class Recorder:
     # ------------------------------------------------------------------ #
     # Spans
     # ------------------------------------------------------------------ #
-    def span(self, rank: int, name: str, category=None, metrics=None,
-             **attrs: Any):
-        """Open a span for ``rank`` (use as a context manager).
-
-        With ``category`` and ``metrics``, the span charges its duration
-        to that timer on exit (it must run even when disabled).  A
-        recording-only span (no category) on a disabled recorder returns
-        the shared :data:`~repro.obs.span.NULL_SPAN`.
-        """
-        if not self.enabled and category is None:
+    def span(self, rank: int, name: str, **attrs: Any):
+        """Open a recording span for ``rank`` (use as a context manager);
+        a disabled recorder returns the shared
+        :data:`~repro.obs.span.NULL_SPAN`."""
+        if not self.enabled:
             return NULL_SPAN
-        return Span(self, rank, name, category=category, metrics=metrics,
-                    attrs=attrs or None)
+        return Span(self, rank, name, attrs=attrs or None)
+
+    def charge(self, rank: int, name: str, category, metrics,
+               start: float, end: float,
+               attrs: Optional[Dict[str, Any]] = None) -> None:
+        """Charge one timed interval of ``rank`` and, when recording,
+        keep it as a span.
+
+        The simulator's timer sites read the clock before their
+        ``Sleep`` and call this in a ``finally`` with a second reading,
+        so ``metrics.charge(category, end - start)`` runs whether or not
+        the recorder is enabled (and even when the process is closed
+        mid-``Sleep``).  The recorded span takes the rank's current
+        nesting depth; ``attrs`` is recording-only (sites build it under
+        ``if obs.enabled``).
+        """
+        metrics.charge(category, end - start)
+        if self.enabled:
+            self._spans.append(SpanRecord(
+                rank, name, start, end, self._depth.get(rank, 0),
+                freeze_attrs(attrs) if attrs else ()))
 
     def marker(self, rank: int, name: str, **attrs: Any) -> None:
         """Record a zero-duration span at the current simulated time.
@@ -170,8 +184,7 @@ class Recorder:
         self._next_sample = (math.floor(now / interval) + 1) * interval
 
 
-#: Shared disabled recorder for code paths with no cluster (exists only
-#: for default arguments; anything that charges timers must use a
-#: clock-bound recorder, which ``Cluster``/``FileSystem``/``Network``
-#: create for themselves when none is supplied).
+#: Shared disabled recorder for code paths with no cluster.  It records
+#: nothing and never reads its clock; :meth:`Recorder.charge` takes both
+#: clock readings from its caller, so it still carries the timers.
 NULL_RECORDER = Recorder(enabled=False)

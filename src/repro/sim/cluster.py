@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional
 
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.engine import Engine, Request, Sleep
 from repro.sim.filesystem import FileSystem
 from repro.sim.machine import MachineSpec
@@ -88,12 +88,7 @@ class RankContext:
     metrics: RankMetrics
     trace: Trace
     engine: Engine
-    obs: Recorder = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.obs is None:
-            self.obs = Recorder(enabled=False,
-                                clock=lambda: self.engine.now)
+    obs: Recorder = NULL_RECORDER
 
     @property
     def now(self) -> float:
@@ -105,24 +100,26 @@ class RankContext:
 
         Returns the simulated seconds consumed.  Must be called with
         ``yield from``.  ``sids`` (optional, recording-only) tags the
-        span with the streamline ids advanced by this call so the
-        per-seed lineage reconstruction can attribute the interval;
+        recorded span with the streamline ids advanced by this call so
+        the per-seed lineage reconstruction can attribute the interval;
         callers should only build the list when ``obs.enabled``.
         """
         if steps < 0:
             raise ValueError(f"negative step count: {steps}")
         seconds = steps * self.spec.seconds_per_step
         obs = self.obs
-        with obs.span(self.rank, "compute.advect",
-                      category=TimerCategory.COMPUTE,
-                      metrics=self.metrics) as sp:
-            if obs.enabled:
-                if sids is None:
-                    sp.set(steps=steps)
-                else:
-                    sp.set(steps=steps, sids=sorted(sids))
+        attrs = None
+        if obs.enabled:
+            attrs = ({"steps": steps} if sids is None
+                     else {"steps": steps, "sids": sorted(sids)})
+        engine = self.engine
+        start = engine.now
+        try:
             if seconds > 0:
                 yield Sleep(seconds)
+        finally:
+            obs.charge(self.rank, "compute.advect", TimerCategory.COMPUTE,
+                       self.metrics, start, engine.now, attrs)
         self.metrics.steps += steps
         return seconds
 

@@ -231,9 +231,10 @@ class Engine:
     def _schedule_resume(self, proc: Process, value: Any) -> None:
         self._schedule(self.now, proc._step, (value,))
 
-    def call_at(self, time: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` at absolute simulated time ``time``."""
-        self._schedule(time, fn)
+    def call_at(self, time: float, fn: Callable[..., None],
+                *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated time ``time``."""
+        self._schedule(time, fn, args)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` simulated seconds."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.engine import Engine, Request, Sleep
 from repro.sim.machine import MachineSpec
 from repro.sim.metrics import RankMetrics, TimerCategory
@@ -36,9 +36,7 @@ class FileSystem:
         self.engine = engine
         self.spec = spec
         self.metrics = metrics
-        if obs is None:
-            obs = Recorder(enabled=False, clock=lambda: engine.now)
-        self.obs = obs
+        self.obs = NULL_RECORDER if obs is None else obs
         self._server_busy_until: List[float] = [0.0] * spec.io_servers
         self.total_reads = 0
         self.total_bytes = 0
@@ -70,16 +68,19 @@ class FileSystem:
         self.total_wait += queued
 
         obs = self.obs
-        with obs.span(rank, "io.read", category=TimerCategory.IO,
-                      metrics=self.metrics[rank]) as sp:
-            if obs.enabled:
-                sp.set(nbytes=nbytes, queued=queued, server=server)
-                reg = obs.registry
-                reg.counter("io.reads").inc()
-                reg.histogram("io.read_seconds").observe(elapsed)
-                reg.histogram("io.queue_delay").observe(queued)
+        attrs = None
+        if obs.enabled:
+            attrs = {"nbytes": nbytes, "queued": queued, "server": server}
+            reg = obs.registry
+            reg.counter("io.reads").inc()
+            reg.histogram("io.read_seconds").observe(elapsed)
+            reg.histogram("io.queue_delay").observe(queued)
+        try:
             if elapsed > 0:
                 yield Sleep(elapsed)
+        finally:
+            obs.charge(rank, "io.read", TimerCategory.IO, self.metrics[rank],
+                       now, self.engine.now, attrs)
         return elapsed
 
     @property

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Generator, List, Optional
 
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.engine import Engine, Request, Signal, Sleep, Wait
 from repro.sim.machine import MachineSpec
 from repro.sim.metrics import RankMetrics, TimerCategory
@@ -66,9 +66,7 @@ class Network:
         self.engine = engine
         self.spec = spec
         self.metrics = metrics
-        if obs is None:
-            obs = Recorder(enabled=False, clock=lambda: engine.now)
-        self.obs = obs
+        self.obs = NULL_RECORDER if obs is None else obs
         self._endpoints: Dict[int, "Comm"] = {}
         self._nic_busy_until: Dict[int, float] = {}
         self._msg_ids = itertools.count()
@@ -96,7 +94,7 @@ class Network:
         self.total_messages += 1
         self.total_bytes += msg.nbytes
         self.bytes_in_flight += msg.nbytes
-        self.engine.call_at(arrive, lambda: self._deliver(msg))
+        self.engine.call_at(arrive, self._deliver, msg)
 
     def _deliver(self, msg: Message) -> None:
         dst = self._endpoints.get(msg.dst)
@@ -142,31 +140,34 @@ class Comm:
         post = spec.post_time(nbytes)
         m = net.metrics[self.rank]
         obs = net.obs
-        with obs.span(self.rank, "comm.send", category=TimerCategory.COMM,
-                      metrics=m) as sp:
-            if obs.enabled:
-                # Streamline provenance: tag the send with the ids it
-                # carries so per-seed lineage can attribute the handoff.
-                # Duck-typed (StreamlinePacket has .lines, AssignSeeds
-                # has .sids) to keep this module free of core imports.
-                lines = getattr(payload, "lines", None)
-                sids = (getattr(payload, "sids", None) if lines is None
-                        else [ln.sid for ln in lines])
-                if sids is None:
-                    sp.set(dst=dst, kind=kind, nbytes=nbytes)
-                else:
-                    sp.set(dst=dst, kind=kind, nbytes=nbytes,
-                           sids=sorted(sids))
-                if self._sent is None:
-                    self._sent = (
-                        obs.registry.counter("comm.msgs_sent"),
-                        obs.registry.histogram(
-                            "comm.msg_bytes",
-                            buckets=(64, 1024, 16384, 262144, 4194304)))
-                self._sent[0].inc()
-                self._sent[1].observe(nbytes)
+        attrs = None
+        if obs.enabled:
+            # Streamline provenance: tag the send with the ids it
+            # carries so per-seed lineage can attribute the handoff.
+            # Duck-typed (StreamlinePacket has .lines, AssignSeeds
+            # has .sids) to keep this module free of core imports.
+            lines = getattr(payload, "lines", None)
+            sids = (getattr(payload, "sids", None) if lines is None
+                    else [ln.sid for ln in lines])
+            attrs = {"dst": dst, "kind": kind, "nbytes": nbytes}
+            if sids is not None:
+                attrs["sids"] = sorted(sids)
+            if self._sent is None:
+                self._sent = (
+                    obs.registry.counter("comm.msgs_sent"),
+                    obs.registry.histogram(
+                        "comm.msg_bytes",
+                        buckets=(64, 1024, 16384, 262144, 4194304)))
+            self._sent[0].inc()
+            self._sent[1].observe(nbytes)
+        engine = net.engine
+        start = engine.now
+        try:
             if post > 0:
                 yield Sleep(post)
+        finally:
+            obs.charge(self.rank, "comm.send", TimerCategory.COMM, m,
+                       start, engine.now, attrs)
         m.msgs_sent += 1
         m.bytes_sent += nbytes
         msg = Message(src=self.rank, dst=dst, kind=kind, payload=payload,
@@ -192,22 +193,27 @@ class Comm:
     def _charged_drain(self) -> Generator[Request, Any, List[Message]]:
         """Drain the mailbox and charge the per-message receive posts.
 
-        Shared tail of :meth:`try_recv` / :meth:`recv_wait`; the
-        ``comm.recv`` span charges the elapsed post time to the rank's
-        ``comm`` timer on exit.
+        Shared tail of :meth:`try_recv` / :meth:`recv_wait`; the elapsed
+        post time is charged to the rank's ``comm`` timer (and recorded
+        as a ``comm.recv`` span).  An empty drain on a disabled recorder
+        costs nothing and charges nothing.
         """
         msgs = self._drain_now()
         net = self.network
-        spec = net.spec
-        cost = sum(spec.comm_post_overhead for _ in msgs)
-        m = net.metrics[self.rank]
         obs = net.obs
-        with obs.span(self.rank, "comm.recv", category=TimerCategory.COMM,
-                      metrics=m) as sp:
-            if obs.enabled:
-                sp.set(count=len(msgs))
+        if not msgs and not obs.enabled:
+            return msgs
+        cost = sum(net.spec.comm_post_overhead for _ in msgs)
+        m = net.metrics[self.rank]
+        engine = net.engine
+        start = engine.now
+        try:
             if cost > 0:
                 yield Sleep(cost)
+        finally:
+            obs.charge(self.rank, "comm.recv", TimerCategory.COMM, m,
+                       start, engine.now,
+                       {"count": len(msgs)} if obs.enabled else None)
         m.msgs_received += len(msgs)
         return msgs
 

@@ -7,6 +7,8 @@ import pytest
 from repro.core.driver import run_streamlines
 from repro.obs import NULL_SPAN, Recorder
 from repro.obs.span import NullSpan, Span
+from repro.sim.cluster import Cluster
+from repro.sim.machine import MachineSpec
 from repro.sim.metrics import RankMetrics, TimerCategory
 from repro.sim.trace import Trace
 
@@ -46,23 +48,52 @@ def test_span_nesting_depth_per_rank():
     assert rec.open_span_count == 0
 
 
-def test_charging_span_feeds_rank_metrics():
-    rec, clock = make_recorder(True)
+def test_charge_feeds_rank_metrics_and_records():
+    rec, _ = make_recorder(True)
     m = RankMetrics(rank=0)
-    with rec.span(0, "compute.advect", category=TimerCategory.COMPUTE,
-                  metrics=m):
-        clock["now"] = 2.5
+    with rec.span(0, "outer"):
+        rec.charge(0, "compute.advect", TimerCategory.COMPUTE, m, 0.5, 3.0,
+                   {"steps": 4})
     assert m.compute_time == pytest.approx(2.5)
     assert m.busy_time == pytest.approx(2.5)
+    (s, _) = rec.spans
+    assert (s.rank, s.name, s.start, s.end) == (0, "compute.advect", 0.5, 3.0)
+    assert s.depth == 1 and s.attrs == (("steps", 4),)
 
 
-def test_charging_span_charges_even_when_disabled():
-    rec, clock = make_recorder(False)
+def test_charge_charges_even_when_disabled():
+    rec, _ = make_recorder(False)
     m = RankMetrics(rank=0)
-    with rec.span(0, "io.read", category=TimerCategory.IO, metrics=m):
-        clock["now"] = 1.5
+    rec.charge(0, "io.read", TimerCategory.IO, m, 0.0, 1.5)
     assert m.io_time == pytest.approx(1.5)
     assert rec.spans == ()  # charged, but not recorded
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_timer_site_charges_when_closed_mid_sleep(enabled):
+    """A process closed inside a timer's ``Sleep`` still charges the
+    interval it slept, and records it when enabled."""
+    cluster = Cluster(MachineSpec(n_ranks=2, seconds_per_step=1.0),
+                      obs=Recorder(enabled=enabled))
+    ctx = cluster.context(1)
+
+    def program():
+        yield from ctx.compute(10)
+
+    engine = cluster.engine
+    gen = program()
+    engine.spawn("rank1", gen, rank=1)
+    engine.call_at(4.0, lambda: None)
+    assert engine.run(until=5.0) == 4.0
+    gen.close()
+    assert ctx.metrics.compute_time == 4.0
+    assert ctx.metrics.steps == 0
+    if enabled:
+        (s,) = cluster.obs.spans
+        assert (s.name, s.start, s.end, s.depth) == (
+            "compute.advect", 0.0, 4.0, 0)
+    else:
+        assert cluster.obs.spans == ()
 
 
 def test_disabled_recording_span_is_shared_null_singleton():
@@ -89,12 +120,10 @@ def test_span_set_attrs_merge_and_sort():
 
 def test_span_records_on_exception_and_reraises():
     rec, clock = make_recorder(True)
-    m = RankMetrics(rank=0)
     with pytest.raises(RuntimeError):
-        with rec.span(0, "io.read", category=TimerCategory.IO, metrics=m):
+        with rec.span(0, "io.read"):
             clock["now"] = 1.0
             raise RuntimeError("boom")
-    assert m.io_time == pytest.approx(1.0)
     assert rec.spans[0].end == 1.0
     assert rec.open_span_count == 0
 
@@ -107,10 +136,11 @@ def test_span_records_on_exception_and_reraises():
 def test_disabled_run_does_no_recording_work(small_problem, small_machine,
                                              monkeypatch, algorithm):
     """With recorder and trace disabled no recording entry point is even
-    called: every ``sp.set`` / ``obs.marker`` / ``trace.emit`` site sits
-    behind its ``if obs.enabled:`` / ``if trace.enabled:`` guard, so the
-    disabled path builds no kwargs.  The same run enabled goes through
-    all three (the counters do count)."""
+    called: no ``Span`` is built, and every ``obs.marker`` /
+    ``trace.emit`` site sits behind its ``if obs.enabled:`` /
+    ``if trace.enabled:`` guard, so the disabled path builds no kwargs.
+    Only the timers run, through ``Recorder.charge``.  The same run
+    enabled goes through all of them (the counters do count)."""
     calls = Counter()
 
     def counting(cls, name):
@@ -122,7 +152,8 @@ def test_disabled_run_does_no_recording_work(small_problem, small_machine,
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    counting(Span, "set")
+    counting(Span, "__init__")
+    counting(Recorder, "charge")
     counting(Recorder, "marker")
     counting(Trace, "emit")
 
@@ -130,16 +161,19 @@ def test_disabled_run_does_no_recording_work(small_problem, small_machine,
     result = run_streamlines(small_problem, algorithm=algorithm,
                              machine=small_machine, obs=obs, trace=trace)
     assert result.ok
+    assert calls.pop("Recorder.charge") > 0  # the timers still charge
     assert calls == Counter()
     assert obs.spans == () and len(trace) == 0
     assert obs.registry.samples == [] and obs.registry.counters() == {}
     # No trace handed in: the shared NULL_TRACE is a ``Trace`` too.
     assert run_streamlines(small_problem, algorithm=algorithm,
                            machine=small_machine).ok
+    assert calls.pop("Recorder.charge") > 0
     assert calls == Counter()
 
     obs, trace = Recorder(enabled=True), Trace(enabled=True)
     run_streamlines(small_problem, algorithm=algorithm,
                     machine=small_machine, obs=obs, trace=trace)
-    assert set(calls) == {"Span.set", "Recorder.marker", "Trace.emit"}
+    assert set(calls) == {"Span.__init__", "Recorder.charge",
+                          "Recorder.marker", "Trace.emit"}
     assert calls["Trace.emit"] == len(trace)
