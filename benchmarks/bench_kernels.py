@@ -90,7 +90,7 @@ from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import Dopri5
 from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.single import integrate_single
-from repro.integrate.streamline import make_streamlines
+from repro.integrate.streamline import Streamline, make_streamlines
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 from repro.obs import (Recorder, analyze_dir, analyze_run, write_perfetto,
@@ -209,7 +209,9 @@ def bench_trace(field, dec, rng, inner, repeats) -> dict:
 
 def bench_full_width_trace(repeats) -> dict:
     """One bank trace of ``dense_batch`` (benchmarks/host/workloads.py):
-    all 880 curves in one lockstep batch, and what it allocates."""
+    all 880 curves in one lockstep batch, and what it allocates.  The
+    trace runs in-process: a bank would stream a trace this big from a
+    forked tracer, and its first demand would then time the fork."""
     field = ThermalHydraulicsField()
     cy, cz = field.inlet_centers[0]
     problem = ProblemSpec(
@@ -220,14 +222,16 @@ def bench_full_width_trace(repeats) -> dict:
     store = BlockStore(field, problem.decomposition)
 
     def trace():
-        TrajectoryBank(problem, store).tapes_for([])
+        return TrajectoryBank(problem, store)._trace([
+            Streamline(sid=sid, seed=problem.seeds[sid], block_id=int(bid))
+            for sid, bid in enumerate(problem.seed_blocks) if bid >= 0])
 
     rec = _bench(trace, 1, repeats)
     tracemalloc.start()
-    bank = TrajectoryBank(problem, store)
-    bank.tapes_for([])
+    tapes = trace()
     live, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    del tapes
     rec["tracemalloc_live_mib"] = live / 2 ** 20
     rec["tracemalloc_peak_mib"] = peak / 2 ** 20
     return rec

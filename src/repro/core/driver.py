@@ -201,7 +201,8 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
     cluster = Cluster(machine, trace=trace, obs=obs)
     if store is None:
         store = default_store(problem)
-    if bank is None:
+    own_bank = bank is None
+    if own_bank:
         bank = TrajectoryBank(problem, store)
     elif bank.problem is not problem or bank.store is not store:
         raise ValueError("bank= was built for another problem or store")
@@ -249,9 +250,13 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
         # Workers sit in reference cycles with their coroutine frames;
         # dropping every reference here frees the bank's tapes and
         # stacked blocks now instead of at some later cyclic collection.
+        # A bank of this run's own also reaps its forked tracer here,
+        # killing it first if the run ended before the trace did.
         for w in workers:
             w.bank = None
         bank.end_run()
+        if own_bank:
+            bank.close()
         del bank
 
     lines = []

@@ -47,7 +47,14 @@ Layers
     ``drive_sweep``, behind ``repro sweep`` and ``bench_trajectory.py``.
 
 ``repro.exec`` sits *above* ``repro.analysis`` (tasks import it
-lazily), so nothing in the simulator depends on multiprocessing.
+lazily), so nothing in the simulator depends on ``multiprocessing``.
+Below it, one process boundary remains: a trajectory bank may fork one
+tracer per problem (:mod:`repro.integrate.tracer`) that integrates the
+seeds while the simulator replays them — ``os.fork``, one pipe and
+anonymous shared memory, never ``multiprocessing`` — and every artifact
+is byte-identical to the in-process trace.  A local pool worker never
+forks one: its siblings already share the CPUs (the bank asks whether
+the process is a ``multiprocessing`` child without importing it).
 """
 
 from repro.exec.executor import (

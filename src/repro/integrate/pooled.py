@@ -25,8 +25,9 @@ overhead, not per-element arithmetic (batches are tiny — the regime
 bottleneck).  Four mechanisms keep it down:
 
 * a run advances every curve in one wide call (the trajectory bank,
-  :mod:`repro.integrate.bank`) over one :class:`BlockPool` that stacks
-  each block once, the first time a curve enters it;
+  :mod:`repro.integrate.bank`, which may run it in a forked tracer)
+  over one :class:`BlockPool` that stacks each block once, the first
+  time a curve enters it;
 * :class:`PoolSampler` is a fused trilinear kernel over component-major
   workspaces (``(3, k)`` coordinates, ``(8, k)`` weights, ``(8, 3, k)``
   corner values): one element gather of every corner component, one
@@ -804,37 +805,57 @@ def _scalar_rounds(pool: "BlockPool",
     return rounds, np.array([rec[0] for rec in parts], dtype=np.int64)
 
 
-class TrialTape:
-    """Every trial step of one :func:`advance_pool` call, line-major.
+def round_guard(cfg: IntegratorConfig) -> int:
+    """Most lockstep rounds one :func:`advance_pool` call may run.  A
+    converging controller needs far fewer; this only stops a
+    pathological one from looping forever."""
+    return 4 * cfg.max_steps + 64
 
-    Row ``i``, column ``r`` of ``steps``/``blk``/``h``/``t`` hold line
-    ``i``'s accepted-step count, block id, step size and time *after* its
-    ``r``-th trial of the call (lockstep: the call's ``r``-th round);
-    ``n[i]`` columns of row ``i`` are filled.  Columns grow on demand.
+
+class TrialTape:
+    """Every trial step of one :func:`advance_pool` call, round-major,
+    and the call's vertices.
+
+    Row ``r``, column ``i`` of ``steps``/``blk``/``h``/``t`` hold line
+    ``i``'s accepted-step count, block id, step size and time *after*
+    its ``r``-th trial (lockstep: the call's ``r``-th round); ``n[i]``
+    rows of column ``i`` are filled, and ``codes[i]`` is the line's stop
+    code once it stopped (:meth:`status`).  ``verts[i]`` receives the
+    line's vertices of the call, its start first.
+
+    Rows go up to the call's :func:`round_guard`, so the tape never
+    grows.  ``alloc(shape, dtype)`` returns zeroed arrays whose pages
+    become resident when first written (``np.zeros``, or anonymous
+    shared memory that another process reads while the call runs), so
+    rounds never reached cost nothing.  ``publish``, when set, is called
+    with ``rounds`` each time every trial of the first ``rounds`` rounds,
+    its vertices and the stop codes they set are filed.
     """
 
-    def __init__(self, k: int, cap: int) -> None:
-        self.n = np.zeros(k, dtype=np.int64)
-        self.steps = np.empty((k, cap), dtype=np.int32)
-        self.blk = np.empty((k, cap), dtype=np.int32)
-        self.h = np.empty((k, cap), dtype=np.float64)
-        self.t = np.empty((k, cap), dtype=np.float64)
+    def __init__(self, k: int, cfg: IntegratorConfig,
+                 alloc: Callable[..., np.ndarray] = np.zeros) -> None:
+        rounds = round_guard(cfg)
+        self.n = alloc(k, np.int64)
+        self.codes = alloc(k, np.int64)
+        self.steps = alloc((rounds, k), np.int32)
+        self.blk = alloc((rounds, k), np.int32)
+        self.h = alloc((rounds, k), np.float64)
+        self.t = alloc((rounds, k), np.float64)
+        self.verts = alloc((k, cfg.max_steps + 1, 3), np.float64)
+        self.publish: Optional[Callable[[int], None]] = None
 
-    def write(self, rows, cols, end: int, steps, blk, h, t) -> None:
-        """File trials at ``[rows, cols]``, last column ``end - 1``."""
-        cap = self.h.shape[1]
-        if end > cap:
-            cap = max(end, cap + cap // 4)
-            for name in ("steps", "blk", "h", "t"):
-                old = getattr(self, name)
-                new = np.empty((len(old), cap), dtype=old.dtype)
-                new[:, :old.shape[1]] = old
-                setattr(self, name, new)
-        self.steps[rows, cols] = steps
-        self.blk[rows, cols] = blk
-        self.h[rows, cols] = h
-        self.t[rows, cols] = t
-        self.n[rows] = end
+    def write(self, lines, rounds, end: int, steps, blk, h, t) -> None:
+        """File the trials of ``lines`` in ``rounds``, the last of which
+        is round ``end - 1``."""
+        self.steps[rounds, lines] = steps
+        self.blk[rounds, lines] = blk
+        self.h[rounds, lines] = h
+        self.t[rounds, lines] = t
+        self.n[lines] = end
+
+    def status(self, i: int) -> Status:
+        """Why line ``i`` stopped (the call ran it to termination)."""
+        return _CODE_TO_STATUS[int(self.codes[i])]
 
 
 @dataclass
@@ -868,9 +889,11 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
     can interleave message handling (the simulated-time analogue of the
     paper's per-streamline loop iteration checking for messages).
 
-    ``tape``, when given, receives every trial step (row ``i`` is
-    ``streamlines[i]``).  Only a growing pool can be taped: a trial
-    leaving a fixed pool would be logged in the block it left.
+    ``tape``, when given, receives every trial step, stop code and
+    vertex (column ``i`` is ``streamlines[i]``), and is published after
+    every array round and every scalar tail.  Only a growing pool can be
+    taped: a trial leaving a fixed pool would be logged in the block it
+    left.
     """
     if tape is not None and pool.loader is None:
         raise ValueError("taping needs a growing pool (loader=)")
@@ -899,24 +922,26 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
         time[i] = s.time
     np.clip(h, cfg.h_min, cfg.h_max, out=h)
 
-    codes = np.zeros(k, dtype=np.int64)
+    codes = np.zeros(k, dtype=np.int64) if tape is None else tape.codes
     exit_bid = np.full(k, -3, dtype=np.int64)
 
     # Line i's vertices of this call are verts[i, :nv[i]], written as they
     # are accepted: at most max_steps - steps (and one per round) more,
-    # after the start vertex of a line with no geometry yet.
-    room = max(1, cfg.max_steps - int(steps.min()))
-    if round_limit is not None:
-        room = min(room, round_limit)
-    verts = np.empty((k, room + 1, 3), dtype=np.float64)
+    # after the start vertex of a line with no geometry yet.  A tape
+    # holds a buffer for the most any line can take.
+    if tape is None:
+        room = max(1, cfg.max_steps - int(steps.min()))
+        if round_limit is not None:
+            room = min(room, round_limit)
+        verts = np.empty((k, room + 1, 3), dtype=np.float64)
+    else:
+        verts = tape.verts
     nv = np.array([not s.segments for s in lines], dtype=np.int64)
     verts[:, 0] = pos
 
     dlo = domain.lo_array
     dhi = domain.hi_array
-    # A converging controller needs far fewer rounds; this only stops a
-    # pathological one from looping forever.
-    max_rounds = 4 * cfg.max_steps + 64
+    max_rounds = round_guard(cfg)
     h_min_edge = cfg.h_min * (1.0 + 1e-12)
 
     # The batch arrays above already satisfy Dopri5's contract;
@@ -936,6 +961,8 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
                 pool, decomposition, cfg, alive, pos, h, time,
                 steps, slot, codes, exit_bid, verts, nv, dlo, dhi,
                 h_min_edge, rounds, round_limit, max_rounds, result, tape)
+            if tape is not None and tape.publish is not None:
+                tape.publish(rounds)
             continue
         rounds += 1
         if rounds > max_rounds:
@@ -1002,6 +1029,8 @@ def advance_pool(streamlines: Sequence[Streamline], pool: BlockPool,
         if stopped.any():
             codes[alive[stopped]] = code[stopped]
             alive = alive[~stopped]
+        if tape is not None and tape.publish is not None:
+            tape.publish(rounds)
 
     still_alive = set(int(i) for i in alive)
     for i, (s, n_new) in enumerate(zip(lines, nv.tolist())):

@@ -200,6 +200,8 @@ class HostProbe:
         self._gc_pause_s = 0.0
         self._gc_t: Optional[float] = None
         self._own_tracemalloc = False
+        #: CPU seconds of reaped helper processes (:func:`charge_child_cpu`).
+        self._child_cpu = 0.0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -211,7 +213,7 @@ class HostProbe:
             return
         self._started = True
         self._t0 = time.perf_counter()
-        self._cpu0 = time.process_time()
+        self._cpu0 = self._cpu()
         gc.callbacks.append(self._on_gc)
         if self.trace_malloc:
             import tracemalloc
@@ -230,7 +232,7 @@ class HostProbe:
             return
         self._stopped = True
         self._wall_s = time.perf_counter() - self._t0
-        self._cpu_s = time.process_time() - self._cpu0
+        self._cpu_s = self._cpu() - self._cpu0
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
@@ -273,7 +275,7 @@ class HostProbe:
             tracemalloc.reset_peak()
         rss0 = max_rss_kb()
         gc_n0, gc_s0 = self._gc_collections, self._gc_pause_s
-        t0, c0 = time.perf_counter(), time.process_time()
+        t0, c0 = time.perf_counter(), self._cpu()
         self._stack.append(label)
         try:
             yield
@@ -284,7 +286,7 @@ class HostProbe:
                 ps = self._phases[label] = PhaseStats(label=label)
             ps.count += 1
             ps.wall_s += time.perf_counter() - t0
-            ps.cpu_s += time.process_time() - c0
+            ps.cpu_s += self._cpu() - c0
             ps.rss_growth_kb += max(0, max_rss_kb() - rss0)
             ps.gc_collections += self._gc_collections - gc_n0
             ps.gc_pause_s += self._gc_pause_s - gc_s0
@@ -294,6 +296,10 @@ class HostProbe:
                 alloc1, peak1 = tracemalloc.get_traced_memory()
                 ps.alloc_kb += (alloc1 - alloc0) / 1024.0
                 ps.alloc_peak_kb = max(ps.alloc_peak_kb, peak1 / 1024.0)
+
+    def _cpu(self) -> float:
+        """CPU seconds of this process and of the helpers it reaped."""
+        return time.process_time() + self._child_cpu
 
     def _current_phase(self) -> str:
         # Read by the sampler thread without the lock: a list read is
@@ -337,7 +343,7 @@ class HostProbe:
         """JSON-safe host-metric summary (``HOST_SCHEMA``)."""
         if self._started and not self._stopped:
             wall = time.perf_counter() - self._t0
-            cpu = time.process_time() - self._cpu0
+            cpu = self._cpu() - self._cpu0
         else:
             wall, cpu = self._wall_s, self._cpu_s
         return {
@@ -385,6 +391,15 @@ def activated(probe: HostProbe) -> Iterator[HostProbe]:
 def host_phase(label: str):
     """Label a host phase on the active probe (no-op when none is)."""
     return _ACTIVE.phase(label)
+
+
+def charge_child_cpu(seconds: float) -> None:
+    """Charge a reaped child's CPU seconds (``ru_utime + ru_stime`` from
+    ``os.wait4``) to the active probe: its open phases and its total.
+    ``time.process_time()`` counts only the calling process, so a
+    helper's work would otherwise vanish from ``cpu_s``."""
+    if _ACTIVE.enabled:
+        _ACTIVE._child_cpu += seconds
 
 
 # ---------------------------------------------------------------------- #

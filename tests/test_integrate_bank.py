@@ -1,9 +1,16 @@
 """The trajectory bank: replay must equal the lockstep kernel per call,
-trace lazily and once per run, and die with its run."""
+trace lazily and once per run, and die with its run.
+
+Every case here runs on the in-process trace; the ones that depend on how
+the seeds are traced run again, unchanged, on the forked tracer in
+``test_integrate_bank_forked.py``, which parametrizes the ``trace_path``
+fixture."""
 
 import copy
 import gc
 import hashlib
+import multiprocessing
+import os
 import tempfile
 import tracemalloc
 import weakref
@@ -65,14 +72,48 @@ def run_totals(result):
               m.blocks_purged, repr(m.compute_time)) for m in ms])
 
 
+@pytest.fixture(autouse=True)
+def trace_path(request, monkeypatch):
+    """Force the bank's trace selection: in-process, or forked when
+    parametrized with ``True``.  Yields the pids of the tracers the test
+    forked, and fails the test if any of them is still a child
+    afterwards."""
+    forked = getattr(request, "param", False)
+    monkeypatch.setattr(bank_mod, "_forks", lambda n_lines, integ: forked)
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    gc.collect()  # a bank left in a cycle reaps its tracer when freed
+    assert not [pid for pid in pids if is_child(pid)]
+
+
+def is_child(pid):
+    """Whether ``pid`` is a child of this process not yet reaped."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
 def count_kernel_calls(monkeypatch):
+    """Batch widths of every trace a bank starts, in-process or forked:
+    one lockstep ``advance_pool`` call each, in whichever process."""
     calls = []
+    trace = TrajectoryBank._trace
 
-    def counted(lines, *args, **kwargs):
+    def counted(self, lines, *args, **kwargs):
         calls.append(len(lines))
-        return advance_pool(lines, *args, **kwargs)
+        return trace(self, lines, *args, **kwargs)
 
-    monkeypatch.setattr(bank_mod, "advance_pool", counted)
+    monkeypatch.setattr(TrajectoryBank, "_trace", counted)
     return calls
 
 
@@ -218,6 +259,28 @@ def test_hand_built_line_is_traced_from_its_state(small_problem):
     assert line_state(line) == line_state(twin)
 
 
+selects_fork = bank_mod._forks  # the real rule; trace_path replaces it
+
+
+def report_selection(conn, integ):
+    conn.send(selects_fork(10_000, integ))
+    conn.close()
+
+
+def test_a_process_pool_worker_never_forks_a_tracer(small_problem):
+    """A sweep's local workers already share the CPUs; only a process
+    outside a pool may trace on a second one."""
+    integ = small_problem.integ
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    worker = ctx.Process(target=report_selection, args=(theirs, integ))
+    worker.start()
+    theirs.close()
+    assert ours.recv() is False
+    worker.join()
+    assert not selects_fork(1, IntegratorConfig(max_steps=10))
+
+
 def test_replay_rejects_what_the_kernel_rejects(small_problem):
     store = BlockStore(small_problem.field, small_problem.decomposition)
     bank = TrajectoryBank(small_problem, store)
@@ -261,9 +324,10 @@ def test_kernel_segments_are_rows_of_one_buffer(small_problem):
 
 
 def test_tape_rows_grow_when_the_controller_rejects_often(small_problem):
-    """About two trials in three rejected: every curve needs two to three
-    times the columns the tape starts with, in the array rounds and in
-    the scalar tail alike; replay still equals the kernel call by call."""
+    """About two trials in three rejected: every curve takes two to three
+    times ``max_steps`` trials, in the array rounds and in the scalar
+    tail alike, and the tape (sized for the kernel's round guard) holds
+    them; replay still equals the kernel call by call."""
     integ = IntegratorConfig(max_steps=60, rtol=1e-6, atol=1e-8, safety=0.97)
     problem = repro.ProblemSpec(
         field=small_problem.field, seeds=small_problem.seeds[:6],
@@ -276,9 +340,6 @@ def test_tape_rows_grow_when_the_controller_rejects_often(small_problem):
              for i in range(6)]
     twins = copy.deepcopy(lines)
     tapes = bank.tapes_for(lines)
-    start = integ.max_steps * 17 // 16 + 2
-    assert all(tape.n > 1.9 * start for tape in tapes)
-    assert all(len(tape.h) >= tape.n for tape in tapes)
     while lines:
         got = replay_pool(lines, everywhere, bank, 25)
         want = direct_advance(twins, everywhere, bank, 25)
@@ -286,6 +347,9 @@ def test_tape_rows_grow_when_the_controller_rejects_often(small_problem):
         assert [line_state(ln) for ln in lines] \
             == [line_state(ln) for ln in twins]
         lines, twins = got.in_pool, want.in_pool
+    # Every curve is final now, on either trace path.
+    assert all(tape.n > 2.05 * integ.max_steps for tape in tapes)
+    assert all(len(tape.h) >= tape.n for tape in tapes)
 
 
 def test_full_width_trace_allocates_little_beyond_what_it_keeps():
@@ -372,7 +436,7 @@ def test_taping_needs_a_growing_pool(small_problem):
     pool = BlockPool([store.load(line.block_id)])
     with pytest.raises(ValueError, match="growing"):
         advance_pool([line], pool, p.field.domain, p.decomposition,
-                     p.integ, tape=TrialTape(1, 8))
+                     p.integ, tape=TrialTape(1, p.integ))
 
 
 # --------------------------------------------------------------------- #
@@ -434,7 +498,8 @@ def assert_read_only(result):
 
 
 @given(data=st.data())
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_runs_sharing_a_bank_equal_runs_on_their_own(data):
     """Two to five runs of one random problem — algorithm, ranks, cache
     size, hybrid tunables and reseeding all varying, one of them dying of

@@ -15,6 +15,7 @@ from repro.obs.host import (
     HostProbe,
     PhaseStats,
     activated,
+    charge_child_cpu,
     collapsed_table,
     get_active,
     host_phase,
@@ -208,6 +209,25 @@ def test_activated_scopes_the_active_probe():
     with host_phase("ignored"):
         pass
     assert NULL_PROBE.phases == []
+
+
+def test_reaped_child_cpu_is_charged_to_the_active_probe():
+    """A helper's CPU (a forked tracer's rusage) lands in every open
+    phase of the active probe and in its total, and nowhere else."""
+    probe = HostProbe()
+    charge_child_cpu(5.0)  # no active probe: dropped
+    with activated(probe):
+        with host_phase("advect"):
+            with host_phase("reap"):
+                charge_child_cpu(5.0)
+        with host_phase("merge"):
+            pass
+    probe.stop()
+    phases = {ps.label: ps.cpu_s for ps in probe.phases}
+    assert phases["advect"] >= 5.0 and phases["reap"] >= 5.0
+    assert phases["merge"] < 5.0
+    assert 5.0 <= probe.to_dict()["cpu_s"] < 10.0
+    assert NULL_PROBE.to_dict()["cpu_s"] == 0.0
 
 
 # --------------------------------------------------------------------- #
