@@ -122,11 +122,16 @@ kind of factor.
   pay — bounds the achievable asymmetry.  The *direction* (Static > Hybrid,
   Load On Demand = 0) reproduces; see DESIGN.md §4 and
   docs/algorithms.md ("locality bias") for the analysis.
-* **Figure 5 / 9 / 13 ordering.** Hybrid beats Static for both seedings
-  as in the paper; Load On Demand is time-competitive everywhere (the
-  paper itself notes it "performs closely to Hybrid Master/Slave from a
-  time point of view" on astro and wins outright in the thermal dense
-  case §5.3).  Our simulated Load On Demand overlaps redundant reads
+* **Figure 5 / 9 / 13 ordering.** The paper's headline is inverted for
+  sparse seeds at the top of the rank sweep: in the Figure 5 table below,
+  Static finishes astro sparse at 128 ranks before the hybrid does, where
+  the paper has the hybrid ~3.8x faster.  The hybrid wins for dense seeds
+  at every rank count and for sparse seeds at the smaller ones.  The
+  measured cause is a hybrid master that does not spread the hot blocks'
+  curves (ROADMAP.md item 2).  Load On Demand is time-competitive
+  everywhere (the paper itself notes it "performs closely to Hybrid
+  Master/Slave from a time point of view" on astro and wins outright in
+  the thermal dense case §5.3).  Our simulated Load On Demand overlaps redundant reads
   with computation more aggressively than the 2009 implementation, so
   its wall-clock penalty for sparse seeds is smaller than the paper's —
   its I/O bill (Figures 6/10/14) is where the redundancy shows, just as

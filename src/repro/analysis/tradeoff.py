@@ -152,7 +152,7 @@ def predict_costs(problem: ProblemSpec, machine: MachineSpec,
     per_rank_footprint = min(
         stats.distinct_blocks_touched,
         per_rank_curves * stats.mean_blocks_visited ** 0.85)
-    cache = machine.cache_blocks or 1
+    cache = machine.cache_capacity(cost.block_nbytes)
     thrash = max(1.0, per_rank_footprint / cache) ** 0.5
     od_reads = n_ranks * per_rank_footprint * thrash
     ondemand = CostPrediction(
@@ -164,7 +164,9 @@ def predict_costs(problem: ProblemSpec, machine: MachineSpec,
 
     cfg = HybridConfig()
     n_slaves = max(1, n_ranks - cfg.n_masters(max(n_ranks, 2)))
-    budget = min(cfg.duplication_budget, cache)
+    # The master's locality budget (HybridMaster._budget); a slave
+    # still holds the block it works in when that budget is 0.
+    budget = max(1, min(cfg.duplication_budget, cache - 1))
     per_slave_footprint = min(per_rank_footprint, budget)
     hy_reads = n_slaves * per_slave_footprint
     covered = min(1.0, per_slave_footprint

@@ -75,11 +75,8 @@ class Worker:
         self.problem = problem
         self.store = store
         self.cost = problem.cost_model
-        cap = ctx.spec.cache_blocks
-        if cap is None:
-            cap = max(1, int(0.25 * ctx.spec.memory_bytes
-                             / self.cost.block_nbytes))
-        self.cache = LRUBlockCache(capacity=cap)
+        self.cache = LRUBlockCache(
+            capacity=ctx.spec.cache_capacity(self.cost.block_nbytes))
         #: Where this rank's curves are integrated: ``run_streamlines`` points
         #: a run's workers at one bank; one built on its own keeps this one.
         self.bank = TrajectoryBank(problem, store)

@@ -142,7 +142,8 @@ class HybridMaster:
         self.done_lines: List[Streamline] = []
         #: Loaded blocks under which the locality rule still loads.
         self._budget = min(config.duplication_budget,
-                           self._cache_capacity() - 1)
+                           self.ctx.spec.cache_capacity(
+                               self.cost.block_nbytes) - 1)
         #: Step 7's busiest slaves over the whole group, or ``None`` once
         #: an instruction changed a record (see :meth:`_busiest`).
         self._top: Optional[List[int]] = None
@@ -237,13 +238,6 @@ class HybridMaster:
                                        < (best_total, best.rank)):
                     best, best_total = r, total
         return best
-
-    def _cache_capacity(self) -> int:
-        cap = self.ctx.spec.cache_blocks
-        if cap is None:
-            cap = max(1, int(0.25 * self.ctx.spec.memory_bytes
-                             / self.cost.block_nbytes))
-        return cap
 
     def _try_assign(self, slave_rank: int) -> Generator[Request, Any, None]:
         """Apply the 7-step sequence to one starving slave."""

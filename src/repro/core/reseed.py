@@ -94,8 +94,8 @@ class GapRefineReseed(ReseedPolicy):
     The policy keeps the endpoint of every curve it has seen (keyed by
     seed position along the supplied seeding curve) and emits a midpoint
     seed whenever two adjacent endpoints diverge beyond ``max_gap``.
-    Refinement seeds can themselves trigger refinement, making this the
-    distributed analogue of :func:`repro.ext.surface.compute_stream_surface`.
+    Refinement seeds can themselves trigger refinement (Hultquist-style
+    front refinement of a stream surface).
     """
 
     def __init__(self, axis: int = 1, max_gap: float = 0.1,

@@ -1,34 +1,15 @@
 """Extensions: the paper's §8 future-work directions, implemented.
 
-``pathlines``     particle advection through *time-varying* fields, with
-                  the block-forwarding I/O analysis §8 proposes ("reading
-                  a block from disk only once and communicating it")
-``surface``       dynamic seed insertion for stream-surface computation
-                  (Hultquist-style front refinement)
 ``compactcomm``   quantifying the §8 solver-state-only communication
                   optimization on real runs
+
+Dynamic seed creation, the other §8 direction this repo implements,
+runs inside the distributed hybrid itself (:mod:`repro.core.reseed`).
 """
 
-from repro.ext.pathlines import (
-    IOPlan,
-    PathlineRunStats,
-    TimeBlockKey,
-    UnsteadyDecomposition,
-    integrate_pathlines,
-    io_plan_comparison,
-)
-from repro.ext.surface import StreamSurface, compute_stream_surface
 from repro.ext.compactcomm import CompactCommReport, compare_compact_communication
 
 __all__ = [
     "CompactCommReport",
-    "IOPlan",
-    "PathlineRunStats",
-    "StreamSurface",
-    "TimeBlockKey",
-    "UnsteadyDecomposition",
     "compare_compact_communication",
-    "compute_stream_surface",
-    "integrate_pathlines",
-    "io_plan_comparison",
 ]

@@ -10,11 +10,7 @@ fields with known closed-form behaviour for testing the integrators.
 All fields are vectorized: ``evaluate(points)`` maps ``(k, 3) -> (k, 3)``.
 """
 
-from repro.fields.base import (
-    AnalyticField,
-    TimeVaryingField,
-    VectorField,
-)
+from repro.fields.base import AnalyticField, VectorField
 from repro.fields.astrophysics import SupernovaField
 from repro.fields.tokamak import TokamakField
 from repro.fields.thermal import ThermalHydraulicsField
@@ -43,7 +39,6 @@ __all__ = [
     "SourceField",
     "SupernovaField",
     "ThermalHydraulicsField",
-    "TimeVaryingField",
     "TokamakField",
     "UniformField",
     "sample_block",

@@ -3,8 +3,8 @@
 A :class:`VectorField` maps positions to velocities over a bounded domain.
 Analytic fields (the dataset stand-ins) derive from :class:`AnalyticField`;
 the sample-then-interpolate pipeline the algorithms actually use is
-:func:`~repro.fields.sampling.sample_block` plus
-:meth:`~repro.mesh.block.Block.velocity`.
+:func:`~repro.fields.sampling.sample_block` plus the pooled kernel's
+:class:`~repro.integrate.pooled.PoolSampler`.
 """
 
 from __future__ import annotations
@@ -54,64 +54,3 @@ class AnalyticField(VectorField):
     @property
     def domain(self) -> Bounds:
         return self._domain
-
-
-class TimeVaryingField(abc.ABC):
-    """A field that also depends on time (for the pathline extension §8).
-
-    Provides ``evaluate(points, t)``; a steady :class:`VectorField` can be
-    lifted via :class:`FrozenTimeField`.
-    """
-
-    name: str = "unsteady-field"
-
-    @property
-    @abc.abstractmethod
-    def domain(self) -> Bounds: ...
-
-    @property
-    @abc.abstractmethod
-    def time_range(self) -> tuple[float, float]:
-        """Closed ``[t0, t1]`` interval the field is defined on."""
-
-    @abc.abstractmethod
-    def evaluate(self, points: np.ndarray, t: float) -> np.ndarray:
-        """Velocities at ``points`` and time ``t``."""
-
-    def at_time(self, t: float) -> VectorField:
-        """Steady snapshot of this field at time ``t``."""
-        return _Snapshot(self, t)
-
-
-class FrozenTimeField(TimeVaryingField):
-    """Lift a steady field into the time-varying interface."""
-
-    def __init__(self, field: VectorField,
-                 time_range: tuple[float, float] = (0.0, 1.0)) -> None:
-        self.field = field
-        self.name = f"frozen({field.name})"
-        self._time_range = time_range
-
-    @property
-    def domain(self) -> Bounds:
-        return self.field.domain
-
-    @property
-    def time_range(self) -> tuple[float, float]:
-        return self._time_range
-
-    def evaluate(self, points: np.ndarray, t: float) -> np.ndarray:
-        return self.field.evaluate(points)
-
-
-class _Snapshot(AnalyticField):
-    """Steady view of a :class:`TimeVaryingField` at a fixed time."""
-
-    def __init__(self, unsteady: TimeVaryingField, t: float) -> None:
-        super().__init__(unsteady.domain)
-        self._unsteady = unsteady
-        self._t = t
-        self.name = f"{unsteady.name}@t={t:g}"
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return self._unsteady.evaluate(points, self._t)

@@ -7,8 +7,8 @@ package provides:
 ``Bounds``            axis-aligned box arithmetic
 ``Decomposition``     regular splitting of a domain into blocks
 ``BlockInfo``         static metadata of one block (id, bounds, extents)
-``Block``             a loaded block: node-centred vector data and its
-                      trilinear velocity sampler
+``Block``             a loaded block: node-centred vector data, sampled
+                      by the pooled kernel's trilinear sampler
 ``BlockLocator``      O(1) point -> block-id lookup
 ``neighbors``         block adjacency topology (face/edge/corner)
 """

@@ -42,17 +42,15 @@ class Block:
             raise ValueError(f"block data must be float64, "
                              f"got {self.data.dtype}")
         # Precompute the affine map point -> continuous node coordinates
-        # and a flat view of the data, shared with the pooled kernel's
-        # sampler (BlockPool stacks these).
+        # and a flat view of the data for the pooled kernel's sampler
+        # (BlockPool stacks these).
         bounds = self.info.bounds
         dims = self.data.shape[:3]
         size = bounds.hi_array - bounds.lo_array
         self._lo = bounds.lo_array
         self._node_scale = (np.asarray(dims, dtype=np.float64) - 1.0) / size
         self._node_max = np.asarray(dims, dtype=np.float64) - 1.0
-        self._cell_max = np.asarray(dims, dtype=np.int64) - 2
         self._flat = np.ascontiguousarray(self.data).reshape(-1, 3)
-        self._offsets = corner_offsets(int(dims[1]), int(dims[2]))
 
     @property
     def block_id(self) -> int:
@@ -66,44 +64,6 @@ class Block:
     def nbytes_actual(self) -> int:
         """Real in-process memory of the data array."""
         return int(self.data.nbytes)
-
-    def velocity(self, points: np.ndarray) -> np.ndarray:
-        """Trilinear sample of the vector field at ``points``.
-
-        ``points`` has shape ``(k, 3)`` (or ``(3,)``); points outside
-        :attr:`bounds` clamp to the boundary values.  Returns ``(k, 3)``
-        (or ``(3,)``), bit for bit what the pooled kernel's
-        :class:`~repro.integrate.pooled.PoolSampler` computes for this
-        block.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, 3)
-        f = (pts - self._lo) * self._node_scale
-        np.minimum(f, self._node_max, out=f)
-        np.maximum(f, 0.0, out=f)
-        # Cell index by truncation (f >= 0), clamped to the last cell.
-        cell = np.minimum(f.astype(np.int64), self._cell_max)
-        t = f - cell
-        s = 1.0 - t
-        sx, sy, sz = s.T
-        tx, ty, tz = t.T
-        sxsy = sx * sy
-        sxty = sx * ty
-        txsy = tx * sy
-        txty = tx * ty
-        # Weights in corner_offsets order (z fastest, then y, then x),
-        # grouped ((x*y) * z).
-        w = np.stack([sxsy * sz, sxsy * tz, sxty * sz, sxty * tz,
-                      txsy * sz, txsy * tz, txty * sz, txty * tz], axis=1)
-        _, ny, nz = self.data.shape[:3]
-        base = (cell[:, 0] * ny + cell[:, 1]) * nz + cell[:, 2]
-        corners = self._flat[base[:, None] + self._offsets]  # (k, 8, 3)
-        # einsum accumulates the 8 corners sequentially, like
-        # (corners * w[:, :, None]).sum(axis=1), without the temporary.
-        out = np.einsum("ke,kec->kc", w, corners)
-        return out[0] if single else out
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Mask of points inside this block's bounds."""

@@ -94,6 +94,14 @@ class MachineSpec:
         """Copy of this spec with a different rank count."""
         return replace(self, n_ranks=n_ranks)
 
+    def cache_capacity(self, block_nbytes: int) -> int:
+        """Blocks a rank's LRU cache holds: :attr:`cache_blocks`, or when
+        that is ``None`` a quarter of :attr:`memory_bytes` in blocks of
+        ``block_nbytes`` (at least one)."""
+        if self.cache_blocks is not None:
+            return self.cache_blocks
+        return max(1, int(0.25 * self.memory_bytes / block_nbytes))
+
     def message_transport_time(self, nbytes: int) -> float:
         """Wire time for a message of ``nbytes`` (excludes posting cost)."""
         return self.comm_latency + nbytes / self.comm_bandwidth

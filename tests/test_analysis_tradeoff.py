@@ -82,6 +82,19 @@ def test_predictions_match_simulation_within_factor(problem, stats):
             sim.compute_time, rel=0.3)
 
 
+def test_derived_cache_capacity_matches_explicit(problem, stats):
+    """``cache_blocks=None`` models the cache the simulated ranks derive
+    from memory, not a one-block cache."""
+    derived = MachineSpec(n_ranks=8, cache_blocks=None,
+                          memory_bytes=64 * problem.cost_model.block_nbytes)
+    cap = derived.cache_capacity(problem.cost_model.block_nbytes)
+    assert cap == 16
+    explicit = MachineSpec(n_ranks=8, cache_blocks=cap,
+                           memory_bytes=derived.memory_bytes)
+    assert predict_costs(problem, derived, stats=stats) \
+        == predict_costs(problem, explicit, stats=stats)
+
+
 def test_prediction_dict_roundtrip(problem, stats):
     pred = predict_costs(problem, MachineSpec(n_ranks=4), stats=stats)
     d = pred["hybrid"].as_dict()

@@ -170,3 +170,4 @@ def test_cache_capacity_derived_from_memory_when_unset():
                     BlockStore(field, problem.decomposition))
     # 0.25 * 480 MB / 12 MB = 10 blocks.
     assert worker.cache.capacity == 10
+    assert spec.cache_capacity(problem.cost_model.block_nbytes) == 10

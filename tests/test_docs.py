@@ -1,6 +1,7 @@
 """Documentation invariants: every intra-repo markdown link resolves,
-the distributed guide's runnable examples stay extractable, and every
-documented ``repro sweep`` command parses.
+the distributed guide's runnable examples stay extractable, every
+documented ``repro sweep`` command parses, and every documented
+``repro.x.y`` path resolves.
 
 The heavyweight half of the docs gate — actually *executing* the
 ```sh blocks in docs/distributed.md — runs in CI via
@@ -8,6 +9,7 @@ The heavyweight half of the docs gate — actually *executing* the
 suite fast.
 """
 
+import importlib
 import re
 import shlex
 import sys
@@ -99,3 +101,35 @@ def test_documented_sweep_commands_parse(capsys):
             rejected.append(f"{path}: {command}\n  "
                             f"{capsys.readouterr().err.splitlines()[-1]}")
     assert not rejected, "\n".join(rejected)
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` imports as a module, or is an attribute chain
+    under the longest prefix that does."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_documented_repro_paths_resolve():
+    """Every dotted ``repro.x.y`` path in README.md, DESIGN.md,
+    EXPERIMENTS.md and docs/ names a module or an attribute that exists,
+    so a deletion or rename cannot leave the docs pointing at nothing."""
+    docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+            *sorted((REPO / "docs").glob("*.md"))]
+    found = {(path.relative_to(REPO), dotted) for path in docs
+             for dotted in re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+",
+                                      path.read_text())}
+    assert len(found) >= 20
+    broken = sorted(f"{path}: {dotted}" for path, dotted in found
+                    if not _resolves(dotted))
+    assert not broken, "\n".join(broken)

@@ -2,29 +2,11 @@
 
 import numpy as np
 
-from repro.fields.base import FrozenTimeField
 from repro.fields.library import RigidRotationField, UniformField
 from repro.fields.sampling import sample_block, sample_field
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
-
-
-def test_frozen_time_field_is_time_independent():
-    base = UniformField(velocity=(1.0, 2.0, 3.0))
-    frozen = FrozenTimeField(base, time_range=(0.0, 5.0))
-    p = np.array([[0.5, 0.5, 0.5]])
-    assert np.allclose(frozen.evaluate(p, 0.0), frozen.evaluate(p, 4.9))
-    assert frozen.time_range == (0.0, 5.0)
-    assert frozen.domain == base.domain
-
-
-def test_snapshot_of_unsteady_field():
-    base = UniformField(velocity=(2.0, 0.0, 0.0))
-    frozen = FrozenTimeField(base)
-    snap = frozen.at_time(0.3)
-    p = np.array([[0.1, 0.1, 0.1]])
-    assert np.allclose(snap.evaluate(p), [[2.0, 0.0, 0.0]])
-    assert "0.3" in snap.name
+from tests.sampling import block_sample
 
 
 def test_sample_block_nodes_exact():
@@ -56,5 +38,5 @@ def test_neighbouring_samples_agree_on_shared_face():
     # And the sampled velocity agrees exactly on the face.
     face_pts = np.array([[0.5, y, z] for y in (0.1, 0.6)
                          for z in (0.3, 0.9)])
-    assert np.allclose(left.velocity(face_pts), right.velocity(face_pts),
-                       atol=1e-13)
+    assert np.allclose(block_sample(left, face_pts),
+                       block_sample(right, face_pts), atol=1e-13)

@@ -10,6 +10,7 @@ from repro.integrate.pooled import BlockPool, advance_pool
 from repro.integrate.streamline import Status, Streamline
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
+from tests.sampling import block_sample
 
 
 @pytest.fixture
@@ -161,10 +162,11 @@ def test_wrong_block_id_rejected(rotation_setup):
 
 
 def test_sampler_matches_block_velocity(rotation_setup):
+    """A slot of a many-block pool samples exactly as its block alone."""
     field, dec, blocks = rotation_setup
     pool = BlockPool(list(blocks.values()))
     rng = np.random.default_rng(0)
     for slot, block in enumerate(pool.blocks):
         pts = block.bounds.denormalized(rng.uniform(0.1, 0.9, (5, 3)))
         f = pool.sampler().bind(np.full(5, slot, dtype=np.int64))
-        assert np.allclose(f(pts), block.velocity(pts), atol=1e-14)
+        assert np.array_equal(f(pts), block_sample(block, pts))

@@ -1,10 +1,10 @@
 """Consistency between the interpolation paths.
 
-``Block.velocity`` (the generic per-block sampler, used by single-point
-queries and the pathline extension), ``BlockPool.sampler().bind`` (the
-pooled flat-gather the advection kernel runs) and the naive reference
-``_naive_sample`` must agree bit-for-bit — the algorithms'
-geometry-identity guarantee depends on it.
+A block sampled alone (a one-slot pool), the same block as one slot of
+a many-block ``BlockPool.sampler().bind`` (the pooled flat-gather the
+advection kernel runs) and the naive reference ``_naive_sample`` must
+agree bit-for-bit — the algorithms' geometry-identity guarantee depends
+on it.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from repro.fields import SupernovaField, sample_field
 from repro.integrate.pooled import BlockPool
 from repro.mesh.decomposition import Decomposition
+from tests.sampling import block_sample
 from tests.test_kernel_equivalence import _naive_sample
 
 
@@ -32,7 +33,7 @@ def test_three_paths_agree(setup):
         block = blocks[bid]
         pts = block.bounds.denormalized(rng.uniform(0.05, 0.95, (20, 3)))
 
-        via_block = block.velocity(pts)
+        via_block = block_sample(block, pts)
         slots = np.full(20, pool.slot_of[bid], dtype=np.int64)
         via_pool = pool.sampler().bind(slots)(pts)
 
@@ -49,7 +50,7 @@ def test_pool_mixed_slots_agree_with_per_block(setup):
     slots = np.array([pool.slot_of[b] for b in range(8)], dtype=np.int64)
     mixed = pool.sampler().bind(slots)(pts)
     for i in range(8):
-        solo = blocks[i].velocity(pts[i])
+        solo = block_sample(blocks[i], pts[i:i + 1])[0]
         assert np.array_equal(mixed[i], solo)
 
 
@@ -57,8 +58,9 @@ def test_clamping_identical_at_faces(setup):
     """Points epsilon outside a block clamp identically in all paths."""
     field, dec, blocks, pool = setup
     block = blocks[0]
-    p = block.bounds.hi_array + 1e-9  # just outside the +corner
-    via_block = block.velocity(p)
-    f = pool.sampler().bind(np.array([pool.slot_of[0]], dtype=np.int64))
-    via_pool = f(p[None, :])[0]
+    p = (block.bounds.hi_array + 1e-9)[None, :]  # just outside the +corner
+    via_block = block_sample(block, p)
+    slots = np.array([pool.slot_of[0]], dtype=np.int64)
+    via_pool = pool.sampler().bind(slots)(p)
     assert np.array_equal(via_block, via_pool)
+    assert np.array_equal(via_block, _naive_sample(pool, slots, p))

@@ -140,7 +140,8 @@ class OracleMaster(HybridMaster):
         # Locality bias (see HybridConfig): while S is under its
         # duplication budget, loading the block it needs is cheaper over
         # the curve's lifetime than migrating geometry on every crossing.
-        budget = min(cfg.duplication_budget, self._cache_capacity() - 1)
+        budget = min(cfg.duplication_budget,
+                     self.ctx.spec.cache_capacity(self.cost.block_nbytes) - 1)
         if cfg.locality_bias and len(s.loaded) < budget:
             waiting = s.waiting_blocks()
             if waiting:

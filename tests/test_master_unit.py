@@ -104,4 +104,6 @@ def test_dynamic_sids_unique_per_master():
 
 def test_cache_capacity_helper():
     m = make_master()
-    assert m._cache_capacity() == m.ctx.spec.cache_blocks
+    cap = m.ctx.spec.cache_capacity(m.cost.block_nbytes)
+    assert cap == m.ctx.spec.cache_blocks
+    assert m._budget == min(m.config.duplication_budget, cap - 1)

@@ -1,4 +1,4 @@
-"""Tests of loaded blocks and their velocity sampler."""
+"""Tests of loaded blocks, sampled by the production trilinear sampler."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from repro.fields.library import RigidRotationField
 from repro.mesh.block import Block
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
+from tests.sampling import block_sample
 
 
 @pytest.fixture
@@ -27,8 +28,8 @@ def test_sampled_block_matches_field_at_nodes(dec):
     field = RigidRotationField(domain=Bounds.cube(0.0, 1.0))
     block = sample_block(field, dec.info(3))
     xs, ys, zs = dec.info(3).node_coordinates()
-    p = np.array([xs[2], ys[1], zs[3]])
-    assert np.allclose(block.velocity(p), field.evaluate(p[None])[0],
+    p = np.array([[xs[2], ys[1], zs[3]]])
+    assert np.allclose(block_sample(block, p), field.evaluate(p),
                        atol=1e-12)
 
 
@@ -36,9 +37,10 @@ def test_velocity_single_vs_batch(dec):
     field = RigidRotationField(domain=Bounds.cube(0.0, 1.0))
     block = sample_block(field, dec.info(0))
     pts = np.array([[0.1, 0.2, 0.3], [0.3, 0.1, 0.2]])
-    batch = block.velocity(pts)
+    batch = block_sample(block, pts)
     assert batch.shape == (2, 3)
-    assert np.allclose(block.velocity(pts[0]), batch[0])
+    for i in range(2):
+        assert np.array_equal(block_sample(block, pts[i:i + 1])[0], batch[i])
 
 
 def test_velocity_exact_for_linear_field(dec):
@@ -48,7 +50,8 @@ def test_velocity_exact_for_linear_field(dec):
     rng = np.random.default_rng(0)
     unit = rng.uniform(size=(40, 3))
     pts = block.bounds.denormalized(unit)
-    assert np.allclose(block.velocity(pts), field.evaluate(pts), atol=1e-12)
+    assert np.allclose(block_sample(block, pts), field.evaluate(pts),
+                       atol=1e-12)
 
 
 def test_contains(dec):

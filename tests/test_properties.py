@@ -10,6 +10,7 @@ from repro.integrate.config import IntegratorConfig
 from repro.integrate.dopri5 import adapt_h
 from repro.mesh.block import Block
 from repro.storage.cache import LRUBlockCache
+from tests.sampling import block_sample
 
 
 # --------------------------------------------------------------------- #
@@ -67,7 +68,7 @@ def test_locate_agrees_with_block_bounds(bx, by, bz, u):
 
 
 # --------------------------------------------------------------------- #
-# Interpolation (Block.velocity over a block of the unit cube)
+# Interpolation (the production sampler over a block of the unit cube)
 # --------------------------------------------------------------------- #
 def _unit_block(data):
     nx, ny, nz = data.shape[:3]
@@ -83,7 +84,7 @@ def test_trilinear_within_data_range(seed, k):
     rng = np.random.default_rng(seed)
     data = rng.uniform(-3, 3, size=(4, 5, 3, 3))
     pts = rng.uniform(size=(k, 3))
-    out = _unit_block(data).velocity(pts)
+    out = block_sample(_unit_block(data), pts)
     assert np.all(out >= data.min(axis=(0, 1, 2)) - 1e-9)
     assert np.all(out <= data.max(axis=(0, 1, 2)) + 1e-9)
     assert np.all(np.isfinite(out))
@@ -99,7 +100,8 @@ def test_trilinear_reproduces_affine(seed):
     data = (a * gx[..., None] + b * gy[..., None] + c * gz[..., None] + d)
     pts = rng.uniform(size=(10, 3))
     expect = (a * pts[:, :1] + b * pts[:, 1:2] + c * pts[:, 2:] + d)
-    assert np.allclose(_unit_block(data).velocity(pts), expect, atol=1e-10)
+    assert np.allclose(block_sample(_unit_block(data), pts), expect,
+                       atol=1e-10)
 
 
 # --------------------------------------------------------------------- #
