@@ -2,23 +2,31 @@
 
 Not a single paper figure, but the quantity the whole evaluation is
 about: how each algorithm's wall clock scales from the bottom to the top
-of the simulated rank sweep.  Uses the same cached sweeps as the
-per-figure benchmarks, so it is nearly free after them.
+of the simulated rank sweep.  Uses the same cached astro sweep as
+``bench_figures.py``, so it is nearly free after it.
 """
 
-from benchmarks.common import RANKS, by_key, run_figure
+import os
+
+from repro.analysis.experiments import sweep_dataset
+from repro.analysis.scenarios import RANK_COUNTS
+
+JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
 def test_strong_scaling_summary(benchmark):
-    summaries = run_figure(benchmark, "astro", "wall_clock")
-    lo, hi = RANKS[0], RANKS[-1]
+    summaries = benchmark.pedantic(
+        lambda: sweep_dataset("astro", jobs=JOBS), rounds=1, iterations=1)
+    wall = {(s.key.algorithm, s.key.seeding, s.key.n_ranks): s.wall_clock
+            for s in summaries}
+    lo, hi = RANK_COUNTS[0], RANK_COUNTS[-1]
     ideal = hi / lo
     lines = [f"strong scaling, astro, {lo} -> {hi} ranks "
              f"(ideal speedup {ideal:.1f}x):"]
     for algorithm in ("static", "ondemand", "hybrid"):
         for seeding in ("sparse", "dense"):
-            w_lo = by_key(summaries, algorithm, seeding, lo).wall_clock
-            w_hi = by_key(summaries, algorithm, seeding, hi).wall_clock
+            w_lo = wall[(algorithm, seeding, lo)]
+            w_hi = wall[(algorithm, seeding, hi)]
             speedup = w_lo / w_hi
             eff = speedup / ideal
             lines.append(f"  {algorithm:9s} {seeding:6s} "

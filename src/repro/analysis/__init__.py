@@ -3,6 +3,7 @@
 ``scenarios``     the three application problems at reproducible scale
 ``experiments``   cached sweeps over (algorithm, rank count, seeding)
 ``report``        paper-style figure tables from sweep results
+``claims``        the paper's §5 claims, checked on the reproduction grid
 ``heuristics``    §6 decision guidelines as an executable recommender
 """
 

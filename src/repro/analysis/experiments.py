@@ -4,8 +4,8 @@ One simulated run yields *all four* of the paper's metrics (wall clock,
 I/O time, communication time, block efficiency), so the four figures per
 dataset share a single sweep.  ``run_experiment`` memoizes by configuration
 — the simulation is deterministic, so a cache hit is exact — letting the
-per-figure benchmarks reuse each other's runs instead of quadrupling the
-cost.
+claims benchmark, the EXPERIMENTS.md generator and ``repro figure``
+reuse each other's runs.
 
 Summaries (not full results) are cached: streamline geometry is dropped
 after aggregation to keep long benchmark sessions memory-bounded.
@@ -337,18 +337,6 @@ def run_experiment(dataset: str, seeding: str, algorithm: str,
         _CACHE[key] = summary
         _save_entry(key, summary, elapsed=time.monotonic() - t0)
     return summary
-
-
-def cached_summaries() -> Dict[ExperimentKey, RunSummary]:
-    """Every cached run (memory + disk), keyed by configuration.
-
-    The supported read API for exporters and offline tooling (e.g.
-    ``benchmarks/export_experiments_from_cache.py``): it loads the
-    per-key cache directory and returns a snapshot dict the caller
-    owns.
-    """
-    _load_disk_cache()
-    return dict(_CACHE)
 
 
 def sweep_dataset(dataset: str, scale: float = 1.0,

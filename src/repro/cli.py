@@ -126,7 +126,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.driver import run_streamlines
-    from repro.obs import Recorder
     from repro.obs.host import (
         HOST_SCHEMA,
         HostProbe,
@@ -146,13 +145,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         probe.stop()
         print(f"repro profile: invalid scenario: {exc}", file=sys.stderr)
         return 2
-    # Host telemetry only: the simulated recorder stays disabled, so no
-    # trace directory is needed and the run leaves no span records —
-    # the two observability layers toggle independently.
-    obs = Recorder(enabled=False, host=probe)
+    # Host telemetry only: no recorder, so no trace directory is needed
+    # and the run leaves no span records.
     with probe.phase("advect"):
         result = run_streamlines(problem, algorithm=args.algorithm,
-                                 machine=machine, obs=obs)
+                                 machine=machine)
     probe.stop()
     host = probe.to_dict()
 

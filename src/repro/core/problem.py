@@ -20,7 +20,6 @@ import numpy as np
 from repro.fields.base import VectorField
 from repro.integrate.config import IntegratorConfig
 from repro.mesh.decomposition import Decomposition
-from repro.mesh.locator import BlockLocator
 from repro.storage.costmodel import DataCostModel
 
 
@@ -75,10 +74,6 @@ class ProblemSpec:
     def decomposition(self) -> Decomposition:
         return Decomposition(self.field.domain, self.blocks_per_axis,
                              self.cells_per_block)
-
-    @cached_property
-    def locator(self) -> BlockLocator:
-        return BlockLocator(self.decomposition)
 
     @property
     def n_blocks(self) -> int:

@@ -230,9 +230,9 @@ class PoolSampler:
         """Interpolated velocities at ``points`` (``(k, 3)``, matching the
         bound slot count).  ``out`` receives the result when given."""
         k = self._k
-        if len(points) != k:
-            raise ValueError(
-                f"sampler bound to {k} slots, got {len(points)} points")
+        if points.shape != (k, 3):
+            raise ValueError(f"sampler bound to {k} slots wants ({k}, 3) "
+                             f"points, got shape {points.shape}")
         (lo, scale, corner_base, g, icell, t, s, wfx, wfy, m1, m1z, wfz,
          w4, w_col, base, idx, corners) = self._b
         if out is None:

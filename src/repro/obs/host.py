@@ -20,10 +20,9 @@ them by construction.  Host numbers live in their own surfaces —
 advisory ``repro diff --host`` mode — and every rendering labels them
 as machine-dependent.
 
-The probe is also independent of the simulated-side
-:class:`~repro.obs.recorder.Recorder`: a ``Recorder(enabled=False,
-host=probe)`` collects host phases without recording a single span, so
-profiling a run needs no trace directory.
+The probe never touches the simulated-side
+:class:`~repro.obs.recorder.Recorder`: ``repro profile`` runs with no
+recorder at all, so profiling a run needs no trace directory.
 
 Collapsed-stack format
 ----------------------
@@ -364,8 +363,8 @@ class HostProbe:
         return host_report(self.to_dict())
 
 
-#: Shared disabled probe: the default active probe, and the default
-#: ``Recorder.host`` — every ``phase()`` through it is a no-op.
+#: Shared disabled probe, the default active probe: every ``phase()``
+#: through it is a no-op.
 NULL_PROBE = HostProbe(enabled=False)
 
 _ACTIVE: HostProbe = NULL_PROBE

@@ -26,14 +26,8 @@ recorder turns the same interval into a span.  The engine observer is
 only installed when the recorder is enabled, so the disabled per-event
 overhead is zero.
 
-Host telemetry is a separate, independently toggled layer: a recorder
-may carry a :class:`~repro.obs.host.HostProbe` (``host=``) that
-measures *real* machine time per labeled phase.  ``enabled`` governs
-only the simulated side — ``Recorder(enabled=False, host=probe)``
-collects host phases while recording no spans and installing no engine
-observer, so profiling a run requires neither a trace directory nor
-simulated recording (and enabling simulated recording never requires a
-host probe).
+Real machine time is not the recorder's business: it is measured by a
+:class:`~repro.obs.host.HostProbe`, which needs no recorder at all.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.host import NULL_PROBE, HostProbe
 from repro.obs.registry import MetricsRegistry
 from repro.obs.span import NULL_SPAN, Span, SpanRecord, freeze_attrs
 from repro.obs.waitstate import WAIT_DEFAULT, WaitStates
@@ -61,17 +54,11 @@ class Recorder:
     clock:
         Simulated-clock callable; normally bound to ``engine.now`` by
         :meth:`bind` (which ``Cluster`` calls).
-    host:
-        Optional :class:`~repro.obs.host.HostProbe` for real-machine
-        telemetry.  Independent of ``enabled``: either layer works
-        without the other (defaults to the shared disabled
-        :data:`~repro.obs.host.NULL_PROBE`).
     """
 
     def __init__(self, enabled: bool = False,
                  sample_interval: Optional[float] = 0.25,
-                 clock: Optional[Callable[[], float]] = None,
-                 host: Optional[HostProbe] = None) -> None:
+                 clock: Optional[Callable[[], float]] = None) -> None:
         self.enabled = enabled
         self.sample_interval = sample_interval
         self._clock = clock or (lambda: 0.0)
@@ -80,18 +67,6 @@ class Recorder:
         self.registry = MetricsRegistry(enabled=enabled)
         self.waits = WaitStates()
         self._next_sample = 0.0
-        self.host = host if host is not None else NULL_PROBE
-
-    @property
-    def host_enabled(self) -> bool:
-        """Whether the host-telemetry layer records (never consults
-        ``enabled`` — the two layers toggle independently)."""
-        return self.host.enabled
-
-    def host_phase(self, label: str):
-        """Label a host-side phase on the attached probe (no-op when
-        the recorder carries the disabled ``NULL_PROBE``)."""
-        return self.host.phase(label)
 
     # ------------------------------------------------------------------ #
     # Spans

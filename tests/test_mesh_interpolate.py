@@ -108,6 +108,8 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         bound(np.zeros((2, 3)))  # not the bound point count
     with pytest.raises(ValueError):
+        bound(np.zeros(4))  # k floats, not (k, 3) points
+    with pytest.raises(ValueError):
         block_sample(block, np.zeros((4, 2)))  # not (k, 3)
     with pytest.raises(ValueError):
         Block(info=block.info, data=np.zeros((4, 4, 3, 3)))  # node count

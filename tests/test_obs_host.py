@@ -230,20 +230,8 @@ def test_reaped_child_cpu_is_charged_to_the_active_probe():
     assert NULL_PROBE.to_dict()["cpu_s"] == 0.0
 
 
-# --------------------------------------------------------------------- #
-# Recorder independence (host layer toggles separately)
-# --------------------------------------------------------------------- #
-
-def test_recorder_host_layer_independent_of_enabled():
-    probe = HostProbe()
-    obs = Recorder(enabled=False, host=probe)
-    assert obs.host_enabled
-    assert not obs.enabled
-    with obs.host_phase("advect"):
-        pass
-    probe.stop()
-    assert [ps.label for ps in probe.phases] == ["advect"]
-    assert obs.spans == ()  # simulated side stayed silent
+def test_disabled_recorder_installs_no_engine_hook():
+    obs = Recorder(enabled=False)
 
     class _Engine:
         now = 0.0
@@ -251,16 +239,8 @@ def test_recorder_host_layer_independent_of_enabled():
 
     eng = _Engine()
     obs.bind(eng)
-    assert eng.observer is None  # disabled recorder installs no hook
-
-
-def test_recorder_defaults_to_null_probe():
-    obs = Recorder(enabled=True)
-    assert obs.host is NULL_PROBE
-    assert not obs.host_enabled
-    with obs.host_phase("x"):
-        pass
-    assert NULL_PROBE.phases == []
+    assert eng.observer is None
+    assert obs.spans == ()
 
 
 # --------------------------------------------------------------------- #

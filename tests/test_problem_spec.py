@@ -36,10 +36,9 @@ def test_seeds_are_frozen_copies():
         p.seeds[0, 0] = 0.1  # read-only
 
 
-def test_derived_decomposition_and_locator_cached():
+def test_derived_decomposition_cached():
     p = make()
     assert p.decomposition is p.decomposition
-    assert p.locator is p.locator
     assert p.n_blocks == 8
 
 

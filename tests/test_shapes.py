@@ -1,8 +1,9 @@
 """Reduced-scale integration tests of the paper's evaluation shapes.
 
-The full reproduction runs in benchmarks/ (one per figure); these tests
-assert the same qualitative findings at a scale small enough for the
-regular test suite.  Tolerances are loose: the claims are ordinal (who
+The full reproduction checks every §5 claim of
+``repro.analysis.claims.CLAIMS`` on the scale-1.0 grid
+(``benchmarks/bench_figures.py``); these tests assert some of the same
+qualitative findings at a scale small enough for the regular test suite.  Tolerances are loose: the claims are ordinal (who
 wins, who fails), exactly like reading the paper's log-scale plots.
 """
 
