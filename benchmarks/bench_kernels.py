@@ -27,6 +27,13 @@ is made of:
   the five exported files, ``reload`` (``analyze_dir``) and ``analyze``
   (``analyze_run``), and the collector's gen-0/1/2 collection counts
   over one record -> export -> reload -> analyze ``pass``;
+* ``sim`` — the simulated machine's host cost on a synthetic two-rank
+  ping-pong (``repro.sim`` only, no advection): ``event``, per engine
+  event of two ranks that only compute (one timed sleep each);
+  ``message``, per message of the ping-pong (the sender's post, the
+  delivery and the receiver's drain, four engine events); ``read``,
+  per filesystem read of one rank (the server pick, the booking and
+  one sleep);
 * ``exec`` — what a sweep pays around its runs, on the host benchmark's
   24 bench-mode specs (4 problems x 3 algorithms x 2 rank counts, scale
   0.005): ``acquire.N``, seconds until ``sweep_begin`` with N loopback
@@ -96,6 +103,8 @@ from repro.mesh.decomposition import Decomposition
 from repro.obs import (Recorder, analyze_dir, analyze_run, write_perfetto,
                        write_run_json, write_samples_jsonl, write_spans_jsonl)
 from repro.seeding import circle_seeds, sparse_random_seeds
+from repro.sim.cluster import Cluster
+from repro.sim.machine import MachineSpec
 from repro.sim.trace import Trace
 from repro.storage import BlockStore
 
@@ -305,6 +314,53 @@ def bench_obs(repeats) -> dict:
     return recs
 
 
+def bench_sim(repeats) -> dict:
+    """Per-event, per-message and per-read host cost of ``repro.sim``
+    (see the module docstring); each record keeps its event count."""
+    n = 4000  # sleeps per rank, messages, reads
+
+    def sleeper(ctx):
+        for _ in range(n):
+            yield from ctx.compute(1)
+
+    def player(ctx):
+        comm, peer = ctx.comm, 1 - ctx.rank
+        for _ in range(n // 2):
+            if ctx.rank == 0:
+                yield from comm.send(peer, "ping", None, 64)
+                yield from comm.recv_wait()
+            else:
+                yield from comm.recv_wait()
+                yield from comm.send(peer, "pong", None, 64)
+
+    def reader(ctx):
+        for _ in range(n):
+            yield from ctx.read_block_bytes(1 << 20)
+
+    def simulate(*programs):
+        def run():
+            cluster = Cluster(MachineSpec(n_ranks=2))
+            for rank, program in enumerate(programs):
+                cluster.engine.spawn(f"rank{rank}",
+                                     program(cluster.context(rank)),
+                                     rank=rank)
+            cluster.run()
+            return cluster
+        return run
+
+    recs = {}
+    for label, run in (("event", simulate(sleeper, sleeper)),
+                       ("message", simulate(player, player)),
+                       ("read", simulate(reader))):
+        cluster = run()
+        events = cluster.engine.event_count
+        rec = _bench(run, 1, repeats)
+        rec["events"] = events
+        rec["ns_per_call"] /= events if label == "event" else n
+        recs[label] = rec
+    return recs
+
+
 def bench_exec() -> dict:
     """Acquisition time by node count (best of two one-spec sweeps: the
     first start of an interpreter reads it from disk) and cold
@@ -393,6 +449,7 @@ def main(argv=None) -> int:
         ("trace", lambda: bench_trace(field, dec, rng, inner, repeats)),
         ("serial", lambda: bench_serial(repeats)),
         ("obs", lambda: bench_obs(repeats)),
+        ("sim", lambda: bench_sim(repeats)),
         ("exec", bench_exec),
     )
     for name, bench in benches:

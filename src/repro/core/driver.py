@@ -22,11 +22,11 @@ from repro.core.base import Worker, partition_contiguous
 from repro.core.config import ALGORITHMS, HybridConfig
 from repro.core.hybrid_master import HybridMaster
 from repro.core.hybrid_slave import HybridSlave
-from repro.core.ondemand import OnDemandWorker, seeds_grouped_by_block
+from repro.core.ondemand import OnDemandWorker, seed_chunks
 from repro.core.problem import ProblemSpec
 from repro.core.reseed import ReseedPolicy
 from repro.core.results import STATUS_OK, STATUS_OOM, RunResult
-from repro.core.static import StaticWorker
+from repro.core.static import StaticWorker, seed_claims
 from repro.integrate.bank import TrajectoryBank
 from repro.obs.recorder import Recorder
 from repro.sim.cluster import Cluster
@@ -77,7 +77,7 @@ def _build_hybrid(cluster: Cluster, problem: ProblemSpec,
     master_ranks = list(range(n_masters))
     slave_ranks = list(range(n_masters, n_ranks))
 
-    order = seeds_grouped_by_block(problem)
+    chunks = seed_chunks(problem, n_masters)
     seed_blocks = problem.seed_blocks
 
     masters: List[HybridMaster] = []
@@ -86,8 +86,7 @@ def _build_hybrid(cluster: Cluster, problem: ProblemSpec,
         group = [slave_ranks[i] for i in
                  partition_contiguous(len(slave_ranks), n_masters, mi)]
         pool: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-        for idx in order[partition_contiguous(problem.n_seeds,
-                                              n_masters, mi)]:
+        for idx in chunks[mi]:
             sid = int(idx)
             bid = int(seed_blocks[sid])
             pool.setdefault(bid, []).append((sid, problem.seeds[sid]))
@@ -211,12 +210,16 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
     if reseed is not None and algorithm != "hybrid":
         raise ValueError("dynamic seeding (reseed=) requires the hybrid "
                          "algorithm (paper §8)")
+    # Seeds are split among ranks once per run, not once per rank.
     if algorithm == "static":
+        claims = seed_claims(problem, machine.n_ranks)
         workers: List[Worker] = [
-            StaticWorker(cluster.context(r), problem, store)
+            StaticWorker(cluster.context(r), problem, store, sids=claims[r])
             for r in range(machine.n_ranks)]
     elif algorithm == "ondemand":
-        workers = [OnDemandWorker(cluster.context(r), problem, store)
+        chunks = seed_chunks(problem, machine.n_ranks)
+        workers = [OnDemandWorker(cluster.context(r), problem, store,
+                                  sids=chunks[r])
                    for r in range(machine.n_ranks)]
     else:
         workers, masters = _build_hybrid(cluster, problem, store, hybrid,

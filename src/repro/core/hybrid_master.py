@@ -487,8 +487,10 @@ class HybridMaster:
         for m in inbox:
             payload = m.payload
             if isinstance(payload, msg.SlaveStatus):
+                # The slave built ``lines_by_block`` for this message
+                # alone, so the record adopts it instead of a copy.
                 r = self.records[payload.slave]
-                r.refresh(dict(payload.lines_by_block),
+                r.refresh(payload.lines_by_block,
                           set(payload.loaded_blocks), payload.advanceable)
                 self._group_term_delta += payload.terminated_delta
                 self._hinted.discard(payload.slave)

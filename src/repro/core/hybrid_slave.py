@@ -88,7 +88,7 @@ class HybridSlave(Worker):
         status = msg.SlaveStatus(
             slave=self.ctx.rank,
             lines_by_block=self._lines_by_block(),
-            loaded_blocks=tuple(self.cache.resident_ids),
+            loaded_blocks=tuple(self.cache),
             advanceable=sum(len(v) for v in self.ready.values()),
             terminated_delta=self._terminated_delta,
         )

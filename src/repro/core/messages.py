@@ -1,10 +1,11 @@
 """Wire protocol of the parallel algorithms.
 
 Every payload that crosses the simulated network is one of these small
-dataclasses.  Sizes are modelled explicitly (``wire_nbytes``) because the
-relative cost of message kinds is load-bearing for the paper's results:
-streamline transfers carry geometry and dominate; control traffic (status,
-assignments, counts) is small but frequent.
+slotted records, neither frozen nor hashable: the receiver owns a payload
+once it is delivered.  Sizes are modelled explicitly (``wire_nbytes``)
+because the relative cost of message kinds is load-bearing for the
+paper's results: streamline transfers carry geometry and dominate;
+control traffic (status, assignments, counts) is small but frequent.
 
 Message kinds
 -------------
@@ -22,7 +23,7 @@ Message kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,7 +45,7 @@ KIND_NEW_SEEDS = "new_seeds"
 KIND_TARGET = "target"
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamlinePacket:
     """One or more in-flight streamlines."""
 
@@ -55,7 +56,7 @@ class StreamlinePacket:
                    for l in self.lines)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CountDelta:
     """Terminated-streamline count delta toward the global tally."""
 
@@ -65,7 +66,7 @@ class CountDelta:
         return cost.message_header_nbytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Done:
     """Terminate broadcast."""
 
@@ -73,7 +74,7 @@ class Done:
         return cost.message_header_nbytes
 
 
-@dataclass
+@dataclass(slots=True)
 class SlaveStatus:
     """Hybrid slave -> master state report.
 
@@ -96,7 +97,7 @@ class SlaveStatus:
                 + 8 * len(self.loaded_blocks))
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignSeeds:
     """Master -> slave: integrate these seeds (Assign_loaded /
     Assign_unloaded; the slave loads ``block_id`` if it lacks it)."""
@@ -109,7 +110,7 @@ class AssignSeeds:
         return cost.message_header_nbytes + 32 * len(self.sids)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LoadBlock:
     """Master -> slave: Load rule."""
 
@@ -119,7 +120,7 @@ class LoadBlock:
         return cost.message_header_nbytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendForce:
     """Master -> slave S1: send your streamlines in ``block_id`` to S2."""
 
@@ -130,7 +131,7 @@ class SendForce:
         return cost.message_header_nbytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendHint:
     """Master -> slave S1: when convenient, offload streamlines in the
     given blocks to ``dest`` (S1 may ignore it — paper's autonomy)."""
@@ -142,7 +143,7 @@ class SendHint:
         return cost.message_header_nbytes + 8 * len(self.block_ids)
 
 
-@dataclass
+@dataclass(slots=True)
 class NewSeeds:
     """Slave -> master: a reseed policy spawned these seed points
     (paper §8 dynamic seed creation)."""
@@ -153,7 +154,7 @@ class NewSeeds:
         return cost.message_header_nbytes + 24 * len(self.seeds)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TargetDelta:
     """Master -> root master: the global termination target grew by
     ``delta`` dynamically created streamlines."""
@@ -164,7 +165,7 @@ class TargetDelta:
         return cost.message_header_nbytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SeedRequest:
     """Master -> master: my slaves are starving, share seeds."""
 
@@ -174,7 +175,7 @@ class SeedRequest:
         return cost.message_header_nbytes
 
 
-@dataclass
+@dataclass(slots=True)
 class SeedGrant:
     """Master -> master: reply to a :class:`SeedRequest` (possibly empty)."""
 

@@ -16,7 +16,7 @@ widely (order-of-magnitude more I/O time in Figures 6/10/14).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator, List, Sequence
 
 import numpy as np
 
@@ -38,23 +38,35 @@ def seeds_grouped_by_block(problem: ProblemSpec) -> np.ndarray:
     return np.argsort(problem.seed_blocks, kind="stable")
 
 
+def seed_chunks(problem: ProblemSpec, n_parts: int) -> List[np.ndarray]:
+    """:func:`seeds_grouped_by_block` split into ``n_parts`` contiguous
+    chunks: one sort serves every rank of a run (Load On Demand's ranks,
+    or the hybrid's masters)."""
+    order = seeds_grouped_by_block(problem)
+    chunks = []
+    for part in range(n_parts):
+        chunk = partition_contiguous(problem.n_seeds, n_parts, part)
+        chunks.append(order[chunk.start:chunk.stop])
+    return chunks
+
+
 class OnDemandWorker(Worker):
     """One rank of the Load On Demand algorithm."""
 
     def __init__(self, ctx: RankContext, problem: ProblemSpec,
-                 store: BlockStore) -> None:
+                 store: BlockStore, sids: Sequence[int]) -> None:
         super().__init__(ctx, problem, store)
+        #: This rank's :func:`seed_chunks` entry (one sort serves every
+        #: rank of a run).
+        self._sids = sids
         #: Streamlines waiting in not-currently-loaded blocks.
         self.waiting: Dict[int, List[Streamline]] = {}
         #: Streamlines in loaded blocks, ready to advance.
         self.ready: Dict[int, List[Streamline]] = {}
 
     def _setup_seeds(self) -> None:
-        order = seeds_grouped_by_block(self.problem)
-        chunk = partition_contiguous(self.problem.n_seeds,
-                                     self.ctx.spec.n_ranks, self.ctx.rank)
         seed_blocks = self.problem.seed_blocks
-        for idx in order[chunk.start:chunk.stop]:
+        for idx in self._sids:
             sid = int(idx)
             bid = int(seed_blocks[sid])
             line = Streamline(sid=sid, seed=self.problem.seeds[sid],

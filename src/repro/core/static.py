@@ -16,9 +16,7 @@ streamline on one owner (§5.3).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
-
-import numpy as np
+from typing import Any, Dict, Generator, List, Sequence
 
 from repro.core import messages as msg
 from repro.core.base import Worker, owner_of_block
@@ -27,6 +25,26 @@ from repro.integrate.streamline import Status, Streamline
 from repro.sim.cluster import RankContext
 from repro.sim.engine import Request
 from repro.storage.store import BlockStore
+
+
+def seed_claims(problem: ProblemSpec, n_ranks: int) -> List[List[int]]:
+    """The seed ids every rank claims at set-up, each list in sid order.
+
+    Rank r claims the seeds whose initial block it owns; rank 0 also
+    claims the out-of-domain seeds (block -1), which it terminates at once
+    so the global count still reaches ``n_seeds``.  One pass over the
+    seeds serves every rank, with one :func:`owner_of_block` call per
+    distinct initial block.
+    """
+    owner: Dict[int, int] = {-1: 0}
+    claims: List[List[int]] = [[] for _ in range(n_ranks)]
+    for sid, bid in enumerate(problem.seed_blocks.tolist()):
+        rank = owner.get(bid)
+        if rank is None:
+            rank = owner[bid] = owner_of_block(bid, problem.n_blocks,
+                                               n_ranks)
+        claims[rank].append(sid)
+    return claims
 
 
 class StaticWorker(Worker):
@@ -38,10 +56,13 @@ class StaticWorker(Worker):
     """
 
     def __init__(self, ctx: RankContext, problem: ProblemSpec,
-                 store: BlockStore) -> None:
+                 store: BlockStore, sids: Sequence[int]) -> None:
         super().__init__(ctx, problem, store)
         self.n_ranks = ctx.spec.n_ranks
         self.n_blocks = problem.n_blocks
+        #: This rank's :func:`seed_claims` entry (one pass serves every
+        #: rank of a run).
+        self._sids = sids
         #: Active streamlines waiting in owned blocks, grouped by block.
         self.queue: Dict[int, List[Streamline]] = {}
         self._pending_term_delta = 0
@@ -51,10 +72,6 @@ class StaticWorker(Worker):
     # ------------------------------------------------------------------ #
     # Setup
     # ------------------------------------------------------------------ #
-    def owns_block(self, block_id: int) -> bool:
-        return owner_of_block(block_id, self.n_blocks, self.n_ranks) \
-            == self.ctx.rank
-
     def _setup_seeds(self) -> None:
         """Claim the seeds whose initial block this rank owns.
 
@@ -62,25 +79,22 @@ class StaticWorker(Worker):
         belong to no block) so the global count still reaches n_seeds.
         """
         seed_blocks = self.problem.seed_blocks
-        for sid in range(self.problem.n_seeds):
+        for sid in self._sids:
             bid = int(seed_blocks[sid])
             if bid < 0:
-                if self.ctx.rank == 0:
-                    line = Streamline(sid=sid, seed=self.problem.seeds[sid])
-                    self.own_line(line)
-                    line.terminate(Status.OUT_OF_BOUNDS)
-                    self.done_lines.append(line)
-                    self.ctx.metrics.streamlines_completed += 1
-                    self._pending_term_delta += 1
-                    if self.ctx.obs.enabled:
-                        self.ctx.obs.marker(self.ctx.rank, "seed.term",
-                                            sid=sid)
-                continue
-            if self.owns_block(bid):
-                line = Streamline(sid=sid, seed=self.problem.seeds[sid],
-                                  block_id=bid)
+                line = Streamline(sid=sid, seed=self.problem.seeds[sid])
                 self.own_line(line)
-                self.queue.setdefault(bid, []).append(line)
+                line.terminate(Status.OUT_OF_BOUNDS)
+                self.done_lines.append(line)
+                self.ctx.metrics.streamlines_completed += 1
+                self._pending_term_delta += 1
+                if self.ctx.obs.enabled:
+                    self.ctx.obs.marker(self.ctx.rank, "seed.term", sid=sid)
+                continue
+            line = Streamline(sid=sid, seed=self.problem.seeds[sid],
+                              block_id=bid)
+            self.own_line(line)
+            self.queue.setdefault(bid, []).append(line)
 
     # ------------------------------------------------------------------ #
     # Message handling

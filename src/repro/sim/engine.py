@@ -26,6 +26,8 @@ addresses.  Running the same program twice produces bit-identical traces.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -52,14 +54,23 @@ class ProcessFailure(RuntimeError):
 
 
 class Request:
-    """Base class for values a process may ``yield`` to the engine."""
+    """Base class for values a process may ``yield`` to the engine.
+
+    The engine dispatches on the exact type: :class:`Sleep`,
+    :class:`Wait` or :class:`Signal`.  ``Sleep`` and ``Wait`` are slotted
+    records, neither frozen nor hashable.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sleep(Request):
-    """Suspend the yielding process for ``duration`` simulated seconds."""
+    """Suspend the yielding process for ``duration`` simulated seconds.
+
+    A request must not be changed after it is built; the engine checks a
+    yielded ``Sleep``'s duration again all the same.
+    """
 
     duration: float
 
@@ -94,11 +105,16 @@ class Signal(Request):
         """Wake all waiting processes; returns the number woken."""
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
-            proc._engine._schedule_resume(proc, value)
+            # Pushed here rather than through ``Engine._schedule``: a
+            # resume is due now, so its past-time check cannot fail.
+            engine = proc._engine
+            engine._seq += 1
+            heapq.heappush(engine._queue,
+                           (engine.now, engine._seq, proc._step, (value,)))
         return len(waiters)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Wait(Request):
     """Suspend the yielding process until ``signal`` fires.
 
@@ -168,22 +184,33 @@ class Process:
             engine._fail(failure)
             return
         self.blocked_since = engine.now
-        if isinstance(request, Sleep):
-            engine._schedule(engine.now + request.duration,
-                             self._step, (None,))
-        elif isinstance(request, Wait):
+        kind = type(request)
+        if kind is Sleep:
+            # Pushed here rather than through ``Engine._schedule``, whose
+            # past-time check this one comparison stands in for.
+            if request.duration < 0:
+                self._reject(ValueError(
+                    f"negative sleep duration: {request.duration}"))
+                return
+            engine._seq += 1
+            heapq.heappush(engine._queue, (engine.now + request.duration,
+                                           engine._seq, self._step, (None,)))
+        elif kind is Wait:
             self._wait_reason = request.reason
             request.signal._waiters.append(self)
-        elif isinstance(request, Signal):
+        elif kind is Signal:
             # Allow ``yield signal`` as shorthand for ``yield Wait(signal)``.
             self._wait_reason = "wait"
             request._waiters.append(self)
         else:
-            self.alive = False
-            engine._live_processes -= 1
-            failure = ProcessFailure(
-                self, TypeError(f"process yielded non-Request: {request!r}"))
-            engine._fail(failure)
+            self._reject(
+                TypeError(f"process yielded non-Request: {request!r}"))
+
+    def _reject(self, cause: Exception) -> None:
+        """End this process with ``cause`` for a request it cannot make."""
+        self.alive = False
+        self._engine._live_processes -= 1
+        self._engine._fail(ProcessFailure(self, cause))
 
 
 class Engine:
@@ -227,9 +254,6 @@ class Engine:
                 f"cannot schedule event in the past: {time} < {self.now}")
         self._seq += 1
         heapq.heappush(self._queue, (time, self._seq, fn, args))
-
-    def _schedule_resume(self, proc: Process, value: Any) -> None:
-        self._schedule(self.now, proc._step, (value,))
 
     def call_at(self, time: float, fn: Callable[..., None],
                 *args: Any) -> None:
@@ -287,6 +311,12 @@ class Engine:
         max_events:
             Safety valve for tests; raises ``RuntimeError`` when exceeded.
 
+        The observer is read once, when the run starts.  Every push is
+        checked not to lie in the past (``_schedule``, and
+        ``Process._step`` for a ``Sleep``), so the loop does not check the
+        clock; a run without ``until`` or ``max_events`` gets bounds it
+        never reaches.
+
         Raises
         ------
         ProcessFailure
@@ -298,25 +328,27 @@ class Engine:
         if self._running:
             raise RuntimeError("engine.run() is not reentrant")
         self._running = True
-        processed = 0
+        queue = self._queue
+        pop = heapq.heappop
+        observer = self.observer
+        stop = math.inf if until is None else until
+        limit = (sys.maxsize if max_events is None
+                 else self.event_count + max_events)
         try:
-            while self._queue:
+            while queue:
                 if self._failure is not None:
                     raise self._failure
-                event = heapq.heappop(self._queue)
+                event = pop(queue)
                 time, _, fn, args = event
-                if until is not None and time > until:
-                    heapq.heappush(self._queue, event)
+                if time > stop:
+                    heapq.heappush(queue, event)
                     break
-                if time < self.now:
-                    raise AssertionError("event queue time went backwards")
                 self.now = time
-                if self.observer is not None:
-                    self.observer.on_time_advance(time)
+                if observer is not None:
+                    observer.on_time_advance(time)
                 fn(*args)
-                processed += 1
                 self.event_count += 1
-                if max_events is not None and processed > max_events:
+                if self.event_count > limit:
                     raise RuntimeError(
                         f"exceeded max_events={max_events}; "
                         "likely a livelock in the simulated program")

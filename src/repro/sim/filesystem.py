@@ -18,7 +18,6 @@ slows down, reproducing the order-of-magnitude I/O-time gap in Figure 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -52,14 +51,16 @@ class FileSystem:
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
         now = self.engine.now
-        # Least-loaded server; ties broken by index for determinism.
-        server = min(range(len(self._server_busy_until)),
-                     key=lambda i: (self._server_busy_until[i], i))
+        # Least-loaded server; ties go to the lowest index (``index``
+        # finds the first), for determinism.
+        busy = self._server_busy_until
+        free_at = min(busy)
+        server = busy.index(free_at)
         request_ready = now + self.spec.io_latency
-        start = max(request_ready, self._server_busy_until[server])
+        start = max(request_ready, free_at)
         service = self.spec.read_service_time(nbytes)
         finish = start + service
-        self._server_busy_until[server] = finish
+        busy[server] = finish
 
         elapsed = finish - now
         queued = start - request_ready

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, Generator, List, Optional
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -30,14 +30,15 @@ from repro.sim.machine import MachineSpec
 from repro.sim.metrics import RankMetrics, TimerCategory
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """One message in flight or in a mailbox.
 
     ``kind`` is a small string protocol tag (e.g. ``"streamline"``,
     ``"status"``, ``"assign"``); ``payload`` is an arbitrary Python object
     owned by the receiver after delivery; ``nbytes`` is the modelled wire
-    size used for all cost accounting.
+    size used for all cost accounting.  A slotted record, neither frozen
+    nor hashable.
     """
 
     src: int
@@ -75,6 +76,19 @@ class Network:
         #: Payload bytes handed to the network but not yet delivered
         #: (a sampled gauge; see ``repro.core.driver``).
         self.bytes_in_flight = 0
+        #: ``_recv_cost[k]``: the receive-post cost of draining ``k``
+        #: messages, computed once per ``k`` by the same ``sum()`` a drain
+        #: used to evaluate, so it is bit-identical on every Python
+        #: (3.12's ``sum`` compensates float rounding; 3.11's does not).
+        self._recv_cost: List[float] = []
+
+    def recv_post_cost(self, count: int) -> float:
+        """Simulated seconds charged for receiving ``count`` messages."""
+        table = self._recv_cost
+        while len(table) <= count:
+            table.append(sum(itertools.repeat(self.spec.comm_post_overhead,
+                                              len(table))))
+        return table[count]
 
     def endpoint(self, rank: int) -> "Comm":
         """The (unique) communication endpoint for ``rank``."""
@@ -94,7 +108,7 @@ class Network:
         self.total_messages += 1
         self.total_bytes += msg.nbytes
         self.bytes_in_flight += msg.nbytes
-        self.engine.call_at(arrive, self._deliver, msg)
+        self.engine._schedule(arrive, self._deliver, (msg,))
 
     def _deliver(self, msg: Message) -> None:
         dst = self._endpoints.get(msg.dst)
@@ -170,9 +184,8 @@ class Comm:
                        start, engine.now, attrs)
         m.msgs_sent += 1
         m.bytes_sent += nbytes
-        msg = Message(src=self.rank, dst=dst, kind=kind, payload=payload,
-                      nbytes=nbytes, send_time=net.engine.now,
-                      msg_id=next(net._msg_ids))
+        msg = Message(self.rank, dst, kind, payload, nbytes, engine.now,
+                      next(net._msg_ids))
         net._transport(msg)
         return msg
 
@@ -184,26 +197,21 @@ class Comm:
         """Number of delivered-but-undrained messages."""
         return len(self._mailbox)
 
-    def _drain_now(self) -> List[Message]:
-        msgs: List[Message] = []
-        while self._mailbox:
-            msgs.append(self._mailbox.popleft())
-        return msgs
+    def try_recv(self) -> Generator[Request, Any, List[Message]]:
+        """Drain the mailbox without blocking (may return an empty list).
 
-    def _charged_drain(self) -> Generator[Request, Any, List[Message]]:
-        """Drain the mailbox and charge the per-message receive posts.
-
-        Shared tail of :meth:`try_recv` / :meth:`recv_wait`; the elapsed
-        post time is charged to the rank's ``comm`` timer (and recorded
-        as a ``comm.recv`` span).  An empty drain on a disabled recorder
-        costs nothing and charges nothing.
+        The per-message receive posts are charged to the rank's ``comm``
+        timer (and recorded as a ``comm.recv`` span).  An empty drain on
+        a disabled recorder costs nothing and charges nothing.
         """
-        msgs = self._drain_now()
         net = self.network
         obs = net.obs
-        if not msgs and not obs.enabled:
-            return msgs
-        cost = sum(net.spec.comm_post_overhead for _ in msgs)
+        mailbox = self._mailbox
+        if not mailbox and not obs.enabled:
+            return []
+        msgs = list(mailbox)
+        mailbox.clear()
+        cost = net.recv_post_cost(len(msgs))
         m = net.metrics[self.rank]
         engine = net.engine
         start = engine.now
@@ -217,10 +225,6 @@ class Comm:
         m.msgs_received += len(msgs)
         return msgs
 
-    def try_recv(self) -> Generator[Request, Any, List[Message]]:
-        """Drain the mailbox without blocking (may return an empty list)."""
-        return (yield from self._charged_drain())
-
     def recv_wait(self, reason: str = "message",
                   ) -> Generator[Request, Any, List[Message]]:
         """Block until at least one message is available, then drain all.
@@ -230,5 +234,5 @@ class Comm:
         ``"master_assignment"`` while starving for work).
         """
         while not self._mailbox:
-            yield Wait(self._arrival, reason=reason)
-        return (yield from self._charged_drain())
+            yield Wait(self._arrival, reason)
+        return (yield from self.try_recv())

@@ -14,7 +14,7 @@ eviction results so callers can free the evicted blocks' memory).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.mesh.block import Block
 
@@ -47,10 +47,9 @@ class LRUBlockCache:
     def __contains__(self, block_id: int) -> bool:
         return block_id in self._blocks
 
-    @property
-    def resident_ids(self) -> List[int]:
-        """Block ids currently resident, LRU-first."""
-        return list(self._blocks.keys())
+    def __iter__(self) -> Iterator[int]:
+        """Resident block ids, LRU-first."""
+        return iter(self._blocks)
 
     @property
     def block_efficiency(self) -> float:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.ondemand import OnDemandWorker, seeds_grouped_by_block
+from repro.core.ondemand import (OnDemandWorker, seed_chunks,
+                                 seeds_grouped_by_block)
 from repro.core.problem import ProblemSpec
 from repro.fields import UniformField
 from repro.mesh.bounds import Bounds
@@ -29,8 +30,9 @@ def make_worker(n_ranks=2, rank=0, seeds=None):
         cost_model=DataCostModel(modelled_cells_per_block=1000))
     cluster = Cluster(MachineSpec(n_ranks=n_ranks, cache_blocks=2))
     store = BlockStore(field, problem.decomposition)
+    sids = seed_chunks(problem, n_ranks)[rank]
     return cluster, problem, OnDemandWorker(cluster.context(rank),
-                                            problem, store)
+                                            problem, store, sids=sids)
 
 
 def test_seed_setup_takes_contiguous_grouped_chunk():

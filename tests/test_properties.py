@@ -1,9 +1,15 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core import static
 from repro.core.base import owner_of_block, partition_contiguous
+from repro.core.ondemand import seed_chunks
+from repro.core.static import seed_claims
 from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 from repro.integrate.config import IntegratorConfig
@@ -34,6 +40,51 @@ def test_owner_is_consistent_with_partition(n_blocks, n_ranks):
     for bid in range(0, n_blocks, max(1, n_blocks // 17)):
         owner = owner_of_block(bid, n_blocks, n_ranks)
         assert bid in partition_contiguous(n_blocks, n_ranks, owner)
+
+
+@st.composite
+def seed_splits(draw):
+    """A seed-block array with out-of-domain (-1) entries and a rank
+    count up to the block count."""
+    n_blocks = draw(st.integers(1, 64))
+    seed_blocks = draw(st.lists(st.integers(-1, n_blocks - 1),
+                                min_size=1, max_size=300))
+    n_ranks = draw(st.integers(1, n_blocks))
+    problem = SimpleNamespace(seed_blocks=np.array(seed_blocks),
+                              n_seeds=len(seed_blocks), n_blocks=n_blocks)
+    return problem, n_ranks
+
+
+@given(split=seed_splits())
+def test_static_claims_follow_the_per_seed_rule(split):
+    problem, n_ranks = split
+    with mock.patch.object(static, "owner_of_block",
+                           wraps=owner_of_block) as counted:
+        claims = seed_claims(problem, n_ranks)
+    blocks = problem.seed_blocks.tolist()
+    for rank in range(n_ranks):
+        # Each rank's old scan: every seed, in sid order; out-of-domain
+        # seeds go to rank 0.
+        expect = [sid for sid, bid in enumerate(blocks)
+                  if (rank == 0 if bid < 0
+                      else owner_of_block(bid, problem.n_blocks, n_ranks)
+                      == rank)]
+        assert claims[rank] == expect
+    # One ownership lookup per distinct in-domain block, never per rank.
+    assert counted.call_count == len({b for b in blocks if b >= 0})
+
+
+@given(split=seed_splits())
+def test_ondemand_chunks_follow_the_per_seed_rule(split):
+    problem, n_ranks = split
+    chunks = seed_chunks(problem, n_ranks)
+    blocks = problem.seed_blocks.tolist()
+    # Block-grouped order: by initial block, then by sid (out-of-domain
+    # first); rank r takes the r-th contiguous share of it.
+    order = sorted(range(len(blocks)), key=lambda sid: (blocks[sid], sid))
+    for rank in range(n_ranks):
+        share = partition_contiguous(len(blocks), n_ranks, rank)
+        assert chunks[rank].tolist() == order[share.start:share.stop]
 
 
 # --------------------------------------------------------------------- #
@@ -142,7 +193,7 @@ def test_lru_invariants(capacity, ops):
         assert len(cache) <= capacity
         assert cache.loads - cache.purges == len(cache)
         assert 0.0 <= cache.block_efficiency <= 1.0
-        ids = cache.resident_ids
+        ids = list(cache)
         assert len(ids) == len(set(ids))
 
 

@@ -360,3 +360,196 @@ def test_callbacks_need_not_be_orderable():
     assert len(log) == 52
     assert all(ran is cb for ran, cb in zip(log, callbacks))
     assert log[50] is log[51] and "unorderable" in log[50]
+
+
+# --------------------------------------------------------------------- #
+# The run loop's optional bounds (``until``, ``max_events``) and
+# observer do not change which events run or in what order
+# --------------------------------------------------------------------- #
+class CountingObserver:
+    """A read-only engine observer: counts clock advances and waits."""
+
+    def __init__(self):
+        self.advances = 0
+        self.waits = []
+
+    def on_time_advance(self, now):
+        self.advances += 1
+
+    def on_wait_end(self, proc, reason, t0, t1):
+        self.waits.append((proc.name, reason, t0, t1))
+
+
+def mixed_engine(observed, log, fail_at=None):
+    """Sleeps, signal waits (``Wait`` and bare ``Signal``), callbacks and
+    a spawned child; rank ``fail_at`` raises on its third wake-up."""
+    engine = Engine()
+    if observed:
+        engine.observer = CountingObserver()
+    sig = Signal("go")
+
+    def worker(i):
+        for k in range(4):
+            if i == fail_at and k == 2:
+                raise KeyError("boom")
+            yield Sleep(0.25 * ((i + k) % 3))
+            log.append((f"w{i}", k, engine.now))
+        value = yield (Wait(sig, "go") if i % 2 else sig)
+        log.append((f"w{i}", value, engine.now))
+
+    def firer():
+        yield Sleep(5.0)
+        log.append(("fired", sig.fire("v"), engine.now))
+        engine.spawn("child", child())
+
+    def child():
+        yield Sleep(1.0)
+        log.append(("child", engine.now))
+
+    for i in range(5):
+        engine.spawn(f"w{i}", worker(i), rank=i)
+    engine.spawn("firer", firer())
+    engine.call_at(0.5, lambda: log.append(("cb", engine.now)))
+    return engine
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_max_events_bound_keeps_the_schedule(observed):
+    runs = []
+    for max_events in (None, 10_000):
+        log = []
+        engine = mixed_engine(observed, log)
+        end = engine.run(max_events=max_events)
+        runs.append((log, end, engine.event_count, engine.pending_events))
+    assert runs[0] == runs[1]
+    log, end, events, pending = runs[0]
+    assert end == 6.0 and pending == 0
+    # 6 first steps, 21 sleeps, 5 signal wakes, the child's first step
+    # and sleep, one callback.
+    assert events == 35
+    assert ("fired", 5, 5.0) in log
+
+
+def test_observer_sees_every_event():
+    log = []
+    engine = mixed_engine(True, log)
+    engine.run()
+    assert engine.observer.advances == engine.event_count
+    assert sorted(w[1] for w in engine.observer.waits) \
+        == ["go", "go", "wait", "wait", "wait"]
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_event_count_accumulates_across_runs(observed):
+    log = []
+    engine = mixed_engine(observed, log)
+    engine.run(until=2.0)
+    assert engine.event_count == 27 and engine.now == 1.25
+    engine.run()
+    assert engine.event_count == 35 and engine.now == 6.0
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_until_stops_with_and_without_observer(observed):
+    log = []
+    engine = mixed_engine(observed, log)
+    assert engine.run(until=5.0) == 5.0
+    assert engine.live_process_count == 1  # no DeadlockError under until
+    assert log[-1] == ("w2", "v", 5.0) and engine.pending_events == 1
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_max_events_raises_with_and_without_observer(observed):
+    engine = mixed_engine(observed, [])
+    with pytest.raises(RuntimeError, match="max_events=10"):
+        engine.run(max_events=10)
+    assert engine.event_count == 11
+
+
+def test_max_events_counts_only_this_run():
+    engine = mixed_engine(False, [])
+    engine.run(until=2.0)
+    assert engine.event_count == 27
+    with pytest.raises(RuntimeError, match="max_events=5"):
+        engine.run(max_events=5)
+    assert engine.event_count == 33
+
+
+@pytest.mark.parametrize("observed", [False, True])
+@pytest.mark.parametrize("max_events", [None, 10_000])
+def test_failure_stops_the_loop(observed, max_events):
+    full = []
+    mixed_engine(False, full).run()
+    log = []
+    engine = mixed_engine(observed, log, fail_at=3)
+    with pytest.raises(ProcessFailure) as info:
+        engine.run(max_events=max_events)
+    assert info.value.process.name == "w3"
+    assert isinstance(info.value.cause, KeyError)
+    # w3 raises in the step that logs its second wake-up; no event runs
+    # after that step.
+    assert log == full[:full.index(("w3", 1, 0.25)) + 1]
+    assert engine.now == 0.25 and engine.pending_events > 0
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_deadlock_detected_with_and_without_observer(observed):
+    engine = Engine()
+    if observed:
+        engine.observer = CountingObserver()
+    sig = Signal("never")
+
+    def stuck():
+        yield Sleep(1.0)
+        yield Wait(sig)
+
+    engine.spawn("stuck", stuck())
+    with pytest.raises(DeadlockError, match="stuck"):
+        engine.run()
+    assert engine.event_count == 2 and engine.now == 1.0
+
+
+def test_requests_are_slotted_unhashable_records():
+    sleep, wait = Sleep(1.0), Wait(Signal("s"), "why")
+    for record in (sleep, wait):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(TypeError):
+            hash(record)
+    assert sleep == Sleep(1.0) and wait.reason == "why"
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_sleep_changed_to_negative_fails_its_process(observed):
+    """A ``Sleep`` changed after it is built cannot turn the clock back,
+    with the observer on or off."""
+    engine = Engine()
+    if observed:
+        engine.observer = CountingObserver()
+
+    def prog():
+        yield Sleep(1.0)
+        sleep = Sleep(1.0)
+        sleep.duration = -0.5
+        yield sleep
+
+    engine.spawn("p", prog())
+    with pytest.raises(ProcessFailure, match="negative sleep") as info:
+        engine.run()
+    assert isinstance(info.value.cause, ValueError)
+    assert engine.now == 1.0 and engine.live_process_count == 0
+
+
+def test_subclassed_request_is_rejected():
+    """The engine dispatches on the exact request type."""
+
+    class LongSleep(Sleep):
+        pass
+
+    engine = Engine()
+
+    def prog():
+        yield LongSleep(1.0)
+
+    engine.spawn("p", prog())
+    with pytest.raises(ProcessFailure, match="non-Request"):
+        engine.run()

@@ -1,5 +1,7 @@
 """Tests of the shared-filesystem contention model."""
 
+import random
+
 import pytest
 
 from repro.sim.cluster import Cluster
@@ -100,3 +102,26 @@ def test_server_choice_is_deterministic():
         return times
 
     assert run_once() == run_once()
+
+
+def test_server_pick_is_least_busy_then_lowest_index():
+    """Each read occupies the server that frees up first; equal busy
+    times go to the lowest index (the rule is evaluated independently
+    here before every read).  All reads are issued at time 0, so many
+    servers tie."""
+    spec = MachineSpec(n_ranks=1, io_servers=5, io_latency=0.0,
+                       io_bandwidth=100.0)
+    fs = Cluster(spec).filesystem
+    rng = random.Random(7)
+    picks = []
+    for _ in range(200):
+        busy = list(fs._server_busy_until)
+        picks.append(min(range(len(busy)), key=lambda i: (busy[i], i)))
+        read = fs.read(0, rng.choice([100, 100, 200]))
+        next(read)  # the pick and the booking happen before the Sleep
+        read.close()
+        changed = [i for i, (a, b) in
+                   enumerate(zip(busy, fs._server_busy_until)) if a != b]
+        assert changed == [picks[-1]]
+    assert picks[:5] == [0, 1, 2, 3, 4]
+    assert fs.total_reads == 200

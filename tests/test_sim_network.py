@@ -5,6 +5,7 @@ import pytest
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Sleep
 from repro.sim.machine import MachineSpec
+from repro.sim.network import Message
 from repro.sim.metrics import RankMetrics
 
 
@@ -194,3 +195,25 @@ def test_negative_message_size_rejected():
     cluster.engine.spawn("p", prog(cluster.context(0)))
     with pytest.raises(Exception):
         cluster.run()
+
+
+def test_message_record_rejects_negative_size():
+    with pytest.raises(ValueError, match="negative message size"):
+        Message(src=0, dst=1, kind="x", payload=None, nbytes=-1,
+                send_time=0.0, msg_id=0)
+    msg = Message(0, 1, "x", None, 0, 0.0, 0)
+    assert not hasattr(msg, "__dict__")
+    with pytest.raises(TypeError):
+        hash(msg)
+
+
+@pytest.mark.parametrize("overhead", [1.0e-5, 0.1, 3.3e-7, 0.0])
+def test_receive_post_cost_table_equals_sum(overhead):
+    """The cumulative table is bit-identical to the per-drain ``sum``."""
+    net = make_cluster(comm_post_overhead=overhead).network
+    for count in (5, 0, 300, 1, 64):  # grows out of order
+        expect = sum(overhead for _ in range(count))
+        got = net.recv_post_cost(count)
+        assert got == expect and type(got) is type(expect), count
+    assert all(net.recv_post_cost(k) == sum(overhead for _ in range(k))
+               for k in range(301))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import messages as msg
+from repro.core.base import owner_of_block
 from repro.core.problem import ProblemSpec
-from repro.core.static import StaticWorker
+from repro.core.static import StaticWorker, seed_claims
 from repro.fields import UniformField
 from repro.integrate.streamline import Status, Streamline
 from repro.mesh.bounds import Bounds
@@ -26,7 +27,9 @@ def make_setup(n_ranks=4, seeds=None):
         cost_model=DataCostModel(modelled_cells_per_block=1000))
     cluster = Cluster(MachineSpec(n_ranks=n_ranks))
     store = BlockStore(field, problem.decomposition)
-    workers = [StaticWorker(cluster.context(r), problem, store)
+    claims = seed_claims(problem, n_ranks)
+    workers = [StaticWorker(cluster.context(r), problem, store,
+                            sids=claims[r])
                for r in range(n_ranks)]
     return cluster, problem, workers
 
@@ -41,7 +44,7 @@ def test_setup_assigns_seeds_to_owners():
     # Each queued line's block is owned by that worker.
     for w in workers:
         for bid in w.queue:
-            assert w.owns_block(bid)
+            assert owner_of_block(bid, problem.n_blocks, 4) == w.ctx.rank
 
 
 def test_out_of_domain_seed_handled_by_rank0():

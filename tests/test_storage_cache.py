@@ -38,7 +38,7 @@ def test_lru_eviction_order(blocks):
     cache.put(blocks[1])
     evicted = cache.put(blocks[2])
     assert [b.block_id for b in evicted] == [0]
-    assert cache.resident_ids == [1, 2]
+    assert list(cache) == [1, 2]
     assert cache.purges == 1
 
 
