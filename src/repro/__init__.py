@@ -31,7 +31,6 @@ paper-figure reproductions.
 from repro.core.config import ALGORITHMS, HybridConfig
 from repro.core.driver import run_streamlines
 from repro.core.problem import ProblemSpec
-from repro.core.reseed import CallbackReseed, ContinueThroughBudget, ReseedPolicy
 from repro.core.results import RunResult
 from repro.integrate.config import IntegratorConfig
 from repro.obs import Recorder
@@ -43,11 +42,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALGORITHMS",
-    "CallbackReseed",
-    "ContinueThroughBudget",
     "DataCostModel",
     "Recorder",
-    "ReseedPolicy",
     "HybridConfig",
     "IntegratorConfig",
     "MachineSpec",

@@ -17,22 +17,12 @@ Entry point: :func:`repro.core.driver.run_streamlines`.
 from repro.core.config import ALGORITHMS, HybridConfig
 from repro.core.driver import run_streamlines
 from repro.core.problem import ProblemSpec
-from repro.core.reseed import (
-    CallbackReseed,
-    ContinueThroughBudget,
-    GapRefineReseed,
-    ReseedPolicy,
-)
 from repro.core.results import RunResult
 
 __all__ = [
     "ALGORITHMS",
-    "CallbackReseed",
-    "ContinueThroughBudget",
-    "GapRefineReseed",
     "HybridConfig",
     "ProblemSpec",
-    "ReseedPolicy",
     "RunResult",
     "run_streamlines",
 ]

@@ -28,9 +28,6 @@ class HybridConfig:
     slaves_per_master:
         W — slave group size per master ("typically one master per W = 32
         slaves").
-    compact_communication:
-        §8 extension: communicate only solver state instead of full
-        geometry (geometry is then re-owned by the terminating rank only).
     locality_bias:
         When a starving slave still has fewer than ``duplication_budget``
         blocks loaded, instruct it to load its most-populated waiting
@@ -55,7 +52,6 @@ class HybridConfig:
     overload_limit: int = 200
     load_threshold: int = 40
     slaves_per_master: int = 32
-    compact_communication: bool = False
     locality_bias: bool = True
     duplication_budget: int = 40
     seed: int = 0
@@ -73,6 +69,8 @@ class HybridConfig:
             raise ValueError("slaves_per_master must be >= 1")
         if self.duplication_budget < 0:
             raise ValueError("duplication_budget must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def with_overrides(self, **kw) -> "HybridConfig":
         return replace(self, **kw)

@@ -24,7 +24,6 @@ from repro.core.hybrid_master import HybridMaster
 from repro.core.hybrid_slave import HybridSlave
 from repro.core.ondemand import OnDemandWorker, seed_chunks
 from repro.core.problem import ProblemSpec
-from repro.core.reseed import ReseedPolicy
 from repro.core.results import STATUS_OK, STATUS_OOM, RunResult
 from repro.core.static import StaticWorker, seed_claims
 from repro.integrate.bank import TrajectoryBank
@@ -67,8 +66,7 @@ def _finishing(worker_ctx, program: Generator[Request, Any, None]
 
 
 def _build_hybrid(cluster: Cluster, problem: ProblemSpec,
-                  store: BlockStore, config: HybridConfig,
-                  reseed: Optional[ReseedPolicy] = None
+                  store: BlockStore, config: HybridConfig
                   ) -> Tuple[List[Worker], List[HybridMaster]]:
     """Masters on the first ranks, each with a contiguous slave group and
     an equal share of the (block-grouped) seed pool."""
@@ -90,18 +88,13 @@ def _build_hybrid(cluster: Cluster, problem: ProblemSpec,
             sid = int(idx)
             bid = int(seed_blocks[sid])
             pool.setdefault(bid, []).append((sid, problem.seeds[sid]))
-        budget = 0
-        if reseed is not None:
-            base, rem = divmod(reseed.budget, n_masters)
-            budget = base + (1 if mi < rem else 0)
         master = HybridMaster(cluster.context(mrank), problem, config,
                               slaves=group, masters=master_ranks,
-                              pool=pool, reseed_budget=budget)
+                              pool=pool)
         masters.append(master)
         for srank in group:
             slaves.append(HybridSlave(cluster.context(srank), problem,
-                                      store, master=mrank, config=config,
-                                      reseed=reseed))
+                                      store, master=mrank))
     return slaves, masters
 
 
@@ -147,7 +140,6 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
                     hybrid: Optional[HybridConfig] = None,
                     trace: Optional[Trace] = None,
                     obs: Optional[Recorder] = None,
-                    reseed: Optional[ReseedPolicy] = None,
                     store: Optional[object] = None,
                     max_events: Optional[int] = None,
                     bank: Optional[TrajectoryBank] = None) -> RunResult:
@@ -164,10 +156,6 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
         64 ranks.
     hybrid:
         Hybrid Master/Slave tunables (ignored by the other algorithms).
-    reseed:
-        §8 dynamic seed creation policy (hybrid only): evaluated on each
-        terminating streamline; spawned seeds join the master pools and
-        the run finishes only when they, too, have terminated.
     store:
         Block provider (anything with ``load(block_id) -> Block``, e.g.
         a :class:`~repro.storage.store.DiskBlockStore` over real block
@@ -207,9 +195,6 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
         raise ValueError("bank= was built for another problem or store")
 
     masters: List[HybridMaster] = []
-    if reseed is not None and algorithm != "hybrid":
-        raise ValueError("dynamic seeding (reseed=) requires the hybrid "
-                         "algorithm (paper §8)")
     # Seeds are split among ranks once per run, not once per rank.
     if algorithm == "static":
         claims = seed_claims(problem, machine.n_ranks)
@@ -222,8 +207,7 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
                                   sids=chunks[r])
                    for r in range(machine.n_ranks)]
     else:
-        workers, masters = _build_hybrid(cluster, problem, store, hybrid,
-                                         reseed=reseed)
+        workers, masters = _build_hybrid(cluster, problem, store, hybrid)
 
     # Each curve is integrated once, on the bank's first advect demand,
     # however many ranks (and runs, for a caller's bank) replay it.
@@ -268,22 +252,10 @@ def run_streamlines(problem: ProblemSpec, algorithm: str = "hybrid",
     for m in masters:
         lines.extend(m.done_lines)
     lines.sort(key=lambda l: l.sid)
-    seen = [l.sid for l in lines]
-    if reseed is None:
-        if seen != list(range(problem.n_seeds)):
-            raise RuntimeError(
-                f"{algorithm}: finished {len(lines)} of "
-                f"{problem.n_seeds} streamlines — termination protocol "
-                "bug")
-    else:
-        # Dynamic seeding: the original seeds must all be present, plus
-        # uniquely-identified spawned curves.
-        if len(lines) < problem.n_seeds \
-                or seen[:problem.n_seeds] != list(range(problem.n_seeds)) \
-                or len(set(seen)) != len(seen):
-            raise RuntimeError(
-                f"{algorithm}: inconsistent streamline ids under "
-                "dynamic seeding")
+    if [l.sid for l in lines] != list(range(problem.n_seeds)):
+        raise RuntimeError(
+            f"{algorithm}: finished {len(lines)} of "
+            f"{problem.n_seeds} streamlines — termination protocol bug")
 
     return RunResult(
         algorithm=algorithm, status=STATUS_OK, n_ranks=machine.n_ranks,

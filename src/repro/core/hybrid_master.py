@@ -98,8 +98,7 @@ class HybridMaster:
     def __init__(self, ctx: RankContext, problem: ProblemSpec,
                  config: HybridConfig, slaves: Sequence[int],
                  masters: Sequence[int],
-                 pool: Dict[int, List[Tuple[int, np.ndarray]]],
-                 reseed_budget: int = 0) -> None:
+                 pool: Dict[int, List[Tuple[int, np.ndarray]]]) -> None:
         self.ctx = ctx
         self.problem = problem
         self.config = config
@@ -117,14 +116,6 @@ class HybridMaster:
         self.needs_work: Set[int] = set()
         self._group_term_delta = 0
         self._global_count = 0   # root only
-        self._global_target = problem.n_seeds  # root only; grows with §8
-        self._target_delta = 0   # non-root: pending forward to root
-        # §8 dynamic seeding: this master's share of the machine-wide
-        # budget and its private streamline-id range.
-        self._reseed_remaining = reseed_budget
-        self._next_dynamic_sid = (problem.n_seeds
-                                  + 1_000_000 * (self.masters.index(ctx.rank)
-                                                 + 1))
         self._done = False
         self._rng = np.random.default_rng(
             (config.seed, ctx.rank))
@@ -428,16 +419,6 @@ class HybridMaster:
     # Termination plumbing
     # ------------------------------------------------------------------ #
     def _forward_terminations(self) -> Generator[Request, Any, None]:
-        # Target deltas (dynamically created seeds) must reach the root
-        # before the matching termination counts; both travel the same
-        # ordered channel, so send them first.
-        if self._target_delta:
-            delta, self._target_delta = self._target_delta, 0
-            if self.is_root:
-                self._global_target += delta
-            else:
-                payload = msg.TargetDelta(delta)
-                yield from self._send(self.root, msg.KIND_TARGET, payload)
         if self._group_term_delta == 0:
             return
         delta, self._group_term_delta = self._group_term_delta, 0
@@ -501,12 +482,6 @@ class HybridMaster:
                 if not self.is_root:
                     raise RuntimeError("count delta at non-root master")
                 self._global_count += payload.delta
-            elif isinstance(payload, msg.TargetDelta):
-                if not self.is_root:
-                    raise RuntimeError("target delta at non-root master")
-                self._global_target += payload.delta
-            elif isinstance(payload, msg.NewSeeds):
-                self._accept_new_seeds(payload.seeds)
             elif isinstance(payload, msg.SeedRequest):
                 yield from self._grant_seeds(payload.requester)
             elif isinstance(payload, msg.SeedGrant):
@@ -525,36 +500,6 @@ class HybridMaster:
                     f"hybrid master {self.ctx.rank}: unexpected message "
                     f"{type(payload).__name__}")
 
-    def _accept_new_seeds(self, seeds: np.ndarray) -> None:
-        """§8 dynamic seeding: admit spawned seeds up to the budget.
-
-        Out-of-domain seeds are dropped (they would terminate instantly);
-        admitted seeds get ids from this master's private range and join
-        the pool, growing the global termination target.  Dropped seeds
-        still consume budget — the cap bounds *evaluations*, keeping a
-        policy that spawns junk from stalling the run's termination.
-        """
-        if self._reseed_remaining <= 0 or len(seeds) == 0:
-            return
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
-        take = min(self._reseed_remaining, len(seeds))
-        admitted = 0
-        for pt in seeds[:take]:
-            bid = int(self.problem.decomposition.locate(pt))
-            if bid < 0:
-                continue
-            sid = self._next_dynamic_sid
-            self._next_dynamic_sid += 1
-            self.pool.setdefault(bid, []).append((sid, pt.copy()))
-            admitted += 1
-        self._reseed_remaining -= take
-        if admitted:
-            self._pool_count += admitted
-            self._target_delta += admitted
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.ctx.rank, "reseed_admitted",
-                                    n=admitted)
-
     def _initial_assignment(self) -> Generator[Request, Any, None]:
         """Paper: all slaves receive their initial allocation through the
         Assign_unloaded rule (N seeds each)."""
@@ -569,7 +514,7 @@ class HybridMaster:
         yield from self._initial_assignment()
         while not self._done:
             yield from self._forward_terminations()
-            if self.is_root and self._global_count == self._global_target:
+            if self.is_root and self._global_count == self.problem.n_seeds:
                 yield from self._broadcast_done()
                 return
             yield from self._assignment_pass()

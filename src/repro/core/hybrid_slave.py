@@ -20,15 +20,11 @@ Instructions a slave executes:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
-
-import numpy as np
+from typing import Any, Dict, Generator, List
 
 from repro.core import messages as msg
 from repro.core.base import Worker
-from repro.core.config import HybridConfig
 from repro.core.problem import ProblemSpec
-from repro.core.reseed import ReseedPolicy
 from repro.integrate.streamline import Streamline
 from repro.sim.cluster import RankContext
 from repro.sim.engine import Request
@@ -39,13 +35,9 @@ class HybridSlave(Worker):
     """One slave rank of the Hybrid Master/Slave algorithm."""
 
     def __init__(self, ctx: RankContext, problem: ProblemSpec,
-                 store: BlockStore, master: int,
-                 config: HybridConfig,
-                 reseed: "Optional[ReseedPolicy]" = None) -> None:
+                 store: BlockStore, master: int) -> None:
         super().__init__(ctx, problem, store)
         self.master = master
-        self.config = config
-        self.reseed = reseed
         #: Curves waiting in blocks not currently loaded.
         self.waiting: Dict[int, List[Streamline]] = {}
         #: Curves in loaded blocks, ready to advance.
@@ -110,10 +102,8 @@ class HybridSlave(Worker):
         for line in lines:
             self.release_line(line)
         self._dirty = True
-        yield from self.ctx.comm.send(
-            dest, msg.KIND_STREAMLINE, packet,
-            packet.wire_nbytes(self.cost,
-                               self.config.compact_communication))
+        yield from self.ctx.comm.send(dest, msg.KIND_STREAMLINE, packet,
+                                      packet.wire_nbytes(self.cost))
         if self.ctx.trace.enabled:
             self.ctx.trace.emit(self.ctx.rank, "lines_shipped",
                                 count=len(lines), dest=dest)
@@ -170,22 +160,6 @@ class HybridSlave(Worker):
         for bid in [b for b in self.ready if not self.has_block(b)]:
             self.waiting.setdefault(bid, []).extend(self.ready.pop(bid))
 
-    def _emit_new_seeds(self, terminated) -> Generator[Request, Any, None]:
-        spawned = []
-        for line in terminated:
-            pts = self.reseed.new_seeds(line)
-            if len(pts):
-                spawned.append(pts)
-        if not spawned:
-            return
-        payload = msg.NewSeeds(seeds=np.concatenate(spawned, axis=0))
-        yield from self.ctx.comm.send(self.master, msg.KIND_NEW_SEEDS,
-                                      payload,
-                                      payload.wire_nbytes(self.cost))
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(self.ctx.rank, "new_seeds",
-                                count=len(payload.seeds))
-
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
@@ -208,11 +182,6 @@ class HybridSlave(Worker):
                 for line in result.in_pool:
                     self.ready.setdefault(line.block_id, []).append(line)
                 self._terminated_delta += len(result.terminated)
-                if result.terminated and self.reseed is not None:
-                    # §8 dynamic seed creation: evaluated locally, sent
-                    # to the master BEFORE the status carrying these
-                    # terminations, so the root's target grows first.
-                    yield from self._emit_new_seeds(result.terminated)
                 if result.terminated or result.exited:
                     self._dirty = True
                 for line in result.exited:

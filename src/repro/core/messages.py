@@ -24,7 +24,7 @@ Message kinds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -41,8 +41,6 @@ KIND_SEND_FORCE = "send_force"
 KIND_SEND_HINT = "send_hint"
 KIND_SEED_REQUEST = "seed_request"
 KIND_SEED_GRANT = "seed_grant"
-KIND_NEW_SEEDS = "new_seeds"
-KIND_TARGET = "target"
 
 
 @dataclass(slots=True)
@@ -51,8 +49,8 @@ class StreamlinePacket:
 
     lines: List[Streamline]
 
-    def wire_nbytes(self, cost: DataCostModel, compact: bool = False) -> int:
-        return sum(cost.streamline_wire_nbytes(l.n_vertices, compact)
+    def wire_nbytes(self, cost: DataCostModel) -> int:
+        return sum(cost.streamline_wire_nbytes(l.n_vertices)
                    for l in self.lines)
 
 
@@ -141,28 +139,6 @@ class SendHint:
 
     def wire_nbytes(self, cost: DataCostModel) -> int:
         return cost.message_header_nbytes + 8 * len(self.block_ids)
-
-
-@dataclass(slots=True)
-class NewSeeds:
-    """Slave -> master: a reseed policy spawned these seed points
-    (paper §8 dynamic seed creation)."""
-
-    seeds: np.ndarray  # (k, 3)
-
-    def wire_nbytes(self, cost: DataCostModel) -> int:
-        return cost.message_header_nbytes + 24 * len(self.seeds)
-
-
-@dataclass(slots=True)
-class TargetDelta:
-    """Master -> root master: the global termination target grew by
-    ``delta`` dynamically created streamlines."""
-
-    delta: int
-
-    def wire_nbytes(self, cost: DataCostModel) -> int:
-        return cost.message_header_nbytes
 
 
 @dataclass(slots=True)

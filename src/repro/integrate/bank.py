@@ -17,7 +17,7 @@ Problem-scoped, and shared by every run handed the bank
 own): the seed curves' trial rows, crossings, read-only vertices and final
 status, and the growing pool.  Run-scoped, dropped by
 :meth:`TrajectoryBank.end_run`: each curve's replay cursor and the tapes
-of strays (dynamically created seeds, hand-built lines).
+of strays (lines no seed tape holds, such as hand-built ones).
 
 A big seed trace (:func:`_forks`) is streamed: the same
 :func:`advance_pool` call runs in a forked tracer
@@ -258,8 +258,8 @@ class TrajectoryBank:
         bank's first demand traces all in-domain seeds (streamed from a
         forked tracer when :func:`_forks` says so) and a run's first
         demand rewinds them; a line with no tape, or not where its cursor
-        left it (a dynamically created seed, a hand-built line), is
-        traced in-process from its state on sight."""
+        left it (a hand-built line), is traced in-process from its state
+        on sight."""
         if self._seeds is None:
             p = self.problem
             seeds = [Streamline(sid=sid, seed=p.seeds[sid], block_id=int(bid))

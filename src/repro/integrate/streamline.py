@@ -147,14 +147,8 @@ class Streamline:
         """Modelled resident memory of this curve on a rank."""
         return STREAMLINE_OVERHEAD_NBYTES + self.geometry_nbytes
 
-    def comm_nbytes(self, compact: bool = False) -> int:
-        """Modelled wire size of communicating this streamline.
-
-        ``compact=True`` models the paper's §8 proposal of sending only
-        solver state plus derived quantities instead of full geometry.
-        """
-        if compact:
-            return STREAMLINE_HEADER_NBYTES
+    def comm_nbytes(self) -> int:
+        """Modelled wire size of communicating this streamline."""
         return STREAMLINE_HEADER_NBYTES + self.geometry_nbytes
 
     def terminate(self, status: Status) -> None:

@@ -62,12 +62,6 @@ class DataCostModel:
         return self.streamline_overhead_nbytes \
             + n_vertices * self.vertex_nbytes
 
-    def streamline_wire_nbytes(self, n_vertices: int,
-                               compact: bool = False) -> int:
-        """Modelled wire size of communicating a curve.
-
-        ``compact=True`` models the paper's §8 solver-state-only proposal.
-        """
-        if compact:
-            return self.message_header_nbytes
+    def streamline_wire_nbytes(self, n_vertices: int) -> int:
+        """Modelled wire size of communicating a curve."""
         return self.message_header_nbytes + n_vertices * self.vertex_nbytes

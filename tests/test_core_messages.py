@@ -25,12 +25,6 @@ def test_streamline_packet_size_scales_with_geometry():
         == 495 * CM.vertex_nbytes
 
 
-def test_streamline_packet_compact_mode():
-    packet = msg.StreamlinePacket([make_line(500), make_line(300)])
-    assert packet.wire_nbytes(CM, compact=True) \
-        == 2 * CM.message_header_nbytes
-
-
 def test_packet_of_multiple_lines_sums():
     lines = [make_line(10), make_line(20)]
     packet = msg.StreamlinePacket(lines)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import messages as msg
-from repro.core.config import HybridConfig
 from repro.core.hybrid_slave import HybridSlave
 from repro.core.problem import ProblemSpec
 from repro.fields import UniformField
@@ -26,8 +25,7 @@ def slave_setup():
         cost_model=DataCostModel(modelled_cells_per_block=1000))
     cluster = Cluster(MachineSpec(n_ranks=2))
     store = BlockStore(field, problem.decomposition)
-    slave = HybridSlave(cluster.context(1), problem, store, master=0,
-                        config=HybridConfig())
+    slave = HybridSlave(cluster.context(1), problem, store, master=0)
     return cluster, slave
 
 

@@ -9,6 +9,7 @@ fixture."""
 import copy
 import gc
 import hashlib
+import itertools
 import multiprocessing
 import os
 import tempfile
@@ -26,7 +27,6 @@ import repro.core.driver as driver_mod
 import repro.integrate.bank as bank_mod
 from repro.core.config import HybridConfig
 from repro.core.driver import run_streamlines
-from repro.core.reseed import ContinueThroughBudget
 from repro.core.results import STATUS_OOM
 from repro.fields import (RigidRotationField, SupernovaField,
                           ThermalHydraulicsField, TokamakField)
@@ -211,7 +211,7 @@ def test_oom_while_seeding_never_integrates(monkeypatch):
 
 def test_each_run_traces_once(small_problem, monkeypatch):
     """Every in-domain seed is traced once per run, all in one lockstep
-    batch (strays batch separately: see the reseed test below)."""
+    batch (strays batch separately: see the stray tests below)."""
     calls = count_kernel_calls(monkeypatch)
     in_domain = int((small_problem.seed_blocks >= 0).sum())
     for n_runs in (1, 2):
@@ -220,21 +220,50 @@ def test_each_run_traces_once(small_problem, monkeypatch):
         assert calls == [in_domain] * n_runs
 
 
-def test_reseeded_lines_match_the_per_call_kernel(tokamak_problem,
-                                                  monkeypatch):
-    """Dynamically created seeds (sid >= n_seeds) have no tape: they are
-    traced on sight, and the run is what per-call kernels produce."""
+def replay_mid_flight_strays(monkeypatch, first_sid):
+    """Make every ``advect_pool`` call of a run first replay, on the
+    run's bank, a hand-built twin of each of its lines already in flight,
+    each under a fresh sid (>= ``first_sid``) that no tape holds, and
+    check every such call against the per-call kernel.  Returns the
+    widths of the stray batches."""
+    widths, sids = [], itertools.count(first_sid)
+    inner = core_base.advance_pool
+
+    def advance(lines, resident, bank, round_limit):
+        strays = [Streamline(sid=next(sids), seed=ln.seed,
+                             position=ln.position, h=ln.h, time=ln.time,
+                             steps=ln.steps, block_id=ln.block_id)
+                  for ln in lines if ln.steps]
+        if strays:
+            twins = copy.deepcopy(strays)
+            got = replay_pool(strays, resident, bank, round_limit)
+            want = direct_advance(twins, resident, bank, round_limit)
+            assert result_state(got) == result_state(want)
+            assert [line_state(ln) for ln in strays] \
+                == [line_state(ln) for ln in twins]
+            widths.append(len(strays))
+        return inner(lines, resident, bank, round_limit)
+
+    monkeypatch.setattr(core_base, "advance_pool", advance)
+    return widths
+
+
+def test_mid_flight_strays_match_the_per_call_kernel(tokamak_problem,
+                                                     monkeypatch):
+    """A line with no tape, here a hand-built twin of a curve in flight,
+    is traced in-process from its state on sight, one batch per call,
+    and replays as the per-call kernel would; the run around it is what
+    per-call kernels produce."""
     def run():
         return run_streamlines(tokamak_problem, algorithm="hybrid",
-                               machine=MachineSpec(n_ranks=4),
-                               reseed=ContinueThroughBudget(budget=8))
+                               machine=MachineSpec(n_ranks=4))
 
     calls = count_kernel_calls(monkeypatch)
+    widths = replay_mid_flight_strays(monkeypatch, tokamak_problem.n_seeds)
     banked = run()
-    assert len(calls) > 1 and calls[0] == tokamak_problem.n_seeds
+    assert widths and calls == [tokamak_problem.n_seeds] + widths
     monkeypatch.setattr(core_base, "advance_pool", direct_advance)
     direct = run()
-    assert len(banked.streamlines) == 4 + 8
     assert run_totals(banked) == run_totals(direct)
 
 
@@ -497,14 +526,30 @@ def assert_read_only(result):
                 array[..., 0] = 0.0
 
 
+def assert_every_seed_terminated_once(result, n_seeds):
+    assert [ln.sid for ln in result.streamlines] == list(range(n_seeds))
+    assert all(ln.status is not Status.ACTIVE for ln in result.streamlines)
+
+
+def assert_time_reconciles(result, obs):
+    """Per rank: busy + attributed waits + drain tail == wall (1e-9), the
+    check ``test_obs_waitstate.py`` makes."""
+    wall = result.wall_clock
+    for m in result.rank_metrics:
+        drain = max(0.0, wall - m.finish_time)
+        assert m.busy_time + obs.waits.total(m.rank) + drain \
+            == pytest.approx(wall, abs=1e-9), f"rank {m.rank}"
+
+
 @given(data=st.data())
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_runs_sharing_a_bank_equal_runs_on_their_own(data):
     """Two to five runs of one random problem — algorithm, ranks, cache
-    size, hybrid tunables and reseeding all varying, one of them dying of
-    simulated OOM — on one shared bank: each equals the same run handed
-    no bank, and leaves nothing of itself for the next."""
+    size and hybrid tunables all varying, one of them dying of simulated
+    OOM — on one shared bank: each equals the same run handed no bank,
+    and leaves nothing of itself for the next.  A run that ends ``ok``
+    terminates every seed id once, and its ranks' time reconciles."""
     rng, field, seeds, problem = draw_problem(data)
     store = BlockStore(field, problem.decomposition)
     shared = TrajectoryBank(problem, store)
@@ -529,11 +574,7 @@ def test_runs_sharing_a_bank_equal_runs_on_their_own(data):
                 load_threshold=data.draw(st.integers(1, 40)),
                 slaves_per_master=data.draw(st.integers(1, 4)),
                 locality_bias=data.draw(st.booleans()),
-                seed=data.draw(st.integers(0, 3))),
-            reseed=(ContinueThroughBudget(budget=data.draw(
-                        st.integers(1, 6)))
-                    if algorithm == "hybrid" and data.draw(st.booleans())
-                    else None))
+                seed=data.draw(st.integers(0, 3))))
         obs_shared, obs_own = Recorder(enabled=True), Recorder(enabled=True)
         on_shared = run_streamlines(problem, obs=obs_shared, bank=shared,
                                     **kwargs)
@@ -543,6 +584,10 @@ def test_runs_sharing_a_bank_equal_runs_on_their_own(data):
         assert fits or on_shared.status == STATUS_OOM
         assert_read_only(on_shared)
         assert_read_only(on_own)
+        if on_shared.ok:
+            for result, obs in ((on_shared, obs_shared), (on_own, obs_own)):
+                assert_every_seed_terminated_once(result, len(seeds))
+                assert_time_reconciles(result, obs)
         # The run's cursors and strays are gone; the seeds' tapes stayed
         # where the trace left them.
         assert shared._tapes is None
@@ -587,18 +632,20 @@ def test_oom_mid_replay_leaves_a_shared_bank_clean(small_problem,
 
 def test_strays_of_one_run_are_invisible_to_the_next(tokamak_problem,
                                                      monkeypatch):
-    """Reseeded curves (sid >= n_seeds) and a hand-built line wearing a
-    seed's sid are traced for the run that met them and dropped with it."""
+    """Hand-built strays met mid-run (sids >= n_seeds) and a hand-built
+    line wearing a seed's sid are traced for the run that met them and
+    dropped with it."""
     store = BlockStore(tokamak_problem.field, tokamak_problem.decomposition)
     shared = TrajectoryBank(tokamak_problem, store)
     calls = count_kernel_calls(monkeypatch)
     kwargs = dict(algorithm="hybrid", store=store, bank=shared,
                   machine=MachineSpec(n_ranks=4))
-    reseeded = run_streamlines(tokamak_problem,
-                               reseed=ContinueThroughBudget(budget=8),
-                               **kwargs)
-    assert len(reseeded.streamlines) == 4 + 8 and len(calls) > 1
+    inner = core_base.advance_pool
+    widths = replay_mid_flight_strays(monkeypatch, tokamak_problem.n_seeds)
+    with_strays = run_streamlines(tokamak_problem, **kwargs)
+    assert widths and calls == [4] + widths
     assert shared._tapes is None and sorted(shared._seeds) == [0, 1, 2, 3]
+    monkeypatch.setattr(core_base, "advance_pool", inner)
     # A hand-built line under sid 0, replayed outside any run ...
     start = tokamak_problem.seeds[0] + 0.01
     line = Streamline(
@@ -614,6 +661,7 @@ def test_strays_of_one_run_are_invisible_to_the_next(tokamak_problem,
     plain = run_streamlines(tokamak_problem, **kwargs)
     assert calls == [] and [ln.sid for ln in plain.streamlines] \
         == [0, 1, 2, 3]
+    assert run_totals(plain) == run_totals(with_strays)
     assert line_state(plain.streamlines[0]) == line_state(
         run_streamlines(tokamak_problem, algorithm="ondemand",
                         machine=MachineSpec(n_ranks=1)).streamlines[0])

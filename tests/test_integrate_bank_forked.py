@@ -31,9 +31,9 @@ from tests.test_integrate_bank import (  # noqa: F401 - collected here
     test_bank_dies_with_its_run_without_the_cyclic_gc,
     test_each_run_traces_once,
     test_hand_built_line_is_traced_from_its_state,
+    test_mid_flight_strays_match_the_per_call_kernel,
     test_oom_mid_replay_leaves_a_shared_bank_clean,
     test_oom_while_seeding_never_integrates,
-    test_reseeded_lines_match_the_per_call_kernel,
     test_replay_equals_direct_kernel_at_every_call,
     test_runs_sharing_a_bank_equal_runs_on_their_own,
     test_segments_are_views_into_the_tape,

@@ -63,7 +63,6 @@ def test_memory_and_wire_sizes():
         + 10 * VERTEX_NBYTES
     assert s.comm_nbytes() == STREAMLINE_HEADER_NBYTES \
         + 10 * VERTEX_NBYTES
-    assert s.comm_nbytes(compact=True) == STREAMLINE_HEADER_NBYTES
 
 
 def test_terminate_transitions():

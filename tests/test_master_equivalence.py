@@ -295,7 +295,7 @@ def check_totals(master: HybridMaster) -> None:
                 r.rank, r.lines_by_block, r.loaded).waiting_blocks()
 
 
-def build(cls, rank, masters, slaves, config, pool, cache_blocks, budget):
+def build(cls, rank, masters, slaves, config, pool, cache_blocks):
     field_ = UniformField(domain=Bounds.cube(0.0, 1.0))
     problem = ProblemSpec(field=field_, seeds=np.full((4, 3), 0.5),
                           blocks_per_axis=(3, 3, 3),
@@ -306,7 +306,7 @@ def build(cls, rank, masters, slaves, config, pool, cache_blocks, budget):
         spec=MachineSpec(n_ranks=len(masters) + len(slaves),
                          cache_blocks=cache_blocks))
     master = cls(ctx, problem, config, slaves=slaves, masters=masters,
-                 pool=copy.deepcopy(pool), reseed_budget=budget)
+                 pool=copy.deepcopy(pool))
     if cls is HybridMaster:
         ctx.comm.on_send = lambda: check_totals(master)
     return master
@@ -325,9 +325,7 @@ def state(master: HybridMaster):
               r.total_lines, r.waiting_blocks())
              for r in master.records.values()],
             master._request_outstanding, sorted(master._dry_masters),
-            master._group_term_delta, master._target_delta,
-            master._global_count, master._global_target,
-            master._reseed_remaining, master._next_dynamic_sid)
+            master._group_term_delta, master._global_count)
 
 
 def random_pool(rng, n_seeds: int):
@@ -374,9 +372,6 @@ def random_inbox(rng, masters, rank, slaves, endgame=False) -> list:
                 advanceable=int(rng.integers(0, 4) * (rng.random() < 0.4)),
                 terminated_delta=int(rng.integers(0, 3)))
             src = payload.slave
-        elif kind < 0.85:
-            seeds = rng.random((int(rng.integers(0, 4)), 3)) * 1.3 - 0.15
-            payload, src = msg.NewSeeds(seeds=seeds), int(rng.choice(slaves))
         elif kind < 0.93:
             grant = {int(b): ((900 + int(b),), rng.random((1, 3)))
                      for b in rng.choice(N_BLOCKS, replace=False,
@@ -411,7 +406,7 @@ def test_incremental_master_decides_like_the_parent_commit(data):
         seed=data.draw(st.integers(0, 5)))
     n_seeds = data.draw(st.integers(0, 3 if endgame else 25))
     args = (rank, masters, slaves, config, random_pool(rng, n_seeds),
-            data.draw(st.integers(2, 8)), data.draw(st.integers(0, 6)))
+            data.draw(st.integers(2, 8)))
     new, old = build(HybridMaster, *args), build(OracleMaster, *args)
     for master in (new, old):
         master._handle_out_of_domain_seeds()

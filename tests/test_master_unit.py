@@ -12,8 +12,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.machine import MachineSpec
 
 
-def make_master(pool=None, slaves=(1, 2, 3), config=None,
-                reseed_budget=0):
+def make_master(pool=None, slaves=(1, 2, 3), config=None):
     field = UniformField(domain=Bounds.cube(0.0, 1.0))
     problem = ProblemSpec(
         field=field, seeds=np.array([[0.5, 0.5, 0.5]]),
@@ -21,8 +20,7 @@ def make_master(pool=None, slaves=(1, 2, 3), config=None,
     cluster = Cluster(MachineSpec(n_ranks=4))
     return HybridMaster(cluster.context(0), problem,
                         config or HybridConfig(), slaves=list(slaves),
-                        masters=[0], pool=pool or {},
-                        reseed_budget=reseed_budget)
+                        masters=[0], pool=pool or {})
 
 
 def test_pool_block_with_most_seeds():
@@ -72,34 +70,6 @@ def test_find_loaded_slave_prefers_least_loaded():
         m.records[r].advanceable = load
     t = m._find_loaded_slave(4, exclude=0, incoming=1)
     assert t.rank == 2
-
-
-def test_accept_new_seeds_budget_and_domain():
-    m = make_master(reseed_budget=3)
-    seeds = np.array([
-        [0.2, 0.2, 0.2],    # in
-        [5.0, 5.0, 5.0],    # out of domain -> dropped
-        [0.8, 0.8, 0.8],    # in
-        [0.1, 0.9, 0.1],    # beyond budget after the drop? budget=3 evals
-        [0.3, 0.3, 0.3],    # beyond budget
-    ])
-    m._accept_new_seeds(seeds)
-    # Budget 3 evaluations: seeds[0] admitted, seeds[1] dropped,
-    # seeds[2] admitted -> 2 admitted, target grows by 2.
-    assert m.pool_size() == 2
-    assert m._target_delta == 2
-    assert m._reseed_remaining == 0
-    # Further seeds are ignored entirely.
-    m._accept_new_seeds(np.array([[0.5, 0.5, 0.5]]))
-    assert m.pool_size() == 2
-
-
-def test_dynamic_sids_unique_per_master():
-    m = make_master(reseed_budget=10)
-    m._accept_new_seeds(np.array([[0.2, 0.2, 0.2], [0.3, 0.3, 0.3]]))
-    sids = [sid for entries in m.pool.values() for sid, _ in entries]
-    assert len(set(sids)) == 2
-    assert all(s >= 1_000_000 for s in sids)
 
 
 def test_cache_capacity_helper():

@@ -17,13 +17,12 @@ import pytest
 
 from repro import IntegratorConfig, MachineSpec, ProblemSpec, run_streamlines
 from repro.core.config import HybridConfig
-from repro.core.reseed import ContinueThroughBudget
 from repro.fields import SupernovaField
 from repro.seeding import sparse_random_seeds
 from repro.sim.cluster import Cluster
 
 RANKS = (16, 64, 128)
-VARIANTS = ("default", "no_locality", "four_masters", "reseed")
+VARIANTS = ("default", "no_locality", "four_masters")
 
 PINS = {
     (16, 'default'):
@@ -35,9 +34,6 @@ PINS = {
     (16, 'four_masters'):
         ('8.663505879999978', 953, 397308, 272, 128, 4233,
          '74e9f7a32f53dc6355811d3eea45b341903ff2e3a04dc673691feaf35acf5600'),
-    (16, 'reseed'):
-        ('9.921385959999979', 1226, 550916, 267, 87, 5155,
-         '66c3c69ca9234f93b8ec591a8384b0732d37664f03cd70f1696460189ab30b64'),
     (64, 'default'):
         ('3.801497068000002', 1132, 422024, 322, 6, 4934,
          '74e9f7a32f53dc6355811d3eea45b341903ff2e3a04dc673691feaf35acf5600'),
@@ -47,9 +43,6 @@ PINS = {
     (64, 'four_masters'):
         ('4.684400684000003', 1237, 450740, 359, 19, 5404,
          '74e9f7a32f53dc6355811d3eea45b341903ff2e3a04dc673691feaf35acf5600'),
-    (64, 'reseed'):
-        ('6.006729440000003', 1459, 577304, 360, 14, 6344,
-         'a8d1507c28440e7403415c94a98d7554502b7dbd236b45b8aaa434bf307d27fd'),
     (128, 'default'):
         ('4.685146748000009', 1400, 481500, 360, 12, 5875,
          '74e9f7a32f53dc6355811d3eea45b341903ff2e3a04dc673691feaf35acf5600'),
@@ -59,9 +52,6 @@ PINS = {
     (128, 'four_masters'):
         ('4.685146748000009', 1400, 481500, 360, 12, 5875,
          '74e9f7a32f53dc6355811d3eea45b341903ff2e3a04dc673691feaf35acf5600'),
-    (128, 'reseed'):
-        ('6.069092639999998', 1810, 670140, 421, 47, 7632,
-         'bf666fa2a234d1fe1241cb53c7bbe583f6379676d17d2360a726d4a9d361e45d'),
 }
 
 
@@ -88,16 +78,14 @@ def schedule(ranks: int, variant: str, monkeypatch) -> tuple:
             events.append(self.engine.event_count)
 
     monkeypatch.setattr(Cluster, "run", counted)
-    hybrid, reseed = HybridConfig(), None
+    hybrid = HybridConfig()
     if variant == "no_locality":
         hybrid = HybridConfig(locality_bias=False)
     elif variant == "four_masters":
         hybrid = HybridConfig(slaves_per_master=ranks // 4 - 1)
         assert hybrid.n_masters(ranks) == 4
-    elif variant == "reseed":
-        reseed = ContinueThroughBudget(budget=12)
     result = run_streamlines(
-        problem(), algorithm="hybrid", hybrid=hybrid, reseed=reseed,
+        problem(), algorithm="hybrid", hybrid=hybrid,
         machine=MachineSpec(n_ranks=ranks, cache_blocks=12))
     assert result.ok
     h = hashlib.sha256()

@@ -48,5 +48,3 @@ def test_wire_size_monotone_in_geometry():
     cm = DataCostModel()
     sizes = [cm.streamline_wire_nbytes(n) for n in (0, 10, 100, 1000)]
     assert sizes == sorted(sizes)
-    assert all(cm.streamline_wire_nbytes(n, compact=True) == sizes[0]
-               for n in (0, 10, 100, 1000))
