@@ -23,9 +23,6 @@ Commands
 ``cache``      list the on-disk sweep cache (per-entry size, age,
                measured elapsed) or prune it (``--prune
                --older-than 2h`` / ``--prune --all``)
-``profile``    run one scenario under the host-side profiler: real
-               wall/CPU/RSS/GC cost per phase plus a sampled
-               collapsed-stack file for flamegraph.pl / speedscope
 ``trace``      run one scenario with full observability and export a
                Perfetto timeline, span/sample JSONL, and idle analysis
 ``analyze``    post-run analytics on a ``trace`` output directory:
@@ -35,9 +32,7 @@ Commands
 ``streamline`` full cross-rank lifecycle of one streamline, optionally
                exported as a per-seed Perfetto track
 ``diff``       compare two runs (trace dirs or BENCH_*.json files) with
-               regression thresholds; non-zero exit on regression;
-               ``--host`` compares two host profiles advisory-only
-               (host metrics are machine-dependent and never gate)
+               regression thresholds; non-zero exit on regression
 ``trend``      critical-path breakdown trend table over a series of
                BENCH_*.json snapshots (the trend view, not just
                pairwise diff)
@@ -57,7 +52,6 @@ from repro.analysis.experiments import run_experiment, sweep_dataset
 from repro.analysis.heuristics import ProblemTraits, recommend_algorithm
 from repro.analysis.report import (
     FIGURE_NUMBERS,
-    METRIC_INFO,
     analysis_report,
     figure_table,
     wait_state_table,
@@ -65,7 +59,6 @@ from repro.analysis.report import (
 from repro.analysis.scenarios import (
     DATASETS,
     RANK_COUNTS,
-    SEED_COUNTS,
     SEEDINGS,
     make_problem,
     scenario_machine,
@@ -119,79 +112,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         print(f"repro figure: {exc}", file=sys.stderr)
         return 1
     print(figure_table(args.dataset, summaries, metric))
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.driver import run_streamlines
-    from repro.obs.host import (
-        HOST_SCHEMA,
-        HostProbe,
-        collapsed_table,
-        host_report,
-        write_collapsed,
-    )
-
-    probe = HostProbe(profile=True, profile_interval=args.interval,
-                      trace_malloc=args.tracemalloc)
-    try:
-        with probe.phase("setup"):
-            problem = make_problem(args.dataset, args.seeding,
-                                   scale=args.scale)
-            machine = scenario_machine(args.ranks)
-    except ValueError as exc:
-        probe.stop()
-        print(f"repro profile: invalid scenario: {exc}", file=sys.stderr)
-        return 2
-    # Host telemetry only: no recorder, so no trace directory is needed
-    # and the run leaves no span records.
-    with probe.phase("advect"):
-        result = run_streamlines(problem, algorithm=args.algorithm,
-                                 machine=machine)
-    probe.stop()
-    host = probe.to_dict()
-
-    name = (f"{args.dataset}-{args.seeding}-{args.algorithm}-"
-            f"{args.ranks}")
-    print(f"{args.algorithm} on {args.dataset}/{args.seeding} "
-          f"@ {args.ranks} simulated ranks (scale {args.scale}):")
-    sim = (f"{result.wall_clock:.3f} s" if result.ok
-           else f"OOM at rank {result.oom_rank} "
-                f"(t={result.wall_clock:.3f} s)")
-    print(f"  simulated wall clock {sim} (the deterministic number; "
-          "everything below is real machine time)")
-    print()
-    print(host_report(host))
-    print()
-    print(collapsed_table(probe.collapsed(), top=args.top))
-    if args.collapsed:
-        write_collapsed(args.collapsed, probe.collapsed())
-        print(f"wrote {len(probe.collapsed())} collapsed stacks to "
-              f"{args.collapsed} (flamegraph.pl / speedscope format)",
-              file=sys.stderr)
-    if args.json:
-        doc = {
-            "host_schema": HOST_SCHEMA,
-            "scenario": {
-                "name": name,
-                "dataset": args.dataset,
-                "seeding": args.seeding,
-                "algorithm": args.algorithm,
-                "ranks": args.ranks,
-                "scale": args.scale,
-            },
-            "host": host,
-        }
-        out = Path(args.json)
-        if out.parent:
-            out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote host profile to {out} (compare with "
-              "`repro diff --host`)", file=sys.stderr)
     return 0
 
 
@@ -438,28 +358,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         regressions
     from repro.obs.diff import parse_threshold_args
 
-    if args.host:
-        from repro.obs import load_host_comparable
-
-        try:
-            base = load_host_comparable(args.base)
-            new = load_host_comparable(args.new)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"repro diff --host: {exc}", file=sys.stderr)
-            return 2
-        base_name, new_name = next(iter(base)), next(iter(new))
-        if base_name != new_name:
-            print(f"note: comparing different scenarios "
-                  f"({base_name} vs {new_name})", file=sys.stderr)
-            new = {base_name: new[new_name]}
-        # Advisory only: host metrics vary by machine and load, so no
-        # thresholds, no gating, and always exit 0.
-        rows = diff_runs(base, new, thresholds={})
-        print("host metrics diff (advisory: real machine time, varies "
-              "by host and load — never gated):")
-        print(diff_table(rows, all_rows=True))
-        return 0
-
     try:
         thresholds = parse_threshold_args(args.threshold)
         base = load_comparable(args.base)
@@ -622,31 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_fleet_args(p_flc)
     p_flc.set_defaults(func=_cmd_fleet)
 
-    p_pr = sub.add_parser(
-        "profile",
-        help="profile one run on the real machine (host telemetry + "
-             "collapsed stacks)")
-    p_pr.add_argument("dataset", choices=DATASETS)
-    p_pr.add_argument("--seeding", choices=SEEDINGS, default="sparse")
-    p_pr.add_argument("--algorithm", choices=ALGORITHMS, default="hybrid")
-    p_pr.add_argument("--ranks", type=int, default=8)
-    p_pr.add_argument("--scale", type=float, default=0.25)
-    p_pr.add_argument("--interval", type=float, default=0.005,
-                      help="sampling-profiler period in real seconds "
-                           "(default 5 ms)")
-    p_pr.add_argument("--top", type=int, default=10,
-                      help="stacks to show in the table (default 10)")
-    p_pr.add_argument("--tracemalloc", action="store_true",
-                      help="also record per-phase tracemalloc deltas "
-                           "(slows the run severalfold)")
-    p_pr.add_argument("--collapsed", default=None, metavar="PATH",
-                      help="write collapsed stacks here "
-                           "(flamegraph.pl / speedscope format)")
-    p_pr.add_argument("--json", default=None, metavar="PATH",
-                      help="write the host-metric profile as JSON "
-                           "(compare with `repro diff --host`)")
-    p_pr.set_defaults(func=_cmd_profile)
-
     p_tr = sub.add_parser(
         "trace",
         help="run one scenario with observability and export a timeline")
@@ -705,11 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_df.add_argument("--all", action="store_true",
                       help="show every compared metric, not just gated "
                            "ones and regressions")
-    p_df.add_argument("--host", action="store_true",
-                      help="compare two `repro profile --json` host "
-                           "profiles — advisory only: host metrics are "
-                           "machine-dependent, never gate, and the "
-                           "exit code is always 0")
     p_df.set_defaults(func=_cmd_diff)
 
     p_tn = sub.add_parser(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 #: The three parallelization strategies of the paper, in presentation order.
@@ -71,9 +71,6 @@ class HybridConfig:
             raise ValueError("duplication_budget must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    def with_overrides(self, **kw) -> "HybridConfig":
-        return replace(self, **kw)
 
     def n_masters(self, n_ranks: int) -> int:
         """Masters for a given total rank count (at least one, and at

@@ -137,7 +137,7 @@ def _execute(spec: RunSpec) -> Tuple[str, Any, dict]:
     the parent sees as the worker's death.
 
     The probe is host-side only: the task's phase labels (``setup`` /
-    ``advect`` / ``merge``) charge real wall/CPU/RSS/GC cost, while the
+    ``advect`` / ``merge``) charge real wall/CPU/RSS cost, while the
     payload itself — simulated time — is byte-identical whichever
     process runs it and whoever listens.
     """

@@ -6,32 +6,17 @@ size, integration time, step count), its geometry (the polyline traced so
 far, stored as per-advance segments), and its lifecycle :class:`Status`.
 
 Streamlines are the unit of communication in Static Allocation and the
-Hybrid algorithm; :meth:`Streamline.comm_nbytes` models the wire size of
-sending one (solver state + accumulated geometry), which is what makes
-geometry-heavy communication expensive (paper §8).
+Hybrid algorithm; their modelled memory and wire sizes are priced by
+:class:`~repro.storage.costmodel.DataCostModel` from ``n_vertices``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
-
-#: Modelled bytes per geometry vertex on the wire and in memory
-#: (3 float64 coordinates; attribute payloads like time/speed are folded
-#: into the per-streamline overhead).
-VERTEX_NBYTES = 24
-
-#: Modelled fixed per-streamline memory overhead at full scale.  A VisIt-era
-#: integral-curve object buffers seed metadata, solver scratch, and
-#: attribute arrays; 512 KiB per curve at paper scale is what makes 22k
-#: curves concentrated on one rank exceed a ~1-2 GiB budget (paper §5.3).
-STREAMLINE_OVERHEAD_NBYTES = 512 * 1024
-
-#: Modelled wire size of the non-geometry part of a streamline message.
-STREAMLINE_HEADER_NBYTES = 256
 
 
 class Status(enum.Enum):
@@ -133,23 +118,6 @@ class Streamline:
         if len(arr):
             self.segments.append(arr)
             self._n_vertices += len(arr)
-
-    # ------------------------------------------------------------------ #
-    # Modelled sizes
-    # ------------------------------------------------------------------ #
-    @property
-    def geometry_nbytes(self) -> int:
-        """Modelled bytes of the accumulated geometry."""
-        return self.n_vertices * VERTEX_NBYTES
-
-    @property
-    def memory_nbytes(self) -> int:
-        """Modelled resident memory of this curve on a rank."""
-        return STREAMLINE_OVERHEAD_NBYTES + self.geometry_nbytes
-
-    def comm_nbytes(self) -> int:
-        """Modelled wire size of communicating this streamline."""
-        return STREAMLINE_HEADER_NBYTES + self.geometry_nbytes
 
     def terminate(self, status: Status) -> None:
         """Mark the curve finished with the given reason."""

@@ -60,11 +60,7 @@ from repro.obs.host import (
     HostProbe,
     PhaseStats,
     activated,
-    collapsed_table,
     host_phase,
-    host_report,
-    load_host_comparable,
-    write_collapsed,
 )
 from repro.obs.lineage import (
     LIFECYCLE_KINDS,
@@ -84,7 +80,6 @@ from repro.obs.registry import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -110,7 +105,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_THRESHOLDS",
     "DiffRow",
-    "Gauge",
     "HOST_SCHEMA",
     "Histogram",
     "HostProbe",
@@ -138,18 +132,15 @@ __all__ = [
     "analyze",
     "analyze_dir",
     "analyze_run",
-    "collapsed_table",
     "critical_path",
     "diff_runs",
     "diff_table",
     "gini",
     "host_phase",
-    "host_report",
     "jsonable",
     "TREND_METRICS",
     "lifecycle_table",
     "load_comparable",
-    "load_host_comparable",
     "load_snapshots",
     "trend_table",
     "perfetto_events",
@@ -164,7 +155,6 @@ __all__ = [
     "span",
     "tile_segments",
     "timeline_text",
-    "write_collapsed",
     "write_perfetto",
     "write_run_json",
     "write_samples_jsonl",

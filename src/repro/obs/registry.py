@@ -1,5 +1,5 @@
-"""Metrics registry: counters, gauges, fixed-bucket histograms, and
-periodic time-series sampling of gauges.
+"""Metrics registry: counters, fixed-bucket histograms, and periodic
+time-series sampling of callback gauges.
 
 The registry complements :class:`~repro.sim.metrics.RankMetrics` (the
 paper's end-of-run scalar totals) with *shape over time*: how deep was a
@@ -43,27 +43,6 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-
-
-class Gauge:
-    """A point-in-time value: either set explicitly or read through a
-    callback (``fn``)."""
-
-    __slots__ = ("name", "fn", "value")
-
-    def __init__(self, name: str,
-                 fn: Optional[Callable[[], float]] = None) -> None:
-        self.name = name
-        self.fn = fn
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def read(self) -> float:
-        if self.fn is not None:
-            return self.fn()
-        return self.value
 
 
 class Histogram:
@@ -172,13 +151,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -187,7 +159,6 @@ class _NullHistogram(Histogram):
 
 
 _NULL_COUNTER = _NullCounter("null")
-_NULL_GAUGE = _NullGauge("null")
 _NULL_HISTOGRAM = _NullHistogram("null")
 
 
@@ -197,7 +168,6 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         #: Sampled series: (name, rank, callback), registration order.
         self._series: List[Tuple[str, int, Callable[[], float]]] = []
@@ -214,15 +184,6 @@ class MetricsRegistry:
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
-
-    def gauge(self, name: str,
-              fn: Optional[Callable[[], float]] = None) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name, fn=fn)
-        return g
 
     def histogram(self, name: str,
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:

@@ -97,10 +97,6 @@ class Signal(Request):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Signal({self.name!r}, waiters={len(self._waiters)})"
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def fire(self, value: Any = None) -> int:
         """Wake all waiting processes; returns the number woken."""
         waiters, self._waiters = self._waiters, []

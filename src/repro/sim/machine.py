@@ -102,10 +102,6 @@ class MachineSpec:
             return self.cache_blocks
         return max(1, int(0.25 * self.memory_bytes / block_nbytes))
 
-    def message_transport_time(self, nbytes: int) -> float:
-        """Wire time for a message of ``nbytes`` (excludes posting cost)."""
-        return self.comm_latency + nbytes / self.comm_bandwidth
-
     def post_time(self, nbytes: int) -> float:
         """CPU time to post (pack) a message of ``nbytes``."""
         return self.comm_post_overhead + nbytes * self.comm_post_per_byte

@@ -12,11 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.integrate.streamline import (
-    STREAMLINE_HEADER_NBYTES,
-    STREAMLINE_OVERHEAD_NBYTES,
-    VERTEX_NBYTES,
-)
+#: Modelled bytes per geometry vertex on the wire and in memory
+#: (3 float64 coordinates; attribute payloads like time/speed are folded
+#: into the per-streamline overhead).
+VERTEX_NBYTES = 24
+
+#: Modelled fixed per-streamline memory overhead at full scale.  A VisIt-era
+#: integral-curve object buffers seed metadata, solver scratch, and
+#: attribute arrays; 512 KiB per curve at paper scale is what makes 22k
+#: curves concentrated on one rank exceed a ~1-2 GiB budget (paper §5.3).
+STREAMLINE_OVERHEAD_NBYTES = 512 * 1024
+
+#: Modelled wire size of the non-geometry part of a streamline message.
+STREAMLINE_HEADER_NBYTES = 256
 
 
 @dataclass(frozen=True)

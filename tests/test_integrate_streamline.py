@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.integrate.streamline import (
-    STREAMLINE_HEADER_NBYTES,
-    STREAMLINE_OVERHEAD_NBYTES,
-    VERTEX_NBYTES,
     Status,
     Streamline,
     make_streamlines,
+)
+from repro.storage.costmodel import (
+    STREAMLINE_HEADER_NBYTES,
+    STREAMLINE_OVERHEAD_NBYTES,
+    VERTEX_NBYTES,
+    DataCostModel,
 )
 
 
@@ -58,11 +61,11 @@ def test_arc_length():
 def test_memory_and_wire_sizes():
     s = Streamline(sid=0, seed=np.zeros(3))
     s.append_segment(np.zeros((10, 3)))
-    assert s.geometry_nbytes == 10 * VERTEX_NBYTES
-    assert s.memory_nbytes == STREAMLINE_OVERHEAD_NBYTES \
-        + 10 * VERTEX_NBYTES
-    assert s.comm_nbytes() == STREAMLINE_HEADER_NBYTES \
-        + 10 * VERTEX_NBYTES
+    cost = DataCostModel()
+    assert cost.streamline_memory_nbytes(s.n_vertices) \
+        == STREAMLINE_OVERHEAD_NBYTES + 10 * VERTEX_NBYTES
+    assert cost.streamline_wire_nbytes(s.n_vertices) \
+        == STREAMLINE_HEADER_NBYTES + 10 * VERTEX_NBYTES
 
 
 def test_terminate_transitions():

@@ -1,36 +1,24 @@
-"""Host-side telemetry: HostProbe phases, sampler, plumbing, Recorder."""
+"""Host-side telemetry: HostProbe phases, plumbing, Recorder."""
 
-import gc
 import json
-import re
 import time
-
-import pytest
 
 from repro.obs import Recorder
 from repro.obs.host import (
     HOST_SCHEMA,
-    NO_PHASE,
     NULL_PROBE,
     HostProbe,
     PhaseStats,
     activated,
     charge_child_cpu,
-    collapsed_table,
     get_active,
     host_phase,
-    host_report,
-    load_host_comparable,
     max_rss_kb,
-    write_collapsed,
 )
-
-#: ``frame;frame;frame count`` — what flamegraph.pl / speedscope parse.
-COLLAPSED_LINE = re.compile(r"^\S+(?:;\S+)* \d+$")
 
 
 def _spin(seconds: float) -> int:
-    """Busy-loop so the sampler has something to catch."""
+    """Busy-loop for a measurable phase."""
     deadline = time.perf_counter() + seconds
     acc = 0
     while time.perf_counter() < deadline:
@@ -68,37 +56,6 @@ def test_nested_phases_are_inclusive():
     assert rows["inner"].wall_s >= 0.02
 
 
-def test_gc_pauses_are_counted_and_attributed():
-    probe = HostProbe()
-    with probe:
-        with probe.phase("churn"):
-            gc.collect()
-            gc.collect()
-    [ps] = probe.phases
-    assert ps.gc_collections >= 2
-    assert ps.gc_pause_s >= 0.0
-    doc = probe.to_dict()
-    assert doc["gc"]["collections"] >= 2
-    # The hook detached on stop: further collections are not counted.
-    before = doc["gc"]["collections"]
-    gc.collect()
-    assert probe.to_dict()["gc"]["collections"] == before
-    assert probe._on_gc not in gc.callbacks
-
-
-def test_tracemalloc_deltas_opt_in():
-    probe = HostProbe(trace_malloc=True)
-    with probe:
-        with probe.phase("alloc"):
-            keep = [bytearray(256 * 1024) for _ in range(4)]
-    [ps] = probe.phases
-    assert ps.alloc_kb > 512  # kept ~1 MiB alive through the phase
-    assert ps.alloc_peak_kb >= ps.alloc_kb
-    del keep
-    import tracemalloc
-    assert not tracemalloc.is_tracing()  # probe owned it and stopped it
-
-
 def test_to_dict_is_json_safe_and_versioned():
     probe = HostProbe()
     with probe:
@@ -109,8 +66,7 @@ def test_to_dict_is_json_safe_and_versioned():
     assert doc["wall_s"] >= 0.0
     assert "setup" in doc["phases"]
     assert set(doc["phases"]["setup"]) == {
-        "count", "wall_s", "cpu_s", "rss_growth_kb", "alloc_kb",
-        "alloc_peak_kb", "gc_collections", "gc_pause_s"}
+        "count", "wall_s", "cpu_s", "rss_growth_kb"}
 
 
 def test_phase_stats_to_dict_rounding():
@@ -124,55 +80,8 @@ def test_max_rss_positive_on_unix():
     assert max_rss_kb() > 0
 
 
-# --------------------------------------------------------------------- #
-# Sampling profiler / collapsed stacks
-# --------------------------------------------------------------------- #
-
-def test_sampler_collects_collapsed_stacks(tmp_path):
-    probe = HostProbe(profile=True, profile_interval=0.001)
-    with probe:
-        with probe.phase("hot"):
-            _spin(0.15)
-    assert probe.sample_count > 10
-    collapsed = probe.collapsed()
-    # Every stack is phase-rooted and flamegraph-parseable.
-    hot = {k: v for k, v in collapsed.items() if k.startswith("hot;")}
-    assert hot, f"no phase-rooted stacks in {list(collapsed)[:3]}"
-    for stack in collapsed:
-        assert " " not in stack
-    # The busy loop itself dominates the hot-phase samples.
-    assert any("_spin" in stack for stack in hot)
-
-    path = tmp_path / "out.collapsed"
-    write_collapsed(path, collapsed)
-    lines = path.read_text().splitlines()
-    assert lines
-    for line in lines:
-        assert COLLAPSED_LINE.match(line), line
-    # Sorted most-sampled first.
-    counts = [int(line.rsplit(" ", 1)[1]) for line in lines]
-    assert counts == sorted(counts, reverse=True)
-
-
-def test_samples_outside_phases_use_no_phase_root():
-    probe = HostProbe(profile=True, profile_interval=0.001)
-    with probe:
-        probe.start()
-        _spin(0.05)
-    assert any(stack.startswith(NO_PHASE.replace(" ", "_"))
-               for stack in probe.collapsed())
-
-
-def test_collapsed_table_renders_and_handles_empty():
-    assert "no profiler samples" in collapsed_table({})
-    table = collapsed_table({"a;b;c;d;e;f;g": 30, "a;x": 10}, top=1)
-    assert "top 1 sampled stacks (40 samples" in table
-    assert "75.0%" in table
-    assert "a;...;e;f;g" in table  # long stacks are elided
-
-
 def test_stop_is_idempotent_and_freezes_totals():
-    probe = HostProbe(profile=True, profile_interval=0.001)
+    probe = HostProbe()
     with probe.phase("p"):
         _spin(0.02)
     probe.stop()
@@ -180,7 +89,6 @@ def test_stop_is_idempotent_and_freezes_totals():
     time.sleep(0.02)
     probe.stop()
     assert probe.to_dict()["wall_s"] == wall
-    assert probe._sampler is None
 
 
 # --------------------------------------------------------------------- #
@@ -241,46 +149,3 @@ def test_disabled_recorder_installs_no_engine_hook():
     obs.bind(eng)
     assert eng.observer is None
     assert obs.spans == ()
-
-
-# --------------------------------------------------------------------- #
-# host_report / load_host_comparable
-# --------------------------------------------------------------------- #
-
-def test_host_report_labels_machine_dependence():
-    probe = HostProbe()
-    with probe:
-        with probe.phase("advect"):
-            pass
-    text = host_report(probe.to_dict())
-    assert "real machine time" in text
-    assert "never part of BENCH snapshots" in text
-    assert "advect" in text
-    assert "total" in text
-
-
-def test_load_host_comparable_flattens_phases(tmp_path):
-    probe = HostProbe()
-    with probe:
-        with probe.phase("advect"):
-            _spin(0.01)
-    doc = {"host_schema": HOST_SCHEMA,
-           "scenario": {"name": "astro-sparse-hybrid-8"},
-           "host": probe.to_dict()}
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(doc))
-    table = load_host_comparable(path)
-    assert list(table) == ["astro-sparse-hybrid-8"]
-    flat = table["astro-sparse-hybrid-8"]
-    assert flat["wall_s"] > 0.0
-    assert "phase.advect.wall_s" in flat
-    assert "gc.collections" in flat
-    # Simulated metrics never appear in the host comparison.
-    assert not any(k.startswith("wall_clock") for k in flat)
-
-
-def test_load_host_comparable_rejects_non_profiles(tmp_path):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps({"schema": 3, "runs": {}}))
-    with pytest.raises(ValueError, match="not a host profile"):
-        load_host_comparable(path)

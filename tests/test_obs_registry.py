@@ -16,14 +16,6 @@ def test_counter_inc_and_memoization():
     assert reg.counters() == {"a": 3}
 
 
-def test_gauge_set_and_callback():
-    reg = MetricsRegistry()
-    reg.gauge("depth").set(7)
-    assert reg.gauge("depth").read() == 7
-    g = reg.gauge("cb", fn=lambda: 42)
-    assert g.read() == 42
-
-
 def test_histogram_buckets_and_overflow():
     reg = MetricsRegistry()
     h = reg.histogram("t", buckets=(0.1, 1.0, 10.0))
@@ -106,7 +98,6 @@ def test_histogram_rejects_unsorted_buckets():
 def test_disabled_registry_hands_out_noop_instruments():
     reg = MetricsRegistry(enabled=False)
     reg.counter("c").inc()
-    reg.gauge("g").set(5)
     reg.histogram("h").observe(1.0)
     reg.add_series("s", 0, lambda: 1.0)
     reg.sample(0.0)
