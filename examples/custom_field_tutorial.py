@@ -6,10 +6,9 @@ one of the built-ins:
 
 1. define a custom analytic field (a swirling jet),
 2. ask the §6 heuristics which algorithm fits,
-3. sanity-check the choice with the first-order cost model,
-4. run it, compare against the other algorithms,
-5. validate the numerics with a grid-convergence study,
-6. export the geometry for a viewer.
+3. run it, compare against the other algorithms,
+4. validate the numerics with a grid-convergence study,
+5. export the geometry for a viewer.
 
 Run:  python examples/custom_field_tutorial.py
 """
@@ -18,9 +17,7 @@ import numpy as np
 
 import repro
 from repro.analysis import (
-    TransportStats,
     convergence_study,
-    predict_costs,
     recommend_algorithm,
     traits_of_problem,
 )
@@ -71,17 +68,9 @@ def main() -> None:
     for r in reasons:
         print(f"  - {r}")
 
-    # 3. First-order cost model (measures a seed sample, then predicts).
-    machine = repro.MachineSpec(n_ranks=16)
-    stats = TransportStats.measure(problem, sample=16)
-    print(f"\nmeasured transport: ~{stats.mean_blocks_visited:.1f} blocks "
-          f"and {stats.mean_steps:.0f} steps per curve")
-    for name, pred in predict_costs(problem, machine, stats=stats).items():
-        print(f"  predicted {name:9s}: {pred.blocks_read:6.0f} block "
-              f"reads, {pred.messages:7.0f} msgs")
-
-    # 4. Run all three and compare.
+    # 3. Run all three and compare.
     print()
+    machine = repro.MachineSpec(n_ranks=16)
     results = {}
     hybrid_cfg = repro.HybridConfig(assignment_quantum=5,
                                     overload_limit=60)
@@ -93,7 +82,7 @@ def main() -> None:
               f"io={r.io_time:7.2f}s comm={r.comm_time:6.3f}s "
               f"E={r.block_efficiency:.3f}")
 
-    # 5. How much error does 8^3-cell sampling introduce here?
+    # 4. How much error does 8^3-cell sampling introduce here?
     study = convergence_study(field, seeds[:4], resolutions=(4, 8, 16),
                               blocks_per_axis=(4, 4, 4))
     print("\ngrid convergence (max curve deviation vs 48^3 reference):")
@@ -101,7 +90,7 @@ def main() -> None:
         print(f"  {p.cells_per_block:2d}^3 cells/block: "
               f"{p.max_deviation:.5f}")
 
-    # 6. Export for a viewer.
+    # 5. Export for a viewer.
     lines = results[algo].streamlines
     print(f"\n{polyline_stats(lines)}")
     n = write_vtk_polydata("swirling_jet.vtk", lines,

@@ -26,11 +26,6 @@ from repro.analysis.heuristics import (
     recommend_algorithm,
     traits_of_problem,
 )
-from repro.analysis.tradeoff import (
-    CostPrediction,
-    TransportStats,
-    predict_costs,
-)
 from repro.analysis.validation import (
     convergence_study,
     curve_deviation,
@@ -39,8 +34,6 @@ from repro.analysis.validation import (
 
 __all__ = [
     "DATASETS",
-    "CostPrediction",
-    "TransportStats",
     "convergence_study",
     "curve_deviation",
     "observed_order",
@@ -52,7 +45,6 @@ __all__ = [
     "figure_table",
     "format_series",
     "make_problem",
-    "predict_costs",
     "recommend_algorithm",
     "run_experiment",
     "scenario_machine",

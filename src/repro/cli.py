@@ -14,12 +14,9 @@ Commands
                share of the model total without executing;
                ``--telemetry DIR`` additionally captures the executor's
                host-side event log and utilization report;
-               ``--nodes host1:4,host2:8`` (or ``--nodes-file``)
-               dispatches runs to long-lived remote workers, fastest
-               node first, with failover — still byte-identical
-``fleet``      ``fleet check`` probes every configured node,
-               runs the calibration handshake, and prints a readiness
-               report (non-zero exit iff any target fails)
+               ``--nodes host1:4,host2:8`` dispatches runs to
+               long-lived remote workers, fastest node first, with
+               failover — still byte-identical
 ``cache``      list the on-disk sweep cache (per-entry size, age,
                measured elapsed) or prune it (``--prune
                --older-than 2h`` / ``--prune --all``)
@@ -33,9 +30,6 @@ Commands
                exported as a per-seed Perfetto track
 ``diff``       compare two runs (trace dirs or BENCH_*.json files) with
                regression thresholds; non-zero exit on regression
-``trend``      critical-path breakdown trend table over a series of
-               BENCH_*.json snapshots (the trend view, not just
-               pairwise diff)
 ``recommend``  apply the §6 decision heuristics to a described problem
 ``scenarios``  list the built-in evaluation scenarios
 """
@@ -171,47 +165,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_doc(args.out, doc)
         print(f"wrote {args.out} ({len(runs)} runs)", file=sys.stderr)
     return code
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """``repro fleet check``: probe every configured node, run the
-    calibration handshake, and print a readiness report.
-
-    Exit codes: 0 = every target ready; 1 = at least one probe or
-    handshake failed; 2 = configuration error (nothing to probe,
-    unparsable specs).
-    """
-    from repro.exec import (
-        fleet_ok,
-        fleet_report,
-        parse_fleet,
-        probe_fleet,
-    )
-
-    try:
-        nodes = parse_fleet(args.nodes, args.nodes_file)
-    except ValueError as exc:
-        print(f"repro fleet check: {exc}", file=sys.stderr)
-        return 2
-    if not nodes:
-        print("repro fleet check: nothing to probe — pass --nodes "
-              "and/or --nodes-file", file=sys.stderr)
-        return 2
-    results = probe_fleet(nodes, remote_template=args.remote_template)
-    print(fleet_report(results))
-    return 0 if fleet_ok(results) else 1
-
-
-def _cmd_trend(args: argparse.Namespace) -> int:
-    from repro.obs import load_snapshots, trend_table
-
-    try:
-        snapshots = load_snapshots(args.snapshots)
-    except (OSError, ValueError) as exc:
-        print(f"repro trend: {exc}", file=sys.stderr)
-        return 2
-    print(trend_table(snapshots))
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -462,10 +415,29 @@ def _age_arg(text: str) -> float:
     return value * mult
 
 
+def _checked(cast, rule: str, ok):
+    """An argparse ``type=`` that converts with *cast* and rejects a
+    value failing *ok*; both errors exit 2 with argparse's usage
+    message."""
+    def parse(text: str):
+        value = cast(text)   # ValueError -> "invalid int/float value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
+#: ``--ranks`` and ``--seeds``; ``--scale``; ``--spread``.
+_positive_int = _checked(int, ">= 1", lambda v: v >= 1)
+_positive_float = _checked(float, "a finite number > 0",
+                           lambda v: 0 < v < float("inf"))
+_fraction = _checked(float, "in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
-    from repro.exec.frontend import (add_fleet_args, add_pool_args,
-                                     add_sweep_args)
+    from repro.exec.frontend import add_pool_args, add_sweep_args
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -477,16 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeding", choices=SEEDINGS, default="sparse")
     p_run.add_argument("--algorithm", choices=ALGORITHMS,
                        default="hybrid")
-    p_run.add_argument("--ranks", type=int, default=32)
-    p_run.add_argument("--scale", type=float, default=0.25)
+    p_run.add_argument("--ranks", type=_positive_int, default=32)
+    p_run.add_argument("--scale", type=_positive_float, default=0.25)
     p_run.set_defaults(func=_cmd_run)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("number", type=int,
                        help="paper figure number (5-16)")
     p_fig.add_argument("--dataset", choices=DATASETS, required=True)
-    p_fig.add_argument("--scale", type=float, default=0.25)
-    p_fig.add_argument("--ranks", type=int, nargs="*", default=None)
+    p_fig.add_argument("--scale", type=_positive_float, default=0.25)
+    p_fig.add_argument("--ranks", type=_positive_int, nargs="*",
+                       default=None)
     add_pool_args(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
 
@@ -500,25 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated seedings (default both)")
     p_sw.add_argument("--algorithm", default="static,ondemand,hybrid",
                       help="comma-separated algorithms (default all)")
-    p_sw.add_argument("--ranks", type=int, nargs="*", default=None,
+    p_sw.add_argument("--ranks", type=_positive_int, nargs="*",
+                      default=None,
                       help=f"rank counts (default {list(RANK_COUNTS)})")
-    p_sw.add_argument("--scale", type=float, default=0.25)
+    p_sw.add_argument("--scale", type=_positive_float, default=0.25)
     p_sw.add_argument("--out", default=None,
                       help="write a deterministic summary JSON here")
     add_sweep_args(p_sw)
     p_sw.set_defaults(func=_cmd_sweep)
-
-    p_fl = sub.add_parser(
-        "fleet",
-        help="validate distributed sweep capacity (nodes)")
-    fl_sub = p_fl.add_subparsers(dest="fleet_command", required=True)
-    p_flc = fl_sub.add_parser(
-        "check",
-        help="probe every configured node, run the calibration "
-             "handshake, and print a readiness report (non-zero exit "
-             "iff any target fails)")
-    add_fleet_args(p_flc)
-    p_flc.set_defaults(func=_cmd_fleet)
 
     p_tr = sub.add_parser(
         "trace",
@@ -526,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("dataset", choices=DATASETS)
     p_tr.add_argument("--seeding", choices=SEEDINGS, default="sparse")
     p_tr.add_argument("--algorithm", choices=ALGORITHMS, default="hybrid")
-    p_tr.add_argument("--ranks", type=int, default=16)
+    p_tr.add_argument("--ranks", type=_positive_int, default=16)
+    # A bad --scale reaches _cmd_trace's "invalid scenario" guard.
     p_tr.add_argument("--scale", type=float, default=0.25)
     p_tr.add_argument("--out", default="traces",
                       help="output directory (default: ./traces)")
@@ -580,18 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "ones and regressions")
     p_df.set_defaults(func=_cmd_diff)
 
-    p_tn = sub.add_parser(
-        "trend",
-        help="critical-path trend table over a series of snapshots")
-    p_tn.add_argument("snapshots", nargs="+",
-                      help="two or more BENCH_*.json files (or trace "
-                           "dirs), oldest first")
-    p_tn.set_defaults(func=_cmd_trend)
-
     p_rec = sub.add_parser("recommend",
                            help="apply the §6 decision heuristics")
-    p_rec.add_argument("--seeds", type=int, required=True)
-    p_rec.add_argument("--spread", type=float, required=True,
+    p_rec.add_argument("--seeds", type=_positive_int, required=True)
+    p_rec.add_argument("--spread", type=_fraction, required=True,
                        help="fraction of blocks containing seeds (0-1)")
     p_rec.add_argument("--data-fits-memory", action="store_true")
     p_rec.add_argument("--uniform-flow", action="store_true",
@@ -614,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ca.set_defaults(func=_cmd_cache)
 
     p_sc = sub.add_parser("scenarios", help="list evaluation scenarios")
-    p_sc.add_argument("--scale", type=float, default=1.0)
+    p_sc.add_argument("--scale", type=_positive_float, default=1.0)
     p_sc.set_defaults(func=_cmd_scenarios)
 
     return parser
@@ -632,7 +587,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # Downstream pager/head closed the pipe (e.g. `repro trend | head`);
+        # Downstream pager/head closed the pipe (e.g. `repro diff | head`);
         # suppress the traceback and exit like a well-behaved filter.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -28,9 +28,6 @@ Layers
     host1:4,host2:8``; ``python -m repro.exec.remote_worker``) — both
     ending in the same calibration handshake that gives each node
     its speed factor.
-:mod:`repro.exec.fleet`
-    Fleet validation (``repro fleet check``): probe every configured
-    node, run the handshake, and report readiness.
 :mod:`repro.exec.executor`
     :class:`SweepExecutor` and its :class:`Dispatcher` state machine
     over persistent worker slots (local and/or remote), with per-run
@@ -72,15 +69,7 @@ from repro.exec.transport import (
     calibration_probe,
     command_worker,
     fork_worker,
-    parse_fleet,
     parse_nodes,
-    read_nodes_file,
-)
-from repro.exec.fleet import (
-    ProbeResult,
-    fleet_ok,
-    fleet_report,
-    probe_fleet,
 )
 from repro.exec.schedule import (
     PlannedRun,
@@ -128,7 +117,6 @@ __all__ = [
     "OUTCOME_TIMEOUT",
     "PROTOCOL_VERSION",
     "PlannedRun",
-    "ProbeResult",
     "RunOutcome",
     "RunSpec",
     "StreamWorker",
@@ -139,19 +127,14 @@ __all__ = [
     "default_jobs",
     "dry_run_table",
     "failure_report",
-    "fleet_ok",
-    "fleet_report",
     "fork_worker",
     "grid_specs",
     "load_events",
     "makespan",
     "merge_run_entries",
     "model_estimate",
-    "parse_fleet",
     "parse_nodes",
     "plan_schedule",
-    "probe_fleet",
-    "read_nodes_file",
     "run_spec",
     "telemetry_report",
     "text_progress",

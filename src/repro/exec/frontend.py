@@ -3,11 +3,10 @@
 Every command-line sweep registers its executor flags here —
 :func:`add_sweep_args` for ``repro sweep`` and
 ``benchmarks/bench_trajectory.py``, the pool pair for ``repro
-figure``, the fleet three for ``repro fleet check`` — and the two
-sweeps hand their spec list to :func:`drive_sweep`, which owns
-everything between those flags and the outcomes.  A front end keeps
-only its spec building and its document, which :func:`write_doc`
-writes.
+figure`` — and the two sweeps hand their spec list to
+:func:`drive_sweep`, which owns everything between those flags and the
+outcomes.  A front end keeps only its spec building and its document,
+which :func:`write_doc` writes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.exec.telemetry import (
     text_progress,
     validate_events,
 )
-from repro.exec.transport import parse_fleet
+from repro.exec.transport import parse_nodes
 from repro.obs import jsonable
 
 
@@ -58,30 +57,22 @@ def add_pool_args(parser: argparse.ArgumentParser) -> None:
                              "(0 = unlimited)")
 
 
-def add_fleet_args(parser: argparse.ArgumentParser) -> None:
-    """``--nodes``, ``--nodes-file`` and ``--remote-template``."""
+def add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """Every flag :func:`drive_sweep` reads: the pool pair,
+    ``--nodes``, ``--remote-template``, ``--dry-run`` and
+    ``--telemetry``."""
+    add_pool_args(parser)
     parser.add_argument("--nodes", default=None, metavar="SPEC",
                         help="remote nodes as comma-separated host:slots "
                              "(e.g. host1:4,host2:8; bare host = 1 slot; "
                              "the pseudo-host 'local' is the in-machine "
                              "pool)")
-    parser.add_argument("--nodes-file", default=None, metavar="PATH",
-                        help="read node specs from PATH (one 'host', "
-                             "'host:slots', or 'host slots' per line; "
-                             "# comments); combined with --nodes")
     parser.add_argument("--remote-template", default=None,
                         metavar="TEMPLATE",
                         help="command template that launches the remote "
                              "worker on {host} (default: ssh batch mode, "
                              "cd {cwd}, python -m repro.exec."
                              "remote_worker)")
-
-
-def add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    """Every flag :func:`drive_sweep` reads: the pool and fleet flags,
-    ``--dry-run`` and ``--telemetry``."""
-    add_pool_args(parser)
-    add_fleet_args(parser)
     parser.add_argument("--dry-run", action="store_true",
                         help="print the planned dispatch order (heaviest "
                              "problem first) with each run's share of "
@@ -100,13 +91,13 @@ def drive_sweep(args: argparse.Namespace, specs: Sequence[RunSpec],
     ``(outcomes, exit_code)``.
 
     ``outcomes`` is ``None`` when nothing ran: a dry run (code 0, the
-    plan printed to stdout) or bad fleet flags (code 2).  Otherwise the
+    plan printed to stdout) or a bad ``--nodes`` (code 2).  Otherwise the
     code is 1 when a run failed or the ``--telemetry`` event log fails
     :func:`~repro.exec.telemetry.validate_events` — both reported on
     stderr — and 0 else; the caller still writes its document.
     """
     try:
-        nodes = parse_fleet(args.nodes, args.nodes_file)
+        nodes = parse_nodes(args.nodes) if args.nodes else []
     except ValueError as exc:
         print(f"{prog}: {exc}", file=sys.stderr)
         return None, 2

@@ -31,8 +31,7 @@ timing; the parent rejects incompatible protocols, answers with a
 seconds / worker probe seconds; forked workers skip the probe, local
 speed is 1.0 by definition) that orders the free slots, fastest
 first.  A :class:`WorkerSource` names one acquisition target (a node
-and its slot count); the executor respawns slots through it and
-``repro fleet check`` probes it.
+and its slot count); the executor respawns slots through it.
 
 Determinism: acquisition moves *where* a run executes, never what it
 produces.  Payloads cross the wire as JSON — Python's ``json``
@@ -62,7 +61,6 @@ import subprocess
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.spec import RunSpec
@@ -158,47 +156,6 @@ def parse_nodes(text: str) -> List[NodeSpec]:
     if not nodes:
         raise ValueError("no nodes specified")
     return nodes
-
-
-def read_nodes_file(path) -> List[NodeSpec]:
-    """Parse a nodes file: one ``host:slots`` (or ``host slots``, or
-    bare ``host``) per line; ``#`` comments and blank lines ignored."""
-    path = Path(path)
-    entries: List[str] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8")
-                                 .splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 1:
-            entries.append(parts[0])
-        elif len(parts) == 2:
-            entries.append(f"{parts[0]}:{parts[1]}")
-        else:
-            raise ValueError(f"{path}:{lineno}: expected 'host[:slots]' "
-                             f"or 'host slots', got {raw!r}")
-    if not entries:
-        raise ValueError(f"{path}: no nodes listed")
-    return parse_nodes(",".join(entries))
-
-
-def parse_fleet(nodes: Optional[str] = None,
-                nodes_file: Any = None) -> List[NodeSpec]:
-    """The fleet a command line describes: ``--nodes`` plus
-    ``--nodes-file`` entries.  Raises ``ValueError`` for every
-    configuration error — unparsable or unreadable specs, a name listed
-    twice — so callers share one rejection path."""
-    node_specs = parse_nodes(nodes) if nodes else []
-    if nodes_file:
-        try:
-            node_specs += read_nodes_file(nodes_file)
-        except OSError as exc:
-            raise ValueError(str(exc))
-    names = [n.name for n in node_specs]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate node name across --nodes/--nodes-file")
-    return node_specs
 
 
 # --------------------------------------------------------------------- #
@@ -543,7 +500,7 @@ class WorkerSource:
     workers for ``local``, the command template's for any other node.
 
     The executor fills the target's slots from it and, when ``spawn``
-    fails, drops them; ``repro fleet check`` probes it.
+    fails, drops them.
     """
 
     kind = "ssh"
@@ -611,5 +568,5 @@ def worker_sources(nodes: Sequence[NodeSpec],
                    remote_template: Optional[str] = None
                    ) -> List[WorkerSource]:
     """The acquisition targets of a fleet, in listed order, for the
-    executor to fill slots from and ``repro fleet check`` to probe."""
+    executor to fill slots from."""
     return [WorkerSource(node, remote_template) for node in nodes]

@@ -75,7 +75,6 @@ from repro.obs.lineage import (
     tile_segments,
 )
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.obs.trend import TREND_METRICS, load_snapshots, trend_table
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -138,11 +137,8 @@ __all__ = [
     "gini",
     "host_phase",
     "jsonable",
-    "TREND_METRICS",
     "lifecycle_table",
     "load_comparable",
-    "load_snapshots",
-    "trend_table",
     "perfetto_events",
     "perfetto_json",
     "regressions",

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis.experiments import ExperimentKey, RunSummary
-from repro.analysis.report import figure_table, format_series, format_value
+from repro.analysis.report import (critical_path_context_table,
+                                  figure_table, format_series,
+                                  format_value)
 
 
 def make_summary(algorithm="static", seeding="sparse", n_ranks=16,
@@ -63,3 +65,18 @@ def test_table_header_names_figure_and_units():
     assert "[s]" in t
     t2 = figure_table("astro", summaries, "block_efficiency")
     assert "[" not in t2.splitlines()[0]  # dimensionless
+
+
+def test_critical_path_context_table():
+    entries = {
+        "astro-dense-static-32": {
+            "status": "ok", "wall_clock": 10.0,
+            "critical_path": {"compute": 6.0, "io": 3.0, "comm": 0.5,
+                              "idle": 0.5}},
+        "astro-dense-oom-32": {"status": "oom"},
+    }
+    table = critical_path_context_table(entries)
+    assert "astro-dense-static-32" in table
+    assert "10.000" in table
+    assert "60.0%" in table       # compute share of wall
+    assert "OOM" in table         # failed run renders as its status

@@ -109,6 +109,13 @@ def test_bench_rank_scaling_validation(bench_mod, tmp_path):
         bench_mod.main(args)
 
 
+def test_bench_rejects_nodes_file(bench_mod, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        bench_mod.main(ARGS + ["--nodes-file", "nodes.txt",
+                               "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_bench_oom_probe_can_be_disabled(bench_mod, tmp_path):
     out = tmp_path / "noprobe"
     args = ["--dataset", "thermal", "--scale", "0.05", "--ranks", "4",

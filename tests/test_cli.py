@@ -20,6 +20,36 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--dataset", "astro", "--ranks", "0"],
+    ["run", "--dataset", "astro", "--scale", "-1"],
+    ["trace", "astro", "--ranks", "0"],
+    ["figure", "5", "--dataset", "astro", "--scale", "0"],
+    ["recommend", "--seeds", "0", "--spread", "0.5"],
+    ["recommend", "--seeds", "10", "--spread", "1.5"],
+    ["sweep", "--ranks", "0", "--dry-run"],
+    ["scenarios", "--scale", "0"],
+])
+def test_bad_numeric_input_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trend", "a.json", "b.json"],
+    ["fleet", "check", "--nodes", "local:1"],
+    ["sweep", "--nodes-file", "nodes.txt", "--dry-run"],
+])
+def test_removed_commands_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_scenarios_command(capsys):
     assert main(["scenarios", "--scale", "0.05"]) == 0
     out = capsys.readouterr().out

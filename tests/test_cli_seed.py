@@ -165,11 +165,6 @@ def test_diff_broken_pipe(trace_dir, monkeypatch):
         ["diff", str(trace_dir), str(trace_dir), "--all"]) == 0
 
 
-def test_trend_broken_pipe(trace_dir, monkeypatch):
-    assert _run_into_broken_pipe(
-        monkeypatch, ["trend", str(trace_dir), str(trace_dir)]) == 0
-
-
 def test_trace_broken_pipe(tmp_path, monkeypatch):
     assert _run_into_broken_pipe(
         monkeypatch, ARGS + ["--out", str(tmp_path)]) == 0

@@ -35,7 +35,6 @@ from repro.exec import (
     load_events,
     merge_run_entries,
     parse_nodes,
-    read_nodes_file,
     validate_events,
 )
 from repro.exec.transport import (
@@ -110,21 +109,6 @@ def test_parse_nodes_rejects_bad_specs():
         parse_nodes(",,")
     with pytest.raises(ValueError, match="empty node name"):
         parse_nodes(":4")
-
-
-def test_read_nodes_file(tmp_path):
-    path = tmp_path / "nodes"
-    path.write_text("# fleet\nbig:8\nsmall 2   # spaced form\n"
-                    "\nbare\n")
-    assert read_nodes_file(path) == [NodeSpec("big", 8),
-                                     NodeSpec("small", 2),
-                                     NodeSpec("bare", 1)]
-    path.write_text("a b c\n")
-    with pytest.raises(ValueError, match="expected 'host"):
-        read_nodes_file(path)
-    path.write_text("# nothing\n")
-    with pytest.raises(ValueError, match="no nodes listed"):
-        read_nodes_file(path)
 
 
 # --------------------------------------------------------------------- #
@@ -555,10 +539,7 @@ def test_cli_sweep_nodes_loopback(tmp_path, capsys):
             "--scale", "0.02"]
     assert main(base + ["--out", str(out_a)]) == 0
     clear_cache(disk=True)
-    nodes_file = tmp_path / "nodes.txt"
-    nodes_file.write_text("n2:1  # second loopback worker\n")
-    code = main(base + ["--out", str(out_b), "--nodes", "n1:1",
-                        "--nodes-file", str(nodes_file),
+    code = main(base + ["--out", str(out_b), "--nodes", "n1:1,n2:1",
                         "--remote-template", LOOPBACK,
                         "--telemetry", str(tmp_path / "telem")])
     assert code == 0
@@ -574,5 +555,3 @@ def test_cli_sweep_rejects_bad_nodes(capsys):
 
     assert main(["sweep", "--nodes", "a:1,a:2", "--dry-run"]) == 2
     assert "listed twice" in capsys.readouterr().err
-    assert main(["sweep", "--nodes-file", "/nonexistent/nodes",
-                 "--dry-run"]) == 2
