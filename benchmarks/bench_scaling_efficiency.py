@@ -2,8 +2,9 @@
 
 Not a single paper figure, but the quantity the whole evaluation is
 about: how each algorithm's wall clock scales from the bottom to the top
-of the simulated rank sweep.  Uses the same cached astro sweep as
-``bench_figures.py``, so it is nearly free after it.
+of the simulated rank sweep.  Uses the same astro sweep as
+``bench_figures.py``, memoized in the process, so it is nearly free
+after it in the same pytest session.
 """
 
 import os

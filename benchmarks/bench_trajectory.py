@@ -66,7 +66,8 @@ if __package__ in (None, ""):  # running as a script
 
 from repro.core.config import ALGORITHMS
 from repro.exec import MODE_BENCH, RunSpec, grid_specs, merge_run_entries
-from repro.exec.frontend import add_sweep_args, drive_sweep, write_doc
+from repro.exec.frontend import (add_sweep_args, drive_sweep,
+                                 positive_float, positive_int, write_doc)
 from repro.obs.diff import BENCH_SCHEMA
 
 #: The canonical trajectory seedings: one sparse (the regime every
@@ -137,10 +138,10 @@ def main(argv=None) -> int:
                         help="when thermal is benchmarked, also run the "
                              "thermal/dense/static scenario at "
                              "--oom-scale, whose expected status is 'oom'")
-    parser.add_argument("--oom-scale", type=float, default=0.5,
+    parser.add_argument("--oom-scale", type=positive_float, default=0.5,
                         help="scale for the OOM probe run")
-    parser.add_argument("--ranks", type=int, default=8)
-    parser.add_argument("--scale", type=float, default=0.1)
+    parser.add_argument("--ranks", type=positive_int, default=8)
+    parser.add_argument("--scale", type=positive_float, default=0.1)
     parser.add_argument("--sample-interval", type=float, default=1.0)
     parser.add_argument("--rank-scaling", default="",
                         help="comma-separated rank counts for an "

@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """Regenerate EXPERIMENTS.md from the reproduction grid.
 
-Runs (or fetches from the sweep cache) the grid every §5 claim is
-checked on — three datasets x two seedings x three algorithms x
-``RANK_COUNTS`` at scale 1.0 — and writes EXPERIMENTS.md: each paper
-figure's claims with their computed status (``repro.analysis.claims``),
-its measured table, the "Known fidelity gaps" list generated from the
-claims that are not reproduced, and critical-path context tables.
-``REPRO_BENCH_JOBS=N`` fans uncached runs over N worker processes; the
-document is byte-identical for any N.
+Runs the grid every §5 claim is checked on — three datasets x two
+seedings x three algorithms x ``RANK_COUNTS`` at scale 1.0 — and writes
+EXPERIMENTS.md: each paper figure's claims with their computed status
+(``repro.analysis.claims``), its measured table, the "Known fidelity
+gaps" list generated from the claims that are not reproduced, and
+critical-path context tables.
+``REPRO_BENCH_JOBS=N`` fans the runs over N worker processes; the
+document is byte-identical for any N.  :func:`render` builds the
+document; ``benchmarks/bench_figures.py`` compares it with the committed
+file in the process that checks the claims, on the same grid.
 
 Usage:  python benchmarks/generate_experiments_md.py [output.md]
 """
@@ -70,8 +72,8 @@ kind of factor.
   `pytest benchmarks/bench_figures.py --benchmark-only` asserts each
   computed status and failing-cell list against the recorded one.
 * Regenerate with `REPRO_BENCH_JOBS=2 python
-  benchmarks/generate_experiments_md.py` (a few minutes from a cold
-  sweep cache).
+  benchmarks/generate_experiments_md.py` (under a minute on two cores;
+  every run is computed afresh).
 
 ## Known fidelity gaps
 
@@ -120,8 +122,8 @@ def critical_path_sections() -> list:
     return parts
 
 
-def main() -> None:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("EXPERIMENTS.md")
+def render() -> str:
+    """The whole EXPERIMENTS.md document."""
     grid = reproduction_grid(jobs=JOBS)
     outcomes = {claim.id: evaluate(claim, grid) for claim in CLAIMS}
 
@@ -144,8 +146,12 @@ def main() -> None:
         parts.append("```\n")
 
     parts.extend(critical_path_sections())
+    return "\n".join(parts)
 
-    out.write_text("\n".join(parts))
+
+def main() -> None:
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("EXPERIMENTS.md")
+    out.write_text(render())
     print(f"wrote {out}")
 
 

@@ -135,8 +135,8 @@ def make_problem(dataset: str, seeding: str,
     if seeding not in SEEDINGS:
         raise ValueError(f"unknown seeding {seeding!r}; "
                          f"expected one of {SEEDINGS}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < float("inf"):
+        raise ValueError(f"scale must be a finite number > 0, got {scale}")
     count = max(4, int(round(SEED_COUNTS[(dataset, seeding)] * scale)))
     integ = _INTEG[dataset]
 

@@ -5,7 +5,7 @@ Commands
 ``run``        run one evaluation scenario with one algorithm and print
                the paper's metrics for it
 ``figure``     regenerate one paper figure (table form); ``--jobs N``
-               fans uncached runs over a process pool
+               fans the runs over a process pool
 ``sweep``      run a full evaluation grid with the parallel sweep
                executor (``--jobs N``) and write a deterministic
                summary JSON — byte-identical for any job count; runs
@@ -17,9 +17,6 @@ Commands
                ``--nodes host1:4,host2:8`` dispatches runs to
                long-lived remote workers, fastest node first, with
                failover — still byte-identical
-``cache``      list the on-disk sweep cache (per-entry size, age,
-               measured elapsed) or prune it (``--prune
-               --older-than 2h`` / ``--prune --all``)
 ``trace``      run one scenario with full observability and export a
                Perfetto timeline, span/sample JSONL, and idle analysis
 ``analyze``    post-run analytics on a ``trace`` output directory:
@@ -57,7 +54,7 @@ from repro.analysis.scenarios import (
     make_problem,
     scenario_machine,
 )
-from repro.core.config import ALGORITHMS
+from repro.core.config import ALGORITHMS, HybridConfig
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -173,12 +170,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_run_json, write_samples_jsonl, write_spans_jsonl
     from repro.sim.trace import Trace
 
-    try:
-        problem = make_problem(args.dataset, args.seeding,
-                               scale=args.scale)
-    except ValueError as exc:
-        print(f"repro trace: invalid scenario: {exc}", file=sys.stderr)
-        return 2
+    problem = make_problem(args.dataset, args.seeding, scale=args.scale)
     trace = Trace(enabled=True)
     obs = Recorder(enabled=True, sample_interval=args.sample_interval)
     result = run_streamlines(problem, algorithm=args.algorithm,
@@ -349,95 +341,13 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fmt_age(seconds: float) -> str:
-    if seconds < 60:
-        return f"{seconds:.0f}s"
-    if seconds < 3600:
-        return f"{seconds / 60:.0f}m"
-    if seconds < 86400:
-        return f"{seconds / 3600:.1f}h"
-    return f"{seconds / 86400:.1f}d"
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import (_cache_dir, cache_entries,
-                                            prune_cache)
-
-    root = _cache_dir()
-    if root is None:
-        print('cache: disk caching is disabled (REPRO_CACHE_DIR="")')
-        return 0
-    if args.prune:
-        if args.older_than is None and not args.all:
-            print("repro cache: --prune needs --older-than AGE or --all",
-                  file=sys.stderr)
-            return 2
-        older = None if args.all else args.older_than
-        removed, freed = prune_cache(older_than=older)
-        noun = "entry" if removed == 1 else "entries"
-        print(f"pruned {removed} {noun} ({freed} bytes) from {root}")
-        return 0
-    entries = cache_entries()
-    if not entries:
-        print(f"cache: no entries in {root}")
-        return 0
-    print(f"{'entry':<36}{'scale':>7}{'elapsed':>10}{'size':>8}"
-          f"{'age':>8}")
-    print("-" * 69)
-    total = 0
-    for e in entries:
-        total += e.size
-        scale = f"{e.scale:g}" if e.scale is not None else "-"
-        elapsed = f"{e.elapsed:.3f}s" if e.elapsed is not None else "-"
-        name = e.name if e.valid else f"{e.name} (stale)"
-        print(f"{name:<36}{scale:>7}{elapsed:>10}{e.size:>8}"
-              f"{_fmt_age(e.age):>8}")
-    noun = "entry" if len(entries) == 1 else "entries"
-    print(f"\n{len(entries)} {noun}, {total} bytes in {root}")
-    return 0
-
-
-def _age_arg(text: str) -> float:
-    """``--older-than`` values: seconds, or ``NN[s|m|h|d]``."""
-    raw = text.strip().lower()
-    units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-    mult = 1.0
-    if raw and raw[-1] in units:
-        mult = units[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid age {text!r}: expected e.g. 90, 30m, 2h, 1d")
-    if value < 0:
-        raise argparse.ArgumentTypeError("age must be >= 0")
-    return value * mult
-
-
-def _checked(cast, rule: str, ok):
-    """An argparse ``type=`` that converts with *cast* and rejects a
-    value failing *ok*; both errors exit 2 with argparse's usage
-    message."""
-    def parse(text: str):
-        value = cast(text)   # ValueError -> "invalid int/float value"
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
-        return value
-    parse.__name__ = cast.__name__
-    return parse
-
-
-#: ``--ranks`` and ``--seeds``; ``--scale``; ``--spread``.
-_positive_int = _checked(int, ">= 1", lambda v: v >= 1)
-_positive_float = _checked(float, "a finite number > 0",
-                           lambda v: 0 < v < float("inf"))
-_fraction = _checked(float, "in [0, 1]", lambda v: 0 <= v <= 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
-    from repro.exec.frontend import add_pool_args, add_sweep_args
+    from repro.exec.frontend import (add_pool_args, add_sweep_args,
+                                     checked, positive_float,
+                                     positive_int)
+
+    fraction = checked(float, "in [0, 1]", lambda v: 0 <= v <= 1)
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -449,16 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeding", choices=SEEDINGS, default="sparse")
     p_run.add_argument("--algorithm", choices=ALGORITHMS,
                        default="hybrid")
-    p_run.add_argument("--ranks", type=_positive_int, default=32)
-    p_run.add_argument("--scale", type=_positive_float, default=0.25)
+    p_run.add_argument("--ranks", type=positive_int, default=32)
+    p_run.add_argument("--scale", type=positive_float, default=0.25)
     p_run.set_defaults(func=_cmd_run)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("number", type=int,
                        help="paper figure number (5-16)")
     p_fig.add_argument("--dataset", choices=DATASETS, required=True)
-    p_fig.add_argument("--scale", type=_positive_float, default=0.25)
-    p_fig.add_argument("--ranks", type=_positive_int, nargs="*",
+    p_fig.add_argument("--scale", type=positive_float, default=0.25)
+    p_fig.add_argument("--ranks", type=positive_int, nargs="*",
                        default=None)
     add_pool_args(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
@@ -473,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated seedings (default both)")
     p_sw.add_argument("--algorithm", default="static,ondemand,hybrid",
                       help="comma-separated algorithms (default all)")
-    p_sw.add_argument("--ranks", type=_positive_int, nargs="*",
+    p_sw.add_argument("--ranks", type=positive_int, nargs="*",
                       default=None,
                       help=f"rank counts (default {list(RANK_COUNTS)})")
-    p_sw.add_argument("--scale", type=_positive_float, default=0.25)
+    p_sw.add_argument("--scale", type=positive_float, default=0.25)
     p_sw.add_argument("--out", default=None,
                       help="write a deterministic summary JSON here")
     add_sweep_args(p_sw)
@@ -488,9 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("dataset", choices=DATASETS)
     p_tr.add_argument("--seeding", choices=SEEDINGS, default="sparse")
     p_tr.add_argument("--algorithm", choices=ALGORITHMS, default="hybrid")
-    p_tr.add_argument("--ranks", type=_positive_int, default=16)
-    # A bad --scale reaches _cmd_trace's "invalid scenario" guard.
-    p_tr.add_argument("--scale", type=float, default=0.25)
+    p_tr.add_argument("--ranks", type=positive_int, default=16)
+    p_tr.add_argument("--scale", type=positive_float, default=0.25)
     p_tr.add_argument("--out", default="traces",
                       help="output directory (default: ./traces)")
     p_tr.add_argument("--sample-interval", type=float, default=0.25,
@@ -545,31 +454,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recommend",
                            help="apply the §6 decision heuristics")
-    p_rec.add_argument("--seeds", type=_positive_int, required=True)
-    p_rec.add_argument("--spread", type=_fraction, required=True,
+    p_rec.add_argument("--seeds", type=positive_int, required=True)
+    p_rec.add_argument("--spread", type=fraction, required=True,
                        help="fraction of blocks containing seeds (0-1)")
     p_rec.add_argument("--data-fits-memory", action="store_true")
     p_rec.add_argument("--uniform-flow", action="store_true",
                        default=None)
     p_rec.set_defaults(func=_cmd_recommend)
 
-    p_ca = sub.add_parser(
-        "cache",
-        help="inspect or prune the on-disk sweep cache")
-    p_ca.add_argument("--prune", action="store_true",
-                      help="delete entries instead of listing them "
-                           "(requires --older-than or --all)")
-    p_ca.add_argument("--older-than", type=_age_arg, default=None,
-                      metavar="AGE",
-                      help="with --prune: only delete entries last "
-                           "written more than AGE ago (e.g. 90, 45m, "
-                           "2h, 1d)")
-    p_ca.add_argument("--all", action="store_true",
-                      help="with --prune: delete every entry")
-    p_ca.set_defaults(func=_cmd_cache)
-
     p_sc = sub.add_parser("scenarios", help="list evaluation scenarios")
-    p_sc.add_argument("--scale", type=_positive_float, default=1.0)
+    p_sc.add_argument("--scale", type=positive_float, default=1.0)
     p_sc.set_defaults(func=_cmd_scenarios)
 
     return parser
@@ -577,7 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("run", "trace") and args.algorithm == "hybrid":
+        # One flag checked against another, which argparse cannot do.
+        try:
+            HybridConfig().n_masters(args.ranks)
+        except ValueError as exc:
+            parser.error(f"argument --ranks: {exc}")
     try:
         code = args.func(args)
         # Flush inside the guard: a small report fits the pipe buffer, so

@@ -6,7 +6,9 @@ Every command-line sweep registers its executor flags here —
 figure`` — and the two sweeps hand their spec list to
 :func:`drive_sweep`, which owns everything between those flags and the
 outcomes.  A front end keeps only its spec building and its document,
-which :func:`write_doc` writes.
+which :func:`write_doc` writes.  The checked argparse types
+(:func:`checked`, ``positive_int``, ``positive_float``) are shared by
+``repro``'s numeric flags and the trajectory harness's.
 """
 
 from __future__ import annotations
@@ -29,6 +31,25 @@ from repro.exec.telemetry import (
 )
 from repro.exec.transport import parse_nodes
 from repro.obs import jsonable
+
+
+def checked(cast, rule: str, ok):
+    """An argparse ``type=`` that converts with *cast* and rejects a
+    value failing *ok*; both errors exit 2 with argparse's usage
+    message."""
+    def parse(text: str):
+        value = cast(text)   # ValueError -> "invalid int/float value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
+#: ``--ranks`` and ``--seeds``; ``--scale`` and ``--oom-scale``.
+positive_int = checked(int, ">= 1", lambda v: v >= 1)
+positive_float = checked(float, "a finite number > 0",
+                         lambda v: 0 < v < float("inf"))
 
 
 def jobs_arg(text: str) -> int:

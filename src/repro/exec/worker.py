@@ -19,8 +19,9 @@ fields and the one held problem with its traced curves
 (:mod:`repro.analysis.scenarios`; one problem at a time, about 80 MiB
 for thermal-dense at scale 1.0, replaced when a spec of another problem
 arrives), the shared immutable block store (:mod:`repro.core.driver`),
-and the in-memory sweep cache — none of which can change results (all
-are deterministic and read-only).
+and the run memo (:mod:`repro.analysis.experiments`, which a forked
+worker inherits from its parent) — none of which can change results
+(all are deterministic and read-only).
 *Isolated* specs (the thermal OOM probe) get a dedicated worker that
 is discarded after its one result, so a real :class:`MemoryError` — or
 a hard kernel OOM kill — takes down a process that owns nothing else.
@@ -75,9 +76,8 @@ def _maybe_inject_fault(spec: RunSpec) -> None:
 
 
 def _task_summary(spec: RunSpec) -> Any:
-    """Figure-pipeline task: the memoized experiment run.  Children
-    share the per-key disk cache (atomic per-entry writes), so a
-    parallel sweep leaves the same cache a serial one would."""
+    """Figure-pipeline task: the memoized experiment run.  The memo is
+    the worker's own (a forked worker starts with its parent's)."""
     with host_phase("setup"):
         from repro.analysis.experiments import run_experiment
 

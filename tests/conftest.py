@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import clear_cache
 from repro.core.problem import ProblemSpec
 from repro.fields import (
     RigidRotationField,
@@ -18,6 +19,15 @@ from repro.mesh.bounds import Bounds
 from repro.mesh.decomposition import Decomposition
 from repro.seeding import sparse_random_seeds
 from repro.sim.machine import MachineSpec
+
+
+@pytest.fixture(autouse=True)
+def fresh_run_memo():
+    """Every test starts and ends with an empty run memo
+    (``repro.analysis.experiments``), so no test reads another's runs."""
+    clear_cache()
+    yield
+    clear_cache()
 
 
 @pytest.fixture

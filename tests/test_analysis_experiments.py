@@ -1,14 +1,10 @@
-"""Tests of the experiment harness, caching, and figure tables."""
+"""Tests of the experiment harness, its run memo, and figure tables."""
+
+import os
 
 import pytest
 
-from repro.analysis.experiments import (
-    ExperimentKey,
-    RunSummary,
-    clear_cache,
-    run_experiment,
-    sweep_dataset,
-)
+from repro.analysis.experiments import run_experiment, sweep_dataset
 from repro.analysis.report import (
     FIGURE_NUMBERS,
     figure_table,
@@ -16,17 +12,6 @@ from repro.analysis.report import (
     format_value,
 )
 from repro.analysis.scenarios import DATASETS, SEEDINGS, make_problem
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    """Point the disk cache at a temp dir and clear memory between tests."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    import repro.analysis.experiments as exp
-    exp._DISK_LOADED = False
-    clear_cache()
-    yield
-    clear_cache()
 
 
 TINY = dict(scale=0.02)  # a handful of seeds per scenario
@@ -39,6 +24,8 @@ def test_make_problem_validation():
         make_problem("astro", "nope")
     with pytest.raises(ValueError):
         make_problem("astro", "sparse", scale=0)
+    with pytest.raises(ValueError):
+        make_problem("astro", "sparse", scale=float("inf"))
 
 
 def test_all_scenarios_construct():
@@ -53,19 +40,6 @@ def test_run_experiment_caches_in_memory():
     a = run_experiment("astro", "sparse", "ondemand", 4, **TINY)
     b = run_experiment("astro", "sparse", "ondemand", 4, **TINY)
     assert a is b  # exact cache hit
-
-
-def test_run_experiment_disk_cache_roundtrip(tmp_path):
-    import repro.analysis.experiments as exp
-
-    a = run_experiment("astro", "sparse", "ondemand", 4, **TINY)
-    # New process simulation: wipe memory, keep disk.
-    exp._CACHE.clear()
-    exp._DISK_LOADED = False
-    b = run_experiment("astro", "sparse", "ondemand", 4, **TINY)
-    assert b.wall_clock == a.wall_clock
-    assert b.io_time == a.io_time
-    assert b.key == a.key
 
 
 def test_metric_accessor():
@@ -114,3 +88,26 @@ def test_every_figure_number_mapped():
     for dataset in DATASETS:
         metrics = [m for (d, m) in FIGURE_NUMBERS if d == dataset]
         assert len(metrics) == 4
+
+
+def test_sweep_dataset_jobs_zero_means_auto(monkeypatch):
+    """jobs=0 must fan out (one worker per CPU), not silently run
+    serial — regression guard for the old `if jobs > 1` test."""
+    import repro.analysis.experiments as exp
+
+    seen = {}
+
+    class FakeExecutor:
+        def __init__(self, jobs, **kw):
+            seen["jobs"] = jobs
+
+        def run(self, specs):
+            raise RuntimeError("stop here")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr("repro.exec.SweepExecutor", FakeExecutor)
+    with pytest.raises(RuntimeError, match="stop here"):
+        exp.sweep_dataset("astro", rank_counts=(4,),
+                          algorithms=("ondemand",),
+                          seedings=("sparse",), jobs=0, scale=0.02)
+    assert seen["jobs"] == 3

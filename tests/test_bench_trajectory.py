@@ -116,6 +116,17 @@ def test_bench_rejects_nodes_file(bench_mod, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--ranks", "0"], ["--scale", "-1"],
+                                  ["--oom-scale", "inf"]])
+def test_bench_bad_numeric_input_is_a_usage_error(bench_mod, tmp_path,
+                                                  flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_mod.main(ARGS + flag + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
 def test_bench_oom_probe_can_be_disabled(bench_mod, tmp_path):
     out = tmp_path / "noprobe"
     args = ["--dataset", "thermal", "--scale", "0.05", "--ranks", "4",

@@ -5,16 +5,6 @@ import pytest
 from repro.cli import build_parser, main
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    import repro.analysis.experiments as exp
-    exp._DISK_LOADED = False
-    exp.clear_cache()
-    yield
-    exp.clear_cache()
-
-
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -29,6 +19,9 @@ def test_parser_requires_command():
     ["recommend", "--seeds", "10", "--spread", "1.5"],
     ["sweep", "--ranks", "0", "--dry-run"],
     ["scenarios", "--scale", "0"],
+    ["run", "--dataset", "astro", "--algorithm", "hybrid", "--ranks", "1"],
+    ["trace", "astro", "--algorithm", "hybrid", "--ranks", "1"],
+    ["trace", "astro", "--scale", "inf"],
 ])
 def test_bad_numeric_input_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -43,11 +36,26 @@ def test_bad_numeric_input_is_a_usage_error(argv, capsys):
     ["trend", "a.json", "b.json"],
     ["fleet", "check", "--nodes", "local:1"],
     ["sweep", "--nodes-file", "nodes.txt", "--dry-run"],
+    ["cache"],
 ])
 def test_removed_commands_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_cli_jobs_auto_accepted(capsys):
+    code = main(["sweep", "--dataset", "astro", "--seeding", "sparse",
+                 "--algorithm", "ondemand", "--ranks", "4",
+                 "--scale", "0.02", "--jobs", "auto", "--dry-run"])
+    assert code == 0
+    assert "astro-sparse-ondemand-4" in capsys.readouterr().out
+
+
+def test_cli_jobs_rejects_garbage(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--jobs", "many"])
+    assert "expected an integer or 'auto'" in capsys.readouterr().err
 
 
 def test_scenarios_command(capsys):

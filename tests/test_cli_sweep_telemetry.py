@@ -2,24 +2,11 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 SWEEP_ARGS = ["sweep", "--dataset", "astro", "--seeding", "sparse",
               "--algorithm", "static,ondemand", "--ranks", "4",
               "--scale", "0.02"]
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    import repro.analysis.experiments as exp
-    exp._DISK_LOADED = False
-    exp.clear_cache()
-    yield
-    exp.clear_cache()
-    exp._DISK_LOADED = False
 
 
 def test_sweep_telemetry_writes_valid_artifacts(tmp_path, capsys):
@@ -47,7 +34,7 @@ def test_sweep_output_identical_with_and_without_telemetry(tmp_path,
     assert main(SWEEP_ARGS + ["--jobs", "2",
                               "--out", str(tmp_path / "plain.json")]) == 0
     plain_out = capsys.readouterr().out
-    exp.clear_cache(disk=True)
+    exp.clear_cache()
     assert main(SWEEP_ARGS + ["--jobs", "2",
                               "--out", str(tmp_path / "telem.json"),
                               "--telemetry",

@@ -71,13 +71,14 @@ def test_trace_invalid_scenario_exits_cleanly(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["trace", "nonsense", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    # ... and scenario-construction errors (bad scale) exit 2 with a
-    # message instead of a traceback.
-    code = main(ARGS + ["--out", str(tmp_path), "--scale", "0"])
-    assert code == 2
+    # ... and so does a bad scale, with a message instead of a
+    # traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(ARGS + ["--out", str(tmp_path), "--scale", "0"])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "invalid scenario" in err
-    assert "scale" in err
+    assert "argument --scale" in err
+    assert "Traceback" not in err
 
 
 def test_slowest_and_streamline_tile_only_what_they_print(traced, tmp_path,

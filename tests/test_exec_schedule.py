@@ -3,20 +3,13 @@ cost model) and the warm worker pool."""
 
 import importlib.util
 import itertools
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import (
-    ExperimentKey,
-    _entry_path,
-    clear_cache,
-    run_experiment,
-    sweep_dataset,
-)
+from repro.analysis.experiments import _CACHE, clear_cache, sweep_dataset
 from repro.exec import (
     OUTCOME_CRASHED,
     OUTCOME_OK,
@@ -35,17 +28,6 @@ from repro.exec.worker import FAULT_ENV
 from tests.test_exec_sweep import _merged_json, hostbench_specs
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    import repro.analysis.experiments as exp
-    exp._DISK_LOADED = False
-    clear_cache()
-    yield
-    clear_cache()
-    exp._DISK_LOADED = False
 
 
 @pytest.fixture(scope="module")
@@ -96,16 +78,6 @@ def test_model_scales_with_scale_and_discounts_probe():
     probe = _spec(scale=1.0, oom_probe=True)
     assert model_estimate(probe) < model_estimate(big)
     assert model_estimate(probe) > 0.0
-
-
-def test_run_experiment_persists_elapsed():
-    """The sweep cache keeps each run's measured seconds for
-    ``repro cache``."""
-    run_experiment("astro", "sparse", "ondemand", 4, scale=0.02)
-    key = ExperimentKey(dataset="astro", seeding="sparse",
-                        algorithm="ondemand", n_ranks=4, scale=0.02)
-    blob = json.loads(_entry_path(key).read_text())
-    assert blob["elapsed"] > 0.0
 
 
 # --------------------------------------------------------------------- #
@@ -294,7 +266,7 @@ def test_sweep_dataset_jobs4_matches_serial():
     serial = sweep_dataset("astro", rank_counts=(4,),
                            algorithms=("ondemand", "static"),
                            seedings=("sparse",), scale=0.02)
-    clear_cache(disk=True)
+    clear_cache()
     pooled = sweep_dataset("astro", rank_counts=(4,),
                            algorithms=("ondemand", "static"),
                            seedings=("sparse",), scale=0.02, jobs=4)
@@ -377,10 +349,8 @@ def test_cli_sweep_dry_run_prints_plan_and_runs_nothing(tmp_path,
     rows = [line.split()[1] for line in out.splitlines()
             if "astro-sparse" in line]
     assert rows == ["astro-sparse-static-4", "astro-sparse-ondemand-4"]
-    # Nothing executed: the sweep cache stayed empty.
-    key = ExperimentKey(dataset="astro", seeding="sparse",
-                        algorithm="ondemand", n_ranks=4, scale=0.02)
-    assert not _entry_path(key).exists()
+    # Nothing executed: the run memo stayed empty.
+    assert not _CACHE
 
 
 def test_cli_sweep_schedule_with_telemetry(tmp_path, capsys):

@@ -14,10 +14,7 @@ import pytest
 from repro.analysis import scenarios
 
 from repro.analysis.experiments import (
-    ExperimentKey,
-    RunSummary,
-    _entry_path,
-    _save_entry,
+    _CACHE,
     clear_cache,
     sweep_dataset,
 )
@@ -39,19 +36,6 @@ from tests.test_integrate_bank import count_kernel_calls
 REPO = Path(__file__).resolve().parent.parent
 
 TINY = dict(scale=0.02)
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    """Point the disk cache at a temp dir and clear memory between
-    tests (children inherit the environment, so they share it)."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    import repro.analysis.experiments as exp
-    exp._DISK_LOADED = False
-    clear_cache()
-    yield
-    clear_cache()
-    exp._DISK_LOADED = False
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +91,7 @@ def test_four_spec_sweep_parallel_matches_serial():
                        ["ondemand", "static"], [4], scale=0.02)
     assert len(specs) == 4
     serial = SweepExecutor(jobs=1).run(specs)
-    clear_cache(disk=True)  # force the pool to actually re-run
+    clear_cache()  # force the pool to actually re-run
     parallel = SweepExecutor(jobs=4).run(specs)
     assert [o.status for o in serial] == [OUTCOME_OK] * 4
     assert [o.status for o in parallel] == [OUTCOME_OK] * 4
@@ -118,7 +102,7 @@ def test_sweep_dataset_parallel_matches_serial():
     serial = sweep_dataset("astro", rank_counts=(4,),
                            algorithms=("ondemand",),
                            seedings=("sparse", "dense"), **TINY)
-    clear_cache(disk=True)
+    clear_cache()
     parallel = sweep_dataset("astro", rank_counts=(4,),
                              algorithms=("ondemand",),
                              seedings=("sparse", "dense"), jobs=4, **TINY)
@@ -127,7 +111,7 @@ def test_sweep_dataset_parallel_matches_serial():
 
 def test_sweep_dataset_oom_does_not_depend_on_jobs(monkeypatch):
     """Every jobs value runs through the executor: a real MemoryError is
-    the same unpersisted oom summary inline as in a pool."""
+    the same unmemoized oom summary inline as in a pool."""
     monkeypatch.setenv(FAULT_ENV, "memerr:astro")
     grid = dict(rank_counts=(4,), algorithms=("ondemand", "static"),
                 seedings=("sparse",), **TINY)
@@ -135,7 +119,7 @@ def test_sweep_dataset_oom_does_not_depend_on_jobs(monkeypatch):
     pooled = sweep_dataset("astro", jobs=2, **grid)
     assert serial == pooled
     assert [s.status for s in serial] == ["oom", "oom"]
-    assert not any(_entry_path(s.key).exists() for s in serial)
+    assert not any(s.key in _CACHE for s in serial)
 
 
 #: sha256 of ``repro sweep --dataset astro --seeding sparse --algorithm
@@ -410,6 +394,16 @@ def test_sweep_dataset_raises_on_failures(monkeypatch):
                       seedings=("sparse",), jobs=2, **TINY)
 
 
+def test_sweep_dataset_memoizes_completed_cells_before_raising(monkeypatch):
+    """A retry in the same process re-runs only the failed cells."""
+    monkeypatch.setenv(FAULT_ENV, "raise:astro-sparse-static")
+    with pytest.raises(RuntimeError, match="runs failed"):
+        sweep_dataset("astro", rank_counts=(4,),
+                      algorithms=("ondemand", "static"),
+                      seedings=("sparse",), jobs=2, **TINY)
+    assert {key.algorithm for key in _CACHE} == {"ondemand"}
+
+
 def test_merge_run_entries_statuses():
     from repro.exec import RunOutcome
 
@@ -427,36 +421,3 @@ def test_merge_run_entries_statuses():
     assert runs["a-s-x-4"]["wall_clock"] == 1.0
     assert runs["a-s-y-4"] == {"status": "oom"}
     assert runs["a-s-z-4"] == {"status": "timeout"}
-
-
-# --------------------------------------------------------------------- #
-# Atomic per-key cache
-# --------------------------------------------------------------------- #
-
-def test_cache_entry_written_atomically(tmp_path):
-    key = ExperimentKey(dataset="astro", seeding="sparse",
-                        algorithm="hybrid", n_ranks=8, scale=0.5)
-    summary = RunSummary(key=key, status="ok", wall_clock=1.25)
-    _save_entry(key, summary)
-    path = _entry_path(key)
-    assert path is not None and path.is_file()
-    # No tmp residue: the write went through os.replace.
-    assert not list(path.parent.glob("*.tmp.*"))
-    blob = json.loads(path.read_text())
-    assert blob["key"] == dataclasses.asdict(key)
-    assert blob["summary"]["wall_clock"] == 1.25
-
-
-def test_corrupt_cache_entry_is_ignored():
-    import repro.analysis.experiments as exp
-
-    key = ExperimentKey(dataset="astro", seeding="sparse",
-                        algorithm="hybrid", n_ranks=8, scale=0.5)
-    _save_entry(key, RunSummary(key=key, status="ok", wall_clock=2.0))
-    # A torn/corrupt sibling must not poison the load.
-    bad = _entry_path(key).parent / "garbage.json"
-    bad.write_text("{not json")
-    exp._CACHE.clear()
-    exp._DISK_LOADED = False
-    exp._load_disk_cache()
-    assert exp._CACHE[key].wall_clock == 2.0

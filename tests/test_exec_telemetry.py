@@ -28,17 +28,6 @@ from repro.exec.telemetry import makespan
 from repro.exec.worker import FAULT_ENV
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    import repro.analysis.experiments as exp
-    exp._DISK_LOADED = False
-    clear_cache()
-    yield
-    clear_cache()
-    exp._DISK_LOADED = False
-
-
 def _sweep(tmp_path, specs, jobs, **kw):
     sink = JsonlTelemetry(tmp_path / "events.jsonl")
     with sink:
@@ -128,11 +117,11 @@ def test_merged_artifact_bytes_unchanged_by_telemetry(tmp_path):
                           indent=2).encode()
 
     plain = merged(SweepExecutor(jobs=2).run(specs))
-    clear_cache(disk=True)
+    clear_cache()
     with_telem, events = _sweep(tmp_path, specs, jobs=2)
     assert validate_events(events) == []
     assert merged(with_telem) == plain
-    clear_cache(disk=True)
+    clear_cache()
     buf = io.StringIO()
     with JsonlTelemetry(tmp_path / "both.jsonl") as sink:
         both = SweepExecutor(jobs=2, telemetry=[text_progress(buf), sink]

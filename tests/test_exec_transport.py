@@ -58,22 +58,15 @@ LOOPBACK = f"{sys.executable} -m repro.exec.remote_worker"
 
 
 @pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    """Temp sweep cache + a PYTHONPATH the loopback workers inherit
-    (they are plain subprocesses, not multiprocessing children)."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+def loopback_pythonpath(monkeypatch):
+    """A PYTHONPATH the loopback workers inherit (they are plain
+    subprocesses, not multiprocessing children)."""
     src = str(REPO / "src")
     existing = os.environ.get("PYTHONPATH", "")
     if src not in existing.split(os.pathsep):
         monkeypatch.setenv(
             "PYTHONPATH", src + (os.pathsep + existing if existing
                                  else ""))
-    import repro.analysis.experiments as exp
-    exp._DISK_LOADED = False
-    clear_cache()
-    yield
-    clear_cache()
-    exp._DISK_LOADED = False
 
 
 def _spec(dataset="astro", seeding="sparse", algorithm="ondemand",
@@ -258,7 +251,7 @@ def test_protocol_mismatch_is_refused_and_the_sweep_degrades(tmp_path,
     specs = grid_specs(["astro"], ["sparse"], ["ondemand", "static"],
                        [4], scale=0.02)
     serial = SweepExecutor(jobs=1).run(specs)
-    clear_cache(disk=True)
+    clear_cache()
     with JsonlTelemetry(tmp_path / "events.jsonl") as sink:
         fallback = SweepExecutor(nodes=parse_nodes("old:1"),
                                  remote_template=template,
@@ -314,7 +307,7 @@ def test_nodes_sweep_byte_identical_to_serial(tmp_path, start_log):
     specs = grid_specs(["astro"], ["sparse", "dense"],
                        ["ondemand", "static"], [4], scale=0.02)
     serial = SweepExecutor(jobs=1).run(specs)
-    clear_cache(disk=True)  # force the remote workers to really run
+    clear_cache()  # no memoized summary may stand in for a run
     assert log == []  # an inline sweep starts nothing
     sink = JsonlTelemetry(tmp_path / "events.jsonl")
     distributed = SweepExecutor(
@@ -337,7 +330,7 @@ def test_mixed_local_and_remote_slots():
     specs = grid_specs(["astro"], ["sparse", "dense"], ["ondemand"],
                        [4], scale=0.02)
     serial = SweepExecutor(jobs=1).run(specs)
-    clear_cache(disk=True)
+    clear_cache()
     mixed = SweepExecutor(nodes=parse_nodes("local:1,n1:1"),
                           remote_template=LOOPBACK).run(specs)
     assert [o.status for o in mixed] == [OUTCOME_OK] * len(specs)
@@ -493,7 +486,7 @@ def test_scheduler_launcher_recipe(tmp_path, monkeypatch, capsys):
     specs = grid_specs(["astro"], ["sparse", "dense"],
                        ["ondemand", "static"], [4], scale=0.02)
     serial = SweepExecutor(jobs=1).run(specs)
-    clear_cache(disk=True)
+    clear_cache()
     monkeypatch.setenv(HANDSHAKE_TIMEOUT_ENV, "10")
     sink = JsonlTelemetry(tmp_path / "events.jsonl")
     outcomes = SweepExecutor(nodes=parse_nodes("q:2"),
@@ -538,7 +531,7 @@ def test_cli_sweep_nodes_loopback(tmp_path, capsys):
             "--algorithm", "ondemand,static", "--ranks", "4",
             "--scale", "0.02"]
     assert main(base + ["--out", str(out_a)]) == 0
-    clear_cache(disk=True)
+    clear_cache()
     code = main(base + ["--out", str(out_b), "--nodes", "n1:1,n2:1",
                         "--remote-template", LOOPBACK,
                         "--telemetry", str(tmp_path / "telem")])

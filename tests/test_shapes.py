@@ -16,16 +16,6 @@ SCALE = 0.1
 RANKS = 16
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    import repro.analysis.experiments as exp
-    exp._DISK_LOADED = False
-    exp.clear_cache()
-    yield
-    exp.clear_cache()
-
-
 def run(dataset, seeding, algorithm, n_ranks=RANKS):
     return run_experiment(dataset, seeding, algorithm, n_ranks,
                           scale=SCALE)

@@ -16,7 +16,7 @@ Two checks (both on by default; select with --links / --run):
     Extract every fenced ```` ```sh ```` block from the documents
     listed in :data:`RUNNABLE_DOCS` and execute each block with
     ``bash -euo pipefail`` from the repo root (``src`` on
-    ``PYTHONPATH``, a throwaway ``REPRO_CACHE_DIR``).  Blocks are
+    ``PYTHONPATH``).  Blocks are
     written to be self-contained at tiny scale; ```` ```text ````
     fences hold illustrative (cluster-only) commands and are never
     executed.
@@ -33,7 +33,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
@@ -138,14 +137,11 @@ def run_blocks(root: Path, docs: Iterator[str]) -> List[str]:
             src = str(root / "src")
             env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
                                  if env.get("PYTHONPATH") else src)
-            with tempfile.TemporaryDirectory() as scratch:
-                env.setdefault("REPRO_CACHE_DIR",
-                               str(Path(scratch) / "cache"))
-                print(f"  running {rel}:{start} ...", flush=True)
-                proc = subprocess.run(
-                    ["bash", "-euo", "pipefail", "-c", script],
-                    cwd=root, env=env, capture_output=True, text=True,
-                    timeout=600)
+            print(f"  running {rel}:{start} ...", flush=True)
+            proc = subprocess.run(
+                ["bash", "-euo", "pipefail", "-c", script],
+                cwd=root, env=env, capture_output=True, text=True,
+                timeout=600)
             if proc.returncode != 0:
                 tail = (proc.stderr or proc.stdout or "").strip()
                 tail = tail[-2000:]
